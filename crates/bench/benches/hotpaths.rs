@@ -1,8 +1,8 @@
 //! Criterion wrappers for the Algorithm 1 hot paths: batch
 //! `information_gains` and the per-assertion `assert_candidate`
 //! (view maintenance + probability recomputation), at the three standard
-//! bench sizes. The raw-timing snapshot lives in `bench_hotpaths` /
-//! `BENCH_hotpaths.json`; this group gives the same paths a criterion
+//! bench sizes. The raw-timing snapshot lives in `exp_speed` /
+//! `BENCH_speed.json`; this group gives the same paths a criterion
 //! harness for quick relative comparisons.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -33,8 +33,8 @@ fn bench_information_gains(c: &mut Criterion) {
 /// The vendored criterion stand-in has no `iter_batched`, so the measured
 /// closure must include the `pn.clone()` setup. The companion
 /// `clone-baseline` group times that clone alone — subtract it to get the
-/// assertion path itself (the `bench_hotpaths` bin and
-/// `BENCH_hotpaths.json` report the call with the clone excluded).
+/// assertion path itself (the `exp_speed` bin and `BENCH_speed.json`
+/// report the call with the clone excluded).
 fn bench_assert_candidate(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpaths/assert-candidate (incl. clone)");
     for pn in prepared() {

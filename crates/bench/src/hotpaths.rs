@@ -1,4 +1,4 @@
-//! Hot-path micro-measurements behind `BENCH_hotpaths.json`.
+//! Hot-path micro-measurements, the first section of `BENCH_speed.json`.
 //!
 //! Per expert question, Algorithm 1 pays for three inner loops: the
 //! Algorithm 3 sampling fill, the batch information-gain selection, and
@@ -17,9 +17,9 @@
 //!
 //! [`measure_point`] fills the store twice and fingerprints the distinct
 //! instance sets, so the emitted JSON also certifies that sampling is
-//! bit-deterministic for a fixed seed. The `bench_hotpaths` binary prints
-//! the numbers and writes `results/hotpaths_<label>.json`; the criterion
-//! wrapper in `benches/hotpaths.rs` reuses the same setups.
+//! bit-deterministic for a fixed seed. The `exp_speed` binary reports the
+//! points next to their checked-in baseline (see [`crate::speed`]); the
+//! criterion wrapper in `benches/hotpaths.rs` reuses the same setups.
 
 use crate::{matched_network, MatcherKind};
 use serde::Serialize;
@@ -161,11 +161,6 @@ pub fn measure_point(schemas: usize, attrs: usize, iters: usize) -> HotpathPoint
         information_gains_ms,
         assert_candidate_ms,
     }
-}
-
-/// Measures all [`SIZES`].
-pub fn measure(iters: usize) -> Vec<HotpathPoint> {
-    SIZES.iter().map(|&(s, a)| measure_point(s, a, iters)).collect()
 }
 
 #[cfg(test)]

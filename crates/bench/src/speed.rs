@@ -2,7 +2,7 @@
 //!
 //! Three sections, one JSON report:
 //!
-//! * **Hot paths vs the PR-2 baseline** — the `BENCH_hotpaths.json`
+//! * **Hot paths vs the optimized baseline** — the [`crate::hotpaths`]
 //!   quantities (sampling fill, batch information gains, per-assertion
 //!   view maintenance + recompute) at the standard sizes, with the PR-2
 //!   optimized numbers checked in as [`PR2_OPTIMIZED_MS`] and the speedup
@@ -39,8 +39,8 @@ use std::time::Instant;
 
 /// The PR-2 optimized hot-path numbers this PR is gated against, as
 /// `(candidates, sampling_fill_ms, information_gains_ms,
-/// assert_candidate_ms)` — the `BENCH_hotpaths.json` values checked in by
-/// the wide-bitset PR at the standard sizes.
+/// assert_candidate_ms)` — the hot-path values checked in with the
+/// wide-bitset kernels at the standard sizes.
 pub const PR2_OPTIMIZED_MS: [(usize, f64, f64, f64); 3] = [
     (58, 0.044371, 0.091471, 0.021165),
     (352, 0.193374, 1.486568, 0.07193),
@@ -58,7 +58,7 @@ pub const WHAT_IF_QUERIES: usize = 128;
 /// One hot-path size point with its PR-2 ratio.
 #[derive(Debug, Clone, Serialize)]
 pub struct SpeedPoint {
-    /// The re-measured hot paths (same setups as `BENCH_hotpaths.json`).
+    /// The re-measured hot paths ([`measure_point`] at one size).
     pub hotpaths: HotpathPoint,
     /// PR-2 optimized sampling-fill milliseconds at this size.
     pub baseline_fill_ms: f64,

@@ -27,6 +27,10 @@ use smn_schema::CandidateId;
 /// [`retire_candidate`](Components::retire_candidate) splits the one a
 /// departure may disconnect — and the maintained state is always `==` to a
 /// fresh [`of_index`](Components::of_index) over the patched index.
+///
+/// [`whole`](Components::whole) is the trivial partition: one component
+/// holding every candidate under the identity renumbering, which stays
+/// one component through every arrival and retirement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Components {
     /// `component_of[c]` = component id of candidate `c`.
@@ -35,6 +39,9 @@ pub struct Components {
     local_of: Vec<u32>,
     /// Per-component member lists, ascending global ids.
     members: Vec<Vec<CandidateId>>,
+    /// Whether this is the one-component partition of
+    /// [`whole`](Components::whole), kept whole under evolution.
+    whole: bool,
 }
 
 impl Components {
@@ -72,7 +79,27 @@ impl Components {
             local_of[i] = u32::try_from(list.len()).expect("local id fits u32");
             list.push(CandidateId::from_index(i));
         }
-        Self { component_of, local_of, members }
+        Self { component_of, local_of, members, whole: false }
+    }
+
+    /// The one-component partition of `candidate_count` candidates: every
+    /// candidate in component 0 with local id = global id. Evolution keeps
+    /// it whole — an arrival joins component 0 whatever it conflicts with,
+    /// and a retirement never splits it — so a whole-partition model is
+    /// the single unfactorized store.
+    pub fn whole(candidate_count: usize) -> Self {
+        let ids = 0..u32::try_from(candidate_count).expect("candidate id fits u32");
+        Self {
+            component_of: vec![0; candidate_count],
+            local_of: ids.clone().collect(),
+            members: vec![ids.map(CandidateId).collect()],
+            whole: true,
+        }
+    }
+
+    /// Whether this is the [`whole`](Components::whole) partition.
+    pub fn is_whole(&self) -> bool {
+        self.whole
     }
 
     /// Reassembles a partition from its canonical member lists (ascending
@@ -98,7 +125,7 @@ impl Components {
             }
         }
         assert!(component_of.iter().all(|&k| k != u32::MAX), "partition must cover all candidates");
-        Self { component_of, local_of, members }
+        Self { component_of, local_of, members, whole: false }
     }
 
     /// Number of components (shards).
@@ -182,6 +209,19 @@ impl Components {
         ComponentEvolution { remap, rebuilt, dissolved: Vec::new() }
     }
 
+    /// Evolves the whole partition to `candidate_count` candidates: its one
+    /// component dissolves (handing back its pre-event member list) and is
+    /// rebuilt whole.
+    fn rewhole(&mut self, candidate_count: usize) -> ComponentEvolution {
+        let old = std::mem::replace(self, Self::whole(candidate_count));
+        let old_members = old.members.into_iter().next().expect("whole has one component");
+        ComponentEvolution {
+            remap: vec![None],
+            rebuilt: vec![0],
+            dissolved: vec![(0, old_members)],
+        }
+    }
+
     /// Maintains the partition for the candidate just appended to `index`
     /// (`index.candidate_count()` must be exactly one more than this
     /// partition covers): the components of the arrival's conflict
@@ -192,6 +232,9 @@ impl Components {
         let n = index.candidate_count();
         assert_eq!(n, self.component_of.len() + 1, "index must hold exactly one new candidate");
         let c = CandidateId::from_index(n - 1);
+        if self.whole {
+            return self.rewhole(n);
+        }
         // the components the arrival couples (sorted, deduplicated)
         let mut coupled: Vec<usize> = index
             .pair_mask(c)
@@ -241,6 +284,9 @@ impl Components {
     ) -> ComponentEvolution {
         let n = index.candidate_count();
         assert_eq!(n + 1, self.component_of.len(), "index must have dropped exactly one candidate");
+        if self.whole {
+            return self.rewhole(n);
+        }
         let k_old = self.component_of(retired);
         let shift = |x: CandidateId| if x > retired { CandidateId(x.0 - 1) } else { x };
         // regroup the retired component's remaining members (new ids) by
@@ -451,6 +497,37 @@ mod tests {
         let comps = Components::of_index(&idx);
         assert_eq!(comps.count(), 2);
         assert_eq!(comps.largest(), 1);
+    }
+
+    #[test]
+    fn whole_partition_stays_one_component_under_evolution() {
+        let mut b = CatalogBuilder::new();
+        b.add_schema_with_attributes("A", ["a0", "a1"]).unwrap();
+        b.add_schema_with_attributes("B", ["b0", "b1"]).unwrap();
+        let cat = b.build();
+        let g = InteractionGraph::complete(2);
+        let a = AttributeId;
+        let mut cs = CandidateSet::new(&cat);
+        cs.add(&cat, Some(&g), a(0), a(2), 0.9).unwrap();
+        let mut idx = ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default());
+        let mut comps = Components::whole(1);
+        // a1–b1 conflicts with nothing, yet joins the single component
+        cs.add(&cat, Some(&g), a(1), a(3), 0.9).unwrap();
+        idx.add_candidate(&cat, &g, &cs);
+        let evo = comps.add_candidate(&idx);
+        assert_eq!(evo.remap, vec![None]);
+        assert_eq!(evo.rebuilt, vec![0]);
+        assert_eq!(evo.dissolved, vec![(0, vec![CandidateId(0)])]);
+        assert_eq!(comps, Components::whole(2));
+        idx.retire_candidate(CandidateId(0));
+        let evo = comps.retire_candidate(&idx, CandidateId(0));
+        assert_eq!(evo.rebuilt, vec![0]);
+        assert_eq!(evo.dissolved, vec![(0, vec![CandidateId(0), CandidateId(1)])]);
+        assert_eq!(comps, Components::whole(1));
+        idx.retire_candidate(CandidateId(0));
+        comps.retire_candidate(&idx, CandidateId(0));
+        assert_eq!(comps.count(), 1, "an emptied whole partition keeps its component");
+        assert!(comps.members(0).is_empty());
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub struct SessionConfig {
     pub strategy: Strategy,
     /// Seed for strategy randomness (tie breaking / random baseline).
     pub strategy_seed: u64,
-    /// Sample representation: [`ShardingConfig::disabled`] (the default)
-    /// keeps one monolithic store; an enabled config shards the store by
-    /// conflict component (see
+    /// Sample partition: [`ShardingConfig::disabled`] (the default) keeps
+    /// one store over the whole network; an enabled config shards the
+    /// store by conflict component (see
     /// [`ProbabilisticNetwork::new_sharded`]).
     pub sharding: ShardingConfig,
 }

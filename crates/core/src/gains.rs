@@ -121,7 +121,7 @@ pub trait GainSource {
     /// Per-shard mutation epochs, indexed by shard id.
     fn gain_shard_epochs(&self) -> &[u64];
 
-    /// The shard owning `c` (component id; `0` for monolithic models).
+    /// The shard owning `c` (component id; `0` under the whole partition).
     fn gain_shard_of(&self, c: CandidateId) -> usize;
 
     /// Shard `k`'s uncertain members (`0 < p < 1`), ascending id.

@@ -77,10 +77,9 @@ pub use oracle::{CrowdOracle, GroundTruthOracle, NoisyOracle, Oracle};
 pub use persist::{EventSink, NetworkEvent, NetworkState};
 pub use probability::{AssertError, CommitExec, CommitOutcome, ProbabilisticNetwork};
 pub use reconcile::{reconcile, ReconciliationGoal, StepOutcome, TracePoint};
-pub use remote::ShardHost;
 pub use sampling::SamplerConfig;
 pub use selection::{
     ConfidenceOrderSelection, InformationGainSelection, MaxEntropySelection, RandomSelection,
     SelectionStrategy, TIE_EPSILON,
 };
-pub use shard::ShardingConfig;
+pub use shard::{ShardHost, ShardingConfig};

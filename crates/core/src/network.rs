@@ -85,6 +85,12 @@ impl MatchingNetwork {
         &self.index
     }
 
+    /// The conflict index's shared allocation — the sub-index of the
+    /// whole-network shard, which therefore never copies the index.
+    pub(crate) fn shared_index(&self) -> &Arc<ConflictIndex> {
+        &self.index
+    }
+
     /// `|C|`.
     pub fn candidate_count(&self) -> usize {
         self.candidates.len()

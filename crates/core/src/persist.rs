@@ -144,20 +144,6 @@ pub struct ShardState {
     pub store: StoreState,
 }
 
-/// The serialized sample representation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReprState {
-    /// One store over the whole network.
-    Monolithic(StoreState),
-    /// One store per conflict component.
-    Sharded {
-        /// Component member lists (global ids, canonical order).
-        members: Vec<Vec<u32>>,
-        /// Per-component shard states, aligned with `members`.
-        shards: Vec<ShardState>,
-    },
-}
-
 /// The full serializable image of a
 /// [`ProbabilisticNetwork`].
 #[derive(Debug, Clone, PartialEq)]
@@ -180,12 +166,15 @@ pub struct NetworkState {
     pub feedback: FeedbackState,
     /// Network-level sampler config.
     pub sampler: SamplerConfig,
-    /// Sharding config (`None` for the monolithic representation).
-    pub sharding: Option<ShardingConfig>,
+    /// The partition config; `enabled == false` is the whole partition.
+    pub sharding: ShardingConfig,
     /// The construction-time entropy baseline.
     pub initial_entropy: f64,
-    /// The sample representation.
-    pub repr: ReprState,
+    /// Component member lists (global ids, canonical order) — the single
+    /// list `0..n` for the whole partition.
+    pub members: Vec<Vec<u32>>,
+    /// Per-component shard states, aligned with `members`.
+    pub shards: Vec<ShardState>,
 }
 
 /// One durable event of the write-ahead log: exactly the mutations a
@@ -300,12 +289,9 @@ mod tests {
         use crate::sampling::SamplerConfig;
         use crate::shard::ShardingConfig;
         let sampler = SamplerConfig { seed: 7, ..SamplerConfig::default() };
-        for sharding in [None, Some(ShardingConfig::default())] {
+        for sharding in [ShardingConfig::disabled(), ShardingConfig::default()] {
             let net = crate::testutil::fig1_network();
-            let mut pn = match sharding {
-                None => ProbabilisticNetwork::new(net, sampler),
-                Some(s) => ProbabilisticNetwork::new_sharded(net, sampler, s),
-            };
+            let mut pn = ProbabilisticNetwork::new_sharded(net, sampler, sharding);
             pn.assert_candidate(Assertion { candidate: CandidateId(2), approved: true }).unwrap();
             let state = pn.to_state();
             let restored = ProbabilisticNetwork::from_state(&state).unwrap();

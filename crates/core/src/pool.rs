@@ -30,10 +30,6 @@
 //!   resumes on the submitting thread — same observable behaviour as a
 //!   panicked scoped thread, without poisoning the long-lived workers.
 //!
-//! [`run_scoped`] keeps the old one-scope-per-batch execution as a
-//! reference implementation; the differential suites pin `pool ≡ scoped`
-//! on real workloads.
-//!
 //! ## Safety
 //!
 //! Tasks borrow the submitting frame (`'env`), while the worker threads
@@ -296,20 +292,6 @@ pub fn global() -> &'static WorkerPool {
     })
 }
 
-/// Reference implementation: the pre-pool execution shape, one scoped
-/// thread per task with a join barrier. Same results in the same order as
-/// [`WorkerPool::run`] by construction; kept so the differential suites
-/// can pin `pooled ≡ scoped` on real workloads.
-pub fn run_scoped<'env, T: Send>(tasks: Vec<Task<'env, T>>) -> Vec<T> {
-    if tasks.len() <= 1 {
-        return tasks.into_iter().map(|t| t()).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks.into_iter().map(|t| scope.spawn(t)).collect();
-        handles.into_iter().map(|h| h.join().expect("scoped task panicked")).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,15 +311,12 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_scoped_and_sequential() {
+    fn pooled_matches_sequential() {
         let pool = WorkerPool::new(3);
         let work = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
         let pooled =
             pool.run((0u64..40).map(|x| Box::new(move || work(x)) as Task<'_, u64>).collect());
-        let scoped =
-            run_scoped((0u64..40).map(|x| Box::new(move || work(x)) as Task<'_, u64>).collect());
         let sequential: Vec<u64> = (0..40).map(work).collect();
-        assert_eq!(pooled, scoped);
         assert_eq!(pooled, sequential);
     }
 

@@ -8,16 +8,15 @@
 //! as a black-box … it contains all the information given by matchers and
 //! user assertions".
 //!
-//! Two internal representations back the same public API:
-//!
-//! * **monolithic** ([`ProbabilisticNetwork::new`]) — one [`SampleStore`]
-//!   over the whole candidate set, the classic Algorithm 3 setup;
-//! * **component-sharded** ([`ProbabilisticNetwork::new_sharded`]) — one
-//!   independent store per conflict component (see [`crate::shard`]).
-//!   Because the distribution factorizes exactly over components, the two
-//!   representations agree on probabilities, entropy and information gain
-//!   (bit-for-bit on exhausted stores), while assertions and gain scans
-//!   cost per-shard instead of per-network.
+//! The sample representation is a [`ShardHost`] that owns every component
+//! of a partition of the candidates (see [`crate::shard`]): the conflict
+//! components ([`ProbabilisticNetwork::new_sharded`]), or the whole
+//! network as one component ([`ProbabilisticNetwork::new`], the classic
+//! single-store Algorithm 3 setup). Because the distribution factorizes
+//! exactly over components, both partitions agree on probabilities,
+//! entropy and information gain (bit-for-bit on exhausted stores), while
+//! the finer one prices assertions and gain scans per shard instead of
+//! per network.
 
 use crate::entropy::{binary_entropy, entropy_of};
 use crate::feedback::{Assertion, Feedback};
@@ -26,10 +25,10 @@ use crate::network::MatchingNetwork;
 use crate::pool;
 use crate::reconcile::StepOutcome;
 use crate::sampling::{row_and_count, SampleMatrix, SampleStore, SamplerConfig};
-use crate::shard::{ShardSet, ShardingConfig};
-use smn_constraints::BitSet;
+use crate::shard::{LaneStep, ShardHost, ShardSnapshot, ShardingConfig};
+use smn_constraints::{BitSet, Components};
 use smn_schema::{AttributeId, CandidateId, SchemaError};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -72,19 +71,17 @@ impl fmt::Display for AssertError {
 impl std::error::Error for AssertError {}
 
 /// How [`ProbabilisticNetwork::commit_batch`] executes its per-shard
-/// commit lanes. All variants produce byte-identical results — execution
+/// commit lanes. Both variants produce byte-identical results — execution
 /// is pure wall-clock (see `docs/SERVING.md`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CommitExec {
-    /// One lane after another on the calling thread.
+    /// One lane after another on the calling thread — the reference the
+    /// differential suites compare against.
     #[default]
     Sequential,
     /// Lanes fan out on the global [`pool`] through its high-priority
     /// lane, overtaking queued background work.
     Pool,
-    /// One scoped thread per lane — the reference implementation for the
-    /// differential suites.
-    Scoped,
 }
 
 /// What [`ProbabilisticNetwork::commit_batch`] did with one requested
@@ -100,37 +97,21 @@ pub struct CommitOutcome {
     pub approved: bool,
     /// Integrated as requested, flipped to a disapproval, or skipped.
     pub outcome: StepOutcome,
-    /// The shard that owns the candidate (0 for monolithic networks).
+    /// The shard that owns the candidate (0 under the whole partition).
     pub shard: usize,
     /// Whether the model actually changed: `false` for skips *and* for
     /// same-way re-assertions that resolved as no-op integrations.
     pub mutated: bool,
 }
 
-/// The sample representation behind the probability vector.
-#[derive(Debug, Clone)]
-enum Repr {
-    /// One store over the whole network.
-    Monolithic(SampleStore),
-    /// One independent store per conflict component.
-    Sharded(ShardSet),
-}
-
 /// The probabilistic matching network: network + feedback + samples + `P`.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticNetwork {
-    network: MatchingNetwork,
+    /// The network, its partition and every component's shard.
+    host: ShardHost,
     feedback: Feedback,
-    repr: Repr,
     probs: Vec<f64>,
     initial_entropy: f64,
-    /// The sampler configuration the network was built with — evolution
-    /// ([`extend`](Self::extend) / [`retire`](Self::retire)) reuses it for
-    /// shard rebuilds.
-    sampler: SamplerConfig,
-    /// The sharding configuration (`None` for the monolithic
-    /// representation), kept for the same reason.
-    sharding: Option<ShardingConfig>,
     /// Monotone mutation counter: bumped on every call that actually
     /// changes the model (integrated assertion, extend, retire) and
     /// *not* on no-ops or rejected assertions. Snapshot publishers
@@ -139,8 +120,7 @@ pub struct ProbabilisticNetwork {
     generation: u64,
     /// Per-shard mutation epochs for the gain cache: globally unique
     /// values from [`crate::gains::next_epoch`], re-stamped whenever the
-    /// shard's state actually changes. Indexed by shard id (one entry
-    /// for the monolithic representation).
+    /// shard's state actually changes. Indexed by shard id.
     shard_epochs: Vec<u64>,
     /// The structural epoch: refreshed wholesale by extend / retire,
     /// which renumber shards. See [`crate::gains`].
@@ -151,70 +131,54 @@ pub struct ProbabilisticNetwork {
 }
 
 impl ProbabilisticNetwork {
-    /// Builds the probabilistic network with a monolithic sample store:
-    /// samples matching instances and derives initial probabilities.
+    /// Builds the probabilistic network with a single store over the whole
+    /// network ([`ShardingConfig::disabled`]): samples matching instances
+    /// and derives initial probabilities.
     pub fn new(network: MatchingNetwork, config: SamplerConfig) -> Self {
-        let feedback = Feedback::new(network.candidate_count());
-        let store = SampleStore::new(&network, &feedback, config);
-        Self::finish(network, feedback, Repr::Monolithic(store), config, None)
+        Self::new_sharded(network, config, ShardingConfig::disabled())
     }
 
-    /// Builds the probabilistic network sharded by conflict component
-    /// (shard `k` is seeded `config.seed + k`; components at or below
+    /// Builds the probabilistic network over the partition `sharding`
+    /// selects: one shard per conflict component, or the whole network as
+    /// one shard when `sharding.enabled` is false. Shard `k` is seeded
+    /// `config.seed + k`; components at or below
     /// [`ShardingConfig::exact_threshold`] candidates get exact, exhausted
-    /// posteriors). With `sharding.enabled == false` this is
-    /// [`ProbabilisticNetwork::new`].
+    /// posteriors.
     pub fn new_sharded(
         network: MatchingNetwork,
         config: SamplerConfig,
         sharding: ShardingConfig,
     ) -> Self {
-        if !sharding.enabled {
-            return Self::new(network, config);
-        }
         let feedback = Feedback::new(network.candidate_count());
-        let set = ShardSet::build(network.index(), config, &sharding);
-        Self::finish(network, feedback, Repr::Sharded(set), config, Some(sharding))
+        Self::finish(ShardHost::owning_all(network, config, sharding), feedback, None)
     }
 
-    fn finish(
-        network: MatchingNetwork,
-        feedback: Feedback,
-        repr: Repr,
-        sampler: SamplerConfig,
-        sharding: Option<ShardingConfig>,
-    ) -> Self {
-        let n = network.candidate_count();
-        let mut probs = vec![0.0; n];
-        match &repr {
-            Repr::Monolithic(store) => recompute_monolithic(store, &feedback, &mut probs),
-            Repr::Sharded(set) => set.write_all_probabilities(&mut probs),
+    /// Derives the probabilities from a host owning every shard; the
+    /// entropy baseline is the given one, or the current entropy.
+    fn finish(host: ShardHost, feedback: Feedback, initial_entropy: Option<f64>) -> Self {
+        let mut probs = vec![0.0; host.network().candidate_count()];
+        for k in 0..host.component_count() {
+            host.write_probabilities(k, &mut probs);
         }
         let epoch = crate::gains::next_epoch();
-        let shards = match &repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.components.count(),
-        };
+        let shards = host.component_count();
         let mut pn = Self {
-            network,
+            host,
             feedback,
-            repr,
             probs,
             initial_entropy: 0.0,
-            sampler,
-            sharding,
             generation: 0,
             shard_epochs: vec![epoch; shards],
             structure_epoch: epoch,
             gain_cache: Arc::new(Mutex::new(GainCache::default())),
         };
-        pn.initial_entropy = pn.entropy();
+        pn.initial_entropy = initial_entropy.unwrap_or_else(|| pn.entropy());
         pn
     }
 
     /// The underlying network `N`.
     pub fn network(&self) -> &MatchingNetwork {
-        &self.network
+        self.host.network()
     }
 
     /// Extracts the full serializable image of this network — see
@@ -224,27 +188,17 @@ impl ProbabilisticNetwork {
     /// structure (dense masks, sub-indices, matrices, probabilities) is
     /// rebuilt by [`from_state`](Self::from_state).
     pub fn to_state(&self) -> crate::persist::NetworkState {
-        use crate::persist::*;
-        let repr = match &self.repr {
-            Repr::Monolithic(store) => ReprState::Monolithic(store.to_state()),
-            Repr::Sharded(set) => ReprState::Sharded {
-                members: (0..set.components.count())
-                    .map(|k| set.components.members(k).iter().map(|c| c.0).collect())
-                    .collect(),
-                shards: set
-                    .shards
-                    .iter()
-                    .map(|s| ShardState {
-                        feedback: FeedbackState::of(&s.feedback),
-                        store: s.store.to_state(),
-                    })
-                    .collect(),
-            },
-        };
-        let mut state = network_to_structure(&self.network, self.sampler, self.sharding);
-        state.feedback = FeedbackState::of(&self.feedback);
+        let host = &self.host;
+        let mut state = network_to_structure(host.network(), host.sampler, host.sharding);
+        state.feedback = crate::persist::FeedbackState::of(&self.feedback);
         state.initial_entropy = self.initial_entropy;
-        state.repr = repr;
+        let count = host.component_count();
+        state.members = (0..count)
+            .map(|k| host.components().members(k).iter().map(|c| c.0).collect())
+            .collect();
+        state.shards = (0..count)
+            .map(|k| host.export_shard(k).expect("in-process host owns every component"))
+            .collect();
         state
     }
 
@@ -259,89 +213,48 @@ impl ProbabilisticNetwork {
     /// Every structural inconsistency in the input is a typed error;
     /// this never panics on untrusted (length/id-validated) state.
     pub fn from_state(state: &crate::persist::NetworkState) -> Result<Self, String> {
-        use crate::persist::ReprState;
         let network = network_from_state(state)?;
         let n = network.candidate_count();
         let feedback = state.feedback.build(n)?;
-        let repr = match &state.repr {
-            ReprState::Monolithic(store) => {
-                if store.candidate_count != n {
-                    return Err(format!(
-                        "store sized for {} candidates, network has {n}",
-                        store.candidate_count
-                    ));
-                }
-                Repr::Monolithic(SampleStore::from_state(store)?)
-            }
-            ReprState::Sharded { members, shards } => {
-                if members.len() != shards.len() {
-                    return Err(format!(
-                        "{} component lists for {} shards",
-                        members.len(),
-                        shards.len()
-                    ));
-                }
-                let mut covered = vec![false; n];
-                for list in members {
-                    for &c in list {
-                        if c as usize >= n || covered[c as usize] {
-                            return Err("component partition does not partition".into());
-                        }
-                        covered[c as usize] = true;
-                    }
-                }
-                if !covered.iter().all(|&c| c) {
-                    return Err("component partition does not cover all candidates".into());
-                }
-                let components = smn_constraints::Components::from_members(
-                    n,
-                    members.iter().map(|l| l.iter().map(|&c| CandidateId(c)).collect()).collect(),
-                );
-                let sub_indices = network.index().shard(&components);
-                let shards = shards
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| {
-                        let m = components.members(k).len();
-                        if s.store.candidate_count != m {
-                            return Err(format!(
-                                "shard {k} store sized for {} of {m} members",
-                                s.store.candidate_count
-                            ));
-                        }
-                        Ok(std::sync::Arc::new(crate::shard::ShardSnapshot {
-                            index: sub_indices[k].clone(),
-                            feedback: s.feedback.build(m)?,
-                            store: SampleStore::from_state(&s.store)?,
-                        }))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Repr::Sharded(ShardSet { components: std::sync::Arc::new(components), shards })
-            }
-        };
-        let mut probs = vec![0.0; n];
-        match &repr {
-            Repr::Monolithic(store) => recompute_monolithic(store, &feedback, &mut probs),
-            Repr::Sharded(set) => set.write_all_probabilities(&mut probs),
+        let members = &state.members;
+        if members.len() != state.shards.len() {
+            return Err(format!(
+                "{} component lists for {} shards",
+                members.len(),
+                state.shards.len()
+            ));
         }
-        let epoch = crate::gains::next_epoch();
-        let shards = match &repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.components.count(),
+        let components = if state.sharding.enabled {
+            let mut covered = vec![false; n];
+            for list in members {
+                for &c in list {
+                    if c as usize >= n || covered[c as usize] {
+                        return Err("component partition does not partition".into());
+                    }
+                    covered[c as usize] = true;
+                }
+            }
+            if !covered.iter().all(|&c| c) {
+                return Err("component partition does not cover all candidates".into());
+            }
+            Components::from_members(
+                n,
+                members.iter().map(|l| l.iter().map(|&c| CandidateId(c)).collect()).collect(),
+            )
+        } else {
+            let whole = members.len() == 1
+                && members[0].len() == n
+                && members[0].iter().enumerate().all(|(i, &c)| c as usize == i);
+            if !whole {
+                return Err("the whole partition must list every candidate in id order".into());
+            }
+            Components::whole(n)
         };
-        Ok(Self {
-            network,
-            feedback,
-            repr,
-            probs,
-            initial_entropy: state.initial_entropy,
-            sampler: state.sampler,
-            sharding: state.sharding,
-            generation: 0,
-            shard_epochs: vec![epoch; shards],
-            structure_epoch: epoch,
-            gain_cache: Arc::new(Mutex::new(GainCache::default())),
-        })
+        let mut host = ShardHost::build(network, components, state.sampler, state.sharding, &[]);
+        for (k, shard) in state.shards.iter().enumerate() {
+            host.import_shard(k, shard)?;
+        }
+        Ok(Self::finish(host, feedback, Some(state.initial_entropy)))
     }
 
     /// The mutation generation: bumped exactly when the model actually
@@ -358,50 +271,43 @@ impl ProbabilisticNetwork {
         &self.feedback
     }
 
-    /// The distinct sampled matching instances Ω\* of the *monolithic*
-    /// store. The sharded representation never materializes global
-    /// samples — that is the point of factorizing — so it returns an
-    /// empty slice; use
+    /// The distinct sampled matching instances Ω\* when the partition has
+    /// a single component (the whole partition, or a connected conflict
+    /// graph) — its local ids are then the global ids. A network factorized
+    /// into several components never materializes global samples — that
+    /// is the point of factorizing — so it returns an empty slice; use
     /// [`distinct_sample_count`](ProbabilisticNetwork::distinct_sample_count)
-    /// for coverage diagnostics that work for both.
+    /// for coverage diagnostics that work for every partition.
     pub fn samples(&self) -> &[BitSet] {
-        match &self.repr {
-            Repr::Monolithic(store) => store.samples(),
-            Repr::Sharded(_) => &[],
+        match self.host.snapshot(0) {
+            Some(shard) if self.host.component_count() == 1 => shard.store.samples(),
+            _ => &[],
         }
     }
 
-    /// Distinct stored instances: `|Ω*|` for the monolithic store, the sum
-    /// of per-shard counts for the sharded one (whose factorized coverage
-    /// is the *product* of the per-shard counts).
+    /// Distinct stored instances: the sum of per-shard counts (whose
+    /// factorized coverage is the *product* of those counts) — `|Ω*|` for
+    /// the whole partition.
     pub fn distinct_sample_count(&self) -> usize {
-        match &self.repr {
-            Repr::Monolithic(store) => store.len(),
-            Repr::Sharded(set) => set.distinct_samples(),
-        }
+        self.host.owned().map(|(_, s)| s.store.len()).sum()
     }
 
-    /// Number of independent sample stores: 1 for the monolithic
-    /// representation, the conflict-component count for the sharded one.
+    /// Number of independent sample stores: the component count of the
+    /// partition (1 for the whole partition).
     pub fn shard_count(&self) -> usize {
-        match &self.repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.shards.len(),
-        }
+        self.host.component_count()
     }
 
-    /// Whether this network uses the component-sharded representation.
+    /// Whether the partition follows the conflict components (`false` for
+    /// the whole partition of [`new`](Self::new)).
     pub fn is_sharded(&self) -> bool {
-        matches!(self.repr, Repr::Sharded(_))
+        self.host.sharding.enabled
     }
 
-    /// Whether Ω\* provably equals Ω (probabilities are exact) — for the
-    /// sharded representation, whether *every* shard is exhausted.
+    /// Whether Ω\* provably equals Ω (probabilities are exact): whether
+    /// *every* shard is exhausted.
     pub fn is_exhausted(&self) -> bool {
-        match &self.repr {
-            Repr::Monolithic(store) => store.is_exhausted(),
-            Repr::Sharded(set) => set.is_exhausted(),
-        }
+        self.host.owned().all(|(_, s)| s.store.is_exhausted())
     }
 
     /// The probability vector `P`, indexed by candidate id.
@@ -414,9 +320,9 @@ impl ProbabilisticNetwork {
         self.probs[c.index()]
     }
 
-    /// Network uncertainty `H(C, P)` in bits (Eq. 3). For the sharded
-    /// representation this equals the sum of per-shard entropies — entropy
-    /// is additive over independent components.
+    /// Network uncertainty `H(C, P)` in bits (Eq. 3) — the sum of the
+    /// per-shard entropies, since entropy is additive over independent
+    /// components.
     pub fn entropy(&self) -> f64 {
         entropy_of(&self.probs)
     }
@@ -444,7 +350,7 @@ impl ProbabilisticNetwork {
 
     /// User-effort fraction `E = |F| / |C|`.
     pub fn effort(&self) -> f64 {
-        self.feedback.effort(self.network.candidate_count())
+        self.feedback.effort(self.network().candidate_count())
     }
 
     /// Forks the network into an independent copy-on-write branch.
@@ -500,59 +406,35 @@ impl ProbabilisticNetwork {
     /// on candidate `c` re-evaluates only `c`'s own shard,
     /// `H' = H − H_k + H'_k`, with the current entropy computed once for
     /// the whole batch and each touched shard's standing entropy `H_k`
-    /// computed once and shared across every query of that shard. The
-    /// monolithic representation has no locality to exploit; it still
-    /// shares one scratch probability buffer across all queries instead of
-    /// forking the surrounding network per candidate.
+    /// computed once and shared across every query of that shard. Under
+    /// the whole partition `H_k` is `H` to the bit, so `H' = H'_k`.
     ///
     /// Assertions the model would reject (contradictions, inconsistent
     /// approvals) and same-way re-assertions leave a real model unchanged
     /// and evaluate to the current entropy, exactly as in `what_if`.
     pub fn what_if_batch(&self, queries: &[(CandidateId, bool)]) -> Vec<f64> {
         let h_current = self.entropy();
-        match &self.repr {
-            Repr::Monolithic(store) => {
-                let mut scratch = Vec::new();
-                queries
-                    .iter()
-                    .map(|&(c, approved)| {
-                        if self.assertion_is_inert(c, approved) {
-                            return h_current;
-                        }
-                        let mut feedback = self.feedback.clone();
-                        feedback.assert(Assertion { candidate: c, approved });
-                        let mut branch = store.clone();
-                        branch.maintain(&self.network, &feedback, c, approved);
-                        recompute_monolithic(&branch, &feedback, &mut scratch);
-                        entropy_of(&scratch)
-                    })
-                    .collect()
-            }
-            Repr::Sharded(set) => {
-                let mut out = vec![0.0; queries.len()];
-                // bucket query positions by owning shard so the standing
-                // per-shard entropy H_k is computed once per shard
-                let mut by_shard: HashMap<usize, Vec<usize>> = HashMap::new();
-                for (pos, &(c, approved)) in queries.iter().enumerate() {
-                    if self.assertion_is_inert(c, approved) {
-                        out[pos] = h_current;
-                    } else {
-                        by_shard.entry(set.components.component_of(c)).or_default().push(pos);
-                    }
-                }
-                for (k, positions) in by_shard {
-                    let members = set.components.members(k);
-                    let h_k: f64 =
-                        members.iter().map(|&g| binary_entropy(self.probs[g.index()])).sum();
-                    for pos in positions {
-                        let (c, approved) = queries[pos];
-                        let lc = CandidateId::from_index(set.components.local_index(c));
-                        out[pos] = (h_current - h_k + set.entropy_after(k, lc, approved)).max(0.0);
-                    }
-                }
-                out
+        let mut out = vec![0.0; queries.len()];
+        // bucket query positions by owning shard so the standing
+        // per-shard entropy H_k is computed once per shard
+        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (pos, &(c, approved)) in queries.iter().enumerate() {
+            if self.assertion_is_inert(c, approved) {
+                out[pos] = h_current;
+            } else {
+                by_shard.entry(self.shard_of(c)).or_default().push(pos);
             }
         }
+        for (k, positions) in by_shard {
+            let members = self.host.components().members(k);
+            let h_k: f64 = members.iter().map(|&g| binary_entropy(self.probs[g.index()])).sum();
+            for pos in positions {
+                let (c, approved) = queries[pos];
+                let h_after = self.host.entropy_after(c, approved).expect("owned shard");
+                out[pos] = (h_current - h_k + h_after).max(0.0);
+            }
+        }
+        out
     }
 
     /// Whether integrating `(candidate, approved)` would leave the model
@@ -562,37 +444,27 @@ impl ProbabilisticNetwork {
     /// [`assert_candidate`](Self::assert_candidate).
     fn assertion_is_inert(&self, candidate: CandidateId, approved: bool) -> bool {
         self.feedback.is_asserted(candidate)
-            || (approved && !self.approval_is_consistent(candidate))
+            || (approved && !self.host.approval_is_consistent(candidate))
     }
 
-    /// Which shard owns `c`: its conflict-component id in the sharded
-    /// representation, `0` in the monolithic one (a single store owns
-    /// everything). The service-layer dispatcher uses this to spread
+    /// Which shard owns `c`: its component id (`0` under the whole
+    /// partition). The service-layer dispatcher uses this to spread
     /// concurrent questions across distinct shards.
     pub fn shard_of(&self, c: CandidateId) -> usize {
-        match &self.repr {
-            Repr::Monolithic(_) => 0,
-            Repr::Sharded(set) => set.components.component_of(c),
-        }
+        self.host.component_of(c)
     }
 
-    /// The candidates shard `k` owns, ascending id — every candidate for
-    /// the monolithic representation (its single store owns everything).
-    /// The serving layer uses this to overlay exactly the shards a
-    /// session echoed answers into.
+    /// The candidates shard `k` owns, ascending id — every candidate under
+    /// the whole partition. The serving layer uses this to overlay exactly
+    /// the shards a session echoed answers into.
     pub fn shard_members(&self, k: usize) -> Vec<CandidateId> {
-        match &self.repr {
-            Repr::Monolithic(_) => {
-                (0..self.network.candidate_count()).map(CandidateId::from_index).collect()
-            }
-            Repr::Sharded(set) => set.components.members(k).to_vec(),
-        }
+        self.host.components().members(k).to_vec()
     }
 
     /// Integrates a user assertion: checks it against the standing
     /// feedback and the approval constraints, then updates the feedback,
-    /// view-maintains the samples and recomputes `P` — only the owning
-    /// shard in the sharded representation.
+    /// view-maintains the owning shard's samples and recomputes that
+    /// shard's slice of `P`.
     ///
     /// Re-asserting a candidate the *same* way is a successful no-op (no
     /// maintenance, no recompute). Asserting it the *other* way, or
@@ -604,15 +476,9 @@ impl ProbabilisticNetwork {
             return Ok(()); // same-way re-assertion: successful no-op
         }
         let Assertion { candidate, approved } = assertion;
-        let k = self.shard_of(candidate);
         self.feedback.assert(assertion);
-        match &mut self.repr {
-            Repr::Monolithic(store) => {
-                store.maintain(&self.network, &self.feedback, candidate, approved);
-                recompute_monolithic(store, &self.feedback, &mut self.probs);
-            }
-            Repr::Sharded(set) => set.assert(candidate, approved, &mut self.probs),
-        }
+        let k = self.host.assert_unchecked(candidate, approved).expect("owned shard");
+        self.host.write_probabilities(k, &mut self.probs);
         self.generation += 1;
         self.shard_epochs[k] = crate::gains::next_epoch();
         Ok(())
@@ -635,7 +501,7 @@ impl ProbabilisticNetwork {
                 Err(AssertError::Contradictory { candidate, previously_approved })
             };
         }
-        if approved && !self.approval_is_consistent(candidate) {
+        if approved && !self.host.approval_is_consistent(candidate) {
             // the approved set must stay consistent or Ω becomes empty
             return Err(AssertError::InconsistentApproval(candidate));
         }
@@ -651,19 +517,14 @@ impl ProbabilisticNetwork {
     /// request order against that shard's single working copy (at most one
     /// copy-on-write per touched shard per batch, none for all-redundant
     /// lanes); disjoint shards are independent, so with
-    /// [`CommitExec::Pool`] / [`CommitExec::Scoped`] the lanes run
-    /// concurrently — on the pool's high-priority lane in the former case
-    /// — and the result is byte-identical to [`CommitExec::Sequential`]
-    /// because lanes are installed (and the mutation
-    /// [`generation`](Self::generation) advanced) in ascending shard
-    /// order either way. Monolithic networks have a single lane and always
-    /// commit sequentially.
+    /// [`CommitExec::Pool`] the lanes run concurrently on the pool's
+    /// high-priority lane, and the result is byte-identical to
+    /// [`CommitExec::Sequential`] because lanes are installed (and the
+    /// mutation [`generation`](Self::generation) advanced) in ascending
+    /// shard order either way.
     pub fn commit_batch(&mut self, requests: &[Assertion], exec: CommitExec) -> Vec<CommitOutcome> {
         if requests.is_empty() {
             return Vec::new();
-        }
-        if !matches!(self.repr, Repr::Sharded(_)) {
-            return requests.iter().map(|&req| self.commit_one(req, 0)).collect();
         }
         // bucket request positions by owning shard; BTreeMap fixes the
         // lane install order (ascending shard id) independent of exec
@@ -675,27 +536,18 @@ impl ProbabilisticNetwork {
             .iter()
             .map(|(&k, positions)| (k, positions.iter().map(|&p| requests[p]).collect()))
             .collect();
-        let Repr::Sharded(set) = &self.repr else { unreachable!() };
-        type LaneResult = (Option<crate::shard::ShardSnapshot>, Vec<(bool, StepOutcome, bool)>);
-        let run_lane = |(k, events): &(usize, Vec<Assertion>)| set.commit_lane(*k, events);
-        let lane_results: Vec<LaneResult> = if lanes.len() <= 1 {
+        type LaneResult = (Option<ShardSnapshot>, Vec<LaneStep>);
+        let host = &self.host;
+        let run_lane = |(k, events): &(usize, Vec<Assertion>)| host.commit_lane(*k, events);
+        let lane_results: Vec<LaneResult> = if lanes.len() <= 1 || exec == CommitExec::Sequential {
             lanes.iter().map(run_lane).collect()
         } else {
-            match exec {
-                CommitExec::Sequential => lanes.iter().map(run_lane).collect(),
-                CommitExec::Pool => pool::global().run_high(
-                    lanes
-                        .iter()
-                        .map(|lane| Box::new(move || run_lane(lane)) as pool::Task<'_, LaneResult>)
-                        .collect(),
-                ),
-                CommitExec::Scoped => pool::run_scoped(
-                    lanes
-                        .iter()
-                        .map(|lane| Box::new(move || run_lane(lane)) as pool::Task<'_, LaneResult>)
-                        .collect(),
-                ),
-            }
+            pool::global().run_high(
+                lanes
+                    .iter()
+                    .map(|lane| Box::new(move || run_lane(lane)) as pool::Task<'_, LaneResult>)
+                    .collect(),
+            )
         };
         // install lanes in ascending shard order and scatter outcomes back
         let mut out: Vec<Option<CommitOutcome>> = vec![None; requests.len()];
@@ -703,10 +555,8 @@ impl ProbabilisticNetwork {
             lanes.iter().zip(by_shard.values()).zip(lane_results)
         {
             if let Some(snap) = snapshot {
-                let Repr::Sharded(set) = &mut self.repr else { unreachable!() };
-                set.shards[*k] = std::sync::Arc::new(snap);
-                let Repr::Sharded(set) = &self.repr else { unreachable!() };
-                set.write_shard_probabilities(*k, &mut self.probs);
+                self.host.install(*k, snap);
+                self.host.write_probabilities(*k, &mut self.probs);
             }
             for (&pos, &(approved, outcome, mutated)) in positions.iter().zip(&results) {
                 let candidate = requests[pos].candidate;
@@ -723,51 +573,16 @@ impl ProbabilisticNetwork {
         out.into_iter().map(|o| o.expect("every request routed to a lane")).collect()
     }
 
-    /// The sequential ladder behind the monolithic [`commit_batch`]
-    /// arm: validate (no fork, no clone), integrate or fall back, report.
-    fn commit_one(&mut self, req: Assertion, shard: usize) -> CommitOutcome {
-        let ladder = match self.validate_assertion(req) {
-            Ok(m) => Some((req.approved, StepOutcome::Integrated, m)),
-            Err(_) => {
-                let fallback = Assertion { candidate: req.candidate, approved: false };
-                match self.validate_assertion(fallback) {
-                    Ok(m) => Some((false, StepOutcome::Flipped, m)),
-                    Err(_) => None,
-                }
-            }
-        };
-        let (approved, outcome, mutated) =
-            ladder.unwrap_or((req.approved, StepOutcome::Skipped, false));
-        if mutated {
-            self.assert_candidate(Assertion { candidate: req.candidate, approved })
-                .expect("validated assertion integrates");
-        }
-        CommitOutcome { candidate: req.candidate, approved, outcome, shard, mutated }
-    }
-
-    /// Whether approving `candidate` (currently unasserted) keeps the
-    /// approved set consistent. Conflicts never span components, so the
-    /// sharded check runs on the owning shard only.
-    fn approval_is_consistent(&self, candidate: CandidateId) -> bool {
-        match &self.repr {
-            Repr::Monolithic(_) => {
-                self.network.index().can_add(self.feedback.approved(), candidate)
-            }
-            Repr::Sharded(set) => set.approval_is_consistent(candidate),
-        }
-    }
-
     /// Admits a new candidate correspondence online and returns its id
     /// (the next dense id).
     ///
     /// The network is patched incrementally:
     /// [`MatchingNetwork::extend`] grows the conflict index from the
-    /// arrival's neighbourhood, and the sharded representation merges only
-    /// the conflict components the arrival couples — carrying over
-    /// still-consistent samples and refilling (or exactly re-enumerating)
-    /// just the merged shard, while every other shard and probability is
-    /// untouched. The monolithic representation has no locality to
-    /// exploit; its store is refilled under the accumulated feedback.
+    /// arrival's neighbourhood, and only the components the arrival
+    /// couples merge — carrying over still-consistent samples and
+    /// refilling (or exactly re-enumerating) just the merged shard, while
+    /// every other shard and probability is untouched. Under the whole
+    /// partition the single shard is that merged shard.
     ///
     /// Errors (duplicate pair, non-edge, bad confidence, …) leave the
     /// model untouched.
@@ -777,20 +592,23 @@ impl ProbabilisticNetwork {
         y: AttributeId,
         confidence: f64,
     ) -> Result<CandidateId, SchemaError> {
-        let id = self.network.extend(x, y, confidence)?;
+        let (id, evo, absorbed) = self.host.apply_extend(x, y, confidence)?;
         self.feedback.grow();
-        match &mut self.repr {
-            Repr::Monolithic(store) => {
-                *store =
-                    SampleStore::with_index(self.network.index(), &self.feedback, self.sampler);
-                recompute_monolithic(store, &self.feedback, &mut self.probs);
-            }
-            Repr::Sharded(set) => {
-                self.probs.push(0.0);
-                let sharding = self.sharding.expect("sharded repr carries its sharding config");
-                set.extend(self.network.index(), self.sampler, &sharding, &mut self.probs);
-            }
-        }
+        self.probs.push(0.0);
+        let &[merged_k] = evo.rebuilt.as_slice() else {
+            unreachable!("an arrival always forms exactly one new component")
+        };
+        let sources: Vec<(&[CandidateId], &Feedback, &SampleStore)> = evo
+            .dissolved
+            .iter()
+            .zip(&absorbed)
+            .map(|((_, members), shard)| {
+                let shard = shard.as_deref().expect("owned shard");
+                (members.as_slice(), &shard.feedback, &shard.store)
+            })
+            .collect();
+        self.host.build_merged(merged_k, &sources);
+        self.host.write_probabilities(merged_k, &mut self.probs);
         self.generation += 1;
         self.bump_structure();
         self.refresh_entropy_baseline();
@@ -807,24 +625,15 @@ impl ProbabilisticNetwork {
     /// re-maximized — while every other shard survives verbatim. An
     /// unknown id is a typed error that leaves the model untouched.
     pub fn retire(&mut self, c: CandidateId) -> Result<(), SchemaError> {
-        if c.index() >= self.network.candidate_count() {
-            return Err(SchemaError::UnknownCandidate(c));
+        let (evo, dissolved) = self.host.apply_retire(c)?;
+        self.probs.remove(c.index());
+        let old = dissolved.expect("owned shard");
+        let (_, old_members) = evo.dissolved.first().expect("the retiree's component dissolves");
+        for &part_k in &evo.rebuilt {
+            self.host.build_part(part_k, old_members, &old.feedback, &old.store, c);
+            self.host.write_probabilities(part_k, &mut self.probs);
         }
-        self.network.retire(c)?;
-        match &mut self.repr {
-            Repr::Monolithic(store) => {
-                self.feedback.retire(c);
-                *store =
-                    SampleStore::with_index(self.network.index(), &self.feedback, self.sampler);
-                recompute_monolithic(store, &self.feedback, &mut self.probs);
-            }
-            Repr::Sharded(set) => {
-                self.probs.remove(c.index());
-                let sharding = self.sharding.expect("sharded repr carries its sharding config");
-                set.retire(self.network.index(), c, self.sampler, &sharding, &mut self.probs);
-                self.feedback.retire(c);
-            }
-        }
+        self.feedback.retire(c);
         self.generation += 1;
         self.bump_structure();
         self.refresh_entropy_baseline();
@@ -836,12 +645,8 @@ impl ProbabilisticNetwork {
     /// nothing previously cached may be trusted by shard id again.
     fn bump_structure(&mut self) {
         let epoch = crate::gains::next_epoch();
-        let shards = match &self.repr {
-            Repr::Monolithic(_) => 1,
-            Repr::Sharded(set) => set.components.count(),
-        };
         self.structure_epoch = epoch;
-        self.shard_epochs = vec![epoch; shards];
+        self.shard_epochs = vec![epoch; self.host.component_count()];
     }
 
     /// Keeps [`normalized_entropy`](Self::normalized_entropy) meaningful
@@ -860,10 +665,9 @@ impl ProbabilisticNetwork {
     /// membership of `c`.
     ///
     /// For certain candidates this equals `H(C, P)` (one branch is empty),
-    /// making their information gain zero. Defined — for both
-    /// representations — as `H(C, P) − IG(c)` over the single
-    /// `gains_within` split kernel, so the Eq. 4/5 math lives in exactly
-    /// one place.
+    /// making their information gain zero. Defined as `H(C, P) − IG(c)`
+    /// over the single `gains_within` split kernel, so the Eq. 4/5 math
+    /// lives in exactly one place.
     pub fn conditional_entropy(&self, c: CandidateId) -> f64 {
         (self.entropy() - self.information_gain(c)).max(0.0)
     }
@@ -871,9 +675,8 @@ impl ProbabilisticNetwork {
     /// Information gain `IG(c) = H(C, P) − H(C | c, P)` (Eq. 5), clamped to
     /// zero against floating-point noise.
     ///
-    /// Monolithic networks run the `gains_within` kernel on the global
-    /// sample matrix; sharded ones on the owning shard only — candidates
-    /// outside `c`'s component are independent of it, so their
+    /// The `gains_within` kernel runs on the owning shard only —
+    /// candidates outside `c`'s component are independent of it, so their
     /// co-occurrence terms contribute zero gain. When the shared gain
     /// cache already holds `c`'s shard at the current epoch the value is
     /// served from it — bit-identical by construction (the cache is
@@ -883,144 +686,46 @@ impl ProbabilisticNetwork {
         if let Some(gain) = self.warm_cached_gain(c) {
             return gain;
         }
-        match &self.repr {
-            Repr::Monolithic(store) => gains_within(store.matrix(), &self.probs, &[c.index()])[0],
-            Repr::Sharded(_) => self.sharded_gain(c),
-        }
-    }
-
-    /// Within-shard information gain of `c` — exactly Eq. 5, because
-    /// cross-component co-occurrence terms cancel.
-    fn sharded_gain(&self, c: CandidateId) -> f64 {
-        let Repr::Sharded(set) = &self.repr else {
-            unreachable!("sharded_gain on monolithic representation")
-        };
-        let (k, lc) = set.locate(c);
-        let shard = &set.shards[k];
-        let members = set.components.members(k);
-        let local_probs: Vec<f64> = members.iter().map(|&g| self.probs[g.index()]).collect();
-        gains_within(shard.store.matrix(), &local_probs, &[lc.index()])[0]
+        self.information_gains(&[c])[0]
     }
 
     /// Batch information gain for a pool of candidates; gains are aligned
     /// with `pool`.
     ///
-    /// Both representations run the word-parallel kernel of
-    /// `gains_within` kernel: co-occurrence masses are AND+popcounts of
-    /// candidate rows and branch entropies come from per-denominator
-    /// lookup tables. The monolithic scan costs `O(|pool|·n·S/64)` word
-    /// operations; the sharded one evaluates each candidate against its
-    /// own component only — cross-component candidates are independent, so
-    /// their co-occurrence terms contribute zero gain — which turns the
-    /// scan into a sum of per-shard costs.
+    /// Every candidate is evaluated against its own component through the
+    /// word-parallel `gains_within` kernel: co-occurrence masses are
+    /// AND+popcounts of candidate rows and branch entropies come from
+    /// per-denominator lookup tables. A shard costs
+    /// `O(|pool_k|·n_k·S/64)` word operations, the scan the sum over the
+    /// touched shards; large scans split across the worker pool (see
+    /// [`ShardHost::gains`]).
     pub fn information_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
-        match &self.repr {
-            Repr::Monolithic(store) => {
-                let locals: Vec<usize> = pool.iter().map(|c| c.index()).collect();
-                // every candidate's gain is a pure function of (matrix,
-                // probs), so contiguous pool chunks evaluate independently
-                // on the worker pool and concatenate in chunk order — the
-                // values are identical to the sequential scan no matter how
-                // the chunks are scheduled. The denominator tables are
-                // memoized per worker thread from the same closed form
-                // (see ENTROPY_TABLES), so they cannot affect any value.
-                let threads = crate::pool::global().threads();
-                let work = locals.len() * store.matrix().candidate_count();
-                if threads > 1 && locals.len() >= 2 && work > 1 << 16 {
-                    let chunk = locals.len().div_ceil(threads);
-                    let matrix = store.matrix();
-                    let probs = &self.probs;
-                    let tasks: Vec<crate::pool::Task<'_, Vec<f64>>> = locals
-                        .chunks(chunk)
-                        .map(|part| {
-                            Box::new(move || gains_within(matrix, probs, part))
-                                as crate::pool::Task<'_, _>
-                        })
-                        .collect();
-                    crate::pool::global().run(tasks).into_iter().flatten().collect()
-                } else {
-                    gains_within(store.matrix(), &self.probs, &locals)
-                }
-            }
-            Repr::Sharded(set) => {
-                let mut out = vec![0.0; pool.len()];
-                // bucket pool positions by owning shard, then run the
-                // kernel once per touched shard
-                let mut by_shard: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-                for (pos, &c) in pool.iter().enumerate() {
-                    let (k, lc) = set.locate(c);
-                    by_shard.entry(k).or_default().push((pos, lc.index()));
-                }
-                let groups: Vec<(usize, Vec<(usize, usize)>)> = by_shard.into_iter().collect();
-                let shard_gains = |&(k, ref entries): &(usize, Vec<(usize, usize)>)| -> Vec<f64> {
-                    let shard = &set.shards[k];
-                    let members = set.components.members(k);
-                    let local_probs: Vec<f64> =
-                        members.iter().map(|&g| self.probs[g.index()]).collect();
-                    let locals: Vec<usize> = entries.iter().map(|&(_, l)| l).collect();
-                    gains_within(shard.store.matrix(), &local_probs, &locals)
-                };
-                // each shard's scan depends only on its own matrix, so big
-                // multi-shard scans fan out across the worker pool — the
-                // per-shard gain vectors are identical either way and each
-                // lands in its own `out` positions, so the result does not
-                // depend on scheduling; small scans stay on the caller to
-                // dodge the handoff cost
-                let work: usize =
-                    groups.iter().map(|(k, e)| e.len() * set.components.members(*k).len()).sum();
-                let per_group: Vec<Vec<f64>> =
-                    if groups.len() > 1 && work > 1 << 14 && crate::pool::global().threads() > 1 {
-                        let shard_gains = &shard_gains;
-                        let tasks: Vec<crate::pool::Task<'_, Vec<f64>>> = groups
-                            .iter()
-                            .map(|g| Box::new(move || shard_gains(g)) as crate::pool::Task<'_, _>)
-                            .collect();
-                        crate::pool::global().run(tasks)
-                    } else {
-                        groups.iter().map(shard_gains).collect()
-                    };
-                for ((_, entries), gains) in groups.iter().zip(per_group) {
-                    for (&(pos, _), g) in entries.iter().zip(gains) {
-                        out[pos] = g;
-                    }
-                }
-                out
-            }
-        }
+        self.host.gains(pool).expect("in-process host owns every component")
     }
 
     /// The greedy initialization of Algorithm 2: the best stored sample by
     /// size (minimal repair distance), tie-broken by log-likelihood when
     /// `use_likelihood`. Both criteria decompose over independent
-    /// components, so the sharded representation composes the per-shard
-    /// argmaxes into the global argmax without ever materializing global
-    /// samples. `None` when no sample exists (empty network).
+    /// components, so the per-shard argmaxes compose into the global
+    /// argmax without ever materializing global samples. `None` when no
+    /// sample exists (empty network).
     pub fn greedy_seed(&self, use_likelihood: bool) -> Option<BitSet> {
-        match &self.repr {
-            Repr::Monolithic(store) => {
-                best_sample(store.samples(), &self.probs, use_likelihood).map(|(s, _)| s.clone())
-            }
-            Repr::Sharded(set) => {
-                if set.shards.is_empty() {
-                    return None;
-                }
-                let mut global = BitSet::new(self.network.candidate_count());
-                for (k, shard) in set.shards.iter().enumerate() {
-                    let members = set.components.members(k);
-                    let local_probs: Vec<f64> =
-                        members.iter().map(|&g| self.probs[g.index()]).collect();
-                    // a shard store is never empty (every component admits
-                    // at least one matching instance); bail defensively so
-                    // callers fall back to the maximize path
-                    let (local_best, _) =
-                        best_sample(shard.store.samples(), &local_probs, use_likelihood)?;
-                    for lc in local_best.iter() {
-                        global.insert(members[lc.index()]);
-                    }
-                }
-                Some(global)
+        if self.host.component_count() == 0 {
+            return None;
+        }
+        let mut global = BitSet::new(self.network().candidate_count());
+        for (k, shard) in self.host.owned() {
+            let members = self.host.components().members(k);
+            let local_probs: Vec<f64> = members.iter().map(|&g| self.probs[g.index()]).collect();
+            // a shard store is never empty (every component admits at
+            // least one matching instance); bail defensively so callers
+            // fall back to the maximize path
+            let (local_best, _) = best_sample(shard.store.samples(), &local_probs, use_likelihood)?;
+            for lc in local_best.iter() {
+                global.insert(members[lc.index()]);
             }
         }
+        Some(global)
     }
 }
 
@@ -1066,19 +771,16 @@ impl GainSource for ProbabilisticNetwork {
     }
 
     fn gain_shard_uncertain(&self, k: usize) -> Vec<CandidateId> {
-        match &self.repr {
-            Repr::Monolithic(_) => self.uncertain_candidates(),
-            Repr::Sharded(set) => set
-                .components
-                .members(k)
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    let p = self.probs[c.index()];
-                    p > 0.0 && p < 1.0
-                })
-                .collect(),
-        }
+        self.host
+            .components()
+            .members(k)
+            .iter()
+            .copied()
+            .filter(|&c| {
+                let p = self.probs[c.index()];
+                p > 0.0 && p < 1.0
+            })
+            .collect()
     }
 
     fn compute_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
@@ -1108,21 +810,16 @@ fn best_sample<'a>(
     best
 }
 
-/// Recomputes `P` from a monolithic store (Eq. 2): the fraction of sampled
-/// instances containing each candidate (uniform weights over the
-/// discovered set; exact Eq. 1 once the store is exhausted). One popcount
-/// pass per candidate row of the transposed sample matrix.
 /// The structural half of [`ProbabilisticNetwork::to_state`]: schemas,
 /// graph, candidates and conflict index of a bare [`MatchingNetwork`],
-/// with empty feedback, a zero entropy baseline and an empty monolithic
-/// store standing in for the sample representation. This is the
+/// with empty feedback, a zero entropy baseline and no shards. This is the
 /// *structure-only* image the distributed mode ships to bootstrap shard
 /// servers — they rebuild their owned shards from it rather than
 /// receiving sample state (see [`crate::remote`]).
 pub(crate) fn network_to_structure(
     network: &MatchingNetwork,
     sampler: SamplerConfig,
-    sharding: Option<ShardingConfig>,
+    sharding: ShardingConfig,
 ) -> crate::persist::NetworkState {
     use crate::persist::*;
     let catalog = network.catalog();
@@ -1161,14 +858,8 @@ pub(crate) fn network_to_structure(
         sampler,
         sharding,
         initial_entropy: 0.0,
-        repr: ReprState::Monolithic(StoreState {
-            config: sampler,
-            candidate_count: n,
-            exhausted: false,
-            pass_epoch: 0,
-            samples: Vec::new(),
-            counts: Vec::new(),
-        }),
+        members: Vec::new(),
+        shards: Vec::new(),
     }
 }
 
@@ -1234,24 +925,6 @@ pub(crate) fn network_from_state(
     Ok(MatchingNetwork::from_parts(catalog, graph, candidates, index))
 }
 
-fn recompute_monolithic(store: &SampleStore, feedback: &Feedback, probs: &mut Vec<f64>) {
-    let matrix = store.matrix();
-    let n = matrix.candidate_count();
-    let total = matrix.sample_count();
-    probs.clear();
-    if total == 0 {
-        // no instance (empty network): everything unasserted is 0
-        probs.resize(n, 0.0);
-        for c in feedback.approved().iter() {
-            probs[c.index()] = 1.0;
-        }
-        return;
-    }
-    probs.extend(
-        (0..n).map(|i| matrix.membership_count(CandidateId::from_index(i)) as f64 / total as f64),
-    );
-}
-
 thread_local! {
     /// Memoized `H(k/w)` tables, indexed by denominator `w`: entry `w`
     /// holds `[H(0/w), …, H(w/w)]`. Each table is a pure function of `w`
@@ -1281,17 +954,18 @@ fn entropy_table(w: usize) -> std::rc::Rc<[f64]> {
 /// The batch information-gain kernel over one sample matrix (Eq. 4/5):
 /// for each pool candidate `c`, split the samples on membership of `c`
 /// and measure the expected entropy drop across the matrix's *uncertain*
-/// rows. `probs` is aligned with the matrix rows; `pool` holds row
-/// indices; the returned gains align with `pool`.
+/// rows. `pool` holds row indices; the returned gains align with `pool`.
+/// Each row's probability is its Eq. 2 estimate — membership count over
+/// sample count, the very division the network's probability vector holds
+/// — so a gain is a pure function of the matrix.
 ///
 /// Co-occurrence masses are AND+popcounts of candidate rows, and branch
 /// entropies come from per-denominator lookup tables (`O(|pool|·S)`
 /// `binary_entropy` evaluations instead of `O(|pool|·n)`) — the
 /// difference between seconds and hours for the 50-run
 /// uncertainty-reduction experiment (Fig. 9).
-pub(crate) fn gains_within(matrix: &SampleMatrix, probs: &[f64], pool: &[usize]) -> Vec<f64> {
+pub(crate) fn gains_within(matrix: &SampleMatrix, pool: &[usize]) -> Vec<f64> {
     let n = matrix.candidate_count();
-    debug_assert_eq!(probs.len(), n);
     let s_total = matrix.sample_count();
     if s_total == 0 || pool.is_empty() {
         return vec![0.0; pool.len()];
@@ -1302,8 +976,9 @@ pub(crate) fn gains_within(matrix: &SampleMatrix, probs: &[f64], pool: &[usize])
     // uncertain candidates only: certain rows contribute zero entropy
     // to both branches (plus ∈ {0, w_plus} exactly)
     let uncertain: Vec<usize> = (0..n).filter(|&i| totals[i] > 0 && totals[i] < s_total).collect();
+    let prob = |i: usize| totals[i] as f64 / s_total as f64;
     // H over the uncertain rows — certain rows add exactly 0 bits
-    let h_total: f64 = uncertain.iter().map(|&i| binary_entropy(probs[i])).sum();
+    let h_total: f64 = uncertain.iter().map(|&i| binary_entropy(prob(i))).sum();
     // Process pool candidates in blocks: the inner pass streams every
     // uncertain row through the cache once per *block* instead of once per
     // candidate, which cuts the scan's memory traffic by the block width.
@@ -1381,7 +1056,7 @@ pub(crate) fn gains_within(matrix: &SampleMatrix, probs: &[f64], pool: &[usize])
                     h_minus += cnt as f64 * t_minus[k];
                 }
             }
-            let p = probs[ci];
+            let p = prob(ci);
             out[pos] = (h_total - (p * h_plus + (1.0 - p) * h_minus)).max(0.0);
         }
     }
@@ -1533,7 +1208,6 @@ mod tests {
         };
         let sequential = run(CommitExec::Sequential);
         assert_eq!(sequential, run(CommitExec::Pool), "pool lanes diverged from sequential");
-        assert_eq!(sequential, run(CommitExec::Scoped), "scoped lanes diverged from sequential");
         // and the sequential lanes agree with one-at-a-time asserts
         let mut reference =
             ProbabilisticNetwork::new_sharded(net.clone(), sampler(), ShardingConfig::default());
@@ -1952,21 +1626,22 @@ mod tests {
         let mut branch = base.fork();
         branch.assert_candidate(Assertion { candidate: CandidateId(0), approved: true }).unwrap();
         // the untouched shard's snapshot is still pointer-shared
-        let (Repr::Sharded(a), Repr::Sharded(b)) = (&base.repr, &branch.repr) else {
-            unreachable!("both sharded")
-        };
+        let shard = |pn: &ProbabilisticNetwork, k| pn.host.snapshot(k).unwrap() as *const _;
         let k_written = base.shard_of(CandidateId(0));
         let k_shared = 1 - k_written;
-        assert!(
-            std::sync::Arc::ptr_eq(&a.shards[k_shared], &b.shards[k_shared]),
+        assert_eq!(
+            shard(&base, k_shared),
+            shard(&branch, k_shared),
             "foreign shard must stay shared after a fork write"
         );
-        assert!(
-            !std::sync::Arc::ptr_eq(&a.shards[k_written], &b.shards[k_written]),
+        assert_ne!(
+            shard(&base, k_written),
+            shard(&branch, k_written),
             "written shard must have been copy-on-written"
         );
         // the sub-index inside the copied shard is still the same allocation
-        assert!(std::sync::Arc::ptr_eq(&a.shards[k_written].index, &b.shards[k_written].index));
+        let index = |pn: &ProbabilisticNetwork| pn.host.snapshot(k_written).unwrap().index.clone();
+        assert!(Arc::ptr_eq(&index(&base), &index(&branch)));
     }
 
     #[test]

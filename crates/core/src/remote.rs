@@ -1,104 +1,30 @@
-//! Remote-shard hooks: the per-server half of the distributed
-//! reconciliation mode.
+//! Remote-shard hooks: the wire-facing half of [`ShardHost`].
 //!
 //! The conflict-graph factorization that makes shards independent within
 //! one process (see [`crate::shard`]) also makes them independent across
-//! *processes*: a shard server can own a subset of the components and
-//! answer every per-shard question — integrate an assertion, evaluate a
-//! what-if entropy, scan information gains — without seeing any other
-//! component's samples. [`ShardHost`] packages exactly that: the full
-//! network *structure* (conflict index + component partition, which every
-//! participant derives identically from the structure-only bootstrap
-//! image) plus the sample state of the components this process owns.
+//! *processes*: a shard server runs a [`ShardHost`] that owns a subset of
+//! the components and answers every per-shard question — integrate an
+//! assertion, evaluate a what-if entropy, scan information gains — without
+//! seeing any other component's samples. This module adds what only
+//! crosses a process boundary: bootstrapping a host from the
+//! structure-only image, and shipping shard state out and back in.
 //!
-//! Determinism contract: every kernel a `ShardHost` runs is the *same
-//! function* the single-process `ShardSet`
-//! runs — shard `k` is seeded `seed + k` wherever it lives, evolution
-//! rebuilds go through the shared `merged_inputs`/`split_inputs`
-//! helpers, and exported shard state re-imports bit-identically through
-//! the same [`persist`](crate::persist) re-recording path the snapshot
-//! loader uses. A distributed run over any number of shard servers is
-//! therefore byte-identical to the single-process run, which is what the
-//! `smn-dist` differential certificate pins.
+//! Determinism contract: every kernel a remote host runs is the *same
+//! function* the in-process network runs — it is the same type, shard `k`
+//! is seeded `seed + k` wherever it lives, and exported shard state
+//! re-imports bit-identically through the same [`persist`](crate::persist)
+//! re-recording path the snapshot loader uses. A distributed run over any
+//! number of shard servers is therefore byte-identical to the
+//! single-process run, which is what the `smn-dist` differential
+//! certificate pins.
 
-use crate::feedback::{Assertion, Feedback};
 use crate::persist::{FeedbackState, NetworkState, ShardState};
-use crate::pool;
-use crate::probability::{gains_within, network_from_state, network_to_structure};
-use crate::reconcile::StepOutcome;
-use crate::sampling::{SampleStore, SamplerConfig};
-use crate::shard::{
-    build_evolved_shard, build_shard, commit_lane_local, entropy_after_local, merged_inputs,
-    snapshot_entropy, snapshot_probabilities, split_inputs, ShardSnapshot, ShardingConfig,
-};
-use crate::MatchingNetwork;
-use smn_constraints::components::ComponentEvolution;
-use smn_constraints::Components;
-use smn_schema::{AttributeId, CandidateId, SchemaError};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// One process's view of the sharded model: full structure, partial
-/// sample state. The coordinator runs one with *no* owned components (a
-/// pure structure mirror for routing, validation and global bookkeeping);
-/// each shard server runs one owning its placement slice.
-#[derive(Debug, Clone)]
-pub struct ShardHost {
-    network: MatchingNetwork,
-    components: Arc<Components>,
-    /// Sample state of the owned components, keyed by component id.
-    owned: BTreeMap<usize, Arc<ShardSnapshot>>,
-    sampler: SamplerConfig,
-    sharding: ShardingConfig,
-}
+use crate::probability::{network_from_state, network_to_structure};
+use crate::sampling::SampleStore;
+use crate::shard::{partition, ShardHost, ShardSnapshot};
+use smn_schema::CandidateId;
 
 impl ShardHost {
-    /// Builds a host owning the listed components: the partition and every
-    /// sub-index derive from `network` exactly as
-    /// `ShardSet::build` derives them, and each
-    /// owned shard is built by the same seeded builder — so the union of
-    /// the hosts' shards across servers is bit-identical to the
-    /// single-process shard set. Sampled fills of distinct owned shards
-    /// run across the worker pool when configured, exactly like the
-    /// single-process parallel build (the result does not depend on it).
-    ///
-    /// Panics if an entry of `owned` is not a component id; validate
-    /// wire-derived lists with [`Components::count`] via
-    /// [`from_structure`](Self::from_structure) instead.
-    pub fn new(
-        network: MatchingNetwork,
-        sampler: SamplerConfig,
-        sharding: ShardingConfig,
-        owned: &[usize],
-    ) -> Self {
-        let components = Components::of_index(network.index());
-        let sub_indices = network.index().shard(&components);
-        for &k in owned {
-            assert!(k < components.count(), "owned component {k} out of range");
-        }
-        let any_sampled =
-            owned.iter().any(|&k| sub_indices[k].candidate_count() > sharding.exact_threshold);
-        let shards: Vec<Arc<ShardSnapshot>> = if sharding.parallel && any_sampled && owned.len() > 1
-        {
-            let tasks: Vec<pool::Task<'_, Arc<ShardSnapshot>>> = owned
-                .iter()
-                .map(|&k| {
-                    let sub = sub_indices[k].clone();
-                    Box::new(move || Arc::new(build_shard(k, sub, sampler, &sharding)))
-                        as pool::Task<'_, Arc<ShardSnapshot>>
-                })
-                .collect();
-            pool::global().run(tasks)
-        } else {
-            owned
-                .iter()
-                .map(|&k| Arc::new(build_shard(k, sub_indices[k].clone(), sampler, &sharding)))
-                .collect()
-        };
-        let owned = owned.iter().copied().zip(shards).collect();
-        Self { network, components: Arc::new(components), owned, sampler, sharding }
-    }
-
     /// Reconstructs a host from a structure-only [`NetworkState`] (the
     /// bootstrap image a coordinator ships) and the owned-component list.
     /// Structure is validated like the snapshot loader validates it; the
@@ -106,151 +32,34 @@ impl ShardHost {
     /// bootstrap, so server fill cost scales with the owned slice.
     pub fn from_structure(state: &NetworkState, owned: &[usize]) -> Result<Self, String> {
         let network = network_from_state(state)?;
-        let sharding = state
-            .sharding
-            .ok_or_else(|| "structure state carries no sharding config".to_string())?;
-        let components = Components::of_index(network.index());
+        let components = partition(network.index(), &state.sharding);
         if let Some(&bad) = owned.iter().find(|&&k| k >= components.count()) {
             return Err(format!("owned component {bad} of {}", components.count()));
         }
-        Ok(Self::new(network, state.sampler, sharding, owned))
+        Ok(Self::build(network, components, state.sampler, state.sharding, owned))
     }
 
     /// The structure-only image of this host's network — what a
     /// coordinator ships to bootstrap shard servers. Contains no feedback
     /// and no sample state.
     pub fn structure(&self) -> NetworkState {
-        network_to_structure(&self.network, self.sampler, Some(self.sharding))
-    }
-
-    /// The underlying network structure.
-    pub fn network(&self) -> &MatchingNetwork {
-        &self.network
-    }
-
-    /// The conflict-component partition (identical on every participant).
-    pub fn components(&self) -> &Components {
-        &self.components
-    }
-
-    /// Number of conflict components.
-    pub fn component_count(&self) -> usize {
-        self.components.count()
-    }
-
-    /// Component ids this host owns sample state for, ascending.
-    pub fn owned_components(&self) -> Vec<usize> {
-        self.owned.keys().copied().collect()
-    }
-
-    /// Whether this host owns component `k`.
-    pub fn owns(&self, k: usize) -> bool {
-        self.owned.contains_key(&k)
-    }
-
-    /// The sampler configuration (shard `k` derives seed `seed + k`).
-    pub fn sampler(&self) -> SamplerConfig {
-        self.sampler
-    }
-
-    /// The sharding configuration.
-    pub fn sharding(&self) -> ShardingConfig {
-        self.sharding
-    }
-
-    /// Owning component of a global candidate.
-    pub fn component_of(&self, c: CandidateId) -> usize {
-        self.components.component_of(c)
-    }
-
-    /// An owned shard's Eq. 2 probabilities in local member order — the
-    /// wire shape the coordinator scatters into its global vector.
-    pub fn shard_probabilities(&self, k: usize) -> Option<Vec<f64>> {
-        self.owned.get(&k).map(|s| snapshot_probabilities(s))
-    }
-
-    /// An owned shard's entropy contribution (Σ H(p) over members).
-    pub fn shard_entropy(&self, k: usize) -> Option<f64> {
-        self.owned.get(&k).map(|s| snapshot_entropy(s))
-    }
-
-    /// Integrates a coordinator-validated assertion into the owning shard
-    /// — the same copy-on-write feedback + view-maintenance step as
-    /// `ShardSet::assert` — and returns the
-    /// shard's new probabilities. `None` if this host does not own the
-    /// candidate's component.
-    pub fn assert_unchecked(&mut self, candidate: CandidateId, approved: bool) -> Option<Vec<f64>> {
-        let k = self.components.component_of(candidate);
-        let lc = CandidateId::from_index(self.components.local_index(candidate));
-        let snap = self.owned.get_mut(&k)?;
-        let ShardSnapshot { index, feedback, store } = Arc::make_mut(snap);
-        feedback.assert(Assertion { candidate: lc, approved });
-        store.maintain_with_index(index, feedback, lc, approved);
-        Some(snapshot_probabilities(snap))
-    }
-
-    /// Applies a lane of decided assertions (global ids, all of component
-    /// `k`, in decision order) through the same validate/fallback ladder
-    /// as `ShardSet::commit_lane`, installs the
-    /// mutated snapshot and returns the per-event
-    /// `(standing verdict, outcome, mutated)` triples plus the shard's
-    /// probabilities when anything changed.
-    #[allow(clippy::type_complexity)]
-    pub fn commit_lane(
-        &mut self,
-        k: usize,
-        events: &[Assertion],
-    ) -> Option<(Vec<(bool, StepOutcome, bool)>, Option<Vec<f64>>)> {
-        let local: Vec<Assertion> = events
-            .iter()
-            .map(|e| Assertion {
-                candidate: CandidateId::from_index(self.components.local_index(e.candidate)),
-                approved: e.approved,
-            })
-            .collect();
-        let snap = self.owned.get_mut(&k)?;
-        let (work, results) = commit_lane_local(snap, &local);
-        let probs = work.map(|s| {
-            *snap = Arc::new(s);
-            snapshot_probabilities(snap)
-        });
-        Some((results, probs))
-    }
-
-    /// The entropy shard `k` would carry after hypothetically integrating
-    /// `(candidate, approved)` — the remote half of the batched what-if
-    /// composition `H' = H − H_k + H'_k`. The candidate is a global id of
-    /// component `k`; validation (inertness) is the coordinator's job.
-    pub fn entropy_after(&self, candidate: CandidateId, approved: bool) -> Option<f64> {
-        let k = self.components.component_of(candidate);
-        let lc = CandidateId::from_index(self.components.local_index(candidate));
-        self.owned.get(&k).map(|s| entropy_after_local(s, lc, approved))
-    }
-
-    /// Expected information gains of the pool candidates (global ids, all
-    /// of component `k`), through the same per-shard kernel the
-    /// single-process gain scan uses over the same local probabilities.
-    pub fn gains(&self, k: usize, pool: &[CandidateId]) -> Option<Vec<f64>> {
-        let snap = self.owned.get(&k)?;
-        let local_probs = snapshot_probabilities(snap);
-        let locals: Vec<usize> = pool.iter().map(|&c| self.components.local_index(c)).collect();
-        Some(gains_within(snap.store.matrix(), &local_probs, &locals))
+        network_to_structure(&self.network, self.sampler, self.sharding)
     }
 
     /// Serializes an owned shard's sample state for shipment — the same
     /// [`ShardState`] a snapshot stores, so the importing side rebuilds it
     /// bit-identically through the snapshot loader's re-recording path.
     pub fn export_shard(&self, k: usize) -> Option<ShardState> {
-        self.owned.get(&k).map(|s| ShardState {
+        self.snapshot(k).map(|s| ShardState {
             feedback: FeedbackState::of(&s.feedback),
             store: s.store.to_state(),
         })
     }
 
-    /// Installs a shipped shard's sample state as component `k`, deriving
-    /// the sub-index locally (sub-indices are canonical: every derivation
-    /// path yields the same index, so a migrated shard continues exactly
-    /// as it would have on its old server).
+    /// Installs a shipped (or snapshot-loaded) shard state as component
+    /// `k`, deriving the sub-index locally (sub-indices are canonical:
+    /// every derivation path yields the same index, so a migrated shard
+    /// continues exactly as it would have on its old server).
     pub fn import_shard(&mut self, k: usize, state: &ShardState) -> Result<(), String> {
         if k >= self.components.count() {
             return Err(format!("imported component {k} of {}", self.components.count()));
@@ -258,81 +67,31 @@ impl ShardHost {
         let m = self.components.members(k).len();
         if state.store.candidate_count != m {
             return Err(format!(
-                "imported shard {k} store sized for {} of {m} members",
+                "shard {k} store sized for {} of {m} members",
                 state.store.candidate_count
             ));
         }
         let snap = ShardSnapshot {
-            index: self.network.index().shard_component(&self.components, k),
+            index: self.sub_index(k),
             feedback: state.feedback.build(m)?,
             store: SampleStore::from_state(&state.store)?,
         };
-        self.owned.insert(k, Arc::new(snap));
+        self.install(k, snap);
         Ok(())
     }
 
-    /// Drops an owned shard (after it migrated elsewhere or dissolved).
-    pub fn drop_shard(&mut self, k: usize) {
-        self.owned.remove(&k);
-    }
-
-    /// Applies a network extension to the *structure*: appends the
-    /// candidate, patches the conflict index, merges the coupled
-    /// components and rekeys owned shards under the new numbering.
-    /// Dissolved components' shards are dropped — the protocol exports
-    /// them *before* broadcasting the event — and the merged component has
-    /// no state until [`rebuild_merged`](Self::rebuild_merged) runs on its
-    /// owner. Returns the arrival id and the partition evolution (remap,
-    /// dissolved member lists, rebuilt component), identical on every
-    /// participant.
-    pub fn apply_extend(
-        &mut self,
-        x: AttributeId,
-        y: AttributeId,
-        confidence: f64,
-    ) -> Result<(CandidateId, ComponentEvolution), SchemaError> {
-        let id = self.network.extend(x, y, confidence)?;
-        let evo = Arc::make_mut(&mut self.components).add_candidate(self.network.index());
-        self.rekey_owned(&evo.remap);
-        Ok((id, evo))
-    }
-
-    /// Applies a retirement to the structure: removes the candidate,
-    /// patches the index, splits its component and rekeys owned shards.
-    /// The dissolved shard is dropped (exported beforehand by the
-    /// protocol); the split parts have no state until
-    /// [`rebuild_part`](Self::rebuild_part) runs on their owners.
-    pub fn apply_retire(&mut self, c: CandidateId) -> Result<ComponentEvolution, SchemaError> {
-        if c.index() >= self.network.candidate_count() {
-            return Err(SchemaError::UnknownCandidate(c));
-        }
-        self.network.retire(c)?;
-        let evo = Arc::make_mut(&mut self.components).retire_candidate(self.network.index(), c);
-        self.rekey_owned(&evo.remap);
-        Ok(evo)
-    }
-
-    fn rekey_owned(&mut self, remap: &[Option<usize>]) {
-        let old = std::mem::take(&mut self.owned);
-        for (old_k, snap) in old {
-            if let Some(new_k) = remap[old_k] {
-                self.owned.insert(new_k, snap);
-            }
-        }
-    }
-
-    /// Rebuilds the merged component `k` after an extension from the
-    /// absorbed sources' shipped states, each paired with its pre-merge
-    /// member list and given in ascending *old* component order — the
-    /// exact cross-combination order `ShardSet::extend`
-    /// uses, which the carried-sample cap makes order-sensitive. Must run
-    /// after [`apply_extend`](Self::apply_extend).
+    /// Rebuilds the merged component `k` of an extension from the absorbed
+    /// sources' shipped states — the in-process merge kernel — each paired with its pre-merge member list and
+    /// given in ascending *old* component order. Must run after
+    /// [`apply_extend`](Self::apply_extend).
     pub fn rebuild_merged(
         &mut self,
         k: usize,
         absorbed: &[(Vec<CandidateId>, ShardState)],
     ) -> Result<(), String> {
-        let arrival = CandidateId::from_index(self.network.candidate_count() - 1);
+        if k >= self.components.count() {
+            return Err(format!("merged component {k} of {}", self.components.count()));
+        }
         let mut decoded = Vec::with_capacity(absorbed.len());
         for (members, state) in absorbed {
             if state.store.candidate_count != members.len() {
@@ -343,28 +102,19 @@ impl ShardHost {
                 ));
             }
             decoded.push((
-                members,
+                members.as_slice(),
                 state.feedback.build(members.len())?,
                 SampleStore::from_state(&state.store)?,
             ));
         }
-        let sources: Vec<(&[CandidateId], &Feedback, &SampleStore)> =
-            decoded.iter().map(|(m, f, s)| (m.as_slice(), f, s)).collect();
-        let sub = self.network.index().shard_component(&self.components, k);
-        let (feedback, carried) =
-            merged_inputs(&self.components, &sub, arrival, &sources, self.sampler, &self.sharding);
-        self.owned.insert(
-            k,
-            Arc::new(build_evolved_shard(k, sub, feedback, carried, self.sampler, &self.sharding)),
-        );
+        let sources: Vec<_> = decoded.iter().map(|(m, f, s)| (*m, f, s)).collect();
+        self.build_merged(k, &sources);
         Ok(())
     }
 
-    /// Rebuilds one split part `k` after a retirement from the dissolved
-    /// shard's shipped state (`old_members` is its pre-event member list,
-    /// ascending, still containing the retiree) — the same restrict +
-    /// greedily-re-maximize carry-over as
-    /// `ShardSet::retire`. Must run after
+    /// Rebuilds split part `k` of a retirement from the dissolved shard's
+    /// shipped state — the in-process split kernel — (`old_members` is its pre-event member list, ascending, still
+    /// containing the retiree). Must run after
     /// [`apply_retire`](Self::apply_retire); every part owner receives the
     /// same old state.
     pub fn rebuild_part(
@@ -374,6 +124,9 @@ impl ShardHost {
         old_state: &ShardState,
         retired: CandidateId,
     ) -> Result<(), String> {
+        if k >= self.components.count() {
+            return Err(format!("part component {k} of {}", self.components.count()));
+        }
         if old_state.store.candidate_count != old_members.len() {
             return Err(format!(
                 "dissolved store sized for {} of {} members",
@@ -383,21 +136,7 @@ impl ShardHost {
         }
         let old_feedback = old_state.feedback.build(old_members.len())?;
         let old_store = SampleStore::from_state(&old_state.store)?;
-        let sub = self.network.index().shard_component(&self.components, k);
-        let (feedback, carried) = split_inputs(
-            &self.components,
-            k,
-            &sub,
-            old_members,
-            &old_feedback,
-            &old_store,
-            retired,
-            &self.sharding,
-        );
-        self.owned.insert(
-            k,
-            Arc::new(build_evolved_shard(k, sub, feedback, carried, self.sampler, &self.sharding)),
-        );
+        self.build_part(k, old_members, &old_feedback, &old_store, retired);
         Ok(())
     }
 }
@@ -405,8 +144,10 @@ impl ShardHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probability::ProbabilisticNetwork;
-    use crate::shard::ShardSet;
+    use crate::feedback::Assertion;
+    use crate::probability::{CommitExec, ProbabilisticNetwork};
+    use crate::sampling::SamplerConfig;
+    use crate::shard::ShardingConfig;
     use crate::testutil::perturbed_network;
 
     fn sampler() -> SamplerConfig {
@@ -435,11 +176,10 @@ mod tests {
     fn a_union_of_hosts_matches_the_single_process_shard_set() {
         for cfg in [ShardingConfig::default(), sampled_cfg()] {
             let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 9);
-            let set = ShardSet::build(net.index(), sampler(), &cfg);
-            let count = set.components.count();
+            let count = ShardHost::new(net.clone(), sampler(), cfg, &[]).component_count();
+            let set = ShardHost::new(net.clone(), sampler(), cfg, &(0..count).collect::<Vec<_>>());
             let n = net.candidate_count();
-            let mut reference = vec![0.0; n];
-            set.write_all_probabilities(&mut reference);
+            let reference = all_probs(&set);
             // split ownership across two hosts by parity
             let even: Vec<usize> = (0..count).filter(|k| k % 2 == 0).collect();
             let odd: Vec<usize> = (0..count).filter(|k| k % 2 == 1).collect();
@@ -453,8 +193,8 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(union, reference, "host shards diverged from the shard set");
-            for (k, shard) in set.shards.iter().enumerate() {
+            assert_eq!(union, reference, "host shards diverged from the all-owning host");
+            for (k, shard) in set.owned() {
                 let host = if k % 2 == 0 { &a } else { &b };
                 let state = host.export_shard(k).unwrap();
                 let rebuilt = SampleStore::from_state(&state.store).unwrap();
@@ -518,6 +258,7 @@ mod tests {
         assert_eq!(b.shard_probabilities(k), a.shard_probabilities(k));
         let next = a.components().members(k).iter().copied().find(|&c| c != target).unwrap();
         assert_eq!(a.assert_unchecked(next, true), b.assert_unchecked(next, true));
+        assert_eq!(b.shard_probabilities(k), a.shard_probabilities(k));
     }
 
     #[test]
@@ -542,7 +283,7 @@ mod tests {
             if locals.is_empty() {
                 continue;
             }
-            let gains = host.gains(k, &locals).unwrap();
+            let gains = host.gains(&locals).unwrap();
             for (c, g) in locals.iter().zip(&gains) {
                 let pos = pool.iter().position(|x| x == c).unwrap();
                 assert_eq!(*g, reference[pos], "gain of {c:?}");
@@ -593,7 +334,7 @@ mod tests {
                 .iter()
                 .map(|&k| (k, host.components().members(k).to_vec(), host.export_shard(k).unwrap()))
                 .collect();
-            let (arrival, evo) = host.apply_extend(AttributeId(1), AttributeId(2), 0.6).unwrap();
+            let (arrival, evo, _) = host.apply_extend(AttributeId(1), AttributeId(2), 0.6).unwrap();
             assert_eq!(arrival, arrival_pn);
             let &[merged_k] = evo.rebuilt.as_slice() else { panic!("one merged component") };
             let absorbed: Vec<(Vec<CandidateId>, ShardState)> = evo
@@ -620,7 +361,7 @@ mod tests {
                 .map(|&k| (k, host.export_shard(k).unwrap()))
                 .collect();
             pn.retire(retiree).unwrap();
-            let evo = host.apply_retire(retiree).unwrap();
+            let (evo, _) = host.apply_retire(retiree).unwrap();
             let (old_k, old_members) = evo.dissolved.first().expect("retiree shard dissolves");
             let old_state =
                 &exports.iter().find(|(k, _)| k == old_k).expect("exported dissolved shard").1;
@@ -638,37 +379,31 @@ mod tests {
 
     #[test]
     fn commit_lane_and_assert_agree_with_the_shard_set_paths() {
+        // a host owning one component (a shard server's slice) commits a
+        // lane exactly like the in-process network's all-owning host
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 13);
-        let n = net.candidate_count();
-        let mut set = ShardSet::build(net.index(), sampler(), &ShardingConfig::default());
-        let count = set.components.count();
-        let mut host = ShardHost::new(
-            net,
-            sampler(),
-            ShardingConfig::default(),
-            &(0..count).collect::<Vec<_>>(),
-        );
+        let mut pn =
+            ProbabilisticNetwork::new_sharded(net.clone(), sampler(), ShardingConfig::default());
         let target = CandidateId::from_index(0);
-        let (k, _) = set.locate(target);
-        let events: Vec<Assertion> = set.components.members(k)
-            [..set.components.members(k).len().min(3)]
+        let k = pn.shard_of(target);
+        let mut host = ShardHost::new(net, sampler(), ShardingConfig::default(), &[k]);
+        let members = host.components().members(k).to_vec();
+        let events: Vec<Assertion> = members[..members.len().min(3)]
             .iter()
             .enumerate()
             .map(|(i, &c)| Assertion { candidate: c, approved: i % 2 == 0 })
             .collect();
-        let mut probs = vec![0.0; n];
-        set.write_all_probabilities(&mut probs);
-        let (snap, expected) = set.commit_lane(k, &events);
+        let expected = pn.commit_batch(&events, CommitExec::Sequential);
+        let (snap, results) = host.commit_lane(k, &events);
         if let Some(s) = snap {
-            set.shards[k] = Arc::new(s);
-            set.write_shard_probabilities(k, &mut probs);
+            host.install(k, s);
         }
-        let (results, new_probs) = host.commit_lane(k, &events).unwrap();
-        assert_eq!(results, expected);
-        if let Some(local) = new_probs {
-            for (j, &g) in host.components().members(k).iter().enumerate() {
-                assert_eq!(local[j], probs[g.index()], "lane probability of {g:?}");
-            }
+        for (got, want) in results.iter().zip(&expected) {
+            assert_eq!(*got, (want.approved, want.outcome, want.mutated));
+        }
+        let local = host.shard_probabilities(k).unwrap();
+        for (j, &g) in members.iter().enumerate() {
+            assert_eq!(local[j], pn.probability(g), "lane probability of {g:?}");
         }
     }
 }

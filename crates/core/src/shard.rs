@@ -5,12 +5,15 @@
 //! connected components of the conflict graph
 //! ([`smn_constraints::Components`]): `I` is a matching
 //! instance of the network iff every per-component restriction is a
-//! matching instance of that component. `ShardSet` materializes that
+//! matching instance of that component. [`ShardHost`] materializes that
 //! factorization — one independent [`SampleStore`] per component, running
 //! on a restricted, locally renumbered
-//! [`smn_constraints::ConflictIndex`] — and is the internal
-//! representation behind
-//! [`ProbabilisticNetwork::new_sharded`](crate::ProbabilisticNetwork::new_sharded).
+//! [`smn_constraints::ConflictIndex`] — and is the one sample
+//! representation behind every [`ProbabilisticNetwork`](crate::ProbabilisticNetwork).
+//! A single unfactorized store is the partition with one part:
+//! [`ShardingConfig::disabled`] selects [`Components::whole`], whose one
+//! shard spans every candidate under the identity renumbering, is seeded
+//! `seed + 0` and runs on the network's own conflict index.
 //!
 //! What the factorization buys:
 //!
@@ -30,23 +33,33 @@
 //!   `seed + shard_id` in the spirit of the multi-chain sampler and merged
 //!   in shard-id order, so the result is bit-deterministic for a fixed
 //!   configuration regardless of scheduling or thread count.
+//! * **Distribution** — a host owns the sample state of a *subset* of the
+//!   components. The in-process network's host owns all of them, a shard
+//!   server's host owns its placement slice and the `smn-dist`
+//!   coordinator's mirror owns none; all three run the same kernels, so a
+//!   distributed run is byte-identical to the single-process one (see
+//!   [`crate::remote`] for the wire-facing half).
 
 use crate::entropy::binary_entropy;
 use crate::exact;
 use crate::feedback::{Assertion, Feedback};
+use crate::network::MatchingNetwork;
 use crate::pool;
+use crate::probability::gains_within;
 use crate::reconcile::StepOutcome;
 use crate::sampling::{SampleStore, SamplerConfig};
+use smn_constraints::components::ComponentEvolution;
 use smn_constraints::{BitSet, Components, ConflictIndex};
-use smn_schema::CandidateId;
+use smn_schema::{AttributeId, CandidateId, SchemaError};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Configuration of the component-sharded representation.
+/// Configuration of the component partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardingConfig {
-    /// Whether sharding is active at all;
-    /// [`disabled`](ShardingConfig::disabled) keeps the classic monolithic
-    /// store.
+    /// Whether the partition follows the conflict components;
+    /// [`disabled`](ShardingConfig::disabled) keeps the whole network as
+    /// one component — the classic single-store Algorithm 3 setup.
     pub enabled: bool,
     /// Components with at most this many candidates switch from sampling
     /// to exact enumeration (`0` samples everything).
@@ -54,7 +67,7 @@ pub struct ShardingConfig {
     /// Instance cap for the exact-enumeration attempt; a small component
     /// that still exceeds it falls back to sampling.
     pub exact_cap: usize,
-    /// Fill shard stores across scoped worker threads. Off, shards fill
+    /// Fill shard stores across the worker pool. Off, shards fill
     /// sequentially on the caller thread — same result either way.
     pub parallel: bool,
 }
@@ -66,255 +79,252 @@ impl Default for ShardingConfig {
 }
 
 impl ShardingConfig {
-    /// The monolithic (non-sharded) configuration.
+    /// The whole-network configuration: one component spanning every
+    /// candidate, always sampled.
     pub fn disabled() -> Self {
-        Self { enabled: false, ..Self::default() }
+        Self { enabled: false, exact_threshold: 0, ..Self::default() }
+    }
+
+    /// Whether a component of `m` candidates is sampled rather than
+    /// enumerated (`exact_threshold = 0` samples every component, the
+    /// empty whole-network one included).
+    fn samples(&self, m: usize) -> bool {
+        m > self.exact_threshold || self.exact_threshold == 0
+    }
+}
+
+/// The partition `sharding` selects over `index`: the conflict components,
+/// or the whole network as one component.
+pub(crate) fn partition(index: &ConflictIndex, sharding: &ShardingConfig) -> Components {
+    if sharding.enabled {
+        Components::of_index(index)
+    } else {
+        Components::whole(index.candidate_count())
     }
 }
 
 /// One conflict component's snapshot: its restricted index, local feedback
 /// and independent sample store. Candidate ids are shard-local; the
-/// [`Components`] partition owns the global ↔ local mapping.
+/// [`Components`] partition owns the global ↔ local mapping. Opaque
+/// outside this crate.
 ///
-/// Snapshots are immutable behind `Arc` (see [`ShardSet`]): an assertion
+/// Snapshots are immutable behind `Arc` (see [`ShardHost`]): an assertion
 /// copy-on-writes exactly the owning shard (`Arc::make_mut`), and even
 /// that copy is thin — the sub-index is itself `Arc`-shared and the
 /// store's sample matrix sits behind its own snapshot pointer, so the
 /// first write after a fork duplicates one shard's feedback bitsets and
 /// store overlay, nothing network-wide.
 #[derive(Debug, Clone)]
-pub(crate) struct ShardSnapshot {
+pub struct ShardSnapshot {
     pub(crate) index: Arc<ConflictIndex>,
     pub(crate) feedback: Feedback,
     pub(crate) store: SampleStore,
 }
 
-/// The sharded sample representation: the (shared) component partition
-/// plus one [`ShardSnapshot`] per component.
+/// One commit-lane event's result: the standing verdict, how it resolved
+/// and whether it mutated the shard.
+pub(crate) type LaneStep = (bool, StepOutcome, bool);
+
+/// One process's view of the partitioned model: the full network
+/// structure and component partition, plus the sample state of the
+/// components this host owns.
 ///
-/// This is the copy-on-write layer behind
-/// [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork):
-/// cloning a `ShardSet` is `O(#shards)` pointer copies — no sample matrix,
+/// Cloning a host is `O(#components)` pointer copies — no sample matrix,
 /// conflict index or partition is duplicated until one side writes a
-/// shard.
+/// shard — which is the copy-on-write layer behind
+/// [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork).
 #[derive(Debug, Clone)]
-pub(crate) struct ShardSet {
+pub struct ShardHost {
+    pub(crate) network: MatchingNetwork,
     pub(crate) components: Arc<Components>,
-    pub(crate) shards: Vec<Arc<ShardSnapshot>>,
+    /// `shards[k]` is component `k`'s state when this host owns it.
+    shards: Vec<Option<Arc<ShardSnapshot>>>,
+    pub(crate) sampler: SamplerConfig,
+    pub(crate) sharding: ShardingConfig,
 }
 
-impl ShardSet {
-    /// Partitions `index` into components and builds every shard store —
-    /// in parallel when configured and worthwhile.
-    pub(crate) fn build(
-        index: &ConflictIndex,
+impl ShardHost {
+    /// Builds a host owning the listed components. Every participant
+    /// derives the same partition and sub-indices from `network`, and
+    /// each owned shard is built by the same seeded builder, so the union
+    /// of the hosts' shards across servers is bit-identical to a host that
+    /// owns everything.
+    ///
+    /// Panics if an entry of `owned` is not a component id; validate
+    /// wire-derived lists via [`from_structure`](Self::from_structure)
+    /// instead.
+    pub fn new(
+        network: MatchingNetwork,
         sampler: SamplerConfig,
-        sharding: &ShardingConfig,
+        sharding: ShardingConfig,
+        owned: &[usize],
     ) -> Self {
-        let components = Components::of_index(index);
-        let sub_indices = index.shard(&components);
-        // dispatching to the pool only pays when at least one shard must
-        // be *sampled*; all-exact builds (every component at or below the
-        // exact threshold) are microseconds of enumeration and run faster
-        // sequentially than any cross-thread handoff
-        let any_sampled =
-            sub_indices.iter().any(|s| s.candidate_count() > sharding.exact_threshold);
-        let shards = if sharding.parallel && any_sampled && sub_indices.len() > 1 {
-            build_parallel(sub_indices, sampler, sharding)
-        } else {
-            sub_indices
-                .into_iter()
-                .enumerate()
-                .map(|(k, sub)| Arc::new(build_shard(k, sub, sampler, sharding)))
-                .collect()
+        let components = partition(network.index(), &sharding);
+        for &k in owned {
+            assert!(k < components.count(), "owned component {k} out of range");
+        }
+        Self::build(network, components, sampler, sharding, owned)
+    }
+
+    /// A host owning every component — the in-process network's.
+    pub(crate) fn owning_all(
+        network: MatchingNetwork,
+        sampler: SamplerConfig,
+        sharding: ShardingConfig,
+    ) -> Self {
+        let components = partition(network.index(), &sharding);
+        let all: Vec<usize> = (0..components.count()).collect();
+        Self::build(network, components, sampler, sharding, &all)
+    }
+
+    /// Builds the `owned` shards of `components` (valid ids) — across the
+    /// worker pool when configured and at least one shard is sampled; the
+    /// pool returns results in submission order, so the shards do not
+    /// depend on scheduling.
+    pub(crate) fn build(
+        network: MatchingNetwork,
+        components: Components,
+        sampler: SamplerConfig,
+        sharding: ShardingConfig,
+        owned: &[usize],
+    ) -> Self {
+        let count = components.count();
+        let mut host = Self {
+            network,
+            components: Arc::new(components),
+            shards: vec![None; count],
+            sampler,
+            sharding,
         };
-        Self { components: Arc::new(components), shards }
+        if owned.is_empty() {
+            return host;
+        }
+        // dispatching to the pool only pays when at least one shard must
+        // be *sampled*; all-exact builds are microseconds of enumeration
+        // and run faster sequentially than any cross-thread handoff
+        let any_sampled = owned.iter().any(|&k| sharding.samples(host.components.members(k).len()));
+        let build = |k: usize| {
+            let sub = host.sub_index(k);
+            let feedback = Feedback::new(sub.candidate_count());
+            Arc::new(build_shard(k, sub, feedback, Vec::new(), sampler, &sharding))
+        };
+        let built: Vec<Arc<ShardSnapshot>> = if sharding.parallel && any_sampled && owned.len() > 1
+        {
+            let build = &build;
+            pool::global().run(
+                owned
+                    .iter()
+                    .map(|&k| Box::new(move || build(k)) as pool::Task<'_, Arc<ShardSnapshot>>)
+                    .collect(),
+            )
+        } else {
+            owned.iter().map(|&k| build(k)).collect()
+        };
+        for (&k, shard) in owned.iter().zip(built) {
+            host.shards[k] = Some(shard);
+        }
+        host
     }
 
-    /// Whether every shard store is exhausted — then the factorized
-    /// posterior is exact over the whole network.
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.shards.iter().all(|s| s.store.is_exhausted())
+    /// Component `k`'s restricted sub-index.
+    pub(crate) fn sub_index(&self, k: usize) -> Arc<ConflictIndex> {
+        if self.components.is_whole() {
+            self.network.shared_index().clone()
+        } else {
+            self.network.index().shard_component(&self.components, k)
+        }
     }
 
-    /// Total distinct samples across shards (the factorized store covers
-    /// the *product* of these per-shard counts).
-    pub(crate) fn distinct_samples(&self) -> usize {
-        self.shards.iter().map(|s| s.store.len()).sum()
+    /// The underlying network structure.
+    pub fn network(&self) -> &MatchingNetwork {
+        &self.network
     }
 
-    /// Owning shard and shard-local id of a global candidate.
-    pub(crate) fn locate(&self, c: CandidateId) -> (usize, CandidateId) {
-        (self.components.component_of(c), CandidateId::from_index(self.components.local_index(c)))
+    /// The component partition (identical on every participant).
+    pub fn components(&self) -> &Components {
+        &self.components
     }
 
-    /// Whether approving `c` is consistent with the shard's earlier
-    /// approvals (conflicts never leave the shard).
+    /// Number of components.
+    pub fn component_count(&self) -> usize {
+        self.components.count()
+    }
+
+    /// Component ids this host owns sample state for, ascending.
+    pub fn owned_components(&self) -> Vec<usize> {
+        self.owned().map(|(k, _)| k).collect()
+    }
+
+    /// Whether this host owns component `k`.
+    pub fn owns(&self, k: usize) -> bool {
+        self.snapshot(k).is_some()
+    }
+
+    /// Owning component of a global candidate.
+    pub fn component_of(&self, c: CandidateId) -> usize {
+        self.components.component_of(c)
+    }
+
+    /// Owning component and component-local id of a global candidate;
+    /// `None` for an unknown id.
+    fn locate(&self, c: CandidateId) -> Option<(usize, CandidateId)> {
+        (c.index() < self.components.candidate_count()).then(|| {
+            let lc = CandidateId::from_index(self.components.local_index(c));
+            (self.components.component_of(c), lc)
+        })
+    }
+
+    /// Component `k`'s snapshot, if owned.
+    pub(crate) fn snapshot(&self, k: usize) -> Option<&ShardSnapshot> {
+        self.shards.get(k)?.as_deref()
+    }
+
+    /// The owned snapshots with their component ids, ascending.
+    pub(crate) fn owned(&self) -> impl Iterator<Item = (usize, &ShardSnapshot)> {
+        self.shards.iter().enumerate().filter_map(|(k, s)| Some((k, s.as_deref()?)))
+    }
+
+    /// An owned shard's Eq. 2 probabilities in local member order.
+    pub fn shard_probabilities(&self, k: usize) -> Option<Vec<f64>> {
+        self.snapshot(k).map(snapshot_probabilities)
+    }
+
+    /// Writes owned shard `k`'s probabilities into the global vector.
+    pub(crate) fn write_probabilities(&self, k: usize, probs: &mut [f64]) {
+        let local = self.shard_probabilities(k).expect("written shard is owned");
+        for (&g, p) in self.components.members(k).iter().zip(local) {
+            probs[g.index()] = p;
+        }
+    }
+
+    /// Whether approving the unasserted `c` is consistent with its owned
+    /// shard's earlier approvals (conflicts never leave a component).
     pub(crate) fn approval_is_consistent(&self, c: CandidateId) -> bool {
-        let (k, lc) = self.locate(c);
-        let shard = &self.shards[k];
+        let (k, lc) = self.locate(c).expect("validated candidate");
+        let shard = self.snapshot(k).expect("validated candidate's shard is owned");
         shard.index.can_add(shard.feedback.approved(), lc)
     }
 
-    /// Integrates an assertion: copy-on-writes the owning shard (a no-op
-    /// copy when the snapshot is not shared with a fork), updates its
-    /// feedback, view-maintains its store and rewrites that shard's slice
-    /// of the global probability vector. Other shards are untouched — and
-    /// stay shared with any fork by pointer.
-    pub(crate) fn assert(&mut self, candidate: CandidateId, approved: bool, probs: &mut [f64]) {
-        let (k, lc) = self.locate(candidate);
-        let ShardSnapshot { index, feedback, store } = Arc::make_mut(&mut self.shards[k]);
+    /// Integrates an assertion the caller already validated:
+    /// copy-on-writes the owning shard (a no-op copy when the snapshot is
+    /// not shared with a fork), updates its feedback and view-maintains
+    /// its store. Other shards are untouched — and stay shared with any
+    /// fork by pointer. Returns the shard's component id, or `None` if
+    /// the candidate is unknown or this host does not own its shard.
+    pub fn assert_unchecked(&mut self, candidate: CandidateId, approved: bool) -> Option<usize> {
+        let (k, lc) = self.locate(candidate)?;
+        let ShardSnapshot { index, feedback, store } = Arc::make_mut(self.shards[k].as_mut()?);
         feedback.assert(Assertion { candidate: lc, approved });
         store.maintain_with_index(index, feedback, lc, approved);
-        self.write_shard_probabilities(k, probs);
-    }
-
-    /// Writes the probabilities of every shard into the global vector.
-    pub(crate) fn write_all_probabilities(&self, probs: &mut [f64]) {
-        for k in 0..self.shards.len() {
-            self.write_shard_probabilities(k, probs);
-        }
-    }
-
-    /// Maintains the shard set for the candidate just appended to `index`
-    /// (the patched global conflict index): the components its conflicts
-    /// couple merge into one shard — still-consistent cross-combinations
-    /// of their samples are carried over, and only that shard enumerates
-    /// or refills — while every other shard survives verbatim. The merged
-    /// shard's slice of `probs` is rewritten; nothing else moves (global
-    /// ids are stable under arrival).
-    pub(crate) fn extend(
-        &mut self,
-        index: &ConflictIndex,
-        sampler: SamplerConfig,
-        sharding: &ShardingConfig,
-        probs: &mut [f64],
-    ) {
-        let c = CandidateId::from_index(index.candidate_count() - 1);
-        let evo = Arc::make_mut(&mut self.components).add_candidate(index);
-        let old_shards = std::mem::take(&mut self.shards);
-        let mut new_shards: Vec<Option<Arc<ShardSnapshot>>> =
-            (0..self.components.count()).map(|_| None).collect();
-        // merge sources, paired with their pre-merge member lists (both
-        // ascend by old component index)
-        let mut absorbed: Vec<(&[CandidateId], Arc<ShardSnapshot>)> = Vec::new();
-        {
-            let mut dissolved = evo.dissolved.iter();
-            for (old_k, shard) in old_shards.into_iter().enumerate() {
-                match evo.remap[old_k] {
-                    Some(new_k) => new_shards[new_k] = Some(shard),
-                    None => {
-                        let (dk, members) =
-                            dissolved.next().expect("one dissolved entry per absorbed shard");
-                        debug_assert_eq!(*dk, old_k);
-                        absorbed.push((members.as_slice(), shard));
-                    }
-                }
-            }
-        }
-        let &[merged_k] = evo.rebuilt.as_slice() else {
-            unreachable!("an arrival always forms exactly one new component")
-        };
-        let sub = index.shard_component(&self.components, merged_k);
-        let sources: Vec<(&[CandidateId], &Feedback, &SampleStore)> = absorbed
-            .iter()
-            .map(|(members, shard)| (*members, &shard.feedback, &shard.store))
-            .collect();
-        let (feedback, carried) =
-            merged_inputs(&self.components, &sub, c, &sources, sampler, sharding);
-        new_shards[merged_k] = Some(Arc::new(build_evolved_shard(
-            merged_k, sub, feedback, carried, sampler, sharding,
-        )));
-        self.shards =
-            new_shards.into_iter().map(|s| s.expect("every component assigned")).collect();
-        self.write_shard_probabilities(merged_k, probs);
-    }
-
-    /// Maintains the shard set after `retired` was removed from `index`
-    /// (already patched and id-compacted): only the retired candidate's
-    /// shard dissolves — its surviving conflict components are re-extracted,
-    /// their feedback carried over, and their stores rebuilt from the old
-    /// shard's samples (restricted, deterministically re-maximized) plus a
-    /// refill — while every other shard survives verbatim. The split
-    /// parts' slices of `probs` are rewritten; `probs` must already be
-    /// compacted to the new id space.
-    pub(crate) fn retire(
-        &mut self,
-        index: &ConflictIndex,
-        retired: CandidateId,
-        sampler: SamplerConfig,
-        sharding: &ShardingConfig,
-        probs: &mut [f64],
-    ) {
-        let evo = Arc::make_mut(&mut self.components).retire_candidate(index, retired);
-        // OLD global ids of the dissolving component (ascending, still
-        // containing the retiree), moved out by the partition update
-        let old_comp: &[CandidateId] =
-            &evo.dissolved.first().expect("the retiree's component dissolves").1;
-        let old_shards = std::mem::take(&mut self.shards);
-        let mut new_shards: Vec<Option<Arc<ShardSnapshot>>> =
-            (0..self.components.count()).map(|_| None).collect();
-        let mut dissolved: Option<Arc<ShardSnapshot>> = None;
-        for (old_k, shard) in old_shards.into_iter().enumerate() {
-            match evo.remap[old_k] {
-                Some(new_k) => new_shards[new_k] = Some(shard),
-                None => dissolved = Some(shard),
-            }
-        }
-        let old_shard = dissolved.expect("the retired candidate's shard dissolves");
-        for &part_k in &evo.rebuilt {
-            let sub = index.shard_component(&self.components, part_k);
-            let (feedback, carried) = split_inputs(
-                &self.components,
-                part_k,
-                &sub,
-                old_comp,
-                &old_shard.feedback,
-                &old_shard.store,
-                retired,
-                sharding,
-            );
-            new_shards[part_k] = Some(Arc::new(build_evolved_shard(
-                part_k, sub, feedback, carried, sampler, sharding,
-            )));
-        }
-        self.shards =
-            new_shards.into_iter().map(|s| s.expect("every component assigned")).collect();
-        for &part_k in &evo.rebuilt {
-            self.write_shard_probabilities(part_k, probs);
-        }
-    }
-
-    /// Writes one shard's probabilities (Eq. 2 over its own store) into
-    /// the global vector.
-    pub(crate) fn write_shard_probabilities(&self, k: usize, probs: &mut [f64]) {
-        let shard = &self.shards[k];
-        let members = self.components.members(k);
-        let matrix = shard.store.matrix();
-        let total = matrix.sample_count();
-        for (j, &g) in members.iter().enumerate() {
-            let lc = CandidateId::from_index(j);
-            probs[g.index()] = if total == 0 {
-                // no instance (contradictory local feedback cannot happen;
-                // defensive mirror of the monolithic empty-store rule)
-                if shard.feedback.approved().contains(lc) {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                matrix.membership_count(lc) as f64 / total as f64
-            };
-        }
+        Some(k)
     }
 
     /// Applies a lane of decided assertions (global candidate ids, all
     /// owned by shard `k`, in decision order) against a *working copy* of
-    /// the shard and returns the new snapshot plus one
-    /// `(standing verdict, outcome, mutated)` triple per event. `self` is
-    /// untouched — the caller installs the snapshot (and mirrors the
-    /// mutated events into the global feedback) afterwards, which is what
-    /// lets disjoint lanes run on pool workers concurrently.
+    /// the shard and returns the new snapshot plus one [`LaneStep`] per
+    /// event. `self` is untouched — the caller [`install`](Self::install)s
+    /// the snapshot afterwards, which is what lets disjoint lanes run on
+    /// pool workers concurrently.
     ///
     /// Each event walks the service ladder: integrate as requested, fall
     /// back to a disapproval when the request is rejected, skip when even
@@ -326,89 +336,316 @@ impl ShardSet {
         &self,
         k: usize,
         events: &[Assertion],
-    ) -> (Option<ShardSnapshot>, Vec<(bool, StepOutcome, bool)>) {
-        let local: Vec<Assertion> = events
+    ) -> (Option<ShardSnapshot>, Vec<LaneStep>) {
+        let base = self.snapshot(k).expect("lane shard is owned");
+        let mut work: Option<ShardSnapshot> = None;
+        let mut results = Vec::with_capacity(events.len());
+        for event in events {
+            let lc = CandidateId::from_index(self.components.local_index(event.candidate));
+            // lane-local mirror of `ProbabilisticNetwork::validate_assertion`:
+            // Some(would_mutate) for an acceptable verdict, None for a
+            // rejected one (contradiction or inconsistent approval)
+            let step = |snap: &ShardSnapshot, approved: bool| -> Option<bool> {
+                if snap.feedback.is_asserted(lc) {
+                    let prev = snap.feedback.approved().contains(lc);
+                    return if prev == approved { Some(false) } else { None };
+                }
+                if approved && !snap.index.can_add(snap.feedback.approved(), lc) {
+                    return None;
+                }
+                Some(true)
+            };
+            let snap = work.as_ref().unwrap_or(base);
+            let (approved, outcome, mutates) = match step(snap, event.approved) {
+                Some(m) => (event.approved, StepOutcome::Integrated, m),
+                None => match step(snap, false) {
+                    Some(m) => (false, StepOutcome::Flipped, m),
+                    None => (event.approved, StepOutcome::Skipped, false),
+                },
+            };
+            if mutates {
+                let ShardSnapshot { index, feedback, store } =
+                    work.get_or_insert_with(|| base.clone());
+                feedback.assert(Assertion { candidate: lc, approved });
+                store.maintain_with_index(index, feedback, lc, approved);
+            }
+            results.push((approved, outcome, mutates));
+        }
+        (work, results)
+    }
+
+    /// Installs a [`commit_lane`](Self::commit_lane) working snapshot as
+    /// component `k`.
+    pub(crate) fn install(&mut self, k: usize, snapshot: ShardSnapshot) {
+        self.shards[k] = Some(Arc::new(snapshot));
+    }
+
+    /// The entropy (bits) the owning shard would carry after
+    /// hypothetically integrating `(candidate, approved)`: the real
+    /// integration (feedback update, view maintenance, refill) on a
+    /// throwaway copy of the one snapshot. Entropy is additive over
+    /// independent components, so callers compose `H' = H − H_k + H'_k`
+    /// from this without rebuilding the global probability vector.
+    /// Validation (inertness) is the caller's job; `None` if the candidate
+    /// is unknown or its shard is not owned.
+    pub fn entropy_after(&self, candidate: CandidateId, approved: bool) -> Option<f64> {
+        let (k, lc) = self.locate(candidate)?;
+        let mut snap = self.snapshot(k)?.clone();
+        let ShardSnapshot { index, feedback, store } = &mut snap;
+        feedback.assert(Assertion { candidate: lc, approved });
+        store.maintain_with_index(index, feedback, lc, approved);
+        Some(snapshot_probabilities(&snap).into_iter().map(binary_entropy).sum())
+    }
+
+    /// Expected information gains (Eq. 5) of the pool candidates (global
+    /// ids), aligned with `pool`; `None` if a candidate is unknown or its
+    /// shard is not owned. Each candidate is priced against its own shard only —
+    /// candidates of other components are independent of it, so their
+    /// co-occurrence terms contribute zero gain.
+    ///
+    /// Every gain is a pure function of its shard's sample matrix, so the
+    /// scan splits freely: a big shard's pool is cut
+    /// into one chunk per worker, and big scans fan the chunks out across
+    /// the worker pool. Each chunk lands in its own `out` positions, so
+    /// the result does not depend on scheduling; small scans stay on the
+    /// caller to dodge the handoff cost.
+    pub fn gains(&self, pool: &[CandidateId]) -> Option<Vec<f64>> {
+        self.gains_on(pool::global(), pool)
+    }
+
+    /// [`gains`](Self::gains) on the given worker pool.
+    fn gains_on(&self, workers: &pool::WorkerPool, pool: &[CandidateId]) -> Option<Vec<f64>> {
+        let mut by_shard: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+        for (pos, &c) in pool.iter().enumerate() {
+            let (k, lc) = self.locate(c)?;
+            by_shard.entry(k).or_default().push((pos, lc.index()));
+        }
+        let groups: Vec<&ShardSnapshot> =
+            by_shard.keys().map(|&k| self.snapshot(k)).collect::<Option<_>>()?;
+        let threads = workers.threads();
+        let mut chunks: Vec<(usize, &[(usize, usize)])> = Vec::new();
+        let mut work = 0;
+        for (g, entries) in by_shard.values().enumerate() {
+            let cost = entries.len() * groups[g].index.candidate_count();
+            work += cost;
+            let size = if threads > 1 && entries.len() >= 2 && cost > 1 << 16 {
+                entries.len().div_ceil(threads)
+            } else {
+                entries.len()
+            };
+            chunks.extend(entries.chunks(size).map(|part| (g, part)));
+        }
+        let scan = |&(g, entries): &(usize, &[(usize, usize)])| -> Vec<f64> {
+            let locals: Vec<usize> = entries.iter().map(|&(_, l)| l).collect();
+            gains_within(groups[g].store.matrix(), &locals)
+        };
+        let values: Vec<Vec<f64>> = if chunks.len() > 1 && work > 1 << 14 && threads > 1 {
+            let scan = &scan;
+            workers.run(
+                chunks
+                    .iter()
+                    .map(|chunk| Box::new(move || scan(chunk)) as pool::Task<'_, Vec<f64>>)
+                    .collect(),
+            )
+        } else {
+            chunks.iter().map(scan).collect()
+        };
+        let mut out = vec![0.0; pool.len()];
+        for ((_, entries), gains) in chunks.iter().zip(values) {
+            for (&(pos, _), g) in entries.iter().zip(gains) {
+                out[pos] = g;
+            }
+        }
+        Some(out)
+    }
+
+    /// Applies a network extension to the structure: appends the
+    /// candidate, patches the conflict index, merges the coupled
+    /// components and rekeys the owned shards under the new numbering.
+    /// Returns the arrival id, the partition evolution (identical on every
+    /// participant) and the absorbed components' snapshots aligned with
+    /// `evolution.dissolved` (`None` where not owned). The merged
+    /// component has no state until its owner rebuilds it — in process
+    /// from those snapshots, on a shard server through
+    /// [`rebuild_merged`](Self::rebuild_merged).
+    #[allow(clippy::type_complexity)]
+    pub fn apply_extend(
+        &mut self,
+        x: AttributeId,
+        y: AttributeId,
+        confidence: f64,
+    ) -> Result<(CandidateId, ComponentEvolution, Vec<Option<Arc<ShardSnapshot>>>), SchemaError>
+    {
+        let id = self.network.extend(x, y, confidence)?;
+        let evo = Arc::make_mut(&mut self.components).add_candidate(self.network.index());
+        let absorbed = self.rekey(&evo.remap);
+        Ok((id, evo, absorbed))
+    }
+
+    /// Applies a retirement to the structure: removes the candidate,
+    /// patches the index, splits its component and rekeys the owned
+    /// shards. Returns the partition evolution and the dissolved
+    /// component's snapshot (`None` where not owned); the split parts have
+    /// no state until their owners rebuild them — in process from that
+    /// snapshot, on a shard server through
+    /// [`rebuild_part`](Self::rebuild_part).
+    pub fn apply_retire(
+        &mut self,
+        c: CandidateId,
+    ) -> Result<(ComponentEvolution, Option<Arc<ShardSnapshot>>), SchemaError> {
+        if c.index() >= self.network.candidate_count() {
+            return Err(SchemaError::UnknownCandidate(c));
+        }
+        self.network.retire(c)?;
+        let evo = Arc::make_mut(&mut self.components).retire_candidate(self.network.index(), c);
+        let dissolved = self.rekey(&evo.remap).into_iter().next().flatten();
+        Ok((evo, dissolved))
+    }
+
+    /// Moves the shards to their post-evolution ids and hands back the
+    /// dissolved ones (`remap == None`, ascending old id).
+    fn rekey(&mut self, remap: &[Option<usize>]) -> Vec<Option<Arc<ShardSnapshot>>> {
+        let old = std::mem::replace(&mut self.shards, vec![None; self.components.count()]);
+        let mut dissolved = Vec::new();
+        for (old_k, shard) in old.into_iter().enumerate() {
+            match remap[old_k] {
+                Some(new_k) => self.shards[new_k] = shard,
+                None => dissolved.push(shard),
+            }
+        }
+        dissolved
+    }
+
+    /// Builds the merged component `k` of an extension (after
+    /// [`apply_extend`](Self::apply_extend)) from the absorbed sources,
+    /// each `(pre-merge member list, feedback, store)` in ascending *old*
+    /// component order — the cross-combination order, which the
+    /// carried-sample cap makes order-sensitive. Still-consistent
+    /// cross-combinations of the sources' samples are carried over, and
+    /// only this shard enumerates or refills.
+    pub(crate) fn build_merged(
+        &mut self,
+        k: usize,
+        sources: &[(&[CandidateId], &Feedback, &SampleStore)],
+    ) {
+        let arrival = CandidateId::from_index(self.network.candidate_count() - 1);
+        let sub = self.sub_index(k);
+        let m = sub.candidate_count();
+        let local = |g: CandidateId| CandidateId::from_index(self.components.local_index(g));
+        // merged local feedback: every absorbed shard's assertions remapped
+        // old-local → global → merged-local (the arrival is unasserted, and
+        // approvals of different components never conflict)
+        let mut feedback = Feedback::new(m);
+        for (members, source, _) in sources {
+            for lc in source.approved().iter() {
+                feedback.approve(local(members[lc.index()]));
+            }
+            for lc in source.disapproved().iter() {
+                feedback.disapprove(local(members[lc.index()]));
+            }
+        }
+        // sampled merges carry over cross-combined old samples: each
+        // combination is maximal over the union of the old components, so
+        // with the arrival inserted when addable (kept otherwise) it is a
+        // matching instance of the merged component; the sampler refills
+        // on top of them instead of restarting cold
+        let carried = if self.sharding.samples(m) {
+            let cap = self.sampler.n_samples.max(self.sampler.n_min).max(1);
+            let mut combos: Vec<BitSet> = vec![BitSet::new(m)];
+            for (members, _, store) in sources {
+                let mut next = Vec::new();
+                'cross: for combo in &combos {
+                    for s in store.samples() {
+                        let mut merged = combo.clone();
+                        for lc in s.iter() {
+                            merged.insert(local(members[lc.index()]));
+                        }
+                        next.push(merged);
+                        if next.len() >= cap {
+                            break 'cross;
+                        }
+                    }
+                }
+                combos = next;
+            }
+            let lc_new = local(arrival);
+            for inst in &mut combos {
+                if sub.can_add(inst, lc_new) {
+                    inst.insert(lc_new);
+                }
+            }
+            combos
+        } else {
+            Vec::new()
+        };
+        let shard = build_shard(k, sub, feedback, carried, self.sampler, &self.sharding);
+        self.install(k, shard);
+    }
+
+    /// Builds split part `k` of a retirement (after
+    /// [`apply_retire`](Self::apply_retire)) from the dissolved shard:
+    /// `old_members` is its pre-event member list (old global ids,
+    /// ascending, still containing `retired`). Feedback is restricted to
+    /// the part, and sampled parts carry over the old samples restricted
+    /// and deterministically re-maximized — retirement can unblock
+    /// candidates that conflicted only with the departed one.
+    pub(crate) fn build_part(
+        &mut self,
+        k: usize,
+        old_members: &[CandidateId],
+        old_feedback: &Feedback,
+        old_store: &SampleStore,
+        retired: CandidateId,
+    ) {
+        let sub = self.sub_index(k);
+        let m = sub.candidate_count();
+        // OLD-local id, within the dissolved shard, of each part member
+        // (NEW global id → OLD global id undoes the retirement compaction)
+        let old_local: Vec<CandidateId> = self
+            .components
+            .members(k)
             .iter()
-            .map(|e| Assertion {
-                candidate: CandidateId::from_index(self.components.local_index(e.candidate)),
-                approved: e.approved,
+            .map(|&g| {
+                let g = if g >= retired { CandidateId(g.0 + 1) } else { g };
+                CandidateId::from_index(old_members.binary_search(&g).expect("member of old shard"))
             })
             .collect();
-        commit_lane_local(&self.shards[k], &local)
-    }
-
-    /// Entropy (bits) shard `k` would carry after hypothetically
-    /// integrating the assertion `(lc, approved)` — the per-query kernel
-    /// behind
-    /// [`ProbabilisticNetwork::what_if_batch`](crate::ProbabilisticNetwork::what_if_batch).
-    /// Runs the real integration (feedback update, view maintenance,
-    /// refill) on a throwaway copy of the one snapshot; `self` is
-    /// untouched. Entropy is additive over independent components, so the
-    /// batch layer composes `H' = H − H_k + H'_k` from this without ever
-    /// rebuilding the global probability vector.
-    pub(crate) fn entropy_after(&self, k: usize, lc: CandidateId, approved: bool) -> f64 {
-        entropy_after_local(&self.shards[k], lc, approved)
-    }
-}
-
-/// The lane ladder of [`ShardSet::commit_lane`], over *shard-local*
-/// candidate ids — the kernel shared with the remote
-/// [`ShardHost`](crate::remote::ShardHost), whose lanes arrive already
-/// localized.
-pub(crate) fn commit_lane_local(
-    base: &ShardSnapshot,
-    events: &[Assertion],
-) -> (Option<ShardSnapshot>, Vec<(bool, StepOutcome, bool)>) {
-    let mut work: Option<ShardSnapshot> = None;
-    let mut results = Vec::with_capacity(events.len());
-    for event in events {
-        let lc = event.candidate;
-        // lane-local mirror of `ProbabilisticNetwork::validate_assertion`:
-        // Some(would_mutate) for an acceptable verdict, None for a
-        // rejected one (contradiction or inconsistent approval)
-        let step = |snap: &ShardSnapshot, approved: bool| -> Option<bool> {
-            if snap.feedback.is_asserted(lc) {
-                let prev = snap.feedback.approved().contains(lc);
-                return if prev == approved { Some(false) } else { None };
+        let mut feedback = Feedback::new(m);
+        for (j, &ol) in old_local.iter().enumerate() {
+            let lc = CandidateId::from_index(j);
+            if old_feedback.approved().contains(ol) {
+                feedback.approve(lc);
+            } else if old_feedback.disapproved().contains(ol) {
+                feedback.disapprove(lc);
             }
-            if approved && !snap.index.can_add(snap.feedback.approved(), lc) {
-                return None;
-            }
-            Some(true)
-        };
-        let snap = work.as_ref().unwrap_or(base);
-        let (approved, outcome, mutates) = match step(snap, event.approved) {
-            Some(m) => (event.approved, StepOutcome::Integrated, m),
-            None => match step(snap, false) {
-                Some(m) => (false, StepOutcome::Flipped, m),
-                None => (event.approved, StepOutcome::Skipped, false),
-            },
-        };
-        if mutates {
-            let target = work.get_or_insert_with(|| ShardSnapshot::clone(base));
-            let ShardSnapshot { index, feedback, store } = target;
-            feedback.assert(Assertion { candidate: lc, approved });
-            store.maintain_with_index(index, feedback, lc, approved);
         }
-        results.push((approved, outcome, mutates));
+        let carried = if self.sharding.samples(m) {
+            old_store
+                .samples()
+                .iter()
+                .map(|s| {
+                    let mut inst = BitSet::new(m);
+                    for (j, &ol) in old_local.iter().enumerate() {
+                        if s.contains(ol) {
+                            inst.insert(CandidateId::from_index(j));
+                        }
+                    }
+                    complete_greedily(&sub, &feedback, &mut inst);
+                    inst
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let shard = build_shard(k, sub, feedback, carried, self.sampler, &self.sharding);
+        self.install(k, shard);
     }
-    (work, results)
 }
 
-/// The hypothetical-integration kernel of [`ShardSet::entropy_after`],
-/// over a bare snapshot — shared with the remote shard host.
-pub(crate) fn entropy_after_local(base: &ShardSnapshot, lc: CandidateId, approved: bool) -> f64 {
-    let mut snap = ShardSnapshot::clone(base);
-    let ShardSnapshot { index, feedback, store } = &mut snap;
-    feedback.assert(Assertion { candidate: lc, approved });
-    store.maintain_with_index(index, feedback, lc, approved);
-    snapshot_entropy(&snap)
-}
-
-/// One shard's Eq. 2 probabilities in *local* id order, under the same
-/// empty-store rule as [`ShardSet::write_shard_probabilities`] — the wire
-/// shape a shard server reports, scattered into the global vector by the
-/// coordinator.
+/// One shard's Eq. 2 probabilities in *local* id order: the fraction of
+/// stored instances containing each member (uniform weights; exact Eq. 1
+/// once the store is exhausted). An empty store (no instance) reports the
+/// approved members as certain and everything else as 0.
 pub(crate) fn snapshot_probabilities(snap: &ShardSnapshot) -> Vec<f64> {
     let matrix = snap.store.matrix();
     let total = matrix.sample_count();
@@ -428,174 +665,11 @@ pub(crate) fn snapshot_probabilities(snap: &ShardSnapshot) -> Vec<f64> {
         .collect()
 }
 
-/// Merged-shard inputs for a network extension: the union feedback and the
-/// carried-over cross-combined samples of the `absorbed` source shards
-/// (each `(pre-merge member list, feedback, store)`, ascending by old
-/// component index). `components` is the *post-evolution* partition and
-/// `sub` the merged component's restricted index; `arrival` is the global
-/// id of the candidate whose arrival merged them. Shared verbatim between
-/// [`ShardSet::extend`] and the remote shard host's migration rebuild, so
-/// a distributed merge is bit-identical to the single-process one.
-pub(crate) fn merged_inputs(
-    components: &Components,
-    sub: &ConflictIndex,
-    arrival: CandidateId,
-    absorbed: &[(&[CandidateId], &Feedback, &SampleStore)],
-    sampler: SamplerConfig,
-    sharding: &ShardingConfig,
-) -> (Feedback, Vec<BitSet>) {
-    let m = sub.candidate_count();
-    let local = |g: CandidateId| CandidateId::from_index(components.local_index(g));
-    // merged local feedback: every absorbed shard's assertions remapped
-    // old-local → global → merged-local (the arrival is unasserted, and
-    // approvals of different components never conflict)
-    let mut feedback = Feedback::new(m);
-    for (members, source, _) in absorbed {
-        for lc in source.approved().iter() {
-            feedback.approve(local(members[lc.index()]));
-        }
-        for lc in source.disapproved().iter() {
-            feedback.disapprove(local(members[lc.index()]));
-        }
-    }
-    // sampled merges carry over cross-combined old samples: each
-    // combination is maximal over the union of the old components, so
-    // with the arrival inserted when addable (kept otherwise) it is a
-    // matching instance of the merged component; the sampler refills
-    // on top of them instead of restarting cold
-    let carried = if m > sharding.exact_threshold {
-        let cap = sampler.n_samples.max(sampler.n_min).max(1);
-        let mut combos: Vec<BitSet> = vec![BitSet::new(m)];
-        for (members, _, store) in absorbed {
-            let mut next = Vec::new();
-            'cross: for combo in &combos {
-                for s in store.samples() {
-                    let mut merged = combo.clone();
-                    for lc in s.iter() {
-                        merged.insert(local(members[lc.index()]));
-                    }
-                    next.push(merged);
-                    if next.len() >= cap {
-                        break 'cross;
-                    }
-                }
-            }
-            combos = next;
-        }
-        let lc_new = local(arrival);
-        for inst in &mut combos {
-            if sub.can_add(inst, lc_new) {
-                inst.insert(lc_new);
-            }
-        }
-        combos
-    } else {
-        Vec::new()
-    };
-    (feedback, carried)
-}
-
-/// One split part's inputs for a retirement: the restricted feedback and
-/// the carried-over (restricted, deterministically re-maximized) samples
-/// of the dissolved shard. `components` is the *post-retirement*
-/// partition, `sub` the part's restricted index, `old_comp` the dissolved
-/// component's OLD global ids (ascending, still containing the retiree)
-/// and `old_feedback`/`old_store` the dissolved shard's state. Shared
-/// verbatim between [`ShardSet::retire`] and the remote shard host.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn split_inputs(
-    components: &Components,
-    part_k: usize,
-    sub: &ConflictIndex,
-    old_comp: &[CandidateId],
-    old_feedback: &Feedback,
-    old_store: &SampleStore,
-    retired: CandidateId,
-    sharding: &ShardingConfig,
-) -> (Feedback, Vec<BitSet>) {
-    let m = sub.candidate_count();
-    let part_members = components.members(part_k); // NEW global ids
-                                                   // OLD-local id of an OLD global id within the dissolved shard
-    let old_local = |g: CandidateId| {
-        CandidateId::from_index(old_comp.binary_search(&g).expect("member of the old shard"))
-    };
-    // NEW global id → OLD global id (undo the retirement compaction)
-    let unshift = |g: CandidateId| if g >= retired { CandidateId(g.0 + 1) } else { g };
-    let mut feedback = Feedback::new(m);
-    for (j, &g) in part_members.iter().enumerate() {
-        let ol = old_local(unshift(g));
-        let lc = CandidateId::from_index(j);
-        if old_feedback.approved().contains(ol) {
-            feedback.approve(lc);
-        } else if old_feedback.disapproved().contains(ol) {
-            feedback.disapprove(lc);
-        }
-    }
-    // sampled parts carry over the old samples, restricted to the
-    // part and greedily re-maximized: retirement can unblock
-    // candidates that conflicted only with the departed one
-    let carried = if m > sharding.exact_threshold {
-        old_store
-            .samples()
-            .iter()
-            .map(|s| {
-                let mut inst = BitSet::new(m);
-                for (j, &g) in part_members.iter().enumerate() {
-                    if s.contains(old_local(unshift(g))) {
-                        inst.insert(CandidateId::from_index(j));
-                    }
-                }
-                complete_greedily(sub, &feedback, &mut inst);
-                inst
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    (feedback, carried)
-}
-
-/// Entropy of one shard snapshot: `Σ H(p)` over its local Eq. 2
-/// probabilities, under the same empty-store rule as
-/// [`ShardSet::write_shard_probabilities`].
-pub(crate) fn snapshot_entropy(snap: &ShardSnapshot) -> f64 {
-    let matrix = snap.store.matrix();
-    let total = matrix.sample_count();
-    (0..snap.index.candidate_count())
-        .map(|j| {
-            let lc = CandidateId::from_index(j);
-            let p = if total == 0 {
-                if snap.feedback.approved().contains(lc) {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                matrix.membership_count(lc) as f64 / total as f64
-            };
-            binary_entropy(p)
-        })
-        .sum()
-}
-
-/// Builds one shard: exact enumeration for small components, the
-/// Algorithm 3 sampler otherwise; seeded `seed + shard_id` either way.
-pub(crate) fn build_shard(
-    k: usize,
-    sub: Arc<ConflictIndex>,
-    sampler: SamplerConfig,
-    sharding: &ShardingConfig,
-) -> ShardSnapshot {
-    let feedback = Feedback::new(sub.candidate_count());
-    build_evolved_shard(k, sub, feedback, Vec::new(), sampler, sharding)
-}
-
-/// The general shard builder behind both the initial
-/// [`ShardSet::build`] and the evolution paths: exact enumeration (under
-/// the given feedback) for small components, the Algorithm 3 sampler
-/// seeded with any `carried`-over instances otherwise; shard `k` is
-/// seeded `seed + k` either way.
-pub(crate) fn build_evolved_shard(
+/// Builds one shard under `feedback`: exact enumeration for components at
+/// or below the exact threshold, the Algorithm 3 sampler seeded with any
+/// `carried`-over instances otherwise; shard `k` is seeded `seed + k`
+/// either way.
+fn build_shard(
     k: usize,
     sub: Arc<ConflictIndex>,
     feedback: Feedback,
@@ -605,10 +679,10 @@ pub(crate) fn build_evolved_shard(
 ) -> ShardSnapshot {
     let m = sub.candidate_count();
     let config = SamplerConfig { seed: sampler.seed.wrapping_add(k as u64), ..sampler };
-    let exact_attempt = if m <= sharding.exact_threshold {
-        exact::enumerate_with_index(&sub, &feedback, sharding.exact_cap)
-    } else {
+    let exact_attempt = if sharding.samples(m) {
         None
+    } else {
+        exact::enumerate_with_index(&sub, &feedback, sharding.exact_cap)
     };
     let store = match exact_attempt {
         Some(instances) => SampleStore::from_instances(m, instances, config),
@@ -620,35 +694,13 @@ pub(crate) fn build_evolved_shard(
 /// Extends `inst` to a maximal consistent instance by scanning candidates
 /// in ascending id order — the deterministic (RNG-free) re-maximization
 /// used on carried-over samples after a retirement.
-pub(crate) fn complete_greedily(index: &ConflictIndex, feedback: &Feedback, inst: &mut BitSet) {
+fn complete_greedily(index: &ConflictIndex, feedback: &Feedback, inst: &mut BitSet) {
     for j in 0..index.candidate_count() {
         let c = CandidateId::from_index(j);
         if !inst.contains(c) && !feedback.disapproved().contains(c) && index.can_add(inst, c) {
             inst.insert(c);
         }
     }
-}
-
-/// Fills shards across the persistent work-stealing pool, one task per
-/// shard. Each shard's store depends only on its own sub-index and seed,
-/// and [`pool::WorkerPool::run`] returns results in submission (= shard
-/// id) order, so the merged result is identical to the sequential build
-/// regardless of scheduling.
-fn build_parallel(
-    sub_indices: Vec<Arc<ConflictIndex>>,
-    sampler: SamplerConfig,
-    sharding: &ShardingConfig,
-) -> Vec<Arc<ShardSnapshot>> {
-    let sharding = *sharding;
-    let tasks: Vec<pool::Task<'_, Arc<ShardSnapshot>>> = sub_indices
-        .into_iter()
-        .enumerate()
-        .map(|(k, sub)| {
-            Box::new(move || Arc::new(build_shard(k, sub, sampler, &sharding)))
-                as pool::Task<'_, Arc<ShardSnapshot>>
-        })
-        .collect();
-    pool::global().run(tasks)
 }
 
 #[cfg(test)]
@@ -660,76 +712,110 @@ mod tests {
         SamplerConfig { anneal: true, n_samples: 200, walk_steps: 3, n_min: 50, seed: 5, chains: 1 }
     }
 
+    fn all_probs(host: &ShardHost) -> Vec<f64> {
+        let mut probs = vec![0.0; host.network().candidate_count()];
+        for k in host.owned_components() {
+            host.write_probabilities(k, &mut probs);
+        }
+        probs
+    }
+
     #[test]
     fn fig1_is_a_single_exact_shard() {
-        let net = fig1_network();
-        let set = ShardSet::build(net.index(), sampler(), &ShardingConfig::default());
-        assert_eq!(set.shards.len(), 1, "fig1's conflict graph is connected");
-        assert!(set.is_exhausted(), "5 candidates ≤ exact threshold");
-        assert_eq!(set.distinct_samples(), 4, "all four maximal instances");
-        let mut probs = vec![0.0; 5];
-        set.write_all_probabilities(&mut probs);
-        for p in probs {
+        let host = ShardHost::owning_all(fig1_network(), sampler(), ShardingConfig::default());
+        assert_eq!(host.component_count(), 1, "fig1's conflict graph is connected");
+        let shard = host.snapshot(0).unwrap();
+        assert!(shard.store.is_exhausted(), "5 candidates ≤ exact threshold");
+        assert_eq!(shard.store.len(), 4, "all four maximal instances");
+        for p in all_probs(&host) {
             assert!((p - 0.5).abs() < 1e-12);
         }
     }
 
     #[test]
     fn exact_threshold_zero_samples_every_shard() {
-        let net = fig1_network();
         let cfg = ShardingConfig { exact_threshold: 0, ..Default::default() };
-        let set = ShardSet::build(net.index(), sampler(), &cfg);
+        let host = ShardHost::owning_all(fig1_network(), sampler(), cfg);
         // the sampler still exhausts the tiny space, by refill detection
-        assert!(set.is_exhausted());
-        assert_eq!(set.distinct_samples(), 4);
+        let shard = host.snapshot(0).unwrap();
+        assert!(shard.store.is_exhausted());
+        assert_eq!(shard.store.len(), 4);
+    }
+
+    #[test]
+    fn whole_partition_is_one_shard_on_the_networks_own_index() {
+        let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 9);
+        let n = net.candidate_count();
+        let host = ShardHost::owning_all(net, sampler(), ShardingConfig::disabled());
+        assert_eq!(host.component_count(), 1);
+        assert!(host.components().is_whole());
+        assert!(
+            Arc::ptr_eq(&host.snapshot(0).unwrap().index, host.network().shared_index()),
+            "the whole shard must not copy the conflict index"
+        );
+        // identity renumbering, seed + 0: the classic single store
+        let store = SampleStore::with_index(host.network().index(), &Feedback::new(n), sampler());
+        assert_eq!(host.snapshot(0).unwrap().store.samples(), store.samples());
     }
 
     #[test]
     fn parallel_and_sequential_builds_agree() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 9);
-        let par = ShardSet::build(
-            net.index(),
-            sampler(),
-            &ShardingConfig { parallel: true, ..Default::default() },
-        );
-        let seq = ShardSet::build(
-            net.index(),
-            sampler(),
-            &ShardingConfig { parallel: false, ..Default::default() },
-        );
-        assert_eq!(par.shards.len(), seq.shards.len());
-        let n = net.candidate_count();
-        let (mut p1, mut p2) = (vec![0.0; n], vec![0.0; n]);
-        par.write_all_probabilities(&mut p1);
-        seq.write_all_probabilities(&mut p2);
-        assert_eq!(p1, p2, "shard fills must not depend on scheduling");
-        for (a, b) in par.shards.iter().zip(&seq.shards) {
+        let build = |parallel| {
+            ShardHost::owning_all(
+                net.clone(),
+                sampler(),
+                ShardingConfig { parallel, ..Default::default() },
+            )
+        };
+        let (par, seq) = (build(true), build(false));
+        assert_eq!(par.component_count(), seq.component_count());
+        assert_eq!(all_probs(&par), all_probs(&seq), "shard fills must not depend on scheduling");
+        for ((_, a), (_, b)) in par.owned().zip(seq.owned()) {
             assert_eq!(a.store.samples(), b.store.samples());
+        }
+    }
+
+    #[test]
+    fn chunked_gain_scan_equals_the_unchunked_kernel() {
+        // one component large enough that the scan splits its pool
+        let (net, _) = perturbed_network(4, 40, 0.6, 0.9, 3);
+        let host = ShardHost::owning_all(net, sampler(), ShardingConfig::disabled());
+        let shard = host.snapshot(0).unwrap();
+        let probs = snapshot_probabilities(shard);
+        let pool: Vec<CandidateId> = (0..probs.len())
+            .filter(|&i| probs[i] > 0.0 && probs[i] < 1.0)
+            .map(CandidateId::from_index)
+            .collect();
+        assert!(pool.len() * probs.len() > 1 << 16, "scan too small to be chunked");
+        let locals: Vec<usize> = pool.iter().map(|c| c.index()).collect();
+        let reference = gains_within(shard.store.matrix(), &locals);
+        for threads in [1, 2] {
+            let gains = host.gains_on(&pool::WorkerPool::new(threads), &pool).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&gains), bits(&reference), "{threads} pool threads");
         }
     }
 
     #[test]
     fn commit_lane_matches_sequential_assertions() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 13);
-        let n = net.candidate_count();
-        let set = ShardSet::build(net.index(), sampler(), &ShardingConfig::default());
-        let target = CandidateId::from_index(0);
-        let (k, _) = set.locate(target);
-        let members: Vec<CandidateId> = set.components.members(k).to_vec();
-        let events: Vec<Assertion> = members
+        let host = ShardHost::owning_all(net, sampler(), ShardingConfig::default());
+        let k = host.component_of(CandidateId::from_index(0));
+        let events: Vec<Assertion> = host
+            .components()
+            .members(k)
             .iter()
             .take(3)
             .enumerate()
             .map(|(i, &c)| Assertion { candidate: c, approved: i % 2 == 0 })
             .collect();
-        // reference: the same ladder, one `assert` at a time
-        let mut seq = set.clone();
-        let mut seq_probs = vec![0.0; n];
-        seq.write_all_probabilities(&mut seq_probs);
+        // reference: the same ladder, one `assert_unchecked` at a time
+        let mut seq = host.clone();
         for e in &events {
-            let (_, lc) = seq.locate(e.candidate);
+            let lc = CandidateId::from_index(seq.components().local_index(e.candidate));
             let decision = {
-                let shard = &seq.shards[k];
+                let shard = seq.snapshot(k).unwrap();
                 let step = |approved: bool| -> Option<bool> {
                     if shard.feedback.is_asserted(lc) {
                         let prev = shard.feedback.approved().contains(lc);
@@ -750,65 +836,76 @@ mod tests {
                 }
             };
             if let Some((approved, true)) = decision {
-                seq.assert(e.candidate, approved, &mut seq_probs);
+                seq.assert_unchecked(e.candidate, approved).unwrap();
             }
         }
         // lane: one batch
-        let mut lane = set.clone();
+        let mut lane = host.clone();
         let (snap, results) = lane.commit_lane(k, &events);
-        let mut lane_probs = vec![0.0; n];
         if let Some(s) = snap {
-            lane.shards[k] = Arc::new(s);
+            lane.install(k, s);
         }
-        lane.write_all_probabilities(&mut lane_probs);
         assert_eq!(results.len(), events.len());
-        assert_eq!(lane_probs, seq_probs, "lane commit diverged from sequential asserts");
-        assert_eq!(lane.shards[k].store.samples(), seq.shards[k].store.samples());
+        assert_eq!(
+            all_probs(&lane),
+            all_probs(&seq),
+            "lane commit diverged from sequential asserts"
+        );
+        assert_eq!(
+            lane.snapshot(k).unwrap().store.samples(),
+            seq.snapshot(k).unwrap().store.samples()
+        );
     }
 
     #[test]
     fn redundant_lane_never_clones_the_shard() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 13);
-        let n = net.candidate_count();
-        let mut set = ShardSet::build(net.index(), sampler(), &ShardingConfig::default());
+        let mut host = ShardHost::owning_all(net, sampler(), ShardingConfig::default());
         let target = CandidateId::from_index(0);
-        let (k, _) = set.locate(target);
-        let mut probs = vec![0.0; n];
-        set.write_all_probabilities(&mut probs);
-        set.assert(target, false, &mut probs);
-        let before = Arc::as_ptr(&set.shards[k]);
+        let k = host.assert_unchecked(target, false).unwrap();
+        let before = Arc::as_ptr(host.shards[k].as_ref().unwrap());
         // a lane of same-way re-assertions and contradiction-skips must not
         // copy-on-write the shard at all
         let events = vec![
             Assertion { candidate: target, approved: false }, // same-way no-op
             Assertion { candidate: target, approved: true },  // contradiction → fallback no-op
         ];
-        let (snap, results) = set.commit_lane(k, &events);
+        let (snap, results) = host.commit_lane(k, &events);
         assert!(snap.is_none(), "redundant lane allocated a working snapshot");
         assert_eq!(results[0], (false, StepOutcome::Integrated, false));
         assert_eq!(results[1], (false, StepOutcome::Flipped, false));
-        assert_eq!(Arc::as_ptr(&set.shards[k]), before, "shard pointer must be untouched");
+        assert_eq!(
+            Arc::as_ptr(host.shards[k].as_ref().unwrap()),
+            before,
+            "shard pointer must be untouched"
+        );
     }
 
     #[test]
     fn assertion_touches_only_the_owning_shard() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 13);
-        let n = net.candidate_count();
-        let mut set = ShardSet::build(net.index(), sampler(), &ShardingConfig::default());
-        if set.shards.len() < 2 {
+        let mut host = ShardHost::owning_all(net, sampler(), ShardingConfig::default());
+        if host.component_count() < 2 {
             return; // degenerate draw: nothing cross-shard to observe
         }
-        let mut probs = vec![0.0; n];
-        set.write_all_probabilities(&mut probs);
-        let before: Vec<Vec<_>> = set.shards.iter().map(|s| s.store.samples().to_vec()).collect();
+        let before: Vec<Vec<BitSet>> =
+            host.owned().map(|(_, s)| s.store.samples().to_vec()).collect();
         let target = CandidateId::from_index(0);
-        let (k, _) = set.locate(target);
-        set.assert(target, false, &mut probs);
-        for (i, shard) in set.shards.iter().enumerate() {
+        let k = host.assert_unchecked(target, false).unwrap();
+        for (i, shard) in host.owned() {
             if i != k {
                 assert_eq!(shard.store.samples(), &before[i][..], "foreign shard touched");
             }
         }
-        assert_eq!(probs[0], 0.0);
+        assert_eq!(all_probs(&host)[0], 0.0);
+    }
+
+    #[test]
+    fn unknown_candidates_are_refused_not_panicked() {
+        let mut host = ShardHost::owning_all(fig1_network(), sampler(), ShardingConfig::default());
+        let unknown = CandidateId(99);
+        assert_eq!(host.assert_unchecked(unknown, true), None);
+        assert_eq!(host.entropy_after(unknown, true), None);
+        assert_eq!(host.gains(&[CandidateId(0), unknown]), None);
     }
 }

@@ -425,7 +425,7 @@ impl DistNetwork {
         confidence: f64,
     ) -> Result<CandidateId, DistError> {
         let old_owner = self.owner.clone();
-        let (arrival, evo) =
+        let (arrival, evo, _) =
             self.mirror.apply_extend(x, y, confidence).map_err(DistError::Schema)?;
         // export dissolved sources before any server learns of the event
         let mut shipments: Vec<(Vec<CandidateId>, Vec<u8>)> =
@@ -472,7 +472,7 @@ impl DistNetwork {
     /// smn_core::ProbabilisticNetwork::retire
     pub fn retire(&mut self, c: CandidateId) -> Result<(), DistError> {
         let old_owner = self.owner.clone();
-        let evo = self.mirror.apply_retire(c).map_err(DistError::Schema)?;
+        let (evo, _) = self.mirror.apply_retire(c).map_err(DistError::Schema)?;
         let (old_k, old_members) = evo
             .dissolved
             .first()

@@ -72,13 +72,10 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             let NetworkEvent::Assert { candidate, approved } = event else {
                 return Err("assert request carries a non-assert record".into());
             };
-            let probs = host
+            let k = host
                 .assert_unchecked(candidate, approved)
                 .ok_or("assertion routed to a non-owner")?;
-            let k = host.component_of(candidate);
-            let mut reply = Vec::new();
-            put_shard_probs(&mut reply, &[(k, probs)]);
-            Ok(reply)
+            shard_probs_reply(host, k)
         }
         REQ_WHAT_IF => {
             let queries = proto::decode_what_if(&frame.payload).map_err(|e| e.to_string())?;
@@ -93,10 +90,8 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
         }
         REQ_GAINS => {
             let groups = proto::decode_gains(&frame.payload).map_err(|e| e.to_string())?;
-            let mut values = Vec::new();
-            for (k, pool) in groups {
-                values.extend(host.gains(k, &pool).ok_or("gain scan routed to a non-owner")?);
-            }
+            let pool: Vec<CandidateId> = groups.into_iter().flat_map(|(_, pool)| pool).collect();
+            let values = host.gains(&pool).ok_or("gain scan routed to a non-owner")?;
             let mut reply = Vec::new();
             put_f64s(&mut reply, &values);
             Ok(reply)
@@ -164,7 +159,7 @@ fn read_shipment(rd: &mut Rd<'_>) -> Result<(Vec<CandidateId>, ShardState), Stri
 
 /// A single-shard probability reply (rebuilds, asserts).
 fn shard_probs_reply(host: &ShardHost, k: usize) -> Result<Vec<u8>, String> {
-    let probs = host.shard_probabilities(k).ok_or("rebuilt shard missing")?;
+    let probs = host.shard_probabilities(k).ok_or("shard missing")?;
     let mut reply = Vec::new();
     put_shard_probs(&mut reply, &[(k, probs)]);
     Ok(reply)

@@ -24,8 +24,8 @@
 //!   worker evaluations through the batched what-if
 //!   ([`smn_core::ProbabilisticNetwork::what_if_batch`]) on the
 //!   persistent work-stealing pool of [`smn_core::pool`] (a
-//!   [`Scheduler`] knob keeps the scoped-thread and inline paths as
-//!   differential references): every vote reports the exact what-if
+//!   [`Scheduler`] knob keeps the inline path as the
+//!   differential reference): every vote reports the exact what-if
 //!   entropy of its verdict, priced at one copy-on-write shard fork (one
 //!   evaluation per distinct verdict per lease — at most two however
 //!   large the crowd), and results are committed in lease order under a

@@ -798,7 +798,6 @@ impl ServingCore {
             Scheduler::Inline => CommitExec::Sequential,
             _ if threads <= 1 => CommitExec::Sequential,
             Scheduler::Pool => CommitExec::Pool,
-            Scheduler::Scoped => CommitExec::Scoped,
         }
     }
 

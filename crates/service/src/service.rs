@@ -26,7 +26,7 @@
 //! threads only change *who computes what* — never the result. Two runs
 //! with the same config are byte-identical at any thread count and under
 //! any scheduler, which the `determinism` integration suite asserts at
-//! 1, 4 and 8 threads and across pool/scoped/inline scheduling.
+//! 1, 4 and 8 threads and across pool/inline scheduling.
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::dispatch::{Dispatcher, Lease};
@@ -51,17 +51,15 @@ use std::path::Path;
 /// [`what_if_batch`](smn_core::ProbabilisticNetwork::what_if_batch)
 /// queries, and each query's value is a pure function of the base and
 /// the query — so the scheduler never affects results, only wall-clock.
-/// The `determinism` integration suite pins pool ≡ scoped ≡ inline.
+/// The `determinism` integration suite pins pool ≡ inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// The persistent work-stealing pool of [`smn_core::pool`] — no
     /// thread spawns per round (default).
     #[default]
     Pool,
-    /// One-shot `std::thread::scope` threads per round — the pre-pool
-    /// behaviour, kept as the differential reference.
-    Scoped,
-    /// The submitting thread evaluates everything sequentially.
+    /// The submitting thread evaluates everything sequentially — the
+    /// differential reference.
     Inline,
 }
 
@@ -617,7 +615,7 @@ fn collect_votes<M: ServeModel>(
 /// prices a query from the base's entropy, its shard's standing entropy
 /// and the hypothetical shard entropy, all pure functions of the base —
 /// so the sequential whole-batch call is the differential reference for
-/// both parallel paths.
+/// the pooled path.
 fn evaluate_branches<M: ServeModel>(
     base: &M,
     queries: &[(CandidateId, bool)],
@@ -642,11 +640,7 @@ fn evaluate_branches<M: ServeModel>(
         .iter()
         .map(|g| Box::new(move || run_group(g)) as smn_core::pool::Task<'_, _>)
         .collect();
-    let per_group = match scheduler {
-        Scheduler::Pool => smn_core::pool::global().run(tasks),
-        Scheduler::Scoped => smn_core::pool::run_scoped(tasks),
-        Scheduler::Inline => unreachable!("inline handled above"),
-    };
+    let per_group = smn_core::pool::global().run(tasks);
     let mut out = vec![0.0; queries.len()];
     for (positions, values) in groups.iter().zip(per_group) {
         for (&p, v) in positions.iter().zip(values) {

@@ -114,7 +114,6 @@ fn schedulers_produce_byte_identical_reports() {
             )
         };
         let pooled = run(Scheduler::Pool);
-        assert_eq!(pooled, run(Scheduler::Scoped), "pool vs scoped diverged on case {case}");
         assert_eq!(pooled, run(Scheduler::Inline), "pool vs inline diverged on case {case}");
     }
 }

@@ -34,9 +34,9 @@
 //! | 3  | candidates | `u64 count`, per candidate `u32 a, u32 b, f64 confidence` in id order |
 //! | 4  | index      | `u8 one_to_one, u8 cycle`, `u64 candidate_count`, per candidate `ids pair_conflicts`, `u64 triple_count`, per triple `3 × u32` — the conflict index's *primary* data only; every dense query structure (bit masks, flattened triple tables) is re-derived on load by `ConflictIndex::from_parts` |
 //! | 5  | feedback   | `u64 len`, `ids approved`, `ids disapproved` (global feedback) |
-//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding`, if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 parallel`; `f64 initial_entropy` |
-//! | 7  | partition  | `u8 repr_tag` (0 = monolithic, 1 = sharded); if sharded `u64 component_count`, per component `ids members` (global ids, canonical order) |
-//! | 8  | stores     | `u64 store_count` (1, or one per component), per store: *(sharded only)* shard feedback `u64 len, ids approved, ids disapproved`, then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 pass_epoch`, `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix, dedup map and weights are re-derived on load by re-recording in order, bit-identically |
+//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding` (0 = `ShardingConfig::disabled()`), if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 parallel`; `f64 initial_entropy` |
+//! | 7  | partition  | `u8 repr_tag` (0 = the whole partition, iff `enabled` is false; 1 = conflict components); if 1 `u64 component_count`, per component `ids members` (global ids, canonical order) — the whole partition's single list `0..n` is implied |
+//! | 8  | stores     | `u64 store_count` (one per component; a structure-only image carries none), per store: *(tag 1 only)* shard feedback `u64 len, ids approved, ids disapproved` — the whole partition's shard feedback is the global feedback of section 5 — then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 pass_epoch`, `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix, dedup map and weights are re-derived on load by re-recording in order, bit-identically |
 //! | 9  | history    | `u64 count`, per assertion `u32 candidate, u8 approved` in integration order |
 //!
 //! `str` = `u64 byte_len` + UTF-8 bytes; `ids` = `u64 count` + `count ×
@@ -63,7 +63,7 @@ use crate::error::StorageError;
 use smn_constraints::ConstraintConfig;
 use smn_core::feedback::Assertion;
 use smn_core::persist::{
-    CandidateState, FeedbackState, NetworkState, ReprState, SchemaState, ShardState, StoreState,
+    CandidateState, FeedbackState, NetworkState, SchemaState, ShardState, StoreState,
 };
 use smn_core::sampling::SamplerConfig;
 use smn_core::shard::ShardingConfig;
@@ -443,15 +443,15 @@ fn enc_index(state: &NetworkState) -> Vec<u8> {
 fn enc_config(state: &NetworkState) -> Vec<u8> {
     let mut b = Vec::new();
     put_sampler(&mut b, &state.sampler);
-    match &state.sharding {
-        None => put_bool(&mut b, false),
-        Some(s) => {
-            put_bool(&mut b, true);
-            put_bool(&mut b, s.enabled);
-            put_u64(&mut b, s.exact_threshold as u64);
-            put_u64(&mut b, s.exact_cap as u64);
-            put_bool(&mut b, s.parallel);
-        }
+    let s = &state.sharding;
+    if *s == ShardingConfig::disabled() {
+        put_bool(&mut b, false);
+    } else {
+        put_bool(&mut b, true);
+        put_bool(&mut b, s.enabled);
+        put_u64(&mut b, s.exact_threshold as u64);
+        put_u64(&mut b, s.exact_cap as u64);
+        put_bool(&mut b, s.parallel);
     }
     put_f64(&mut b, state.initial_entropy);
     b
@@ -459,37 +459,26 @@ fn enc_config(state: &NetworkState) -> Vec<u8> {
 
 fn enc_partition(state: &NetworkState) -> Vec<u8> {
     let mut b = Vec::new();
-    match &state.repr {
-        ReprState::Monolithic(_) => put_u8_tag(&mut b, 0),
-        ReprState::Sharded { members, .. } => {
-            put_u8_tag(&mut b, 1);
-            put_u64(&mut b, members.len() as u64);
-            for m in members {
-                put_ids(&mut b, m);
-            }
+    if state.sharding.enabled {
+        b.push(1);
+        put_u64(&mut b, state.members.len() as u64);
+        for m in &state.members {
+            put_ids(&mut b, m);
         }
+    } else {
+        b.push(0);
     }
     b
 }
 
-fn put_u8_tag(buf: &mut Vec<u8>, tag: u8) {
-    buf.push(tag);
-}
-
 fn enc_stores(state: &NetworkState) -> Vec<u8> {
     let mut b = Vec::new();
-    match &state.repr {
-        ReprState::Monolithic(store) => {
-            put_u64(&mut b, 1);
-            put_store(&mut b, store);
+    put_u64(&mut b, state.shards.len() as u64);
+    for s in &state.shards {
+        if state.sharding.enabled {
+            put_feedback(&mut b, &s.feedback);
         }
-        ReprState::Sharded { shards, .. } => {
-            put_u64(&mut b, shards.len() as u64);
-            for s in shards {
-                put_feedback(&mut b, &s.feedback);
-                put_store(&mut b, &s.store);
-            }
-        }
+        put_store(&mut b, &s.store);
     }
     b
 }
@@ -583,7 +572,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(NetworkState, Vec<Assertion>, u6
     };
     let (sampler, sharding, initial_entropy) = dec_config(sections[5])?;
     let partition = dec_partition(sections[6])?;
-    let repr = dec_stores(sections[7], partition)?;
+    if partition.is_some() != sharding.enabled {
+        return Err(StorageError::Invalid(
+            "partition tag disagrees with the sharding config".into(),
+        ));
+    }
+    let (members, shards) = dec_stores(sections[7], partition, &feedback, candidates.len())?;
     let history = dec_history(sections[8])?;
 
     let state = NetworkState {
@@ -598,7 +592,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(NetworkState, Vec<Assertion>, u6
         sampler,
         sharding,
         initial_entropy,
-        repr,
+        members,
+        shards,
     };
     Ok((state, history, applied_seq))
 }
@@ -662,20 +657,20 @@ fn dec_index(bytes: &[u8]) -> Result<IndexParts, StorageError> {
     Ok((config, pair_conflicts, triples))
 }
 
-type ConfigParts = (SamplerConfig, Option<ShardingConfig>, f64);
+type ConfigParts = (SamplerConfig, ShardingConfig, f64);
 
 fn dec_config(bytes: &[u8]) -> Result<ConfigParts, StorageError> {
     let mut d = Dec::new(bytes);
     let sampler = d.sampler()?;
     let sharding = if d.bool("config has_sharding")? {
-        Some(ShardingConfig {
+        ShardingConfig {
             enabled: d.bool("sharding enabled")?,
             exact_threshold: d.u64("sharding exact_threshold")? as usize,
             exact_cap: d.u64("sharding exact_cap")? as usize,
             parallel: d.bool("sharding parallel")?,
-        })
+        }
     } else {
-        None
+        ShardingConfig::disabled()
     };
     let initial_entropy = d.f64("config initial_entropy")?;
     d.finish("config section")?;
@@ -697,17 +692,29 @@ fn dec_partition(bytes: &[u8]) -> Result<Option<Vec<Vec<u32>>>, StorageError> {
     Ok(partition)
 }
 
-fn dec_stores(bytes: &[u8], partition: Option<Vec<Vec<u32>>>) -> Result<ReprState, StorageError> {
+/// Decodes the stores against the partition section: `None` is the whole
+/// partition, whose single store (none in a structure-only image) owns
+/// every candidate under the global `feedback`.
+fn dec_stores(
+    bytes: &[u8],
+    partition: Option<Vec<Vec<u32>>>,
+    feedback: &FeedbackState,
+    candidate_count: usize,
+) -> Result<(Vec<Vec<u32>>, Vec<ShardState>), StorageError> {
     let mut d = Dec::new(bytes);
     let n = d.len(1, "stores")?;
-    let repr = match partition {
+    let parts = match partition {
         None => {
-            if n != 1 {
+            if n > 1 {
                 return Err(StorageError::Invalid(format!(
-                    "monolithic snapshot must carry exactly one store, found {n}"
+                    "the whole partition carries at most one store, found {n}"
                 )));
             }
-            ReprState::Monolithic(d.store()?)
+            let shards = (0..n)
+                .map(|_| Ok(ShardState { feedback: feedback.clone(), store: d.store()? }))
+                .collect::<Result<Vec<_>, StorageError>>()?;
+            let whole = (0..candidate_count).map(|c| c as u32).collect::<Vec<u32>>();
+            (shards.iter().map(|_| whole.clone()).collect(), shards)
         }
         Some(members) => {
             if n != members.len() {
@@ -719,11 +726,11 @@ fn dec_stores(bytes: &[u8], partition: Option<Vec<Vec<u32>>>) -> Result<ReprStat
             let shards = (0..n)
                 .map(|_| Ok(ShardState { feedback: d.feedback()?, store: d.store()? }))
                 .collect::<Result<Vec<_>, StorageError>>()?;
-            ReprState::Sharded { members, shards }
+            (members, shards)
         }
     };
     d.finish("stores section")?;
-    Ok(repr)
+    Ok(parts)
 }
 
 fn dec_history(bytes: &[u8]) -> Result<Vec<Assertion>, StorageError> {
@@ -763,16 +770,20 @@ mod tests {
             triples: vec![],
             feedback: FeedbackState { len: 0, approved: vec![], disapproved: vec![] },
             sampler: SamplerConfig::default(),
-            sharding: None,
+            sharding: ShardingConfig::disabled(),
             initial_entropy: 0.0,
-            repr: ReprState::Monolithic(StoreState {
-                config: SamplerConfig::default(),
-                candidate_count: 0,
-                exhausted: true,
-                pass_epoch: 0,
-                samples: vec![],
-                counts: vec![],
-            }),
+            members: vec![vec![]],
+            shards: vec![ShardState {
+                feedback: FeedbackState { len: 0, approved: vec![], disapproved: vec![] },
+                store: StoreState {
+                    config: SamplerConfig::default(),
+                    candidate_count: 0,
+                    exhausted: true,
+                    pass_epoch: 0,
+                    samples: vec![],
+                    counts: vec![],
+                },
+            }],
         };
         let bytes = encode_snapshot(&state, &[], 42);
         let (decoded, history, seq) = decode_snapshot(&bytes).unwrap();

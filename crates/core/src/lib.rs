@@ -36,6 +36,7 @@
 // below as `testutil`) refer to this crate by its external name.
 extern crate self as smn_core;
 
+pub mod echo;
 pub mod engine;
 pub mod entropy;
 pub mod exact;
@@ -66,6 +67,7 @@ pub mod shard;
 #[allow(dead_code)]
 pub(crate) mod testutil;
 
+pub use echo::Echo;
 pub use engine::{Question, Session, SessionConfig, Strategy};
 pub use entropy::{binary_entropy, entropy_of};
 pub use feedback::{Assertion, Feedback};

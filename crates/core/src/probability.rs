@@ -176,6 +176,11 @@ impl ProbabilisticNetwork {
         pn
     }
 
+    /// The shard host behind the model (owns every component).
+    pub(crate) fn host(&self) -> &ShardHost {
+        &self.host
+    }
+
     /// The underlying network `N`.
     pub fn network(&self) -> &MatchingNetwork {
         self.host.network()

@@ -45,7 +45,7 @@ use crate::exact;
 use crate::feedback::{Assertion, Feedback};
 use crate::network::MatchingNetwork;
 use crate::pool;
-use crate::probability::gains_within;
+use crate::probability::{gains_within, AssertError};
 use crate::reconcile::StepOutcome;
 use crate::sampling::{SampleStore, SamplerConfig};
 use smn_constraints::components::ComponentEvolution;
@@ -119,6 +119,41 @@ pub struct ShardSnapshot {
     pub(crate) index: Arc<ConflictIndex>,
     pub(crate) feedback: Feedback,
     pub(crate) store: SampleStore,
+}
+
+impl ShardSnapshot {
+    /// Checks `(lc, approved)` against this shard's feedback and approval
+    /// constraints — the shard-local mirror of
+    /// [`ProbabilisticNetwork::validate_assertion`](crate::ProbabilisticNetwork::validate_assertion):
+    /// `Ok(true)` would mutate, `Ok(false)` is a same-way re-assertion,
+    /// and errors name the global `candidate`.
+    pub(crate) fn validate(
+        &self,
+        candidate: CandidateId,
+        lc: CandidateId,
+        approved: bool,
+    ) -> Result<bool, AssertError> {
+        if self.feedback.is_asserted(lc) {
+            let previously_approved = self.feedback.approved().contains(lc);
+            return if previously_approved == approved {
+                Ok(false)
+            } else {
+                Err(AssertError::Contradictory { candidate, previously_approved })
+            };
+        }
+        if approved && !self.index.can_add(self.feedback.approved(), lc) {
+            return Err(AssertError::InconsistentApproval(candidate));
+        }
+        Ok(true)
+    }
+
+    /// The assertion kernel every write path shares: records the
+    /// validated `(lc, approved)` in the shard's feedback and
+    /// view-maintains its store.
+    pub(crate) fn integrate(&mut self, lc: CandidateId, approved: bool) {
+        self.feedback.assert(Assertion { candidate: lc, approved });
+        self.store.maintain_with_index(&self.index, &self.feedback, lc, approved);
+    }
 }
 
 /// One commit-lane event's result: the standing verdict, how it resolved
@@ -267,7 +302,7 @@ impl ShardHost {
 
     /// Owning component and component-local id of a global candidate;
     /// `None` for an unknown id.
-    fn locate(&self, c: CandidateId) -> Option<(usize, CandidateId)> {
+    pub(crate) fn locate(&self, c: CandidateId) -> Option<(usize, CandidateId)> {
         (c.index() < self.components.candidate_count()).then(|| {
             let lc = CandidateId::from_index(self.components.local_index(c));
             (self.components.component_of(c), lc)
@@ -313,9 +348,7 @@ impl ShardHost {
     /// the candidate is unknown or this host does not own its shard.
     pub fn assert_unchecked(&mut self, candidate: CandidateId, approved: bool) -> Option<usize> {
         let (k, lc) = self.locate(candidate)?;
-        let ShardSnapshot { index, feedback, store } = Arc::make_mut(self.shards[k].as_mut()?);
-        feedback.assert(Assertion { candidate: lc, approved });
-        store.maintain_with_index(index, feedback, lc, approved);
+        Arc::make_mut(self.shards[k].as_mut()?).integrate(lc, approved);
         Some(k)
     }
 
@@ -342,32 +375,17 @@ impl ShardHost {
         let mut results = Vec::with_capacity(events.len());
         for event in events {
             let lc = CandidateId::from_index(self.components.local_index(event.candidate));
-            // lane-local mirror of `ProbabilisticNetwork::validate_assertion`:
-            // Some(would_mutate) for an acceptable verdict, None for a
-            // rejected one (contradiction or inconsistent approval)
-            let step = |snap: &ShardSnapshot, approved: bool| -> Option<bool> {
-                if snap.feedback.is_asserted(lc) {
-                    let prev = snap.feedback.approved().contains(lc);
-                    return if prev == approved { Some(false) } else { None };
-                }
-                if approved && !snap.index.can_add(snap.feedback.approved(), lc) {
-                    return None;
-                }
-                Some(true)
-            };
             let snap = work.as_ref().unwrap_or(base);
-            let (approved, outcome, mutates) = match step(snap, event.approved) {
-                Some(m) => (event.approved, StepOutcome::Integrated, m),
-                None => match step(snap, false) {
-                    Some(m) => (false, StepOutcome::Flipped, m),
-                    None => (event.approved, StepOutcome::Skipped, false),
+            let step = |approved| snap.validate(event.candidate, lc, approved);
+            let (approved, outcome, mutates) = match step(event.approved) {
+                Ok(m) => (event.approved, StepOutcome::Integrated, m),
+                Err(_) => match step(false) {
+                    Ok(m) => (false, StepOutcome::Flipped, m),
+                    Err(_) => (event.approved, StepOutcome::Skipped, false),
                 },
             };
             if mutates {
-                let ShardSnapshot { index, feedback, store } =
-                    work.get_or_insert_with(|| base.clone());
-                feedback.assert(Assertion { candidate: lc, approved });
-                store.maintain_with_index(index, feedback, lc, approved);
+                work.get_or_insert_with(|| base.clone()).integrate(lc, approved);
             }
             results.push((approved, outcome, mutates));
         }
@@ -391,9 +409,7 @@ impl ShardHost {
     pub fn entropy_after(&self, candidate: CandidateId, approved: bool) -> Option<f64> {
         let (k, lc) = self.locate(candidate)?;
         let mut snap = self.snapshot(k)?.clone();
-        let ShardSnapshot { index, feedback, store } = &mut snap;
-        feedback.assert(Assertion { candidate: lc, approved });
-        store.maintain_with_index(index, feedback, lc, approved);
+        snap.integrate(lc, approved);
         Some(snapshot_probabilities(&snap).into_iter().map(binary_entropy).sum())
     }
 

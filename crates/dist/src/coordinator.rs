@@ -40,9 +40,9 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    encode_gains, encode_what_if, put_ids, put_u32, read_f64s, read_shard_probs, Rd,
-    REQ_APPLY_EVENT, REQ_ASSERT, REQ_BOOTSTRAP, REQ_EXPORT, REQ_GAINS, REQ_REBUILD_MERGED,
-    REQ_REBUILD_PART, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
+    encode_what_if, put_ids, put_u32, read_f64s, read_shard_probs, Rd, REQ_APPLY_EVENT, REQ_ASSERT,
+    REQ_BOOTSTRAP, REQ_EXPORT, REQ_GAINS, REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN,
+    REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use crate::transport::Transport;
 use smn_constraints::Placement;
@@ -324,33 +324,31 @@ impl DistNetwork {
         out
     }
 
-    /// Batch information gain: pool candidates bucket by component, the
-    /// component groups batch per owning server, and every value comes
-    /// from the same per-shard kernel over the same local probabilities
-    /// as the single-process scan. Panics only on link failure.
+    /// Batch information gain: each server receives the flat pool of the
+    /// candidates whose components it owns, and every value comes from the
+    /// same per-shard kernel over the same local probabilities as the
+    /// single-process scan (a gain does not depend on the rest of the
+    /// pool). Panics only on link failure.
     pub fn information_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
         let mut out = vec![0.0; pool.len()];
-        let mut by_component: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, &c) in pool.iter().enumerate() {
-            by_component.entry(self.mirror.component_of(c)).or_default().push(pos);
-        }
-        let mut by_server: BTreeMap<usize, Vec<(usize, Vec<usize>)>> = BTreeMap::new();
-        for (k, positions) in by_component {
-            by_server.entry(self.owner[k]).or_default().push((k, positions));
+            by_server.entry(self.owner[self.mirror.component_of(c)]).or_default().push(pos);
         }
         // same scoped fan-out as the what-if path: one thread per server
-        let fan: Vec<(usize, Vec<(usize, Vec<usize>)>)> = by_server.into_iter().collect();
+        let fan: Vec<(usize, Vec<usize>)> = by_server.into_iter().collect();
         let replies: Vec<Vec<f64>> = std::thread::scope(|s| {
             let handles: Vec<_> = fan
                 .iter()
-                .map(|(server, groups)| {
-                    let request: Vec<(usize, Vec<CandidateId>)> = groups
-                        .iter()
-                        .map(|(k, positions)| (*k, positions.iter().map(|&p| pool[p]).collect()))
-                        .collect();
+                .map(|(server, positions)| {
+                    let mut request = Vec::with_capacity(4 + 4 * positions.len());
+                    put_ids(
+                        &mut request,
+                        &positions.iter().map(|&p| pool[p].0).collect::<Vec<_>>(),
+                    );
                     s.spawn(move || {
                         let reply = self
-                            .request(*server, REQ_GAINS, &encode_gains(&request))
+                            .request(*server, REQ_GAINS, &request)
                             .unwrap_or_else(|e| panic!("gain scan lost the cluster: {e}"));
                         let mut rd = Rd::new(&reply.payload);
                         read_f64s(&mut rd, "gains reply").unwrap_or_else(|e| panic!("gains: {e}"))
@@ -359,14 +357,10 @@ impl DistNetwork {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("gains fan-out thread")).collect()
         });
-        for ((_, groups), values) in fan.iter().zip(replies) {
-            let expected: usize = groups.iter().map(|(_, p)| p.len()).sum();
-            assert_eq!(values.len(), expected, "gains reply miscounted");
-            let mut it = values.into_iter();
-            for (_, positions) in groups {
-                for &pos in positions {
-                    out[pos] = it.next().expect("counted above");
-                }
+        for ((_, positions), values) in fan.iter().zip(replies) {
+            assert_eq!(values.len(), positions.len(), "gains reply miscounted");
+            for (&pos, value) in positions.iter().zip(values) {
+                out[pos] = value;
             }
         }
         out

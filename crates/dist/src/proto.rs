@@ -28,7 +28,8 @@ pub const REQ_BOOTSTRAP: u32 = 1;
 pub const REQ_ASSERT: u32 = 2;
 /// A batch of hypothetical assertions to price (`H'_k` each).
 pub const REQ_WHAT_IF: u32 = 3;
-/// Grouped information-gain scans, one group per owned component.
+/// One flat pool of candidates (global ids, all owned) to price by
+/// information gain.
 pub const REQ_GAINS: u32 = 4;
 /// Export one owned shard's sample state for shipment.
 pub const REQ_EXPORT: u32 = 5;
@@ -206,40 +207,6 @@ pub fn decode_what_if(payload: &[u8]) -> Result<Vec<(CandidateId, bool)>, DistEr
     Ok(out)
 }
 
-/// Encodes grouped gain scans: per owned component, the pool candidates
-/// (global ids) to price.
-pub fn encode_gains(groups: &[(usize, Vec<CandidateId>)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u32(&mut buf, groups.len() as u32);
-    for (k, pool) in groups {
-        put_u32(&mut buf, *k as u32);
-        put_u32(&mut buf, pool.len() as u32);
-        for c in pool {
-            put_u32(&mut buf, c.0);
-        }
-    }
-    buf
-}
-
-/// Decodes grouped gain scans.
-#[allow(clippy::type_complexity)]
-pub fn decode_gains(payload: &[u8]) -> Result<Vec<(usize, Vec<CandidateId>)>, DistError> {
-    let mut rd = Rd::new(payload);
-    let n = rd.u32("gain group count")? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let k = rd.u32("gain component")? as usize;
-        let m = rd.u32("gain pool size")? as usize;
-        let mut pool = Vec::with_capacity(m.min(1 << 20));
-        for _ in 0..m {
-            pool.push(CandidateId(rd.u32("gain candidate")?));
-        }
-        out.push((k, pool));
-    }
-    rd.finish("gain groups")?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,10 +215,6 @@ mod tests {
     fn routing_payloads_round_trip() {
         let queries = vec![(CandidateId(3), true), (CandidateId(9), false)];
         assert_eq!(decode_what_if(&encode_what_if(&queries)).unwrap(), queries);
-
-        let groups =
-            vec![(0usize, vec![CandidateId(1)]), (4, vec![CandidateId(7), CandidateId(8)])];
-        assert_eq!(decode_gains(&encode_gains(&groups)).unwrap(), groups);
 
         let mut buf = Vec::new();
         put_shard_probs(&mut buf, &[(2, vec![0.5, 0.25]), (5, vec![])]);

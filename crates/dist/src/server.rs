@@ -89,8 +89,13 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             Ok(reply)
         }
         REQ_GAINS => {
-            let groups = proto::decode_gains(&frame.payload).map_err(|e| e.to_string())?;
-            let pool: Vec<CandidateId> = groups.into_iter().flat_map(|(_, pool)| pool).collect();
+            let mut rd = Rd::new(&frame.payload);
+            let pool: Vec<CandidateId> = read_ids(&mut rd, "gain pool")
+                .map_err(|e| e.to_string())?
+                .into_iter()
+                .map(CandidateId)
+                .collect();
+            rd.finish("gain pool").map_err(|e| e.to_string())?;
             let values = host.gains(&pool).ok_or("gain scan routed to a non-owner")?;
             let mut reply = Vec::new();
             put_f64s(&mut reply, &values);

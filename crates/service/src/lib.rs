@@ -45,7 +45,8 @@
 //!   round loop: typed [`ServiceEvent`]s flow through a bounded
 //!   [`IngressQueue`] with typed backpressure and gapless logical-clock
 //!   stamping; a [`SessionManager`] multiplexes thousands of concurrent
-//!   sessions over cheap copy-on-write forks of the published snapshot;
+//!   sessions over the published snapshot, each with a sparse echo of
+//!   its own answers (only the components it answered into);
 //!   decided assertions commit in `(shard, clock)` order through
 //!   per-shard commit lanes on the worker pool's high-priority lane,
 //!   with WAL-append-at-commit per lane; evolution takes a brief

@@ -9,7 +9,8 @@
 //! * **Questions** are leased per session by the [`SessionManager`]:
 //!   join an under-replicated open question first (redundancy `k`
 //!   fills from concurrent sessions), else select fresh on the
-//!   session's copy-on-write fork of the published snapshot.
+//!   session's view: the published snapshot plus a sparse echo of the
+//!   session's own answers.
 //! * **Answers** resolve to a vote (an explicit verdict, or the
 //!   session's simulated crowd worker answering from its error
 //!   profile); the `k`-th vote aggregates and the decided assertion
@@ -22,8 +23,8 @@
 //!   per-lane sinks ([`smn_storage::LaneSinks`]) when durability is
 //!   attached.
 //! * **Evolution** (extend/retire) takes a brief exclusive epoch: the
-//!   pending buffer flushes, every open question, assignment and
-//!   session fork drops, the base evolves, and a fresh snapshot
+//!   pending buffer flushes, every open question, assignment, claim and
+//!   session view drops, the base evolves, and a fresh snapshot
 //!   publishes.
 //! * **Publication** swaps an immutable `Arc` snapshot of the base for
 //!   readers — only when the base's mutation
@@ -68,12 +69,20 @@ use std::sync::Arc;
 /// would otherwise surface later as a panic deep inside the event loop
 /// (remote-triggerable once events arrive over a network boundary), so
 /// [`ServingCore::new`] refuses it up front instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServeConfigError {
     /// `error_rates` was empty: with no crowd workers, answer events
     /// would divide by the crowd size and clamp redundancy into an
     /// empty range.
     EmptyCrowd,
+    /// A worker's error rate lies outside `[0, 1]` or is NaN: it is the
+    /// probability that the worker answers against the truth.
+    ErrorRate {
+        /// The worker's position in `error_rates`.
+        worker: usize,
+        /// The rejected rate.
+        rate: f64,
+    },
 }
 
 impl fmt::Display for ServeConfigError {
@@ -81,6 +90,9 @@ impl fmt::Display for ServeConfigError {
         match self {
             Self::EmptyCrowd => {
                 write!(f, "serving requires at least one crowd worker (error_rates was empty)")
+            }
+            Self::ErrorRate { worker, rate } => {
+                write!(f, "crowd worker {worker} has error rate {rate}, outside [0, 1]")
             }
         }
     }
@@ -91,7 +103,7 @@ impl std::error::Error for ServeConfigError {}
 /// A failed [`ServingCore::replay`] — the log could not be re-accepted
 /// exactly as recorded, so the replayed run would not be byte-identical
 /// to the live one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayError {
     /// The replay configuration itself was rejected.
     Config(ServeConfigError),
@@ -163,7 +175,10 @@ pub struct ServeConfig {
     /// decided assertions (publication ticks and evolution always
     /// flush).
     pub flush_every: usize,
-    /// Live session forks held at once (FIFO eviction beyond it).
+    /// Cap on live session views (FIFO eviction beyond it, min 1). A view
+    /// is the published snapshot's `Arc` plus the components the session
+    /// echoed its own answers into; an evicted session reopens a fresh
+    /// view and forgets its echo.
     pub max_forks: usize,
 }
 
@@ -347,7 +362,7 @@ pub struct ServingCore {
     pending_set: HashSet<CandidateId>,
     /// Candidates asserted in the base — recounted after every flush and
     /// epoch, so the starvation check (`available() == 0`) is O(1) per
-    /// question event instead of a fork + O(|C|) scan.
+    /// question event instead of an O(|C|) scan.
     asserted_count: usize,
     log: Vec<StampedEvent>,
     commits: Vec<ServeCommit>,
@@ -371,10 +386,12 @@ impl ServingCore {
     /// an empty ingress.
     ///
     /// An empty `error_rates` is rejected with
-    /// [`ServeConfigError::EmptyCrowd`] *before* any sampling happens:
-    /// a crowdless core would otherwise panic on the first answer event
-    /// (worker selection divides by the crowd size, and redundancy
-    /// clamps into the empty `1..=0` range).
+    /// [`ServeConfigError::EmptyCrowd`] and a rate outside `[0, 1]` (or
+    /// NaN) with [`ServeConfigError::ErrorRate`], both *before* any
+    /// sampling happens: a crowdless core would otherwise panic on the
+    /// first answer event (worker selection divides by the crowd size,
+    /// and redundancy clamps into the empty `1..=0` range), and the crowd
+    /// itself refuses such a rate.
     pub fn new(
         network: MatchingNetwork,
         truth: Vec<Correspondence>,
@@ -384,6 +401,11 @@ impl ServingCore {
         let rates: Vec<f64> = error_rates.into_iter().collect();
         if rates.is_empty() {
             return Err(ServeConfigError::EmptyCrowd);
+        }
+        if let Some((worker, &rate)) =
+            rates.iter().enumerate().find(|(_, r)| !(0.0..=1.0).contains(*r))
+        {
+            return Err(ServeConfigError::ErrorRate { worker, rate });
         }
         let base = ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding);
         // same derived stream as the round-mode service, so a serve run
@@ -607,7 +629,7 @@ impl ServingCore {
 
     /// Leases a question to `session`: re-issue its outstanding one,
     /// join the oldest under-replicated open question it hasn't voted
-    /// on, or select fresh on its session fork.
+    /// on, or select fresh on its session view.
     fn on_question(&mut self, session: u64) {
         self.sessions_seen.insert(session);
         if self.assignments.contains_key(&session) {
@@ -645,11 +667,11 @@ impl ServingCore {
         }
         if self.available() == 0 {
             // every candidate is asserted, open or awaiting its commit:
-            // no fork, no scan — starvation is a counter bump
+            // no view, no scan — starvation is a counter bump
             self.starved_questions += 1;
             return;
         }
-        // fresh selection on the session's fork; availability is
+        // fresh selection on the session's view; availability is
         // authoritative against the base + in-flight state
         let selected = {
             let base_feedback = self.base.feedback();
@@ -662,6 +684,9 @@ impl ServingCore {
         };
         match selected {
             Some(c) => {
+                // open → pending → asserted: c never returns to the pool
+                // before the next epoch resets the claims
+                self.sessions.claim(c);
                 self.open.insert(c, OpenQuestion { assigned: vec![session], votes: Vec::new() });
                 self.open_fifo.push_back(c);
                 self.assignments.insert(session, c);
@@ -812,7 +837,7 @@ impl ServingCore {
     }
 
     /// An exclusive evolution epoch: flush, drop every open question,
-    /// assignment and session fork, evolve, publish.
+    /// assignment, claim and session view, evolve, publish.
     fn epoch(&mut self, clock: u64, evolve: impl FnOnce(&mut Self)) {
         self.flush(clock);
         self.open.clear();
@@ -880,5 +905,35 @@ impl ServingCore {
             final_recall: quality.recall,
             durability_error: self.durability_error().map(|e| e.to_string()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smn_testkit::{fig1_network, fig1_truth, tiny_sampler};
+
+    fn core(rates: Vec<f64>) -> Result<ServingCore, ServeConfigError> {
+        let config = ServeConfig { sampler: tiny_sampler(5), threads: 1, ..ServeConfig::default() };
+        ServingCore::new(fig1_network(), fig1_truth(), rates, config)
+    }
+
+    #[test]
+    fn an_out_of_range_error_rate_is_a_typed_construction_error() {
+        // regression: these used to panic inside the crowd's constructor
+        for (rates, worker) in [(vec![0.1, 1.5], 1), (vec![-0.1], 0), (vec![0.0, f64::NAN], 1)] {
+            let bad = rates[worker];
+            let err = core(rates).err().expect("an out-of-range rate is rejected");
+            match err {
+                ServeConfigError::ErrorRate { worker: w, rate } => {
+                    assert_eq!(w, worker, "the error names the offending worker");
+                    assert_eq!(rate.to_bits(), bad.to_bits(), "the error carries the rate");
+                }
+                other => panic!("expected ErrorRate, got {other:?}"),
+            }
+            assert!(err.to_string().contains("[0, 1]"), "the error must explain itself");
+        }
+        // the boundaries stay valid
+        assert!(core(vec![0.0, 1.0]).is_ok());
     }
 }

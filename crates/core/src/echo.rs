@@ -61,13 +61,13 @@ impl ProbabilisticNetwork {
     /// [`validate_assertion`](Self::validate_assertion) against this
     /// network with `echo` applied: `Ok(true)` would mutate, `Ok(false)`
     /// is a same-way re-assertion, errors are the ones a fork carrying the
-    /// echo's assertions would return. `assertion.candidate` must be a
-    /// candidate of this network.
+    /// echo's assertions would return.
     pub fn echo_validate(&self, echo: &Echo, assertion: Assertion) -> Result<bool, AssertError> {
         let Assertion { candidate, approved } = assertion;
-        let (k, lc) = self.host().locate(candidate).expect("a candidate of the base");
-        match echo.shards.get(&k) {
-            Some(shard) => shard.snapshot.validate(candidate, lc, approved),
+        let echoed =
+            self.host().locate(candidate).and_then(|(k, lc)| Some((echo.shards.get(&k)?, lc)));
+        match echoed {
+            Some((shard, lc)) => shard.snapshot.validate(candidate, lc, approved),
             None => self.validate_assertion(assertion),
         }
     }

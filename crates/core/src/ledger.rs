@@ -1,0 +1,274 @@
+//! The global state of Algorithm 1's loop, written once: the feedback
+//! `F`, the posterior `P` (Eq. 2), the entropy baseline (Eq. 3) and the
+//! gain-cache stamps, with every rule about them. Both
+//! [`ProbabilisticNetwork`](crate::ProbabilisticNetwork) and the
+//! `smn-dist` coordinator hold a [`Ledger`] and hand it only shard-local
+//! results (probabilities, post-assertion shard entropies), computed on
+//! their own [`ShardHost`] or on shard servers. They agree bit for bit
+//! because they share these rules and floating-point expressions. The
+//! structure is the caller's: methods that need the conflict index or the
+//! partition take its [`ShardHost`].
+
+use crate::entropy::{binary_entropy, entropy_of};
+use crate::feedback::{Assertion, Feedback};
+use crate::gains::{next_epoch, GainCache};
+use crate::probability::AssertError;
+use crate::shard::ShardHost;
+use smn_schema::CandidateId;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
+/// Feedback, posterior, entropy baseline and cache stamps of one network.
+/// `Clone` is a fork: everything is copied except the gain cache, which
+/// stays shared (epoch uniqueness makes stale hits impossible).
+#[derive(Debug, Clone)]
+pub struct Ledger {
+    feedback: Feedback,
+    /// The global Eq. 2 posterior, indexed by candidate id.
+    probs: Vec<f64>,
+    initial_entropy: f64,
+    /// Monotone mutation counter: bumped on every change to the model
+    /// (integrated assertion, extend, retire) and *not* on no-ops or
+    /// rejected assertions. Not serialized — a restored network restarts
+    /// at 0.
+    generation: u64,
+    /// Per-shard mutation epochs for the gain cache: globally unique
+    /// values from [`next_epoch`], re-stamped whenever the shard's state
+    /// actually changes. Indexed by shard id.
+    shard_epochs: Vec<u64>,
+    /// The structural epoch: refreshed wholesale by extend / retire,
+    /// which renumber shards. See [`crate::gains`].
+    structure_epoch: u64,
+    /// The shared Eq. 5 gain cache, never serialized.
+    gain_cache: Arc<Mutex<GainCache>>,
+}
+
+impl Ledger {
+    /// A ledger over `shards` components carrying `feedback`, with an
+    /// all-zero posterior: [`scatter`](Self::scatter) every shard, then
+    /// [`set_baseline`](Self::set_baseline).
+    pub fn new(feedback: Feedback, shards: usize) -> Self {
+        let epoch = next_epoch();
+        Self {
+            probs: vec![0.0; feedback.approved().capacity()],
+            feedback,
+            initial_entropy: 0.0,
+            generation: 0,
+            shard_epochs: vec![epoch; shards],
+            structure_epoch: epoch,
+            gain_cache: Arc::new(Mutex::new(GainCache::default())),
+        }
+    }
+
+    /// Fixes the entropy baseline once the posterior is assembled: the
+    /// given one (a restored network's), or the current entropy.
+    pub fn set_baseline(&mut self, initial_entropy: Option<f64>) {
+        self.initial_entropy = initial_entropy.unwrap_or_else(|| self.entropy());
+    }
+
+    /// The accumulated feedback `F`.
+    pub fn feedback(&self) -> &Feedback {
+        &self.feedback
+    }
+
+    /// The probability vector `P`, indexed by candidate id.
+    pub fn probabilities(&self) -> &[f64] {
+        &self.probs
+    }
+
+    /// Probability of one candidate (Eq. 2).
+    pub fn probability(&self, c: CandidateId) -> f64 {
+        self.probs[c.index()]
+    }
+
+    /// The construction-time entropy baseline.
+    pub fn initial_entropy(&self) -> f64 {
+        self.initial_entropy
+    }
+
+    /// The mutation generation.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The shared gain cache.
+    pub fn gain_cache(&self) -> &Mutex<GainCache> {
+        &self.gain_cache
+    }
+
+    /// The structural epoch.
+    pub fn structure_epoch(&self) -> u64 {
+        self.structure_epoch
+    }
+
+    /// Per-shard mutation epochs, indexed by shard id.
+    pub fn shard_epochs(&self) -> &[u64] {
+        &self.shard_epochs
+    }
+
+    /// Network uncertainty `H(C, P)` in bits (Eq. 3).
+    pub fn entropy(&self) -> f64 {
+        entropy_of(&self.probs)
+    }
+
+    /// Uncertainty relative to the baseline; 0 when the baseline is 0.
+    pub fn normalized_entropy(&self) -> f64 {
+        if self.initial_entropy == 0.0 {
+            0.0
+        } else {
+            self.entropy() / self.initial_entropy
+        }
+    }
+
+    /// User-effort fraction `E = |F| / |C|`.
+    pub fn effort(&self) -> f64 {
+        self.feedback.effort(self.probs.len())
+    }
+
+    /// The uncertain candidates `{c | 0 < p_c < 1}`, ascending id.
+    pub fn uncertain_candidates(&self) -> Vec<CandidateId> {
+        self.probs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| uncertain(p))
+            .map(|(i, _)| CandidateId::from_index(i))
+            .collect()
+    }
+
+    /// Shard `k`'s uncertain members, ascending id.
+    pub fn uncertain_members(&self, host: &ShardHost, k: usize) -> Vec<CandidateId> {
+        let members = host.components().members(k).iter().copied();
+        members.filter(|&c| uncertain(self.probs[c.index()])).collect()
+    }
+
+    /// Checks an assertion against the feedback and the approval
+    /// constraints of `host`'s network: `Ok(true)` means integrating it
+    /// would mutate, `Ok(false)` that it is a same-way re-assertion (a
+    /// successful no-op). Errors: an unknown id, a flip of a standing
+    /// verdict, or an approval that conflicts with earlier approvals.
+    pub fn validate(&self, host: &ShardHost, assertion: Assertion) -> Result<bool, AssertError> {
+        let Assertion { candidate, approved } = assertion;
+        if candidate.index() >= self.probs.len() {
+            return Err(AssertError::UnknownCandidate(candidate));
+        }
+        if self.feedback.is_asserted(candidate) {
+            let previously_approved = self.feedback.approved().contains(candidate);
+            return if previously_approved == approved {
+                Ok(false)
+            } else {
+                Err(AssertError::Contradictory { candidate, previously_approved })
+            };
+        }
+        if approved && !host.network().index().can_add(self.feedback.approved(), candidate) {
+            // the approved set must stay consistent or Ω becomes empty
+            return Err(AssertError::InconsistentApproval(candidate));
+        }
+        Ok(true)
+    }
+
+    /// Batched what-if: the network uncertainty each hypothetical
+    /// assertion would leave behind, aligned with `queries`. Queries that
+    /// would not mutate (rejections, same-way re-assertions, unknown ids)
+    /// price at the current entropy `H`. The rest are handed to
+    /// `entropy_after` in request order, which returns each one's
+    /// post-assertion shard entropy `H'_k`, and compose as
+    /// `(H − H_k + H'_k).max(0)`: entropy is additive over components, so
+    /// only the owning shard is re-evaluated. `H` is computed once per
+    /// batch and each touched shard's standing `H_k` once per shard. Under
+    /// the whole partition `H_k` is `H` to the bit, so the value is `H'_k`.
+    pub fn what_if_batch(
+        &self,
+        host: &ShardHost,
+        queries: &[(CandidateId, bool)],
+        entropy_after: impl FnOnce(&[(CandidateId, bool)]) -> Vec<f64>,
+    ) -> Vec<f64> {
+        let h = self.entropy();
+        let mut out = vec![h; queries.len()];
+        let live: Vec<usize> = (0..queries.len())
+            .filter(|&pos| {
+                let (candidate, approved) = queries[pos];
+                matches!(self.validate(host, Assertion { candidate, approved }), Ok(true))
+            })
+            .collect();
+        let after = entropy_after(&live.iter().map(|&pos| queries[pos]).collect::<Vec<_>>());
+        assert_eq!(after.len(), live.len(), "one post-assertion entropy per live query");
+        let mut standing: BTreeMap<usize, f64> = BTreeMap::new();
+        for (pos, h_after) in live.into_iter().zip(after) {
+            let k = host.component_of(queries[pos].0);
+            let h_k = *standing.entry(k).or_insert_with(|| {
+                host.components()
+                    .members(k)
+                    .iter()
+                    .map(|&g| binary_entropy(self.probs[g.index()]))
+                    .sum()
+            });
+            out[pos] = (h - h_k + h_after).max(0.0);
+        }
+        out
+    }
+
+    /// Writes shard `k`'s probabilities, in local member order, into `P`.
+    /// A component id or length that does not match `host`'s partition is
+    /// an error that leaves `P` untouched.
+    pub fn scatter(&mut self, host: &ShardHost, k: usize, local: &[f64]) -> Result<(), String> {
+        let components = host.components();
+        if k >= components.count() {
+            return Err(format!("shard {k} is not a component ({} exist)", components.count()));
+        }
+        let members = components.members(k);
+        if members.len() != local.len() {
+            return Err(format!(
+                "shard {k} carries {} probabilities for {} members",
+                local.len(),
+                members.len()
+            ));
+        }
+        for (&g, &p) in members.iter().zip(local) {
+            self.probs[g.index()] = p;
+        }
+        Ok(())
+    }
+
+    /// Records an integrated assertion that changed shard `k`: the
+    /// feedback, the generation and the shard's epoch.
+    pub fn record(&mut self, k: usize, assertion: Assertion) {
+        self.feedback.assert(assertion);
+        self.generation += 1;
+        self.shard_epochs[k] = next_epoch();
+    }
+
+    /// Opens the slot of an arriving candidate (unasserted, `p = 0` until
+    /// its component is scattered).
+    pub fn grow(&mut self) {
+        self.feedback.grow();
+        self.probs.push(0.0);
+    }
+
+    /// Drops retired candidate `c`'s slot; later ids shift down by one.
+    pub fn retire(&mut self, c: CandidateId) {
+        self.feedback.retire(c);
+        self.probs.remove(c.index());
+    }
+
+    /// Closes an evolution step once the rebuilt shards are scattered:
+    /// bumps the generation and re-stamps the structure and every
+    /// component of `host` (they were renumbered, so nothing cached by
+    /// shard id may be trusted again). The entropy baseline stays the
+    /// construction-time one, except that a zero baseline (a network born
+    /// certain, or fully reconciled before candidates arrived) adopts the
+    /// current uncertainty.
+    pub fn evolved(&mut self, host: &ShardHost) {
+        self.generation += 1;
+        let epoch = next_epoch();
+        self.structure_epoch = epoch;
+        self.shard_epochs = vec![epoch; host.component_count()];
+        if self.initial_entropy == 0.0 {
+            self.initial_entropy = self.entropy();
+        }
+    }
+}
+
+/// Whether a probability is strictly between 0 and 1.
+fn uncertain(p: f64) -> bool {
+    p > 0.0 && p < 1.0
+}

@@ -45,6 +45,7 @@ pub mod fenwick;
 pub mod gains;
 pub mod instance;
 pub mod instantiate;
+pub mod ledger;
 pub mod metrics;
 pub mod network;
 pub mod oracle;
@@ -73,6 +74,7 @@ pub use entropy::{binary_entropy, entropy_of};
 pub use feedback::{Assertion, Feedback};
 pub use gains::{GainCache, GainSource};
 pub use instantiate::{Instantiation, InstantiationConfig};
+pub use ledger::Ledger;
 pub use metrics::{kl_divergence, kl_ratio, PrecisionRecall};
 pub use network::MatchingNetwork;
 pub use oracle::{CrowdOracle, GroundTruthOracle, NoisyOracle, Oracle};

@@ -18,9 +18,10 @@
 //! the finer one prices assertions and gain scans per shard instead of
 //! per network.
 
-use crate::entropy::{binary_entropy, entropy_of};
+use crate::entropy::binary_entropy;
 use crate::feedback::{Assertion, Feedback};
 use crate::gains::{GainCache, GainSource};
+use crate::ledger::Ledger;
 use crate::network::MatchingNetwork;
 use crate::pool;
 use crate::reconcile::StepOutcome;
@@ -30,7 +31,7 @@ use smn_constraints::{BitSet, Components};
 use smn_schema::{AttributeId, CandidateId, SchemaError};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Why [`ProbabilisticNetwork::assert_candidate`] (and with it
 /// [`Session::answer`](crate::Session::answer)) rejected an assertion.
@@ -52,6 +53,8 @@ pub enum AssertError {
         /// assertion tried to disapprove it).
         previously_approved: bool,
     },
+    /// The id names no candidate of the network.
+    UnknownCandidate(CandidateId),
 }
 
 impl fmt::Display for AssertError {
@@ -64,6 +67,7 @@ impl fmt::Display for AssertError {
                 let standing = if *previously_approved { "approved" } else { "disapproved" };
                 write!(f, "{candidate} is already {standing}; assertions cannot be flipped")
             }
+            AssertError::UnknownCandidate(c) => write!(f, "{c} is not a candidate of the network"),
         }
     }
 }
@@ -109,25 +113,8 @@ pub struct CommitOutcome {
 pub struct ProbabilisticNetwork {
     /// The network, its partition and every component's shard.
     host: ShardHost,
-    feedback: Feedback,
-    probs: Vec<f64>,
-    initial_entropy: f64,
-    /// Monotone mutation counter: bumped on every call that actually
-    /// changes the model (integrated assertion, extend, retire) and
-    /// *not* on no-ops or rejected assertions. Snapshot publishers
-    /// compare generations to skip re-forking an unchanged base. Not
-    /// serialized — a restored network restarts at 0.
-    generation: u64,
-    /// Per-shard mutation epochs for the gain cache: globally unique
-    /// values from [`crate::gains::next_epoch`], re-stamped whenever the
-    /// shard's state actually changes. Indexed by shard id.
-    shard_epochs: Vec<u64>,
-    /// The structural epoch: refreshed wholesale by extend / retire,
-    /// which renumber shards. See [`crate::gains`].
-    structure_epoch: u64,
-    /// The shared Eq. 5 gain cache — shared across forks on purpose
-    /// (epoch uniqueness makes stale hits impossible), never serialized.
-    gain_cache: Arc<Mutex<GainCache>>,
+    /// Feedback, `P`, entropy baseline and gain-cache stamps.
+    ledger: Ledger,
 }
 
 impl ProbabilisticNetwork {
@@ -156,24 +143,19 @@ impl ProbabilisticNetwork {
     /// Derives the probabilities from a host owning every shard; the
     /// entropy baseline is the given one, or the current entropy.
     fn finish(host: ShardHost, feedback: Feedback, initial_entropy: Option<f64>) -> Self {
-        let mut probs = vec![0.0; host.network().candidate_count()];
-        for k in 0..host.component_count() {
-            host.write_probabilities(k, &mut probs);
+        let ledger = Ledger::new(feedback, host.component_count());
+        let mut pn = Self { host, ledger };
+        for k in 0..pn.host.component_count() {
+            pn.scatter(k);
         }
-        let epoch = crate::gains::next_epoch();
-        let shards = host.component_count();
-        let mut pn = Self {
-            host,
-            feedback,
-            probs,
-            initial_entropy: 0.0,
-            generation: 0,
-            shard_epochs: vec![epoch; shards],
-            structure_epoch: epoch,
-            gain_cache: Arc::new(Mutex::new(GainCache::default())),
-        };
-        pn.initial_entropy = initial_entropy.unwrap_or_else(|| pn.entropy());
+        pn.ledger.set_baseline(initial_entropy);
         pn
+    }
+
+    /// Writes owned shard `k`'s probabilities into `P`.
+    fn scatter(&mut self, k: usize) {
+        let local = self.host.shard_probabilities(k).expect("in-process host owns every component");
+        self.ledger.scatter(&self.host, k, &local).expect("a shard matches its component");
     }
 
     /// The shard host behind the model (owns every component).
@@ -195,8 +177,8 @@ impl ProbabilisticNetwork {
     pub fn to_state(&self) -> crate::persist::NetworkState {
         let host = &self.host;
         let mut state = network_to_structure(host.network(), host.sampler, host.sharding);
-        state.feedback = crate::persist::FeedbackState::of(&self.feedback);
-        state.initial_entropy = self.initial_entropy;
+        state.feedback = crate::persist::FeedbackState::of(self.ledger.feedback());
+        state.initial_entropy = self.ledger.initial_entropy();
         let count = host.component_count();
         state.members = (0..count)
             .map(|k| host.components().members(k).iter().map(|c| c.0).collect())
@@ -268,12 +250,12 @@ impl ProbabilisticNetwork {
     /// layer's snapshot publisher compares this against the generation it
     /// last published to skip redundant `fork` + `Arc` swaps.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.ledger.generation()
     }
 
     /// The accumulated feedback `F`.
     pub fn feedback(&self) -> &Feedback {
-        &self.feedback
+        self.ledger.feedback()
     }
 
     /// The distinct sampled matching instances Ω\* when the partition has
@@ -317,45 +299,36 @@ impl ProbabilisticNetwork {
 
     /// The probability vector `P`, indexed by candidate id.
     pub fn probabilities(&self) -> &[f64] {
-        &self.probs
+        self.ledger.probabilities()
     }
 
     /// Probability of one candidate (Eq. 2).
     pub fn probability(&self, c: CandidateId) -> f64 {
-        self.probs[c.index()]
+        self.ledger.probability(c)
     }
 
     /// Network uncertainty `H(C, P)` in bits (Eq. 3) — the sum of the
     /// per-shard entropies, since entropy is additive over independent
     /// components.
     pub fn entropy(&self) -> f64 {
-        entropy_of(&self.probs)
+        self.ledger.entropy()
     }
 
     /// Uncertainty normalized by the initial (pre-feedback) uncertainty;
     /// in `[0, 1]` for monotone reconciliation, 0 when fully reconciled.
     pub fn normalized_entropy(&self) -> f64 {
-        if self.initial_entropy == 0.0 {
-            0.0
-        } else {
-            self.entropy() / self.initial_entropy
-        }
+        self.ledger.normalized_entropy()
     }
 
     /// The uncertain candidates `{c | 0 < p_c < 1}` — the selection pool of
     /// Algorithm 1.
     pub fn uncertain_candidates(&self) -> Vec<CandidateId> {
-        self.probs
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p > 0.0 && p < 1.0)
-            .map(|(i, _)| CandidateId::from_index(i))
-            .collect()
+        self.ledger.uncertain_candidates()
     }
 
     /// User-effort fraction `E = |F| / |C|`.
     pub fn effort(&self) -> f64 {
-        self.feedback.effort(self.network().candidate_count())
+        self.ledger.effort()
     }
 
     /// Forks the network into an independent copy-on-write branch.
@@ -403,53 +376,15 @@ impl ProbabilisticNetwork {
     /// hypothetical assertions at once, aligned with `queries` — each
     /// value equals the corresponding [`what_if`](Self::what_if) call (to
     /// floating-point association, within `1e-12` on realistic sizes).
-    ///
-    /// `what_if` prices every query at a full network fork plus a global
-    /// entropy pass — `O(|C|)` per query even when the assertion touches a
-    /// ten-candidate component. The batch path exploits the component
-    /// factorization instead: entropy is additive over shards, so a query
-    /// on candidate `c` re-evaluates only `c`'s own shard,
-    /// `H' = H − H_k + H'_k`, with the current entropy computed once for
-    /// the whole batch and each touched shard's standing entropy `H_k`
-    /// computed once and shared across every query of that shard. Under
-    /// the whole partition `H_k` is `H` to the bit, so `H' = H'_k`.
-    ///
-    /// Assertions the model would reject (contradictions, inconsistent
-    /// approvals) and same-way re-assertions leave a real model unchanged
-    /// and evaluate to the current entropy, exactly as in `what_if`.
+    /// Unlike `what_if`, which forks the network and takes an `O(|C|)`
+    /// entropy pass per query, a query re-evaluates only its own shard;
+    /// [`Ledger::what_if_batch`] composes the result, and prices queries
+    /// that would not mutate (rejections, same-way re-assertions, unknown
+    /// ids) at the current entropy, exactly as in `what_if`.
     pub fn what_if_batch(&self, queries: &[(CandidateId, bool)]) -> Vec<f64> {
-        let h_current = self.entropy();
-        let mut out = vec![0.0; queries.len()];
-        // bucket query positions by owning shard so the standing
-        // per-shard entropy H_k is computed once per shard
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, &(c, approved)) in queries.iter().enumerate() {
-            if self.assertion_is_inert(c, approved) {
-                out[pos] = h_current;
-            } else {
-                by_shard.entry(self.shard_of(c)).or_default().push(pos);
-            }
-        }
-        for (k, positions) in by_shard {
-            let members = self.host.components().members(k);
-            let h_k: f64 = members.iter().map(|&g| binary_entropy(self.probs[g.index()])).sum();
-            for pos in positions {
-                let (c, approved) = queries[pos];
-                let h_after = self.host.entropy_after(c, approved).expect("owned shard");
-                out[pos] = (h_current - h_k + h_after).max(0.0);
-            }
-        }
-        out
-    }
-
-    /// Whether integrating `(candidate, approved)` would leave the model
-    /// untouched: a re-assertion (same way: successful no-op; other way:
-    /// rejected as contradictory) or an approval that conflicts with
-    /// earlier approvals. Mirrors the guard clauses of
-    /// [`assert_candidate`](Self::assert_candidate).
-    fn assertion_is_inert(&self, candidate: CandidateId, approved: bool) -> bool {
-        self.feedback.is_asserted(candidate)
-            || (approved && !self.host.approval_is_consistent(candidate))
+        self.ledger.what_if_batch(&self.host, queries, |live| {
+            self.host.entropy_after(live).expect("in-process host owns every component")
+        })
     }
 
     /// Which shard owns `c`: its component id (`0` under the whole
@@ -474,18 +409,16 @@ impl ProbabilisticNetwork {
     /// Re-asserting a candidate the *same* way is a successful no-op (no
     /// maintenance, no recompute). Asserting it the *other* way, or
     /// approving a candidate that conflicts with earlier approvals,
-    /// returns an [`AssertError`] and leaves the model untouched — this
-    /// method never panics on any input.
+    /// returns an [`AssertError`] and leaves the model untouched, as does
+    /// an unknown candidate id — this method never panics on any input.
     pub fn assert_candidate(&mut self, assertion: Assertion) -> Result<(), AssertError> {
         if !self.validate_assertion(assertion)? {
             return Ok(()); // same-way re-assertion: successful no-op
         }
         let Assertion { candidate, approved } = assertion;
-        self.feedback.assert(assertion);
         let k = self.host.assert_unchecked(candidate, approved).expect("owned shard");
-        self.host.write_probabilities(k, &mut self.probs);
-        self.generation += 1;
-        self.shard_epochs[k] = crate::gains::next_epoch();
+        self.scatter(k);
+        self.ledger.record(k, assertion);
         Ok(())
     }
 
@@ -495,22 +428,10 @@ impl ProbabilisticNetwork {
     /// re-assertion (a successful no-op), and `Err` is exactly the error
     /// [`assert_candidate`](Self::assert_candidate) would return. Commit
     /// paths call this before allocating a fork or cloning a shard, so a
-    /// redundant or rejected event never pays a copy-on-write.
+    /// redundant or rejected event never pays a copy-on-write. The rules
+    /// are [`Ledger::validate`]'s.
     pub fn validate_assertion(&self, assertion: Assertion) -> Result<bool, AssertError> {
-        let Assertion { candidate, approved } = assertion;
-        if self.feedback.is_asserted(candidate) {
-            let previously_approved = self.feedback.approved().contains(candidate);
-            return if previously_approved == approved {
-                Ok(false)
-            } else {
-                Err(AssertError::Contradictory { candidate, previously_approved })
-            };
-        }
-        if approved && !self.host.approval_is_consistent(candidate) {
-            // the approved set must stay consistent or Ω becomes empty
-            return Err(AssertError::InconsistentApproval(candidate));
-        }
-        Ok(true)
+        self.ledger.validate(&self.host, assertion)
     }
 
     /// Commits a batch of decided assertions through per-shard lanes and
@@ -561,16 +482,14 @@ impl ProbabilisticNetwork {
         {
             if let Some(snap) = snapshot {
                 self.host.install(*k, snap);
-                self.host.write_probabilities(*k, &mut self.probs);
+                self.scatter(*k);
             }
             for (&pos, &(approved, outcome, mutated)) in positions.iter().zip(&results) {
                 let candidate = requests[pos].candidate;
                 if mutated {
-                    // mirror the lane-local assertion into the global
-                    // feedback so effort / is_asserted stay coherent
-                    self.feedback.assert(Assertion { candidate, approved });
-                    self.generation += 1;
-                    self.shard_epochs[*k] = crate::gains::next_epoch();
+                    // mirror the lane-local assertion into the ledger so
+                    // effort / is_asserted stay coherent
+                    self.ledger.record(*k, Assertion { candidate, approved });
                 }
                 out[pos] = Some(CommitOutcome { candidate, approved, outcome, shard: *k, mutated });
             }
@@ -598,8 +517,7 @@ impl ProbabilisticNetwork {
         confidence: f64,
     ) -> Result<CandidateId, SchemaError> {
         let (id, evo, absorbed) = self.host.apply_extend(x, y, confidence)?;
-        self.feedback.grow();
-        self.probs.push(0.0);
+        self.ledger.grow();
         let &[merged_k] = evo.rebuilt.as_slice() else {
             unreachable!("an arrival always forms exactly one new component")
         };
@@ -613,10 +531,8 @@ impl ProbabilisticNetwork {
             })
             .collect();
         self.host.build_merged(merged_k, &sources);
-        self.host.write_probabilities(merged_k, &mut self.probs);
-        self.generation += 1;
-        self.bump_structure();
-        self.refresh_entropy_baseline();
+        self.scatter(merged_k);
+        self.ledger.evolved(&self.host);
         Ok(id)
     }
 
@@ -631,38 +547,15 @@ impl ProbabilisticNetwork {
     /// unknown id is a typed error that leaves the model untouched.
     pub fn retire(&mut self, c: CandidateId) -> Result<(), SchemaError> {
         let (evo, dissolved) = self.host.apply_retire(c)?;
-        self.probs.remove(c.index());
+        self.ledger.retire(c);
         let old = dissolved.expect("owned shard");
         let (_, old_members) = evo.dissolved.first().expect("the retiree's component dissolves");
         for &part_k in &evo.rebuilt {
             self.host.build_part(part_k, old_members, &old.feedback, &old.store, c);
-            self.host.write_probabilities(part_k, &mut self.probs);
+            self.scatter(part_k);
         }
-        self.feedback.retire(c);
-        self.generation += 1;
-        self.bump_structure();
-        self.refresh_entropy_baseline();
+        self.ledger.evolved(&self.host);
         Ok(())
-    }
-
-    /// Re-stamps the structural epoch and every shard epoch after an
-    /// evolution step: extend / retire renumber conflict components, so
-    /// nothing previously cached may be trusted by shard id again.
-    fn bump_structure(&mut self) {
-        let epoch = crate::gains::next_epoch();
-        self.structure_epoch = epoch;
-        self.shard_epochs = vec![epoch; self.host.component_count()];
-    }
-
-    /// Keeps [`normalized_entropy`](Self::normalized_entropy) meaningful
-    /// across evolution: the baseline stays the construction-time
-    /// uncertainty, except that a network whose baseline was zero (born
-    /// certain, or fully reconciled before candidates arrived) adopts the
-    /// current uncertainty as its new reference.
-    fn refresh_entropy_baseline(&mut self) {
-        if self.initial_entropy == 0.0 {
-            self.initial_entropy = self.entropy();
-        }
     }
 
     /// Conditional network uncertainty `H(C | c, P)` (Eq. 4): the expected
@@ -721,7 +614,7 @@ impl ProbabilisticNetwork {
         let mut global = BitSet::new(self.network().candidate_count());
         for (k, shard) in self.host.owned() {
             let members = self.host.components().members(k);
-            let local_probs: Vec<f64> = members.iter().map(|&g| self.probs[g.index()]).collect();
+            let local_probs: Vec<f64> = members.iter().map(|&g| self.probability(g)).collect();
             // a shard store is never empty (every component admits at
             // least one matching instance); bail defensively so callers
             // fall back to the maximize path
@@ -760,15 +653,15 @@ pub(crate) fn better_instance(
 
 impl GainSource for ProbabilisticNetwork {
     fn gain_cache(&self) -> &Mutex<GainCache> {
-        &self.gain_cache
+        self.ledger.gain_cache()
     }
 
     fn gain_structure_epoch(&self) -> u64 {
-        self.structure_epoch
+        self.ledger.structure_epoch()
     }
 
     fn gain_shard_epochs(&self) -> &[u64] {
-        &self.shard_epochs
+        self.ledger.shard_epochs()
     }
 
     fn gain_shard_of(&self, c: CandidateId) -> usize {
@@ -776,16 +669,7 @@ impl GainSource for ProbabilisticNetwork {
     }
 
     fn gain_shard_uncertain(&self, k: usize) -> Vec<CandidateId> {
-        self.host
-            .components()
-            .members(k)
-            .iter()
-            .copied()
-            .filter(|&c| {
-                let p = self.probs[c.index()];
-                p > 0.0 && p < 1.0
-            })
-            .collect()
+        self.ledger.uncertain_members(&self.host, k)
     }
 
     fn compute_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
@@ -1596,6 +1480,40 @@ mod tests {
     }
 
     #[test]
+    fn unknown_candidates_are_typed_errors_on_both_partitions() {
+        for sharding in [ShardingConfig::default(), ShardingConfig::disabled()] {
+            let mut pn =
+                ProbabilisticNetwork::new_sharded(two_cluster_network(), sampler(), sharding);
+            pn.assert_candidate(Assertion { candidate: CandidateId(0), approved: false }).unwrap();
+            let (probs, generation, h) =
+                (pn.probabilities().to_vec(), pn.generation(), pn.entropy());
+            let n = pn.network().candidate_count() as u32;
+            for c in [CandidateId(n), CandidateId(n + 1), CandidateId(u32::MAX)] {
+                for approved in [true, false] {
+                    let a = Assertion { candidate: c, approved };
+                    assert_eq!(pn.validate_assertion(a), Err(AssertError::UnknownCandidate(c)));
+                    assert_eq!(pn.assert_candidate(a), Err(AssertError::UnknownCandidate(c)));
+                    assert_eq!(
+                        pn.echo_validate(&crate::Echo::new(), a),
+                        Err(AssertError::UnknownCandidate(c))
+                    );
+                    assert_eq!(pn.what_if(c, approved).to_bits(), h.to_bits());
+                }
+                let priced = pn.what_if_batch(&[(c, true), (CandidateId(1), false), (c, false)]);
+                assert_eq!(priced[0].to_bits(), h.to_bits(), "{sharding:?}");
+                assert_eq!(priced[2].to_bits(), h.to_bits(), "{sharding:?}");
+                assert_eq!(
+                    priced[1].to_bits(),
+                    pn.what_if_batch(&[(CandidateId(1), false)])[0].to_bits()
+                );
+            }
+            assert_eq!(pn.probabilities(), &probs[..], "{sharding:?}");
+            assert_eq!(pn.generation(), generation, "{sharding:?}");
+            assert_eq!(pn.feedback().len(), 1);
+        }
+    }
+
+    #[test]
     fn fork_is_independent_and_copy_on_write() {
         for base in [pn(), sharded_pn()] {
             let branch = base.fork();
@@ -1646,7 +1564,7 @@ mod tests {
         );
         // the sub-index inside the copied shard is still the same allocation
         let index = |pn: &ProbabilisticNetwork| pn.host.snapshot(k_written).unwrap().index.clone();
-        assert!(Arc::ptr_eq(&index(&base), &index(&branch)));
+        assert!(std::sync::Arc::ptr_eq(&index(&base), &index(&branch)));
     }
 
     #[test]

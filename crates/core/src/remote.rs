@@ -240,7 +240,7 @@ mod tests {
         let mut b = ShardHost::new(net.clone(), sampler(), sampled_cfg(), &[]);
         b.import_shard(k, &state).unwrap();
         assert_eq!(b.shard_probabilities(k), a.shard_probabilities(k));
-        assert_eq!(b.entropy_after(target, false), a.entropy_after(target, false));
+        assert_eq!(b.entropy_after(&[(target, false)]), a.entropy_after(&[(target, false)]));
         // exhausted (exact) stores additionally maintain identically after
         // the trip — the same contract the crash-recovery harness certifies
         let count = ShardHost::new(net.clone(), sampler(), ShardingConfig::default(), &[])

@@ -123,8 +123,9 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// Checks `(lc, approved)` against this shard's feedback and approval
-    /// constraints — the shard-local mirror of
-    /// [`ProbabilisticNetwork::validate_assertion`](crate::ProbabilisticNetwork::validate_assertion):
+    /// constraints — the shard-local counterpart of
+    /// [`Ledger::validate`](crate::Ledger::validate), for working copies
+    /// that carry no global feedback (commit lanes, session echoes):
     /// `Ok(true)` would mutate, `Ok(false)` is a same-way re-assertion,
     /// and errors name the global `candidate`.
     pub(crate) fn validate(
@@ -324,22 +325,6 @@ impl ShardHost {
         self.snapshot(k).map(snapshot_probabilities)
     }
 
-    /// Writes owned shard `k`'s probabilities into the global vector.
-    pub(crate) fn write_probabilities(&self, k: usize, probs: &mut [f64]) {
-        let local = self.shard_probabilities(k).expect("written shard is owned");
-        for (&g, p) in self.components.members(k).iter().zip(local) {
-            probs[g.index()] = p;
-        }
-    }
-
-    /// Whether approving the unasserted `c` is consistent with its owned
-    /// shard's earlier approvals (conflicts never leave a component).
-    pub(crate) fn approval_is_consistent(&self, c: CandidateId) -> bool {
-        let (k, lc) = self.locate(c).expect("validated candidate");
-        let shard = self.snapshot(k).expect("validated candidate's shard is owned");
-        shard.index.can_add(shard.feedback.approved(), lc)
-    }
-
     /// Integrates an assertion the caller already validated:
     /// copy-on-writes the owning shard (a no-op copy when the snapshot is
     /// not shared with a fork), updates its feedback and view-maintains
@@ -398,19 +383,23 @@ impl ShardHost {
         self.shards[k] = Some(Arc::new(snapshot));
     }
 
-    /// The entropy (bits) the owning shard would carry after
-    /// hypothetically integrating `(candidate, approved)`: the real
-    /// integration (feedback update, view maintenance, refill) on a
-    /// throwaway copy of the one snapshot. Entropy is additive over
-    /// independent components, so callers compose `H' = H − H_k + H'_k`
-    /// from this without rebuilding the global probability vector.
-    /// Validation (inertness) is the caller's job; `None` if the candidate
+    /// The entropy (bits) each query's owning shard would carry after
+    /// hypothetically integrating `(candidate, approved)`, aligned with
+    /// `queries`: the real integration (feedback update, view maintenance,
+    /// refill) on a throwaway copy of the one snapshot. Entropy is additive
+    /// over independent components, so callers compose `H' = H − H_k + H'_k`
+    /// from this without rebuilding the global probability vector (see
+    /// [`Ledger::what_if_batch`](crate::Ledger::what_if_batch)).
+    /// Validation (inertness) is the caller's job; `None` if a candidate
     /// is unknown or its shard is not owned.
-    pub fn entropy_after(&self, candidate: CandidateId, approved: bool) -> Option<f64> {
-        let (k, lc) = self.locate(candidate)?;
-        let mut snap = self.snapshot(k)?.clone();
-        snap.integrate(lc, approved);
-        Some(snapshot_probabilities(&snap).into_iter().map(binary_entropy).sum())
+    pub fn entropy_after(&self, queries: &[(CandidateId, bool)]) -> Option<Vec<f64>> {
+        let after = |&(candidate, approved): &(CandidateId, bool)| {
+            let (k, lc) = self.locate(candidate)?;
+            let mut snap = self.snapshot(k)?.clone();
+            snap.integrate(lc, approved);
+            Some(snapshot_probabilities(&snap).into_iter().map(binary_entropy).sum())
+        };
+        queries.iter().map(after).collect()
     }
 
     /// Expected information gains (Eq. 5) of the pool candidates (global
@@ -731,7 +720,11 @@ mod tests {
     fn all_probs(host: &ShardHost) -> Vec<f64> {
         let mut probs = vec![0.0; host.network().candidate_count()];
         for k in host.owned_components() {
-            host.write_probabilities(k, &mut probs);
+            for (&g, p) in
+                host.components().members(k).iter().zip(host.shard_probabilities(k).unwrap())
+            {
+                probs[g.index()] = p;
+            }
         }
         probs
     }
@@ -921,7 +914,7 @@ mod tests {
         let mut host = ShardHost::owning_all(fig1_network(), sampler(), ShardingConfig::default());
         let unknown = CandidateId(99);
         assert_eq!(host.assert_unchecked(unknown, true), None);
-        assert_eq!(host.entropy_after(unknown, true), None);
+        assert_eq!(host.entropy_after(&[(CandidateId(0), true), (unknown, true)]), None);
         assert_eq!(host.gains(&[CandidateId(0), unknown]), None);
     }
 }

@@ -1,14 +1,17 @@
 //! The coordinator: one process owning all routing state, speaking the
 //! [`proto`](crate::proto) protocol to N shard servers.
 //!
-//! [`DistNetwork`] mirrors exactly the *cheap* state of a single-process
-//! [`ProbabilisticNetwork`](smn_core::ProbabilisticNetwork) — the
-//! network structure (via a zero-owned
-//! [`ShardHost`]), the global feedback, the global probability vector
-//! and the entropy baseline — while every sample store lives on exactly
-//! one shard server. Each operation routes to the owners and composes
-//! replies with the same floating-point expressions the single-process
-//! engine uses, so a distributed run is *byte-identical* to the
+//! [`DistNetwork`] holds the same two halves as a single-process
+//! [`ProbabilisticNetwork`](smn_core::ProbabilisticNetwork): a
+//! [`ShardHost`] for the network structure — here a zero-owned mirror
+//! (conflict index, component partition, evolution logic, no samples) —
+//! and a [`Ledger`] for the global state (feedback, posterior, entropy
+//! baseline, gain-cache stamps) and every decision about it. Only the
+//! shard work differs: every sample store lives on exactly one shard
+//! server, so the coordinator routes each operation to the owners and
+//! hands their replies (a shard's probabilities, a post-assertion shard
+//! entropy, a gain) to the ledger, which composes them exactly as it does
+//! in process. A distributed run is therefore *byte-identical* to the
 //! single-process run (posteriors bitwise, reports byte for byte) — the
 //! contract the differential suite certifies at 1, 2 and 4 servers.
 //!
@@ -29,11 +32,11 @@
 //!
 //! ## Failure semantics
 //!
-//! Structure-level rejections (contradictory assertions, duplicate
-//! arrivals) are typed errors that leave the cluster untouched, exactly
-//! like the single-process engine. *Link* failures mid-operation are
-//! different: the cluster's state is no longer known to be coherent, so
-//! the query paths that cannot surface an error through their
+//! Structure-level rejections (contradictory assertions, unknown ids,
+//! duplicate arrivals) are typed errors that leave the cluster untouched,
+//! exactly like the single-process engine. *Link* failures mid-operation
+//! are different: the cluster's state is no longer known to be coherent,
+//! so the query paths that cannot surface an error through their
 //! [`ServeModel`] signatures panic with context instead of fabricating
 //! values. Construction, evolution and shutdown return typed
 //! [`DistError`]s.
@@ -46,18 +49,19 @@ use crate::proto::{
 };
 use crate::transport::Transport;
 use smn_constraints::Placement;
-use smn_core::entropy::{binary_entropy, entropy_of};
 use smn_core::feedback::{Assertion, Feedback};
 use smn_core::persist::NetworkEvent;
 use smn_core::shard::ShardingConfig;
-use smn_core::{AssertError, GainCache, GainSource, MatchingNetwork, SamplerConfig, ShardHost};
+use smn_core::{
+    AssertError, GainCache, GainSource, Ledger, MatchingNetwork, SamplerConfig, ShardHost,
+};
 use smn_schema::{AttributeId, CandidateId};
 use smn_service::ServeModel;
 use smn_storage::format::encode_snapshot;
 use smn_storage::wal::encode_record;
 use smn_storage::Frame;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The multi-process probabilistic network: full structure and global
 /// bookkeeping here, sample state distributed over shard servers.
@@ -65,15 +69,8 @@ pub struct DistNetwork {
     /// Structure mirror with zero owned components — conflict index,
     /// component partition and evolution logic, no samples.
     mirror: ShardHost,
-    /// Global feedback mirror (servers hold only shard-local feedback).
-    feedback: Feedback,
-    /// Global Eq. 2 posterior, scattered from shard replies.
-    probs: Vec<f64>,
-    /// Construction-time entropy baseline (see `normalized_entropy`).
-    initial_entropy: f64,
-    /// Monotone mutation counter, same discipline as the single-process
-    /// network.
-    generation: u64,
+    /// Feedback, posterior, entropy baseline and gain-cache stamps.
+    ledger: Ledger,
     /// The consistent-hash ring for *fresh* placements.
     placement: Placement,
     /// `owner[k]` = server index holding component `k`'s samples. Sticky:
@@ -84,15 +81,6 @@ pub struct DistNetwork {
     links: Vec<Mutex<Box<dyn Transport>>>,
     /// WAL-style sequence stamping of the command stream.
     seq: u64,
-    /// Per-component mutation epochs for the coordinator-side gain
-    /// cache — same discipline as the single-process network: a routed
-    /// assert re-stamps only the owning component, so a selection
-    /// refresh fans out to that component's server alone.
-    shard_epochs: Vec<u64>,
-    /// Structural epoch, reset wholesale by extend / retire.
-    structure_epoch: u64,
-    /// The coordinator-side Eq. 5 gain cache (see [`smn_core::gains`]).
-    gain_cache: Arc<Mutex<GainCache>>,
 }
 
 impl DistNetwork {
@@ -118,62 +106,43 @@ impl DistNetwork {
         let placement = Placement::new(links.len());
         let owner = placement.assign(count);
         let image = encode_snapshot(&mirror.structure(), &[], 0);
-        let epoch = smn_core::gains::next_epoch();
         let mut this = Self {
             mirror,
-            feedback: Feedback::new(n),
-            probs: vec![0.0; n],
-            initial_entropy: 0.0,
-            generation: 0,
+            ledger: Ledger::new(Feedback::new(n), count),
             placement,
             owner,
             links: links.into_iter().map(Mutex::new).collect(),
             seq: 0,
-            shard_epochs: vec![epoch; count],
-            structure_epoch: epoch,
-            gain_cache: Arc::new(Mutex::new(GainCache::default())),
         };
         // every server builds its owned shards concurrently — the point
         // of the cluster; replies scatter afterwards in server order
         // (order is irrelevant anyway: owned sets are disjoint)
-        let replies = {
-            let this = &this;
-            let image = &image;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..this.links.len())
-                    .map(|server| {
-                        s.spawn(move || -> Result<Vec<(usize, Vec<f64>)>, DistError> {
-                            let owned: Vec<u32> = this
-                                .owner
-                                .iter()
-                                .enumerate()
-                                .filter(|&(_, &o)| o == server)
-                                .map(|(k, _)| k as u32)
-                                .collect();
-                            let mut payload = Vec::with_capacity(4 + owned.len() * 4 + image.len());
-                            put_ids(&mut payload, &owned);
-                            payload.extend_from_slice(&image);
-                            let reply = this.request(server, REQ_BOOTSTRAP, &payload)?;
-                            let mut rd = Rd::new(&reply.payload);
-                            let entries = read_shard_probs(&mut rd)?;
-                            rd.finish("bootstrap reply")?;
-                            Ok(entries)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("bootstrap fan-out thread"))
-                    .collect::<Result<Vec<_>, DistError>>()
-            })?
-        };
-        for entries in replies {
-            for (k, local) in entries {
-                scatter(&mut this.probs, this.mirror.components().members(k), k, &local)?;
-            }
+        let requests = (0..this.links.len())
+            .map(|server| {
+                let owned: Vec<u32> =
+                    (0..count).filter(|&k| this.owner[k] == server).map(|k| k as u32).collect();
+                let mut payload = Vec::with_capacity(4 + owned.len() * 4 + image.len());
+                put_ids(&mut payload, &owned);
+                payload.extend_from_slice(&image);
+                (server, payload)
+            })
+            .collect();
+        for reply in this.exchange(REQ_BOOTSTRAP, requests) {
+            this.scatter(&reply?)?;
         }
-        this.initial_entropy = entropy_of(&this.probs);
+        this.ledger.set_baseline(None);
         Ok(this)
+    }
+
+    /// Hands a reply's shard probabilities to the ledger.
+    fn scatter(&mut self, reply: &Frame) -> Result<(), DistError> {
+        let mut rd = Rd::new(&reply.payload);
+        let entries = read_shard_probs(&mut rd)?;
+        rd.finish("shard probabilities reply")?;
+        for (k, local) in entries {
+            self.ledger.scatter(&self.mirror, k, &local).map_err(DistError::Protocol)?;
+        }
+        Ok(())
     }
 
     /// One lockstep request/response exchange with a server.
@@ -192,6 +161,23 @@ impl DistNetwork {
         }
     }
 
+    /// Sends each `(server, payload)` request as a `kind` frame,
+    /// concurrently — one scoped thread per request, each on its own
+    /// server's link — and returns the replies in request order.
+    fn exchange(
+        &self,
+        kind: u32,
+        requests: Vec<(usize, Vec<u8>)>,
+    ) -> Vec<Result<Frame, DistError>> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|(server, payload)| s.spawn(move || self.request(*server, kind, payload)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("fan-out thread")).collect()
+        })
+    }
+
     /// Shard servers in the cluster.
     pub fn servers(&self) -> usize {
         self.links.len()
@@ -204,55 +190,31 @@ impl DistNetwork {
 
     /// The global posterior (bitwise equal to the single-process vector).
     pub fn probabilities(&self) -> &[f64] {
-        &self.probs
+        self.ledger.probabilities()
     }
 
     /// Monotone mutation counter (same discipline as the single-process
     /// network: bumped on integrated assertions and evolution only).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.ledger.generation()
     }
 
-    /// Mirrors [`ProbabilisticNetwork::validate_assertion`]: `Ok(true)`
+    /// [`Ledger::validate`] against the structure mirror: `Ok(true)`
     /// would mutate, `Ok(false)` is a same-way no-op, `Err` is the exact
     /// rejection. Pure local computation — conflicts never cross
-    /// components, so the global mirror decides without a round trip.
-    ///
-    /// [`ProbabilisticNetwork::validate_assertion`]:
-    /// smn_core::ProbabilisticNetwork::validate_assertion
+    /// components, so the global state decides without a round trip.
     pub fn validate_assertion(&self, assertion: Assertion) -> Result<bool, AssertError> {
-        let Assertion { candidate, approved } = assertion;
-        if self.feedback.is_asserted(candidate) {
-            let previously_approved = self.feedback.approved().contains(candidate);
-            return if previously_approved == approved {
-                Ok(false)
-            } else {
-                Err(AssertError::Contradictory { candidate, previously_approved })
-            };
-        }
-        if approved && !self.mirror.network().index().can_add(self.feedback.approved(), candidate) {
-            return Err(AssertError::InconsistentApproval(candidate));
-        }
-        Ok(true)
+        self.ledger.validate(&self.mirror, assertion)
     }
 
-    /// Whether integrating `(candidate, approved)` would leave the model
-    /// untouched — the inertness guard of the batched what-if.
-    fn assertion_is_inert(&self, candidate: CandidateId, approved: bool) -> bool {
-        self.feedback.is_asserted(candidate)
-            || (approved
-                && !self.mirror.network().index().can_add(self.feedback.approved(), candidate))
-    }
-
-    /// Integrates a user assertion: validates against the global mirror,
-    /// routes to the owning server, scatters the shard's new posterior.
-    /// Same-way re-assertions are successful no-ops; rejections leave
-    /// every process untouched. Panics only on link failure.
+    /// Integrates a user assertion: validates it, routes it to the owning
+    /// server and records the shard's new posterior. Same-way
+    /// re-assertions are successful no-ops; rejections leave every
+    /// process untouched. Panics only on link failure.
     pub fn assert_candidate(&mut self, assertion: Assertion) -> Result<(), AssertError> {
         if !self.validate_assertion(assertion)? {
             return Ok(());
         }
-        self.feedback.assert(assertion);
         let Assertion { candidate, approved } = assertion;
         let k = self.mirror.component_of(candidate);
         self.seq += 1;
@@ -260,68 +222,18 @@ impl DistNetwork {
         let reply = self
             .request(self.owner[k], REQ_ASSERT, &record)
             .unwrap_or_else(|e| panic!("assert lost the cluster: {e}"));
-        let mut rd = Rd::new(&reply.payload);
-        let entries =
-            read_shard_probs(&mut rd).unwrap_or_else(|e| panic!("assert reply malformed: {e}"));
-        for (rk, local) in entries {
-            scatter(&mut self.probs, self.mirror.components().members(rk), rk, &local)
-                .unwrap_or_else(|e| panic!("assert reply malformed: {e}"));
-            // only the touched component's cached gains go stale
-            self.shard_epochs[rk] = smn_core::gains::next_epoch();
-        }
-        self.generation += 1;
+        self.scatter(&reply).unwrap_or_else(|e| panic!("assert reply malformed: {e}"));
+        self.ledger.record(k, assertion);
         Ok(())
     }
 
-    /// Batched what-if: inert queries price at the current entropy; the
-    /// rest fan out to their owners batched per server, and compose as
-    /// `(H − H_k + H'_k).max(0)` — the identical expression (and
-    /// association) of the single-process
-    /// [`what_if_batch`](smn_core::ProbabilisticNetwork::what_if_batch),
-    /// with `H` and `H_k` computed from the mirrored posterior and only
-    /// `H'_k` measured remotely. Panics only on link failure.
+    /// Batched what-if, composed by [`Ledger::what_if_batch`]: only the
+    /// post-assertion shard entropies `H'_k` are measured remotely, one
+    /// request per owning server. Panics only on link failure.
     pub fn what_if_batch(&self, queries: &[(CandidateId, bool)]) -> Vec<f64> {
-        let h_current = entropy_of(&self.probs);
-        let mut out = vec![0.0; queries.len()];
-        let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, &(c, approved)) in queries.iter().enumerate() {
-            if self.assertion_is_inert(c, approved) {
-                out[pos] = h_current;
-            } else {
-                by_server.entry(self.owner[self.mirror.component_of(c)]).or_default().push(pos);
-            }
-        }
-        // fan out concurrently — one scoped thread per server, each on
-        // its own link; composition stays serial (and deterministic)
-        let groups: Vec<(usize, Vec<usize>)> = by_server.into_iter().collect();
-        let replies: Vec<Vec<f64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|(server, positions)| {
-                    let batch: Vec<(CandidateId, bool)> =
-                        positions.iter().map(|&p| queries[p]).collect();
-                    s.spawn(move || {
-                        let reply = self
-                            .request(*server, REQ_WHAT_IF, &encode_what_if(&batch))
-                            .unwrap_or_else(|e| panic!("what-if lost the cluster: {e}"));
-                        let mut rd = Rd::new(&reply.payload);
-                        read_f64s(&mut rd, "what-if reply")
-                            .unwrap_or_else(|e| panic!("what-if: {e}"))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("what-if fan-out thread")).collect()
-        });
-        for ((_, positions), values) in groups.iter().zip(replies) {
-            assert_eq!(values.len(), positions.len(), "what-if reply miscounted");
-            for (&pos, h_after) in positions.iter().zip(values) {
-                let (c, _) = queries[pos];
-                let members = self.mirror.components().members(self.mirror.component_of(c));
-                let h_k: f64 = members.iter().map(|&g| binary_entropy(self.probs[g.index()])).sum();
-                out[pos] = (h_current - h_k + h_after).max(0.0);
-            }
-        }
-        out
+        self.ledger.what_if_batch(&self.mirror, queries, |live| {
+            self.fan_out(live, |&(c, _)| c, REQ_WHAT_IF, encode_what_if, "what-if")
+        })
     }
 
     /// Batch information gain: each server receives the flat pool of the
@@ -330,35 +242,44 @@ impl DistNetwork {
     /// single-process scan (a gain does not depend on the rest of the
     /// pool). Panics only on link failure.
     pub fn information_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
-        let mut out = vec![0.0; pool.len()];
+        let encode = |batch: &[CandidateId]| {
+            let mut request = Vec::with_capacity(4 + 4 * batch.len());
+            put_ids(&mut request, &batch.iter().map(|c| c.0).collect::<Vec<_>>());
+            request
+        };
+        self.fan_out(pool, |&c| c, REQ_GAINS, encode, "gain scan")
+    }
+
+    /// Sends every server the items whose candidates its components own
+    /// as one `kind` request, and returns the one-`f64`-per-item replies
+    /// aligned with `items`. Panics only on link failure.
+    fn fan_out<T: Copy>(
+        &self,
+        items: &[T],
+        candidate: impl Fn(&T) -> CandidateId,
+        kind: u32,
+        encode: impl Fn(&[T]) -> Vec<u8>,
+        what: &str,
+    ) -> Vec<f64> {
         let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, &c) in pool.iter().enumerate() {
-            by_server.entry(self.owner[self.mirror.component_of(c)]).or_default().push(pos);
+        for (pos, item) in items.iter().enumerate() {
+            by_server
+                .entry(self.owner[self.mirror.component_of(candidate(item))])
+                .or_default()
+                .push(pos);
         }
-        // same scoped fan-out as the what-if path: one thread per server
-        let fan: Vec<(usize, Vec<usize>)> = by_server.into_iter().collect();
-        let replies: Vec<Vec<f64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = fan
-                .iter()
-                .map(|(server, positions)| {
-                    let mut request = Vec::with_capacity(4 + 4 * positions.len());
-                    put_ids(
-                        &mut request,
-                        &positions.iter().map(|&p| pool[p].0).collect::<Vec<_>>(),
-                    );
-                    s.spawn(move || {
-                        let reply = self
-                            .request(*server, REQ_GAINS, &request)
-                            .unwrap_or_else(|e| panic!("gain scan lost the cluster: {e}"));
-                        let mut rd = Rd::new(&reply.payload);
-                        read_f64s(&mut rd, "gains reply").unwrap_or_else(|e| panic!("gains: {e}"))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("gains fan-out thread")).collect()
-        });
-        for ((_, positions), values) in fan.iter().zip(replies) {
-            assert_eq!(values.len(), positions.len(), "gains reply miscounted");
+        let requests = by_server
+            .iter()
+            .map(|(&server, positions)| {
+                (server, encode(&positions.iter().map(|&p| items[p]).collect::<Vec<_>>()))
+            })
+            .collect();
+        let mut out = vec![0.0; items.len()];
+        for (positions, reply) in by_server.values().zip(self.exchange(kind, requests)) {
+            let reply = reply.unwrap_or_else(|e| panic!("{what} lost the cluster: {e}"));
+            let values = read_f64s(&mut Rd::new(&reply.payload), what)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(values.len(), positions.len(), "{what} reply miscounted");
             for (&pos, value) in positions.iter().zip(values) {
                 out[pos] = value;
             }
@@ -428,8 +349,7 @@ impl DistNetwork {
             shipments.push((members.clone(), self.export(old_owner[*old_k], *old_k)?));
         }
         self.broadcast(&NetworkEvent::Extend { a: x, b: y, confidence })?;
-        self.feedback.grow();
-        self.probs.push(0.0);
+        self.ledger.grow();
         self.rekey_owners(&evo.remap, &evo.rebuilt);
         let &[merged_k] = evo.rebuilt.as_slice() else {
             return Err(DistError::Protocol("an extension rebuilds exactly one component".into()));
@@ -443,15 +363,8 @@ impl DistNetwork {
             payload.extend_from_slice(state);
         }
         let reply = self.request(self.owner[merged_k], REQ_REBUILD_MERGED, &payload)?;
-        let mut rd = Rd::new(&reply.payload);
-        for (rk, local) in read_shard_probs(&mut rd)? {
-            scatter(&mut self.probs, self.mirror.components().members(rk), rk, &local)?;
-        }
-        self.generation += 1;
-        self.bump_structure();
-        if self.initial_entropy == 0.0 {
-            self.initial_entropy = entropy_of(&self.probs);
-        }
+        self.scatter(&reply)?;
+        self.ledger.evolved(&self.mirror);
         Ok(arrival)
     }
 
@@ -473,7 +386,7 @@ impl DistNetwork {
             .ok_or_else(|| DistError::Protocol("a retirement dissolves its component".into()))?;
         let shipment = self.export(old_owner[*old_k], *old_k)?;
         self.broadcast(&NetworkEvent::Retire { candidate: c })?;
-        self.probs.remove(c.index());
+        self.ledger.retire(c);
         self.rekey_owners(&evo.remap, &evo.rebuilt);
         for &part_k in &evo.rebuilt {
             let mut payload = Vec::new();
@@ -483,28 +396,10 @@ impl DistNetwork {
             put_u32(&mut payload, shipment.len() as u32);
             payload.extend_from_slice(&shipment);
             let reply = self.request(self.owner[part_k], REQ_REBUILD_PART, &payload)?;
-            let mut rd = Rd::new(&reply.payload);
-            for (rk, local) in read_shard_probs(&mut rd)? {
-                scatter(&mut self.probs, self.mirror.components().members(rk), rk, &local)?;
-            }
+            self.scatter(&reply)?;
         }
-        self.feedback.retire(c);
-        self.generation += 1;
-        self.bump_structure();
-        if self.initial_entropy == 0.0 {
-            self.initial_entropy = entropy_of(&self.probs);
-        }
+        self.ledger.evolved(&self.mirror);
         Ok(())
-    }
-
-    /// Re-stamps the structural epoch and every component epoch after an
-    /// evolution step — components were renumbered, nothing cached by
-    /// component id may be trusted again (same contract as the
-    /// single-process network).
-    fn bump_structure(&mut self) {
-        let epoch = smn_core::gains::next_epoch();
-        self.structure_epoch = epoch;
-        self.shard_epochs = vec![epoch; self.mirror.component_count()];
     }
 
     /// Orderly cluster shutdown: every server acknowledges and exits its
@@ -518,37 +413,17 @@ impl DistNetwork {
     }
 }
 
-/// Writes one shard's local-order probabilities into the global vector.
-fn scatter(
-    probs: &mut [f64],
-    members: &[CandidateId],
-    k: usize,
-    local: &[f64],
-) -> Result<(), DistError> {
-    if members.len() != local.len() {
-        return Err(DistError::Protocol(format!(
-            "shard {k} reply carries {} probabilities for {} members",
-            local.len(),
-            members.len()
-        )));
-    }
-    for (&g, &p) in members.iter().zip(local) {
-        probs[g.index()] = p;
-    }
-    Ok(())
-}
-
 impl GainSource for DistNetwork {
     fn gain_cache(&self) -> &Mutex<GainCache> {
-        &self.gain_cache
+        self.ledger.gain_cache()
     }
 
     fn gain_structure_epoch(&self) -> u64 {
-        self.structure_epoch
+        self.ledger.structure_epoch()
     }
 
     fn gain_shard_epochs(&self) -> &[u64] {
-        &self.shard_epochs
+        self.ledger.shard_epochs()
     }
 
     fn gain_shard_of(&self, c: CandidateId) -> usize {
@@ -556,21 +431,12 @@ impl GainSource for DistNetwork {
     }
 
     fn gain_shard_uncertain(&self, k: usize) -> Vec<CandidateId> {
-        self.mirror
-            .components()
-            .members(k)
-            .iter()
-            .copied()
-            .filter(|&c| {
-                let p = self.probs[c.index()];
-                p > 0.0 && p < 1.0
-            })
-            .collect()
+        self.ledger.uncertain_members(&self.mirror, k)
     }
 
     fn compute_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
-        // buckets by component and batches per owning server — a refresh
-        // of one dirty component therefore speaks to one server only
+        // batches per owning server — a refresh of one dirty component
+        // therefore speaks to one server only
         DistNetwork::information_gains(self, pool)
     }
 }
@@ -581,36 +447,27 @@ impl ServeModel for DistNetwork {
     }
 
     fn feedback(&self) -> &Feedback {
-        &self.feedback
+        self.ledger.feedback()
     }
 
     fn probability(&self, c: CandidateId) -> f64 {
-        self.probs[c.index()]
+        self.ledger.probability(c)
     }
 
     fn entropy(&self) -> f64 {
-        entropy_of(&self.probs)
+        self.ledger.entropy()
     }
 
     fn normalized_entropy(&self) -> f64 {
-        if self.initial_entropy == 0.0 {
-            0.0
-        } else {
-            entropy_of(&self.probs) / self.initial_entropy
-        }
+        self.ledger.normalized_entropy()
     }
 
     fn effort(&self) -> f64 {
-        self.feedback.effort(self.mirror.network().candidate_count())
+        self.ledger.effort()
     }
 
     fn uncertain_candidates(&self) -> Vec<CandidateId> {
-        self.probs
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p > 0.0 && p < 1.0)
-            .map(|(i, _)| CandidateId::from_index(i))
-            .collect()
+        self.ledger.uncertain_candidates()
     }
 
     fn shard_of(&self, c: CandidateId) -> usize {

@@ -79,11 +79,7 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
         }
         REQ_WHAT_IF => {
             let queries = proto::decode_what_if(&frame.payload).map_err(|e| e.to_string())?;
-            let mut values = Vec::with_capacity(queries.len());
-            for (c, approved) in queries {
-                values
-                    .push(host.entropy_after(c, approved).ok_or("what-if routed to a non-owner")?);
-            }
+            let values = host.entropy_after(&queries).ok_or("what-if routed to a non-owner")?;
             let mut reply = Vec::new();
             put_f64s(&mut reply, &values);
             Ok(reply)

@@ -47,17 +47,14 @@
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::event::{IngressError, IngressQueue, ServiceEvent, StampedEvent};
-use crate::service::Scheduler;
+use crate::service::{crowd_seed, majority_quality, outcome_label, resolve_threads, Scheduler};
 use crate::session::SessionManager;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
-use smn_constraints::BitSet;
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
 use smn_core::shard::ShardingConfig;
-use smn_core::{
-    CommitExec, MatchingNetwork, PrecisionRecall, ProbabilisticNetwork, SamplerConfig, StepOutcome,
-};
+use smn_core::{CommitExec, MatchingNetwork, ProbabilisticNetwork, SamplerConfig, StepOutcome};
 use smn_schema::{CandidateId, Correspondence};
 use smn_storage::{DurableStore, LaneSinks, StorageError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -408,13 +405,7 @@ impl ServingCore {
             return Err(ServeConfigError::ErrorRate { worker, rate });
         }
         let base = ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding);
-        // same derived stream as the round-mode service, so a serve run
-        // and a round run over the same seed share their crowd coins
-        let crowd = WorkerPool::new(
-            rates,
-            truth.iter().copied(),
-            config.seed.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1),
-        );
+        let crowd = WorkerPool::new(rates, truth.iter().copied(), crowd_seed(config.seed));
         let published = Arc::new(base.fork());
         let published_generation = base.generation();
         Ok(Self {
@@ -767,11 +758,7 @@ impl ServingCore {
                 candidate: o.candidate.0,
                 shard: o.shard,
                 approved: o.approved,
-                outcome: match o.outcome {
-                    StepOutcome::Integrated => "integrated".into(),
-                    StepOutcome::Flipped => "flipped".into(),
-                    StepOutcome::Skipped => "skipped".into(),
-                },
+                outcome: outcome_label(o.outcome),
                 votes_for: d.votes_for,
                 votes_against: d.votes_against,
                 decided_clock: d.clock,
@@ -814,14 +801,9 @@ impl ServingCore {
 
     /// The commit-lane execution for the configured scheduler/threads.
     fn commit_exec(&self) -> CommitExec {
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.config.threads
-        };
         match self.config.scheduler {
             Scheduler::Inline => CommitExec::Sequential,
-            _ if threads <= 1 => CommitExec::Sequential,
+            _ if resolve_threads(self.config.threads) <= 1 => CommitExec::Sequential,
             Scheduler::Pool => CommitExec::Pool,
         }
     }
@@ -868,20 +850,9 @@ impl ServingCore {
         }
     }
 
-    /// Precision/recall of the probability-majority matching
-    /// `{c : p_c > ½}` against the verified matching.
-    fn matching_quality(&self) -> PrecisionRecall {
-        let n = self.base.network().candidate_count();
-        let matching = BitSet::from_ids(
-            n,
-            (0..n).map(CandidateId::from_index).filter(|&c| self.base.probability(c) > 0.5),
-        );
-        PrecisionRecall::of_instance(self.base.network(), &matching, self.truth.iter().copied())
-    }
-
     /// Assembles the (deterministic) report of everything so far.
     pub fn report(&self) -> ServeReport {
-        let quality = self.matching_quality();
+        let quality = majority_quality(&self.base, &self.truth);
         ServeReport {
             sessions: self.sessions_seen.len() as u64,
             workers: self.crowd.len(),

@@ -280,13 +280,7 @@ impl<M: ServeModel> ReconciliationService<M> {
         error_rates: impl IntoIterator<Item = f64>,
         config: ServiceConfig,
     ) -> Self {
-        // the worker-noise seed is derived, not shared: dispatcher
-        // tie-breaks and worker coins must be independent streams
-        let pool = WorkerPool::new(
-            error_rates,
-            truth.iter().copied(),
-            config.seed.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1),
-        );
+        let pool = WorkerPool::new(error_rates, truth.iter().copied(), crowd_seed(config.seed));
         let dispatcher = Dispatcher::new(config.seed);
         Self {
             base,
@@ -417,11 +411,7 @@ impl<M: ServeModel> ReconciliationService<M> {
     pub fn run(&mut self) -> ServiceReport {
         let workers = self.pool.len();
         let k = self.config.redundancy.clamp(1, workers);
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.config.threads
-        };
+        let threads = resolve_threads(self.config.threads);
         let mut round = self.rounds.len();
         loop {
             match self.config.goal {
@@ -440,7 +430,7 @@ impl<M: ServeModel> ReconciliationService<M> {
             let votes =
                 collect_votes(&self.base, &self.pool, &leases, threads, self.config.scheduler);
             let committed = self.commit_round(round, &leases, &votes);
-            let quality = self.matching_quality();
+            let quality = majority_quality(&self.base, &self.truth);
             self.rounds.push(RoundStats {
                 round,
                 leases: leases.len(),
@@ -499,11 +489,7 @@ impl<M: ServeModel> ReconciliationService<M> {
                 candidate: lease.candidate.0,
                 shard: lease.shard,
                 approved,
-                outcome: match outcome {
-                    StepOutcome::Integrated => "integrated".into(),
-                    StepOutcome::Flipped => "flipped".into(),
-                    StepOutcome::Skipped => "skipped".into(),
-                },
+                outcome: outcome_label(outcome),
                 score: lease.score,
                 votes_for: verdict.votes_for,
                 votes_against: verdict.votes_against,
@@ -515,20 +501,9 @@ impl<M: ServeModel> ReconciliationService<M> {
         committed
     }
 
-    /// Precision/recall of the probability-majority matching
-    /// `{c : p_c > ½}` against the verified matching.
-    fn matching_quality(&self) -> PrecisionRecall {
-        let n = self.base.network().candidate_count();
-        let matching = BitSet::from_ids(
-            n,
-            (0..n).map(CandidateId::from_index).filter(|&c| self.base.probability(c) > 0.5),
-        );
-        PrecisionRecall::of_instance(self.base.network(), &matching, self.truth.iter().copied())
-    }
-
     /// Assembles the (deterministic) report of everything so far.
     pub fn report(&self) -> ServiceReport {
-        let quality = self.matching_quality();
+        let quality = majority_quality(&self.base, &self.truth);
         ServiceReport {
             workers: self.pool.len(),
             redundancy: self.config.redundancy.clamp(1, self.pool.len()),
@@ -545,6 +520,48 @@ impl<M: ServeModel> ReconciliationService<M> {
             durability_error: self.durability_error().map(|e| e.to_string()),
         }
     }
+}
+
+/// The crowd's seed for a service seeded `seed`: derived, not shared, so
+/// dispatcher tie-breaks and worker coins are independent streams. Both
+/// serving loops use it, so a serve run and a round run over the same
+/// seed share their crowd coins.
+pub(crate) fn crowd_seed(seed: u64) -> u64 {
+    seed.wrapping_mul(0xA24B_AED4_963E_E407).wrapping_add(1)
+}
+
+/// The report label of a commit outcome.
+pub(crate) fn outcome_label(outcome: StepOutcome) -> String {
+    match outcome {
+        StepOutcome::Integrated => "integrated",
+        StepOutcome::Flipped => "flipped",
+        StepOutcome::Skipped => "skipped",
+    }
+    .into()
+}
+
+/// The worker threads a `threads` setting asks for: the machine's
+/// available parallelism for `0`, the setting itself otherwise.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        threads
+    }
+}
+
+/// Precision/recall of `model`'s probability-majority matching
+/// `{c : p_c > ½}` against the verified matching `truth`.
+pub(crate) fn majority_quality<M: ServeModel>(
+    model: &M,
+    truth: &[Correspondence],
+) -> PrecisionRecall {
+    let n = model.network().candidate_count();
+    let matching = BitSet::from_ids(
+        n,
+        (0..n).map(CandidateId::from_index).filter(|&c| model.probability(c) > 0.5),
+    );
+    PrecisionRecall::of_instance(model.network(), &matching, truth.iter().copied())
 }
 
 /// Evaluates one round's leases: worker answers inline (pure-function

@@ -2,36 +2,22 @@
 //! integrated incrementally (`ProbabilisticNetwork::extend`, patching the
 //! index and rebuilding only the merged shard) vs the full
 //! index-build + sharded-fill a static pipeline would rerun. The
-//! raw-timing snapshot over whole arrival/churn schedules lives in
-//! `exp_evolve` / `BENCH_evolve.json`.
+//! wall-clock claim that incremental maintenance beats the rebuild per
+//! event is checked by `tests/timing.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smn_bench::evolve::{bench_sampler, candidate_pool, evolving_scenario, GROUPS};
-use smn_core::{MatchingNetwork, ProbabilisticNetwork, ShardingConfig};
-use smn_schema::CandidateSet;
+use smn_bench::evolve::{
+    candidate_pool, evolving_scenario, initial_network, live, rebuild, GROUPS,
+};
 
 fn bench_arrival(c: &mut Criterion) {
     let mut group = c.benchmark_group("evolve/one-arrival");
     for &groups in &GROUPS {
         let evo = evolving_scenario(groups, 7);
         let pool = candidate_pool(&evo, 7);
-        let cat = &evo.federation.dataset.catalog;
-        let graph = &evo.federation.graph;
         // the t0 network; the measured arrival is the first scheduled one
-        let initial = evo.initial_count(pool.len());
-        let mut cs = CandidateSet::new(cat);
-        for &(corr, conf) in &pool[..initial] {
-            cs.add(cat, Some(graph), corr.a(), corr.b(), conf).unwrap();
-        }
-        let net = MatchingNetwork::new(
-            cat.clone(),
-            graph.clone(),
-            cs,
-            smn_constraints::ConstraintConfig::default(),
-        );
-        let pn =
-            ProbabilisticNetwork::new_sharded(net, bench_sampler(3), ShardingConfig::default());
-        let (corr, conf) = pool[initial];
+        let pn = initial_network(&evo, &pool);
+        let (corr, conf) = pool[evo.initial_count(pool.len())];
         // incremental: clone + extend (the clone is the same on both sides
         // of the comparison — the vendored criterion has no iter_batched)
         group.bench_with_input(
@@ -49,27 +35,7 @@ fn bench_arrival(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("rebuild/g{groups}")),
             &pn,
-            |b, pn| {
-                b.iter(|| {
-                    let mut cs = CandidateSet::new(cat);
-                    for cand in pn.network().candidates().candidates() {
-                        cs.add(cat, Some(graph), cand.corr.a(), cand.corr.b(), cand.confidence)
-                            .unwrap();
-                    }
-                    cs.add(cat, Some(graph), corr.a(), corr.b(), conf).unwrap();
-                    let net = MatchingNetwork::new(
-                        cat.clone(),
-                        graph.clone(),
-                        cs,
-                        smn_constraints::ConstraintConfig::default(),
-                    );
-                    ProbabilisticNetwork::new_sharded(
-                        net,
-                        bench_sampler(3),
-                        ShardingConfig::default(),
-                    )
-                })
-            },
+            |b, pn| b.iter(|| rebuild(&evo, live(pn).into_iter().chain([(corr, conf)]))),
         );
     }
     group.finish();

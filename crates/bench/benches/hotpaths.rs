@@ -1,9 +1,7 @@
 //! Criterion wrappers for the Algorithm 1 hot paths: batch
 //! `information_gains` and the per-assertion `assert_candidate`
 //! (view maintenance + probability recomputation), at the three standard
-//! bench sizes. The raw-timing snapshot lives in `exp_speed` /
-//! `BENCH_speed.json`; this group gives the same paths a criterion
-//! harness for quick relative comparisons.
+//! bench sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::hotpaths::{bench_network, store_config, SIZES};
@@ -33,8 +31,7 @@ fn bench_information_gains(c: &mut Criterion) {
 /// The vendored criterion stand-in has no `iter_batched`, so the measured
 /// closure must include the `pn.clone()` setup. The companion
 /// `clone-baseline` group times that clone alone — subtract it to get the
-/// assertion path itself (the `exp_speed` bin and `BENCH_speed.json`
-/// report the call with the clone excluded).
+/// assertion path itself.
 fn bench_assert_candidate(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpaths/assert-candidate (incl. clone)");
     for pn in prepared() {

@@ -1,8 +1,9 @@
 //! Criterion wrappers for cached vs fresh-scan selection: one warm
 //! cached pick after an assertion (the steady-state per-question cost)
-//! against one full-pool fresh scan, on the small federation. The raw
-//! whole-loop numbers (with the trace-identity certificate) live in
-//! `exp_select` / `BENCH_select.json`.
+//! against one full-pool fresh scan, on the small federation. That the
+//! cached and fresh paths ask the same questions is certified by
+//! `smn-core`'s `tests/evolution.rs` and `smn-dist`'s differential
+//! suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network};

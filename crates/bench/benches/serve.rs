@@ -1,8 +1,8 @@
 //! Criterion wrappers for the request-driven serving core: ingress
 //! submit+pump of a question/answer exchange, a full open-loop serving
-//! run, and the session-fork selection path. The raw-timing snapshot
-//! lives in `exp_serve` / `BENCH_serve.json`; this group gives the same
-//! paths a criterion harness for quick relative comparisons.
+//! run, and the session-fork selection path. Serving throughput and
+//! commit latency at scale are measured by the repository benchmark's
+//! `serve-crowd` workload (`perfbench/`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::serve::{serve_config, serve_events, serve_scenario};

@@ -1,16 +1,15 @@
 //! Criterion wrappers for the copy-on-write snapshot primitives and the
 //! multi-worker service round: fork, exact what-if, first-commit-on-fork
-//! and a full budgeted service run. The raw-timing snapshot lives in
-//! `exp_service` / `BENCH_service.json`; this group gives the same paths
-//! a criterion harness for quick relative comparisons.
+//! and a full budgeted service run. That a fork stays flat while the
+//! stores grow is checked by `tests/timing.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smn_bench::service::FORK_GROUPS;
+use smn_bench::service::{service_config, FORK_GROUPS};
 use smn_bench::sharding::{bench_sampler, bench_sharding, federation_case, federation_network};
 use smn_core::feedback::Assertion;
 use smn_core::{ProbabilisticNetwork, ReconciliationGoal};
 use smn_schema::CandidateId;
-use smn_service::{Aggregation, ReconciliationService, ServiceConfig};
+use smn_service::{Aggregation, ReconciliationService};
 
 fn uncertain_probe(pn: &ProbabilisticNetwork) -> CandidateId {
     (0..pn.network().candidate_count())
@@ -92,16 +91,12 @@ fn bench_service_round(c: &mut Criterion) {
                         net.clone(),
                         truth.clone(),
                         vec![0.1; workers],
-                        ServiceConfig {
-                            sampler: bench_sampler(3),
-                            sharding: bench_sharding(),
-                            redundancy: 1,
-                            aggregation: Aggregation::Majority,
-                            threads: workers,
-                            scheduler: smn_service::Scheduler::Pool,
-                            seed: 17,
-                            goal: ReconciliationGoal::Budget(16),
-                        },
+                        service_config(
+                            1,
+                            Aggregation::Majority,
+                            workers,
+                            ReconciliationGoal::Budget(16),
+                        ),
                     );
                     svc.run()
                 })

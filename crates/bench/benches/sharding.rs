@@ -1,9 +1,7 @@
 //! Criterion wrappers for the component-sharded representation on the
 //! multi-component federation scenario: network fill, per-assertion
-//! maintenance and batch information gain, monolithic vs sharded. The
-//! raw-timing snapshot lives in `exp_sharding` / `BENCH_sharding.json`;
-//! this group gives the same paths a criterion harness for quick relative
-//! comparisons.
+//! maintenance and batch information gain, monolithic vs sharded. That
+//! the two representations agree is certified by `tests/sharding.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network, GROUPS};

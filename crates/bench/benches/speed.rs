@@ -1,9 +1,7 @@
 //! Criterion wrappers for the speed-ceiling paths: the sampling fill on
 //! the largest standard size, the batched what-if evaluation against the
-//! per-candidate loop, and a federation gain scan. The raw-timing snapshot
-//! (with the PR-2 baseline ratios) lives in `exp_speed` /
-//! `BENCH_speed.json`; this group gives the same setups a criterion
-//! harness for quick relative comparisons.
+//! per-candidate loop, and a federation gain scan. The batched path's
+//! agreement with the loop is certified by the `speed` module's tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::hotpaths::{bench_network, emission_config, SIZES};

@@ -1,21 +1,18 @@
 //! Concurrent multi-worker reconciliation on the federation scenario:
 //! the crowd grid (worker count × error rate × redundancy, with
-//! precision/recall vs user-effort curves echoing the Fig. 7 methodology)
-//! plus the fork/commit snapshot costs checked in as
-//! `BENCH_service.json`.
+//! precision/recall vs user-effort curves echoing the Fig. 7
+//! methodology), checked in as `BENCH_service.json`.
 //!
 //! Run: `cargo run --release -p smn-bench --bin exp_service -- [label]`
-//! (`SMN_BENCH_FAST=1` shrinks the federation and drops repetitions).
+//! (`SMN_BENCH_FAST=1` shrinks the federation).
 
 use serde::Serialize;
-use smn_bench::service::{measure, ServiceBench};
+use smn_bench::service::service_config;
 use smn_bench::sharding::federation_case;
 use smn_bench::{save_json, Table};
-use smn_core::shard::ShardingConfig;
 use smn_core::ReconciliationGoal;
-use smn_core::SamplerConfig;
 use smn_datasets::mixed_crowd;
-use smn_service::{Aggregation, ReconciliationService, RoundStats, ServiceConfig};
+use smn_service::{Aggregation, ReconciliationService, RoundStats};
 
 /// One crowd-grid cell.
 #[derive(Debug, Clone, Serialize)]
@@ -40,11 +37,6 @@ struct ServiceExperiment {
     groups: usize,
     candidates: usize,
     grid: Vec<GridCell>,
-    bench: ServiceBench,
-}
-
-fn sampler(seed: u64) -> SamplerConfig {
-    SamplerConfig { n_samples: 400, walk_steps: 4, n_min: 150, seed, anneal: true, chains: 1 }
 }
 
 fn run_cell(
@@ -61,16 +53,7 @@ fn run_cell(
         net.clone(),
         truth.to_vec(),
         error_rates,
-        ServiceConfig {
-            sampler: sampler(3),
-            sharding: ShardingConfig::default(),
-            redundancy,
-            aggregation,
-            threads: 0,
-            scheduler: smn_service::Scheduler::Pool,
-            seed: 17,
-            goal: ReconciliationGoal::Complete,
-        },
+        service_config(redundancy, aggregation, 0, ReconciliationGoal::Complete),
     );
     let report = svc.run();
     // thin the effort/quality curve to ≤ 12 evenly spaced points (first
@@ -106,7 +89,7 @@ fn run_cell(
 fn main() {
     let label = std::env::args().nth(1).unwrap_or_else(|| "run".into());
     let fast = std::env::var("SMN_BENCH_FAST").is_ok_and(|v| v == "1");
-    let (groups, iters) = if fast { (4, 1) } else { (12, 5) };
+    let groups = if fast { 4 } else { 12 };
     let (net, truth) = federation_case(groups, 7);
 
     let mut grid: Vec<GridCell> = Vec::new();
@@ -185,47 +168,7 @@ fn main() {
     println!("Concurrent multi-worker reconciliation ({groups}-cluster federation)");
     table.print();
 
-    let bench = measure(iters);
-    let mut perf = Table::new([
-        "groups",
-        "|C|",
-        "shards",
-        "samples",
-        "fork (us)",
-        "what_if (us)",
-        "CoW assert (ms)",
-        "owned assert (ms)",
-    ]);
-    for p in &bench.forking {
-        perf.row([
-            p.groups.to_string(),
-            p.candidates.to_string(),
-            p.shards.to_string(),
-            p.distinct_samples.to_string(),
-            format!("{:.1}", p.sharded_fork_us),
-            format!("{:.1}", p.sharded_what_if_us),
-            format!("{:.4}", p.sharded_first_assert_cow_ms),
-            format!("{:.4}", p.sharded_owned_assert_ms),
-        ]);
-    }
-    println!("\nSnapshot costs (sharded representation)");
-    perf.print();
-    let mut tp =
-        Table::new(["workers", "k", "commits", "questions", "elapsed (ms)", "questions/s"]);
-    for p in &bench.throughput {
-        tp.row([
-            p.workers.to_string(),
-            p.redundancy.to_string(),
-            p.commits.to_string(),
-            p.questions.to_string(),
-            format!("{:.1}", p.elapsed_ms),
-            format!("{:.0}", p.questions as f64 / (p.elapsed_ms / 1e3)),
-        ]);
-    }
-    println!("\nService throughput (24-cluster federation, full-crowd voting k = W)");
-    tp.print();
-
-    let experiment = ServiceExperiment { groups, candidates: net.candidate_count(), grid, bench };
+    let experiment = ServiceExperiment { groups, candidates: net.candidate_count(), grid };
     if let Ok(path) = save_json(&format!("service_{label}"), &experiment) {
         println!("\nwrote {}", path.display());
     }

@@ -1,33 +1,27 @@
-//! Incremental-maintenance-vs-full-rebuild measurements behind
-//! `BENCH_evolve.json`.
+//! The evolving-federation scenario of the evolve bench.
 //!
 //! The scenario is the evolving federation
 //! ([`smn_datasets::EvolvingFederation`]): the matcher output over the
 //! fused multi-component catalog is the candidate *pool*, a fraction of
 //! which is live at t₀; the rest arrives as a deterministic stream
-//! interleaved with retirements. For every event the module applies the
-//! *incremental* path — [`ProbabilisticNetwork::extend`] /
+//! interleaved with retirements. [`apply`] takes the *incremental* path
+//! for one event — [`ProbabilisticNetwork::extend`] /
 //! [`ProbabilisticNetwork::retire`], which patch the conflict index from
-//! the event's neighbourhood and rebuild only the merged or split shard —
-//! and times, at the same network state, the *rebuild* path a static
-//! pipeline would take: `ConflictIndex::build` over the whole catalog plus
-//! a full `ProbabilisticNetwork::new_sharded` fill.
-//!
-//! Each point also records the differential evidence: the evolved
-//! posterior against a from-scratch build at the final state (expected
-//! within 1e-12 on the federation preset, whose components all take the
-//! exact enumeration path), and whether two identical evolution histories
-//! produce byte-identical probabilities.
+//! the event's neighbourhood and rebuild only the merged or split shard.
+//! [`rebuild`] is the path a static pipeline would take instead:
+//! `ConflictIndex::build` over the whole catalog plus a full
+//! `ProbabilisticNetwork::new_sharded` fill. `benches/evolve.rs` times
+//! both; this module's test certifies that a replayed schedule is
+//! deterministic and equals a from-scratch build at its final state.
 
+use crate::sharding::bench_sampler;
 use crate::{matched_network, MatcherKind};
-use serde::Serialize;
-use smn_core::{MatchingNetwork, ProbabilisticNetwork, SamplerConfig, ShardingConfig};
+use smn_core::{MatchingNetwork, ProbabilisticNetwork, ShardingConfig};
 use smn_datasets::{ChurnEvent, EvolvingFederation, EvolvingFederationSpec, FederationSpec};
 use smn_datasets::{SharingModel, Vocabulary};
-use smn_schema::{CandidateId, CandidateSet, Correspondence};
-use std::time::Instant;
+use smn_schema::{CandidateSet, Correspondence};
 
-/// Federation sizes measured (fused sub-networks); 12 is the
+/// Federation sizes of the evolve bench (fused sub-networks); 12 is the
 /// `evolving_webform_federation` preset shape.
 pub const GROUPS: [usize; 3] = [4, 12, 24];
 
@@ -50,14 +44,8 @@ pub fn evolving_scenario(groups: usize, seed: u64) -> EvolvingFederation {
     .generate(seed)
 }
 
-/// Sampler configuration of the evolve bench (the `sharding` bench shape).
-pub fn bench_sampler(seed: u64) -> SamplerConfig {
-    SamplerConfig { n_samples: 400, walk_steps: 4, n_min: 150, seed, anneal: true, chains: 1 }
-}
-
 /// The candidate pool: matcher output over the full federation, in
-/// candidate-id order, plus the network it came from (the end state of a
-/// no-churn evolution).
+/// candidate-id order.
 pub fn candidate_pool(evo: &EvolvingFederation, seed: u64) -> Vec<(Correspondence, f64)> {
     let (net, _) = matched_network(
         &evo.federation.dataset,
@@ -67,63 +55,16 @@ pub fn candidate_pool(evo: &EvolvingFederation, seed: u64) -> Vec<(Correspondenc
     net.candidates().candidates().iter().map(|c| (c.corr, c.confidence)).collect()
 }
 
-/// One measured federation size.
-#[derive(Debug, Clone, Serialize)]
-pub struct EvolvePoint {
-    /// Fused sub-networks in the scenario.
-    pub groups: usize,
-    /// Total matcher candidates (the pool).
-    pub pool: usize,
-    /// Candidates live at t₀.
-    pub initial_candidates: usize,
-    /// Candidates live after the full schedule.
-    pub final_candidates: usize,
-    /// Arrival events applied.
-    pub arrivals: usize,
-    /// Retirement events applied.
-    pub retirements: usize,
-    /// Conflict components (shards) at the final state.
-    pub final_components: usize,
-    /// Whether every shard of the final evolved network is exhausted
-    /// (exact posteriors — the regime where `max_probability_delta` is a
-    /// hard invariant).
-    pub all_exact: bool,
-    /// Largest absolute per-candidate probability delta between the
-    /// evolved network and a from-scratch build at the final state.
-    pub max_probability_delta: f64,
-    /// Whether two identical evolution histories produced byte-identical
-    /// probability vectors.
-    pub deterministic: bool,
-    /// Mean milliseconds per incremental arrival (`extend`).
-    pub incremental_per_arrival_ms: f64,
-    /// Mean milliseconds per incremental retirement (`retire`).
-    pub incremental_per_retirement_ms: f64,
-    /// Mean milliseconds to rebuild the network + sharded posterior from
-    /// scratch at the same states (min over `iters` per state).
-    pub rebuild_per_event_ms: f64,
-    /// `rebuild_per_event_ms / incremental_per_arrival_ms` — how much an
-    /// arrival saves over the static pipeline's full re-index + re-fill.
-    pub speedup_per_arrival: f64,
-    /// The same ratio for retirements.
-    pub speedup_per_retirement: f64,
-}
-
-/// Replays the schedule on an incrementally maintained network, returning
-/// the final network, the per-event incremental seconds, and — when
-/// `time_rebuilds` — the per-event from-scratch rebuild seconds.
-fn replay(
+/// Builds the sharded network over `candidates` from scratch: re-index
+/// plus a full fill, with the bench sampler.
+pub fn rebuild(
     evo: &EvolvingFederation,
-    pool: &[(Correspondence, f64)],
-    sampler: SamplerConfig,
-    sharding: ShardingConfig,
-    iters: usize,
-    time_rebuilds: bool,
-) -> (ProbabilisticNetwork, Vec<f64>, Vec<f64>, Vec<f64>) {
+    candidates: impl IntoIterator<Item = (Correspondence, f64)>,
+) -> ProbabilisticNetwork {
     let cat = &evo.federation.dataset.catalog;
     let graph = &evo.federation.graph;
-    let initial = evo.initial_count(pool.len());
     let mut cs = CandidateSet::new(cat);
-    for &(corr, conf) in &pool[..initial] {
+    for (corr, conf) in candidates {
         cs.add(cat, Some(graph), corr.a(), corr.b(), conf).unwrap();
     }
     let net = MatchingNetwork::new(
@@ -132,143 +73,85 @@ fn replay(
         cs,
         smn_constraints::ConstraintConfig::default(),
     );
-    let mut pn = ProbabilisticNetwork::new_sharded(net, sampler, sharding);
-    let mut arrivals = Vec::new();
-    let mut retirements = Vec::new();
-    let mut rebuilds = Vec::new();
-    for event in evo.schedule(pool.len()) {
-        let start = Instant::now();
-        match event {
-            ChurnEvent::Arrive(i) => {
-                let (corr, conf) = pool[i];
-                pn.extend(corr.a(), corr.b(), conf).unwrap();
-                arrivals.push(start.elapsed().as_secs_f64());
-            }
-            ChurnEvent::Retire(i) => {
-                let (corr, _) = pool[i];
-                let c = pn.network().candidates().find(corr.a(), corr.b()).expect("live");
-                pn.retire(c).unwrap();
-                retirements.push(start.elapsed().as_secs_f64());
-            }
+    ProbabilisticNetwork::new_sharded(net, bench_sampler(3), ShardingConfig::default())
+}
+
+/// The live candidates of `pn`, in candidate-id order.
+pub fn live(pn: &ProbabilisticNetwork) -> Vec<(Correspondence, f64)> {
+    pn.network().candidates().candidates().iter().map(|c| (c.corr, c.confidence)).collect()
+}
+
+/// The t₀ network: the pool's initial fraction, built from scratch.
+pub fn initial_network(
+    evo: &EvolvingFederation,
+    pool: &[(Correspondence, f64)],
+) -> ProbabilisticNetwork {
+    rebuild(evo, pool[..evo.initial_count(pool.len())].iter().copied())
+}
+
+/// Applies one schedule event on the incremental path.
+pub fn apply(pn: &mut ProbabilisticNetwork, pool: &[(Correspondence, f64)], event: ChurnEvent) {
+    match event {
+        ChurnEvent::Arrive(i) => {
+            let (corr, conf) = pool[i];
+            pn.extend(corr.a(), corr.b(), conf).unwrap();
         }
-        if time_rebuilds {
-            let mut best = f64::INFINITY;
-            for _ in 0..iters.max(1) {
-                let start = Instant::now();
-                let mut cs = CandidateSet::new(cat);
-                for cand in pn.network().candidates().candidates() {
-                    cs.add(cat, Some(graph), cand.corr.a(), cand.corr.b(), cand.confidence)
-                        .unwrap();
-                }
-                let net = MatchingNetwork::new(
-                    cat.clone(),
-                    graph.clone(),
-                    cs,
-                    smn_constraints::ConstraintConfig::default(),
-                );
-                let rebuilt = ProbabilisticNetwork::new_sharded(net, sampler, sharding);
-                best = best.min(start.elapsed().as_secs_f64());
-                std::hint::black_box(rebuilt);
-            }
-            rebuilds.push(best);
+        ChurnEvent::Retire(i) => {
+            let (corr, _) = pool[i];
+            let c = pn.network().candidates().find(corr.a(), corr.b()).expect("live");
+            pn.retire(c).unwrap();
         }
     }
-    (pn, arrivals, retirements, rebuilds)
-}
-
-/// Measures one federation size; `iters` timing repetitions per rebuild.
-pub fn measure_point(groups: usize, iters: usize) -> EvolvePoint {
-    let evo = evolving_scenario(groups, 7);
-    let pool = candidate_pool(&evo, 7);
-    let sampler = bench_sampler(3);
-    let sharding = ShardingConfig::default();
-    let schedule = evo.schedule(pool.len());
-    let arrivals = schedule.iter().filter(|e| matches!(e, ChurnEvent::Arrive(_))).count();
-    let retirements = schedule.len() - arrivals;
-
-    let (pn, arrival_secs, retirement_secs, rebuilds) =
-        replay(&evo, &pool, sampler, sharding, iters, true);
-    let (again, _, _, _) = replay(&evo, &pool, sampler, sharding, 1, false);
-    let deterministic = pn.probabilities() == again.probabilities();
-
-    // differential referee: a from-scratch build at the final state
-    let cat = &evo.federation.dataset.catalog;
-    let mut cs = CandidateSet::new(cat);
-    for cand in pn.network().candidates().candidates() {
-        cs.add(cat, Some(&evo.federation.graph), cand.corr.a(), cand.corr.b(), cand.confidence)
-            .unwrap();
-    }
-    let fresh = ProbabilisticNetwork::new_sharded(
-        MatchingNetwork::new(
-            cat.clone(),
-            evo.federation.graph.clone(),
-            cs,
-            smn_constraints::ConstraintConfig::default(),
-        ),
-        sampler,
-        sharding,
-    );
-    let max_probability_delta = pn
-        .probabilities()
-        .iter()
-        .zip(fresh.probabilities())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, f64::max);
-
-    let mean_ms = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len().max(1) as f64 * 1e3;
-    let incremental_per_arrival_ms = mean_ms(&arrival_secs);
-    let incremental_per_retirement_ms = mean_ms(&retirement_secs);
-    let rebuild_per_event_ms = mean_ms(&rebuilds);
-    EvolvePoint {
-        groups,
-        pool: pool.len(),
-        initial_candidates: evo.initial_count(pool.len()),
-        final_candidates: pn.network().candidate_count(),
-        arrivals,
-        retirements,
-        final_components: pn.shard_count(),
-        all_exact: pn.is_exhausted() && fresh.is_exhausted(),
-        max_probability_delta,
-        deterministic,
-        incremental_per_arrival_ms,
-        incremental_per_retirement_ms,
-        rebuild_per_event_ms,
-        speedup_per_arrival: rebuild_per_event_ms / incremental_per_arrival_ms.max(1e-9),
-        speedup_per_retirement: rebuild_per_event_ms / incremental_per_retirement_ms.max(1e-9),
-    }
-}
-
-/// Measures all [`GROUPS`].
-pub fn measure(iters: usize) -> Vec<EvolvePoint> {
-    GROUPS.iter().map(|&g| measure_point(g, iters)).collect()
-}
-
-/// Returns [`CandidateId`]s of every live pool candidate, for callers
-/// replaying schedules by hand.
-pub fn live_ids(pn: &ProbabilisticNetwork) -> Vec<CandidateId> {
-    (0..pn.network().candidate_count()).map(CandidateId::from_index).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Replays the whole schedule incrementally from the t₀ network.
+    fn replay(evo: &EvolvingFederation, pool: &[(Correspondence, f64)]) -> ProbabilisticNetwork {
+        let mut pn = initial_network(evo, pool);
+        for event in evo.schedule(pool.len()) {
+            apply(&mut pn, pool, event);
+        }
+        pn
+    }
+
     #[test]
-    fn smallest_point_is_deterministic_exact_and_faster_than_rebuild() {
-        let p = measure_point(GROUPS[0], 1);
-        assert!(p.deterministic, "same history must reproduce the posteriors");
-        assert!(p.arrivals > 0 && p.retirements > 0, "the schedule must churn");
-        assert_eq!(p.final_candidates, p.initial_candidates + p.arrivals - p.retirements);
-        assert!(p.all_exact, "federation components stay within the exact threshold");
-        assert!(
-            p.max_probability_delta < 1e-12,
-            "evolved posterior must equal the from-scratch build: {}",
-            p.max_probability_delta
+    fn smallest_point_is_deterministic_and_exact() {
+        let evo = evolving_scenario(GROUPS[0], 7);
+        let pool = candidate_pool(&evo, 7);
+        let schedule = evo.schedule(pool.len());
+        let arrivals = schedule.iter().filter(|e| matches!(e, ChurnEvent::Arrive(_))).count();
+        let retirements = schedule.len() - arrivals;
+        assert!(arrivals > 0 && retirements > 0, "the schedule must churn");
+
+        let pn = replay(&evo, &pool);
+        let again = replay(&evo, &pool);
+        assert_eq!(
+            pn.probabilities(),
+            again.probabilities(),
+            "same history must reproduce the posteriors"
         );
+        assert_eq!(
+            pn.network().candidate_count(),
+            evo.initial_count(pool.len()) + arrivals - retirements
+        );
+
+        let fresh = rebuild(&evo, live(&pn));
         assert!(
-            p.speedup_per_arrival > 1.5,
-            "incremental arrival must beat rebuild-per-event: {:.2}×",
-            p.speedup_per_arrival
+            pn.is_exhausted() && fresh.is_exhausted(),
+            "federation components stay within the exact threshold"
+        );
+        let max_probability_delta = pn
+            .probabilities()
+            .iter()
+            .zip(fresh.probabilities())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        assert!(
+            max_probability_delta < 1e-12,
+            "evolved posterior must equal the from-scratch build: {max_probability_delta}"
         );
     }
 }

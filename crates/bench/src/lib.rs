@@ -13,27 +13,21 @@
 //! | `exp_fig9` | Fig. 9 — uncertainty reduction vs user effort |
 //! | `exp_fig10` | Fig. 10 — ordering strategies vs instantiation quality |
 //! | `exp_fig11` | Fig. 11 — likelihood criterion in instantiation |
-//! | `exp_sharding` | monolithic vs component-sharded probabilistic networks |
-//! | `exp_persist` | durability: snapshot save/load and WAL replay costs |
-//! | `exp_evolve` | incremental maintenance vs full rebuild on an evolving federation |
-//! | `exp_service` | concurrent multi-worker reconciliation: fork/commit costs, worker × error × redundancy grid |
-//! | `exp_serve` | request-driven serving: sustained answers/s and commit-lane latency at 10⁴–10⁶ open-loop sessions |
-//! | `exp_speed` | single-node speed ceiling: hot paths vs the PR-2 baseline, batched what-if, federation scale |
-//! | `exp_select` | incremental gain-cache selection: cached vs fresh-scan question cost, trace-identical by construction |
-//! | `exp_dist` | multi-process shard servers: 1/2/4-server scaling on a 240-cluster federation |
+//! | `exp_noisy` | §VI extension — reconciliation under erroneous assertions |
+//! | `exp_service` | concurrent multi-worker reconciliation: worker × error × redundancy grid |
 //!
 //! Binaries print the paper's rows/series to stdout and write
 //! machine-readable JSON to `results/`. Criterion micro-benchmarks (incl.
-//! the ablations listed in DESIGN.md) live under `benches/`.
+//! the ablations listed in DESIGN.md) live under `benches/`; the `evolve`,
+//! `hotpaths`, `serve`, `service`, `sharding` and `speed` modules hold
+//! the scenarios they share. End-to-end speed is
+//! measured by the repository benchmark in `perfbench/`.
 
-pub mod dist;
 pub mod evolve;
 pub mod grid;
 pub mod hotpaths;
-pub mod persist;
 pub mod report;
 pub mod runner;
-pub mod select;
 pub mod serve;
 pub mod service;
 pub mod setup;

@@ -1,95 +1,17 @@
-//! Request-driven serving measurements behind `BENCH_serve.json`.
+//! The request-driven serving scenario of the serve bench.
 //!
-//! The scenario is a 96-cluster webform federation (≈4× the round-mode
-//! throughput scenario, so its ≈1.4k uncertain candidates × redundancy 8
-//! give enough answer capacity for ≥ 10⁴ concurrently participating
-//! sessions). An open-loop workload (`smn_datasets::open_loop`) of
-//! question→answer exchanges with seeded think-times drives the
-//! [`ServingCore`] event by event; each point reports:
-//!
-//! * `answers` and `elapsed_ms` — derive sustained answers/s and compare
-//!   against the round-mode baseline in `BENCH_service.json`
-//!   (`bench.throughput`: `questions / (elapsed_ms / 1000)`, ≈ 98k q/s at
-//!   8 workers);
-//! * `commit_p50_us` / `commit_p99_us` / `commit_max_us` — wall-clock of
-//!   the commit-lane flushes (the pause an answer's session could observe
-//!   at commit time);
-//! * `logical_p50` / `logical_p99` — decided→committed latency in
-//!   logical clock ticks (deterministic, survives timing scrubs).
-//!
-//! Only the `_ms`/`_us` keys carry wall-clock, so `SMN_SCRUB_TIMINGS=1`
-//! zeroes exactly them and the rest of the JSON is byte-reproducible.
+//! A webform federation served by a
+//! [`ServingCore`](smn_service::ServingCore): an open-loop workload
+//! (`smn_datasets::open_loop`) of question→answer exchanges with seeded
+//! think-times drives the core event by event. `benches/serve.rs` times
+//! whole runs and a warm exchange on it; the repository benchmark's
+//! `serve-crowd` workload measures serving at scale.
 
 use crate::sharding::{bench_sampler, bench_sharding, federation_case};
-use serde::Serialize;
 use smn_core::{MatchingNetwork, ProbabilisticNetwork};
 use smn_datasets::{open_loop, SessionAction, WorkloadSpec};
 use smn_schema::Correspondence;
-use smn_service::{Aggregation, Scheduler, ServeConfig, ServiceEvent, ServingCore};
-use std::time::Instant;
-
-/// Webform clusters in the serving scenario.
-pub const SERVE_GROUPS: usize = 96;
-
-/// Worker counts scanned at [`BASE_SESSIONS`] sessions.
-pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Configured sessions of the worker scan.
-pub const BASE_SESSIONS: u64 = 10_000;
-
-/// Session sweep at 8 workers.
-pub const SESSION_SWEEP: [u64; 2] = [100_000, 1_000_000];
-
-/// One serving measurement.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServePoint {
-    /// Crowd workers (= commit threads = redundancy `k`).
-    pub workers: usize,
-    /// Sessions configured in the open-loop workload.
-    pub sessions: u64,
-    /// Sessions that actually reached the core (workload participation is
-    /// capped by the question budget).
-    pub sessions_touched: u64,
-    /// Redundancy `k`.
-    pub redundancy: usize,
-    /// Events accepted at ingress.
-    pub events: u64,
-    /// Worker answers collected — the serving-throughput numerator.
-    pub answers: u64,
-    /// Committed assertions.
-    pub commits: usize,
-    /// Commit-buffer flushes.
-    pub flushes: u64,
-    /// Final network uncertainty (deterministic).
-    pub final_entropy: f64,
-    /// Median decided→committed latency in logical ticks (deterministic).
-    pub logical_p50: u64,
-    /// 99th-percentile decided→committed latency in logical ticks.
-    pub logical_p99: u64,
-    /// Wall-clock of the whole event-driven run (min over iters).
-    pub elapsed_ms: f64,
-    /// Median commit-lane flush wall-clock.
-    pub commit_p50_us: f64,
-    /// 99th-percentile commit-lane flush wall-clock.
-    pub commit_p99_us: f64,
-    /// Worst commit-lane flush wall-clock.
-    pub commit_max_us: f64,
-}
-
-/// The full `BENCH_serve.json` payload.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeBench {
-    /// Webform clusters in the federation.
-    pub groups: usize,
-    /// Candidate-set size `|C|`.
-    pub candidates: usize,
-    /// Uncertain candidates after initial sampling (the answer capacity
-    /// is `uncertain × k`).
-    pub uncertain: usize,
-    /// Worker scan at [`BASE_SESSIONS`] sessions plus the session sweep
-    /// at 8 workers.
-    pub points: Vec<ServePoint>,
-}
+use smn_service::{Aggregation, Scheduler, ServeConfig, ServiceEvent};
 
 /// Builds the serving scenario once: network, truth and the uncertain
 /// count of its seeded initial sampling.
@@ -118,8 +40,7 @@ pub fn serve_config(workers: usize) -> ServeConfig {
 
 /// The open-loop event stream of a bench point: enough question→answer
 /// exchanges to exhaust the answer capacity (`uncertain × k`, plus a 20%
-/// tail that starves — which also pushes the participating-session count
-/// past 10⁴ at 8 workers), spread over `sessions` sessions.
+/// tail that starves), spread over `sessions` sessions.
 pub fn serve_events(sessions: u64, uncertain: usize, k: usize, seed: u64) -> Vec<ServiceEvent> {
     let questions = (uncertain * k) as u64 * 6 / 5;
     let spec =
@@ -133,108 +54,25 @@ pub fn serve_events(sessions: u64, uncertain: usize, k: usize, seed: u64) -> Vec
         .collect()
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-}
-
-/// Runs one serving point: the event stream is submitted and pumped one
-/// event at a time so each commit-lane flush can be timed individually;
-/// the whole-run wall-clock keeps the minimum over `iters` repetitions,
-/// flush latencies the distribution of the fastest iteration.
-pub fn run_point(
-    net: &MatchingNetwork,
-    truth: &[Correspondence],
-    workers: usize,
-    sessions: u64,
-    uncertain: usize,
-    iters: usize,
-) -> ServePoint {
-    let events = serve_events(sessions, uncertain, workers, 13);
-    let mut best_ms = f64::INFINITY;
-    let mut best_flush_us: Vec<f64> = Vec::new();
-    let mut report = None;
-    for _ in 0..iters.max(1) {
-        let mut core = ServingCore::new(
-            net.clone(),
-            truth.to_vec(),
-            vec![0.1; workers],
-            serve_config(workers),
-        )
-        .expect("bench serving config");
-        let mut flush_us: Vec<f64> = Vec::new();
-        let start = Instant::now();
-        for &event in &events {
-            if core.submit(event).is_err() {
-                core.pump();
-                core.submit(event).expect("drained queue accepts");
-            }
-            let flushes_before = core.flushes();
-            let tick = Instant::now();
-            core.pump();
-            if core.flushes() != flushes_before {
-                flush_us.push(tick.elapsed().as_secs_f64() * 1e6);
-            }
-        }
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        report = Some(core.finish());
-        if elapsed < best_ms {
-            best_ms = elapsed;
-            best_flush_us = flush_us;
-        }
-    }
-    let report = report.expect("at least one iteration ran");
-    best_flush_us.sort_by(f64::total_cmp);
-    ServePoint {
-        workers,
-        sessions,
-        sessions_touched: report.sessions,
-        redundancy: report.redundancy,
-        events: report.events_accepted,
-        answers: report.questions_asked,
-        commits: report.commits.len(),
-        flushes: report.flushes,
-        final_entropy: report.final_entropy,
-        logical_p50: report.latency.p50,
-        logical_p99: report.latency.p99,
-        elapsed_ms: best_ms,
-        commit_p50_us: percentile(&best_flush_us, 0.50),
-        commit_p99_us: percentile(&best_flush_us, 0.99),
-        commit_max_us: best_flush_us.last().copied().unwrap_or(0.0),
-    }
-}
-
-/// Measures the full serving scan: worker counts at [`BASE_SESSIONS`]
-/// sessions, then the session sweep at 8 workers.
-pub fn measure(iters: usize) -> ServeBench {
-    let (net, truth, uncertain) = serve_scenario(SERVE_GROUPS);
-    let mut points = Vec::new();
-    for &workers in &WORKER_COUNTS {
-        points.push(run_point(&net, &truth, workers, BASE_SESSIONS, uncertain, iters));
-    }
-    for &sessions in &SESSION_SWEEP {
-        points.push(run_point(&net, &truth, 8, sessions, uncertain, iters));
-    }
-    ServeBench { groups: SERVE_GROUPS, candidates: net.candidate_count(), uncertain, points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smn_service::ServingCore;
 
     #[test]
     fn serve_points_are_deterministic_in_content() {
         let (net, truth, uncertain) = serve_scenario(8);
-        let a = run_point(&net, &truth, 2, 64, uncertain, 1);
-        let b = run_point(&net, &truth, 2, 64, uncertain, 1);
-        assert!(a.answers > 0, "the workload must collect answers");
-        assert!(a.commits > 0, "answers must commit");
-        assert_eq!(a.answers, b.answers);
-        assert_eq!(a.commits, b.commits);
-        assert_eq!(a.final_entropy, b.final_entropy);
-        assert_eq!(a.logical_p99, b.logical_p99);
-        assert_eq!(a.sessions_touched, b.sessions_touched);
+        let events = serve_events(64, uncertain, 2, 13);
+        let run = || {
+            let mut core =
+                ServingCore::new(net.clone(), truth.clone(), vec![0.1; 2], serve_config(2))
+                    .expect("bench serving config");
+            core.run_events(events.iter().copied());
+            core.finish()
+        };
+        let (a, b) = (run(), run());
+        assert!(a.questions_asked > 0, "the workload must collect answers");
+        assert!(!a.commits.is_empty(), "answers must commit");
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
     }
 }

@@ -27,8 +27,8 @@ pub const LANES: usize = 4;
 /// pair — takes a fused scalar loop instead of the unrolled block walk.
 /// Under two full blocks the 4-accumulator prologue/epilogue costs more
 /// than it saves (the 400-sample stores of the standard benchmarks have
-/// 7-word rows, which is exactly where `BENCH_speed.json` showed the
-/// wide path 2–12% *behind* the PR-2 scalar baseline at |C| ≤ 352); at
+/// 7-word rows, which is exactly where the hot-path benchmark showed the
+/// wide path 2–12% *behind* the scalar loop at |C| ≤ 352); at
 /// or above two blocks the independent dependency chains win. Both
 /// paths compute the identical integer, so the cutover can never change
 /// a value.

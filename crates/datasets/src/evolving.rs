@@ -10,8 +10,8 @@
 //! pool is present at t₀, the rest arrives as a deterministic stream
 //! interleaved with retirements of live candidates ("churn"). The
 //! schedule is a pure function of the spec and its seed, so the
-//! incremental-maintenance experiments (`exp_evolve`) and the
-//! differential harnesses replay identical histories.
+//! incremental-maintenance benchmarks and the differential harnesses
+//! replay identical histories.
 //!
 //! The schedule speaks in *pool indices* — positions in whatever candidate
 //! list the consumer derives (typically the matcher output over the fused

@@ -98,8 +98,7 @@ impl FederationSpec {
 }
 
 /// Preset federation in the WebForm regime: 12 clusters of 3 small forms
-/// each — the multi-component scenario of the `sharding` benches and the
-/// `exp_sharding` experiment.
+/// each — the multi-component scenario of the `sharding` benches.
 pub fn webform_federation(seed: u64) -> Federation {
     FederationSpec {
         name: "WebFormFed".into(),

@@ -61,7 +61,7 @@ use smn_storage::format::encode_snapshot;
 use smn_storage::wal::encode_record;
 use smn_storage::Frame;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// The multi-process probabilistic network: full structure and global
 /// bookkeeping here, sample state distributed over shard servers.
@@ -145,12 +145,15 @@ impl DistNetwork {
         Ok(())
     }
 
-    /// One lockstep request/response exchange with a server.
-    fn request(&self, server: usize, kind: u32, payload: &[u8]) -> Result<Frame, DistError> {
-        let mut link = self.links[server]
+    /// Locks the link to `server`.
+    fn link(&self, server: usize) -> Result<MutexGuard<'_, Box<dyn Transport>>, DistError> {
+        self.links[server]
             .lock()
-            .map_err(|_| DistError::Protocol(format!("link to server {server} poisoned")))?;
-        link.send(kind, payload)?;
+            .map_err(|_| DistError::Protocol(format!("link to server {server} poisoned")))
+    }
+
+    /// Reads `server`'s reply from its locked link.
+    fn reply(server: usize, link: &mut dyn Transport) -> Result<Frame, DistError> {
         let frame = link.recv()?;
         match frame.kind {
             RESP_OK => Ok(frame),
@@ -161,21 +164,39 @@ impl DistNetwork {
         }
     }
 
-    /// Sends each `(server, payload)` request as a `kind` frame,
-    /// concurrently — one scoped thread per request, each on its own
-    /// server's link — and returns the replies in request order.
+    /// One lockstep request/response exchange with a server.
+    fn request(&self, server: usize, kind: u32, payload: &[u8]) -> Result<Frame, DistError> {
+        let mut link = self.link(server)?;
+        link.send(kind, payload)?;
+        Self::reply(server, &mut **link)
+    }
+
+    /// Sends each `(server, payload)` request as a `kind` frame and
+    /// returns the replies in request order. `requests` name each server
+    /// at most once, in ascending order. Every request is written before
+    /// any reply is read, so the servers compute concurrently while the
+    /// coordinator waits on one thread. Each link stays locked from its
+    /// write until its reply is read, and links are locked in ascending
+    /// server order, so concurrent callers cannot deadlock.
     fn exchange(
         &self,
         kind: u32,
         requests: Vec<(usize, Vec<u8>)>,
     ) -> Vec<Result<Frame, DistError>> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = requests
-                .iter()
-                .map(|(server, payload)| s.spawn(move || self.request(*server, kind, payload)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("fan-out thread")).collect()
-        })
+        debug_assert!(requests.windows(2).all(|w| w[0].0 < w[1].0), "one request per server");
+        let sent: Vec<Result<_, DistError>> = requests
+            .iter()
+            .map(|(server, payload)| {
+                let mut link = self.link(*server)?;
+                link.send(kind, payload)?;
+                Ok(link)
+            })
+            .collect();
+        requests
+            .iter()
+            .zip(sent)
+            .map(|((server, _), sent)| sent.and_then(|mut link| Self::reply(*server, &mut **link)))
+            .collect()
     }
 
     /// Shard servers in the cluster.

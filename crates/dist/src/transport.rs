@@ -8,10 +8,10 @@
 //!   "servers" as threads of one process, so a failure is a plain
 //!   backtrace, not a orphaned child process.
 //! * [`TcpTransport`] — a `std::net::TcpStream` carrying the same
-//!   frames byte for byte. `exp_dist` uses it to run real multi-process
-//!   clusters over loopback; nothing in the protocol is
-//!   transport-specific, which is what lets the in-process suite certify
-//!   the multi-process binary.
+//!   frames byte for byte. The repository benchmark's `cluster-rounds`
+//!   workload uses it to run real multi-process clusters over loopback;
+//!   nothing in the protocol is transport-specific, which is what lets
+//!   the in-process suite certify the multi-process cluster.
 
 use crate::error::DistError;
 use smn_storage::{read_frame, write_frame, Frame};

@@ -122,7 +122,7 @@ fn sharded_posterior_is_exact_where_the_monolithic_sampler_cannot_be() {
     // independent referee: per-component exact enumeration via the
     // conflict-index splitter, bypassing SampleStore entirely
     let comps = smn_constraints::Components::of_index(net.index());
-    let subs = net.index().shard(&comps);
+    let subs: Vec<_> = (0..comps.count()).map(|k| net.index().shard_component(&comps, k)).collect();
     let mut checked = 0usize;
     for (k, sub) in subs.iter().enumerate() {
         let Some(instances) =

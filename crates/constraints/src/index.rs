@@ -582,59 +582,17 @@ impl ConflictIndex {
         blocked.iter_unset().next().is_none()
     }
 
-    /// Splits the index along a conflict-component partition: one
-    /// sub-index per component, candidates renumbered to shard-local ids
-    /// (`components.local_index`). Conflicts never span components by
-    /// construction of [`crate::components::Components`], so every pair and
-    /// triple of `self`
-    /// lands — remapped — in exactly one sub-index, in one pass over the
-    /// posting lists and the triple table.
+    /// Extracts the sub-index of component `k` of a conflict-component
+    /// partition, candidates renumbered to shard-local ids
+    /// (`components.local_index`), in one pass over that component's
+    /// posting lists. Conflicts never span components by construction of
+    /// [`crate::components::Components`], so every pair and triple of
+    /// `self` lands — remapped — in exactly one component's sub-index.
     ///
-    /// Sub-indices are returned behind [`Arc`] because they are immutable
+    /// The sub-index is returned behind [`Arc`] because it is immutable
     /// once built: the copy-on-write shard snapshots of `smn-core` share
-    /// them by pointer across forks and overlay clones, so a sub-index is
-    /// built exactly once per (re)extraction and never deep-cloned.
-    pub fn shard(&self, components: &crate::components::Components) -> Vec<Arc<ConflictIndex>> {
-        debug_assert_eq!(components.candidate_count(), self.candidate_count);
-        let mut shards: Vec<ConflictIndex> = (0..components.count())
-            .map(|k| {
-                let m = components.members(k).len();
-                ConflictIndex {
-                    config: self.config,
-                    candidate_count: m,
-                    pair_conflicts: vec![Vec::new(); m],
-                    triples: Vec::new(),
-                    triples_of: vec![Vec::new(); m],
-                    pair_masks: Vec::new(),
-                    triple_other: Vec::new(),
-                    triple_other_start: Vec::new(),
-                }
-            })
-            .collect();
-        let local = |c: CandidateId| CandidateId::from_index(components.local_index(c));
-        for (i, list) in self.pair_conflicts.iter().enumerate() {
-            let c = CandidateId::from_index(i);
-            let shard = &mut shards[components.component_of(c)];
-            shard.pair_conflicts[local(c).index()].extend(list.iter().map(|&x| local(x)));
-        }
-        for &[x, y, z] in &self.triples {
-            let shard = &mut shards[components.component_of(x)];
-            // global members are ascending and the local remap preserves
-            // order within a component, so the triple stays sorted
-            shard.push_triple(local(x), local(y), local(z));
-        }
-        for shard in &mut shards {
-            shard.build_dense();
-        }
-        shards.into_iter().map(Arc::new).collect()
-    }
-
-    /// Extracts the sub-index of a *single* component (the same remapping
-    /// as [`shard`](ConflictIndex::shard), restricted to component `k`) in
-    /// one pass over that component's posting lists — the building block of
-    /// incremental shard maintenance, where only the merged or split
-    /// component must be re-extracted. Like [`shard`](ConflictIndex::shard)
-    /// the result is [`Arc`]-shared, never deep-cloned downstream.
+    /// it by pointer across forks and overlay clones, so it is built
+    /// exactly once per (re)extraction and never deep-cloned.
     pub fn shard_component(
         &self,
         components: &crate::components::Components,

@@ -29,8 +29,8 @@
 //! Because constraints only couple candidates that share a conflict, the
 //! conflict graph decomposes sparse networks into independent connected
 //! components; [`Components`] extracts that partition and
-//! [`ConflictIndex::shard`] splits the index along it — the foundation of
-//! the component-sharded probabilistic model in `smn-core`.
+//! [`ConflictIndex::shard_component`] splits the index along it — the
+//! foundation of the component-sharded probabilistic model in `smn-core`.
 
 pub mod bitset;
 pub mod closure;

@@ -145,7 +145,7 @@ proptest! {
         let (cat, g, cs) = three_schema_network(sizes, cand_mask);
         let idx = ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default());
         let comps = Components::of_index(&idx);
-        let shards = idx.shard(&comps);
+        let shards: Vec<_> = (0..comps.count()).map(|k| idx.shard_component(&comps, k)).collect();
         prop_assert_eq!(shards.len(), comps.count());
         // consistency of an arbitrary set factorizes over shards
         let raw = subset_from_mask(cs.len(), inst_mask);

@@ -106,19 +106,8 @@ impl Session {
     /// Creates a session: builds the probabilistic network (initial
     /// sampling) and installs the selection strategy.
     pub fn new(network: MatchingNetwork, config: SessionConfig) -> Self {
-        let strategy: Box<dyn SelectionStrategy> = match config.strategy {
-            Strategy::Random => Box::new(RandomSelection::new(config.strategy_seed)),
-            Strategy::InformationGain => {
-                Box::new(InformationGainSelection::new(config.strategy_seed))
-            }
-        };
-        Self {
-            pn: ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding),
-            strategy,
-            asked: Vec::new(),
-            undo_stack: Vec::new(),
-            journal: None,
-        }
+        let pn = ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding);
+        Self::resume(pn, Vec::new(), config)
     }
 
     /// Re-opens a session over a *recovered* probabilistic network — the

@@ -79,7 +79,7 @@ pub use metrics::{kl_divergence, kl_ratio, PrecisionRecall};
 pub use network::MatchingNetwork;
 pub use oracle::{CrowdOracle, GroundTruthOracle, NoisyOracle, Oracle};
 pub use persist::{EventSink, NetworkEvent, NetworkState};
-pub use probability::{AssertError, CommitExec, CommitOutcome, ProbabilisticNetwork};
+pub use probability::{AssertError, CommitOutcome, ProbabilisticNetwork};
 pub use reconcile::{reconcile, ReconciliationGoal, StepOutcome, TracePoint};
 pub use sampling::SamplerConfig;
 pub use selection::{

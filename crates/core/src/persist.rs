@@ -135,7 +135,7 @@ pub struct StoreState {
 /// One serialized shard: its local feedback and store. The shard's
 /// restricted sub-index is *not* serialized — it is a pure function of
 /// the global index and the component partition and is re-derived on
-/// load (`ConflictIndex::shard`).
+/// load (`ConflictIndex::shard_component`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardState {
     /// Shard-local feedback (ids in shard-local numbering).

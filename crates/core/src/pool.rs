@@ -1,30 +1,36 @@
 //! A persistent work-stealing worker pool for shard-granular parallelism.
 //!
-//! Before this module, every parallel section — the sharded fill in
-//! [`crate::shard`], the multi-chain sampler pass in [`crate::sampling`],
-//! the service's vote fan-out — paid a fresh `std::thread::scope`
-//! spawn/join barrier. That is microseconds per call, which is fine for
-//! one big fill and ruinous when a federation of thousands of small
-//! shards refills a handful of them per assertion. The pool keeps its
-//! threads alive for the process lifetime and replaces the barrier with a
-//! batch latch.
+//! Every per-shard batch in the workspace — the sharded fill and gain
+//! scan in [`crate::shard`], the what-if branches of
+//! [`ShardHost::entropy_after`](crate::ShardHost::entropy_after), the
+//! commit lanes of
+//! [`commit_batch`](crate::ProbabilisticNetwork::commit_batch) and the
+//! multi-chain sampler pass in [`crate::sampling`] — goes through
+//! [`WorkerPool::map`] (or [`WorkerPool::map_high`]), and this module
+//! alone decides whether it runs concurrently. A batch runs inline on the
+//! calling thread when the pool has one thread, when it has one item, or
+//! when the caller is inside a [`sequential`] scope; otherwise it fans out.
+//! The integrity constraints couple only candidates that share a
+//! conflict, so every per-shard batch gives the same bits on any
+//! schedule. The threads live for the process lifetime, so a batch pays a
+//! latch, not a spawn/join barrier.
 //!
 //! ## Shape
 //!
 //! * one [`Mutex`]`<VecDeque>` run queue per worker; submitters push
 //!   round-robin, workers pop their own queue front-first and steal from
 //!   the back of their neighbours' queues when empty;
-//! * [`WorkerPool::run`] submits a batch of closures and blocks until all
+//! * [`WorkerPool::map`] submits one task per item and blocks until all
 //!   of them finished, **helping** — the calling thread executes queued
 //!   tasks while it waits. Helping is what makes nested batches (a shard
 //!   fill task that itself runs a multi-chain pass) deadlock-free: the
 //!   inner batch's submitter drains work itself even when every pool
 //!   worker is busy;
-//! * results land in per-task slots and are returned **in submission
-//!   order**, so the merge order — and with it every downstream posterior
-//!   and report byte — is a pure function of the task list, never of
-//!   scheduling. This is the pool's determinism contract (see
-//!   `docs/POOL.md`): thread count and steal order may change wall-clock,
+//! * results land in per-task slots and are returned **in item order**,
+//!   so the merge order — and with it every downstream posterior and
+//!   report byte — is a pure function of the items, never of scheduling.
+//!   This is the pool's determinism contract (see `docs/POOL.md`): thread
+//!   count, steal order and [`sequential`] scopes may change wall-clock,
 //!   not results;
 //! * a panicking task is caught, its batch still completes, and the panic
 //!   resumes on the submitting thread — same observable behaviour as a
@@ -32,22 +38,20 @@
 //!
 //! ## Safety
 //!
-//! Tasks borrow the submitting frame (`'env`), while the worker threads
-//! are `'static`; the lifetime is erased at submission. This is sound for
-//! the same reason scoped threads are: `run` does not return until every
-//! task in the batch has executed (or unwound) and been dropped, and the
+//! Tasks borrow the submitting frame (the mapped function and the items),
+//! while the worker threads are `'static`; the lifetime is erased at
+//! submission. This is sound for
+//! the same reason scoped threads are: a batch does not return until
+//! every task in it has executed (or unwound) and been dropped, and the
 //! batch state itself is only dropped after every result slot has been
 //! drained on the submitting thread.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
-
-/// A unit of pool work returning `T`, allowed to borrow the submitting
-/// frame.
-pub type Task<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
 
 type RawTask = Box<dyn FnOnce() + Send + 'static>;
 
@@ -148,31 +152,45 @@ impl WorkerPool {
         self.shared.queues.len()
     }
 
-    /// Runs a batch of tasks to completion and returns their results in
-    /// submission order. The calling thread helps execute queued work
-    /// while it waits. Panics in tasks resume on this thread after the
-    /// whole batch has settled.
-    pub fn run<'env, T: Send + 'env>(&self, tasks: Vec<Task<'env, T>>) -> Vec<T> {
-        self.run_with(tasks, false)
+    /// Applies `f` to every item as one batch and returns the results in
+    /// item order. The batch runs inline on the calling thread when the
+    /// pool has one thread, when there is one item, or inside a
+    /// [`sequential`] scope; otherwise its tasks fan out across the
+    /// workers while the calling thread helps execute queued work. Panics
+    /// in tasks resume on this thread after the whole batch has settled.
+    pub fn map<X: Send, T: Send>(
+        &self,
+        items: impl IntoIterator<Item = X>,
+        f: impl Fn(X) -> T + Sync,
+    ) -> Vec<T> {
+        self.map_with(items, f, false)
     }
 
-    /// Like [`WorkerPool::run`], but submits the batch to the
+    /// Like [`WorkerPool::map`], but submits the batch to the
     /// high-priority lane: every worker drains it before its own queue,
     /// so these tasks overtake queued background batches. Results still
-    /// come back in submission order — priority changes wall-clock, never
+    /// come back in item order — priority changes wall-clock, never
     /// bytes.
-    pub fn run_high<'env, T: Send + 'env>(&self, tasks: Vec<Task<'env, T>>) -> Vec<T> {
-        self.run_with(tasks, true)
+    pub fn map_high<X: Send, T: Send>(
+        &self,
+        items: impl IntoIterator<Item = X>,
+        f: impl Fn(X) -> T + Sync,
+    ) -> Vec<T> {
+        self.map_with(items, f, true)
     }
 
-    fn run_with<'env, T: Send + 'env>(&self, tasks: Vec<Task<'env, T>>, priority: bool) -> Vec<T> {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 || self.threads() == 1 {
-            // nothing to parallelize: run inline, skipping the latch
-            return tasks.into_iter().map(|t| t()).collect();
+    fn map_with<X: Send, T: Send>(
+        &self,
+        items: impl IntoIterator<Item = X>,
+        f: impl Fn(X) -> T + Sync,
+        priority: bool,
+    ) -> Vec<T> {
+        let items: Vec<X> = items.into_iter().collect();
+        let n = items.len();
+        if n <= 1 || self.threads() == 1 || in_sequential_scope() {
+            // nothing to parallelize (or the caller asked for none): run
+            // inline, skipping the latch
+            return items.into_iter().map(f).collect();
         }
         let batch: Arc<Batch<T>> = Arc::new(Batch {
             remaining: AtomicUsize::new(n),
@@ -180,10 +198,11 @@ impl WorkerPool {
             done: Condvar::new(),
             done_lock: Mutex::new(()),
         });
-        for (i, task) in tasks.into_iter().enumerate() {
+        let f = &f;
+        for (i, x) in items.into_iter().enumerate() {
             let b = Arc::clone(&batch);
-            let closure: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(task));
+            let closure: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| f(x)));
                 *b.slots[i].lock().expect("batch slot") = Some(result);
                 // last finisher trips the latch under the lock so the
                 // notify cannot race the submitter's final check
@@ -192,14 +211,15 @@ impl WorkerPool {
                     b.done.notify_all();
                 }
             });
-            // SAFETY: erases 'env to 'static. The closure (and everything
-            // it borrows) is guaranteed to have finished executing and
-            // been dropped before `run` returns: tasks only leave the
-            // queues by being executed, execution decrements `remaining`
-            // after dropping the task, and we block below until
+            // SAFETY: erases the borrow of `f` and the items' lifetimes
+            // to 'static. The closure (and everything it borrows) is
+            // guaranteed to have finished executing and been dropped
+            // before `map_with` returns: tasks only leave the queues by
+            // being executed, execution decrements `remaining` after
+            // dropping the task, and we block below until
             // `remaining == 0`.
             let raw: RawTask =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, RawTask>(closure) };
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RawTask>(closure) };
             if priority {
                 self.shared.high.lock().expect("pool queue").push_back(raw);
             } else {
@@ -292,48 +312,59 @@ pub fn global() -> &'static WorkerPool {
     })
 }
 
+thread_local! {
+    /// How many [`sequential`] scopes the current thread is inside.
+    static SEQUENTIAL_DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+fn in_sequential_scope() -> bool {
+    SEQUENTIAL_DEPTH.with(|d| d.get() > 0)
+}
+
+/// Runs `f` with every batch the current thread submits — on any pool,
+/// nested batches included — executed inline, item by item, on this
+/// thread. Results are the same bits as a pooled run; only wall-clock
+/// changes. Scopes nest, and the scope ends when `f` returns or unwinds.
+pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
+    struct Exit;
+    impl Drop for Exit {
+        fn drop(&mut self) {
+            SEQUENTIAL_DEPTH.with(|d| d.set(d.get() - 1));
+        }
+    }
+    SEQUENTIAL_DEPTH.with(|d| d.set(d.get() + 1));
+    let _exit = Exit;
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
 
-    fn boxed<T: Send + 'static>(
-        fns: impl IntoIterator<Item = T>,
-        f: impl Fn(T) -> T + Send + Sync + Copy + 'static,
-    ) -> Vec<Task<'static, T>> {
-        fns.into_iter().map(|x| Box::new(move || f(x)) as Task<'static, T>).collect()
+    fn mix(x: u64) -> u64 {
+        x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
     }
 
     #[test]
     fn results_come_back_in_submission_order() {
         let pool = WorkerPool::new(4);
-        let out = pool.run(boxed(0u64..64, |x| x * 3));
+        let out = pool.map(0u64..64, |x| x * 3);
         assert_eq!(out, (0..64).map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn pooled_matches_sequential() {
         let pool = WorkerPool::new(3);
-        let work = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-        let pooled =
-            pool.run((0u64..40).map(|x| Box::new(move || work(x)) as Task<'_, u64>).collect());
-        let sequential: Vec<u64> = (0..40).map(work).collect();
-        assert_eq!(pooled, sequential);
+        let sequential: Vec<u64> = (0..40).map(mix).collect();
+        assert_eq!(pool.map(0u64..40, mix), sequential);
     }
 
     #[test]
     fn tasks_may_borrow_the_submitting_frame() {
         let pool = WorkerPool::new(2);
         let data: Vec<u64> = (0..100).collect();
-        let slices: Vec<&[u64]> = data.chunks(7).collect();
-        let sums = pool.run(
-            slices
-                .iter()
-                .map(|s| {
-                    let s: &[u64] = s;
-                    Box::new(move || s.iter().sum::<u64>()) as Task<'_, u64>
-                })
-                .collect(),
-        );
+        let sums = pool.map(data.chunks(7), |s| s.iter().sum::<u64>());
         assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
     }
 
@@ -341,62 +372,107 @@ mod tests {
     fn nested_batches_complete() {
         // a task that itself submits a batch to the same pool — the shard
         // fill / multi-chain nesting shape
-        let pool = Arc::new(WorkerPool::new(2));
-        let outer: Vec<Task<'_, u64>> = (0..8u64)
-            .map(|i| {
-                let pool = Arc::clone(&pool);
-                Box::new(move || pool.run(boxed(0u64..8, move |x| x + 1)).iter().sum::<u64>() + i)
-                    as Task<'_, u64>
-            })
-            .collect();
-        let out = pool.run(outer);
+        let pool = WorkerPool::new(2);
+        let out = pool.map(0..8u64, |i| pool.map(0u64..8, |x| x + 1).iter().sum::<u64>() + i);
         assert_eq!(out, (0..8u64).map(|i| 36 + i).collect::<Vec<_>>());
     }
 
     #[test]
     fn panics_resume_on_the_submitter_after_the_batch_settles() {
         let pool = WorkerPool::new(2);
-        let tasks: Vec<Task<'_, u64>> = (0..16u64)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 7 {
-                        panic!("task 7 exploded");
-                    }
-                    i
-                }) as Task<'_, u64>
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(0..16u64, |i| {
+                if i == 7 {
+                    panic!("task 7 exploded");
+                }
+                i
             })
-            .collect();
-        let caught = catch_unwind(AssertUnwindSafe(|| pool.run(tasks)));
+        }));
         let msg = *caught.expect_err("must propagate").downcast::<&str>().expect("str payload");
         assert_eq!(msg, "task 7 exploded");
         // the pool survives and keeps working
-        assert_eq!(pool.run(boxed(0u64..4, |x| x)), vec![0, 1, 2, 3]);
+        assert_eq!(pool.map(0u64..4, |x| x), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = WorkerPool::new(1);
-        assert_eq!(
-            pool.run(boxed(0u64..10, |x| x * 2)),
-            (0..10).map(|x| x * 2).collect::<Vec<_>>()
-        );
+        assert_eq!(pool.map(0u64..10, |x| x * 2), (0..10).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let pool = WorkerPool::new(2);
-        let out: Vec<u64> = pool.run(Vec::new());
+        let out: Vec<u64> = pool.map(Vec::<u64>::new(), |x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn high_priority_batches_return_the_same_results_as_normal_ones() {
         let pool = WorkerPool::new(3);
-        let work = |x: u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(13);
-        let normal = pool.run(boxed(0u64..48, move |x| work(x)));
-        let high = pool.run_high(boxed(0u64..48, move |x| work(x)));
+        let normal = pool.map(0u64..48, mix);
+        let high = pool.map_high(0u64..48, mix);
         assert_eq!(high, normal);
-        assert_eq!(high, (0..48).map(work).collect::<Vec<_>>());
+        assert_eq!(high, (0..48).map(mix).collect::<Vec<_>>());
+    }
+
+    /// Runs a 32-item `map` and a 32-item `map_high` on `pool`, checks
+    /// that both return their results in item order, and returns the
+    /// threads that ran the items.
+    fn traced(pool: &WorkerPool) -> Vec<ThreadId> {
+        let mut threads = Vec::new();
+        for high in [false, true] {
+            let f = |x: u64| (mix(x), std::thread::current().id());
+            let out = if high { pool.map_high(0u64..32, f) } else { pool.map(0u64..32, f) };
+            let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, (0..32).map(mix).collect::<Vec<_>>(), "item order");
+            threads.extend(out.into_iter().map(|(_, t)| t));
+        }
+        threads
+    }
+
+    fn all_on_this_thread(threads: &[ThreadId]) -> bool {
+        threads.iter().all(|&t| t == std::thread::current().id())
+    }
+
+    #[test]
+    fn map_runs_inline_on_one_thread_one_item_or_a_sequential_scope() {
+        let me = std::thread::current().id();
+        assert!(all_on_this_thread(&traced(&WorkerPool::new(1))), "one-thread pool");
+        let pool = WorkerPool::new(3);
+        assert_eq!(pool.map([5u64], |x| (mix(x), std::thread::current().id())), vec![(mix(5), me)]);
+        assert_eq!(
+            pool.map_high([5u64], |x| (mix(x), std::thread::current().id())),
+            vec![(mix(5), me)]
+        );
+        assert!(sequential(|| all_on_this_thread(&traced(&pool))), "sequential scope");
+        // scopes nest, and leaving the inner one keeps the outer in force
+        assert!(sequential(|| {
+            let inner = sequential(|| traced(&pool));
+            all_on_this_thread(&inner) && all_on_this_thread(&traced(&pool))
+        }));
+        // a batch issued from inside an inline task stays inline too
+        let nested = sequential(|| pool.map(0u64..4, |_| traced(&pool)));
+        assert!(nested.iter().all(|t| all_on_this_thread(t)));
+        // outside any scope, the same pool still produces the same values
+        traced(&pool);
+    }
+
+    #[test]
+    fn sequential_scopes_are_per_thread_and_hold_inside_pool_tasks() {
+        let pool = WorkerPool::new(2);
+        // a pool task that opens a scope runs its own batch inline on
+        // whichever thread executes it
+        let per_task = pool.map(0..4u64, |_| {
+            let outer = std::thread::current().id();
+            let inner = sequential(|| traced(&pool));
+            inner.iter().all(|&t| t == outer)
+        });
+        assert_eq!(per_task, vec![true; 4]);
+        // a scope ends when its closure unwinds
+        let caught = catch_unwind(AssertUnwindSafe(|| sequential(|| panic!("unwind"))));
+        assert!(caught.is_err());
+        assert!(!in_sequential_scope());
     }
 
     #[test]
@@ -406,38 +482,24 @@ mod tests {
         // then submit a high batch: every high task must start before the
         // background tail drains, i.e. the lane really is checked first.
         let pool = Arc::new(WorkerPool::new(2));
-        let started = Arc::new(AtomicU64::new(0));
+        let started = AtomicU64::new(0);
         let bg_done = Arc::new(AtomicU64::new(0));
         let bg = {
             let pool = Arc::clone(&pool);
             let bg_done = Arc::clone(&bg_done);
             std::thread::spawn(move || {
-                let tasks: Vec<Task<'static, ()>> = (0..64)
-                    .map(|_| {
-                        let bg_done = Arc::clone(&bg_done);
-                        Box::new(move || {
-                            std::thread::sleep(Duration::from_micros(500));
-                            bg_done.fetch_add(1, Ordering::SeqCst);
-                        }) as Task<'static, ()>
-                    })
-                    .collect();
-                pool.run(tasks);
+                pool.map(0..64, |_| {
+                    std::thread::sleep(Duration::from_micros(500));
+                    bg_done.fetch_add(1, Ordering::SeqCst);
+                });
             })
         };
         // give the background batch a head start at filling the queues
         std::thread::sleep(Duration::from_millis(2));
-        let drained: Vec<u64> = pool.run_high(
-            (0..8u64)
-                .map(|_| {
-                    let started = Arc::clone(&started);
-                    let bg_done = Arc::clone(&bg_done);
-                    Box::new(move || {
-                        started.fetch_add(1, Ordering::SeqCst);
-                        bg_done.load(Ordering::SeqCst)
-                    }) as Task<'_, u64>
-                })
-                .collect(),
-        );
+        let drained: Vec<u64> = pool.map_high(0..8, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            bg_done.load(Ordering::SeqCst)
+        });
         bg.join().expect("background batch");
         assert_eq!(started.load(Ordering::SeqCst), 8);
         // at least one high task ran while background work was still queued

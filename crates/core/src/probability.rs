@@ -26,7 +26,7 @@ use crate::network::MatchingNetwork;
 use crate::pool;
 use crate::reconcile::StepOutcome;
 use crate::sampling::{row_and_count, SampleMatrix, SampleStore, SamplerConfig};
-use crate::shard::{LaneStep, ShardHost, ShardSnapshot, ShardingConfig};
+use crate::shard::{ShardHost, ShardingConfig};
 use smn_constraints::{BitSet, Components};
 use smn_schema::{AttributeId, CandidateId, SchemaError};
 use std::collections::BTreeMap;
@@ -73,20 +73,6 @@ impl fmt::Display for AssertError {
 }
 
 impl std::error::Error for AssertError {}
-
-/// How [`ProbabilisticNetwork::commit_batch`] executes its per-shard
-/// commit lanes. Both variants produce byte-identical results — execution
-/// is pure wall-clock (see `docs/SERVING.md`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CommitExec {
-    /// One lane after another on the calling thread — the reference the
-    /// differential suites compare against.
-    #[default]
-    Sequential,
-    /// Lanes fan out on the global [`pool`] through its high-priority
-    /// lane, overtaking queued background work.
-    Pool,
-}
 
 /// What [`ProbabilisticNetwork::commit_batch`] did with one requested
 /// assertion, in request order.
@@ -437,23 +423,22 @@ impl ProbabilisticNetwork {
     /// Commits a batch of decided assertions through per-shard lanes and
     /// returns one [`CommitOutcome`] per request, in request order.
     ///
-    /// Each request walks the serving ladder: integrate as requested; on
-    /// rejection fall back to a disapproval; skip when even that
-    /// contradicts standing feedback. Requests of the same shard apply in
-    /// request order against that shard's single working copy (at most one
-    /// copy-on-write per touched shard per batch, none for all-redundant
-    /// lanes); disjoint shards are independent, so with
-    /// [`CommitExec::Pool`] the lanes run concurrently on the pool's
-    /// high-priority lane, and the result is byte-identical to
-    /// [`CommitExec::Sequential`] because lanes are installed (and the
-    /// mutation [`generation`](Self::generation) advanced) in ascending
-    /// shard order either way.
-    pub fn commit_batch(&mut self, requests: &[Assertion], exec: CommitExec) -> Vec<CommitOutcome> {
+    /// Each request walks the [`commit_ladder`](crate::reconcile::commit_ladder).
+    /// Requests of the same shard apply in request order against that
+    /// shard's single working copy (at most one copy-on-write per touched
+    /// shard per batch, none for all-redundant lanes); disjoint shards are
+    /// independent, so the lanes run on the worker pool's high-priority
+    /// lane ([`WorkerPool::map_high`](pool::WorkerPool::map_high)), and the
+    /// result is byte-identical to a run under [`pool::sequential`]
+    /// because lanes are installed (and the mutation
+    /// [`generation`](Self::generation) advanced) in ascending shard order
+    /// either way.
+    pub fn commit_batch(&mut self, requests: &[Assertion]) -> Vec<CommitOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
         // bucket request positions by owning shard; BTreeMap fixes the
-        // lane install order (ascending shard id) independent of exec
+        // lane install order (ascending shard id) independent of scheduling
         let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, req) in requests.iter().enumerate() {
             by_shard.entry(self.shard_of(req.candidate)).or_default().push(pos);
@@ -462,19 +447,9 @@ impl ProbabilisticNetwork {
             .iter()
             .map(|(&k, positions)| (k, positions.iter().map(|&p| requests[p]).collect()))
             .collect();
-        type LaneResult = (Option<ShardSnapshot>, Vec<LaneStep>);
         let host = &self.host;
-        let run_lane = |(k, events): &(usize, Vec<Assertion>)| host.commit_lane(*k, events);
-        let lane_results: Vec<LaneResult> = if lanes.len() <= 1 || exec == CommitExec::Sequential {
-            lanes.iter().map(run_lane).collect()
-        } else {
-            pool::global().run_high(
-                lanes
-                    .iter()
-                    .map(|lane| Box::new(move || run_lane(lane)) as pool::Task<'_, LaneResult>)
-                    .collect(),
-            )
-        };
+        let lane_results = pool::global()
+            .map_high(&lanes, |(k, events): &(usize, Vec<Assertion>)| host.commit_lane(*k, events));
         // install lanes in ascending shard order and scatter outcomes back
         let mut out: Vec<Option<CommitOutcome>> = vec![None; requests.len()];
         for (((k, _), positions), (snapshot, results)) in
@@ -1057,14 +1032,11 @@ mod tests {
         for mut pn in [pn(), sharded_pn()] {
             pn.assert_candidate(Assertion { candidate: CandidateId(4), approved: false }).unwrap();
             let g = pn.generation();
-            let out = pn.commit_batch(
-                &[
-                    Assertion { candidate: CandidateId(2), approved: true }, // fresh → integrated
-                    Assertion { candidate: CandidateId(2), approved: true }, // re-assert → no-op
-                    Assertion { candidate: CandidateId(4), approved: true }, // contradiction → flip-no-op
-                ],
-                CommitExec::Sequential,
-            );
+            let out = pn.commit_batch(&[
+                Assertion { candidate: CandidateId(2), approved: true }, // fresh → integrated
+                Assertion { candidate: CandidateId(2), approved: true }, // re-assert → no-op
+                Assertion { candidate: CandidateId(4), approved: true }, // contradiction → flip-no-op
+            ]);
             assert_eq!(out[0].outcome, StepOutcome::Integrated);
             assert!(out[0].mutated && out[0].approved);
             assert_eq!(out[1].outcome, StepOutcome::Integrated);
@@ -1086,17 +1058,17 @@ mod tests {
             .step_by(2)
             .map(|i| Assertion { candidate: CandidateId::from_index(i), approved: i % 4 == 0 })
             .collect();
-        let run = |exec: CommitExec| {
+        let run = || {
             let mut pn = ProbabilisticNetwork::new_sharded(
                 net.clone(),
                 sampler(),
                 ShardingConfig::default(),
             );
-            let out = pn.commit_batch(&requests, exec);
+            let out = pn.commit_batch(&requests);
             (out, pn.probabilities().to_vec(), pn.generation(), pn.effort())
         };
-        let sequential = run(CommitExec::Sequential);
-        assert_eq!(sequential, run(CommitExec::Pool), "pool lanes diverged from sequential");
+        let sequential = pool::sequential(run);
+        assert_eq!(sequential, run(), "pool lanes diverged from sequential");
         // and the sequential lanes agree with one-at-a-time asserts
         let mut reference =
             ProbabilisticNetwork::new_sharded(net.clone(), sampler(), ShardingConfig::default());

@@ -95,23 +95,12 @@ pub fn reconcile(
         let corr = pn.network().corr(candidate);
         let approved = oracle.assert(corr);
         // (3) integrate the feedback
-        let assertion = Assertion { candidate, approved };
-        let (effective, outcome) = match pn.assert_candidate(assertion) {
-            Ok(()) => (assertion, StepOutcome::Integrated),
-            Err(_) => {
-                let fallback = Assertion { candidate, approved: false };
-                match pn.assert_candidate(fallback) {
-                    Ok(()) => (fallback, StepOutcome::Flipped),
-                    // the oracle contradicted its own earlier verdict:
-                    // nothing can be integrated, record the skip
-                    Err(_) => (assertion, StepOutcome::Skipped),
-                }
-            }
-        };
+        let (approved, outcome, _) =
+            commit_ladder(approved, |v| pn.assert_candidate(Assertion { candidate, approved: v }));
         trace.push(TracePoint {
             step: trace.len() + 1,
             candidate,
-            approved: effective.approved,
+            approved,
             outcome,
             effort: pn.effort(),
             entropy: pn.entropy(),
@@ -119,6 +108,25 @@ pub fn reconcile(
         });
     }
     trace
+}
+
+/// The commit ladder every write path walks: `assert` the verdict
+/// `approved` as given; if it is rejected, `assert` a disapproval instead
+/// ([`StepOutcome::Flipped`]); if that is rejected too, skip
+/// ([`StepOutcome::Skipped`]). Returns the standing verdict (the rejected
+/// request for a skip), the outcome, and what the accepted `assert`
+/// returned (`None` for a skip).
+pub fn commit_ladder<T, E>(
+    approved: bool,
+    mut assert: impl FnMut(bool) -> Result<T, E>,
+) -> (bool, StepOutcome, Option<T>) {
+    match assert(approved) {
+        Ok(t) => (approved, StepOutcome::Integrated, Some(t)),
+        Err(_) => match assert(false) {
+            Ok(t) => (false, StepOutcome::Flipped, Some(t)),
+            Err(_) => (approved, StepOutcome::Skipped, None),
+        },
+    }
 }
 
 #[cfg(test)]

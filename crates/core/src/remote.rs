@@ -145,7 +145,7 @@ impl ShardHost {
 mod tests {
     use super::*;
     use crate::feedback::Assertion;
-    use crate::probability::{CommitExec, ProbabilisticNetwork};
+    use crate::probability::ProbabilisticNetwork;
     use crate::sampling::SamplerConfig;
     use crate::shard::ShardingConfig;
     use crate::testutil::perturbed_network;
@@ -393,7 +393,7 @@ mod tests {
             .enumerate()
             .map(|(i, &c)| Assertion { candidate: c, approved: i % 2 == 0 })
             .collect();
-        let expected = pn.commit_batch(&events, CommitExec::Sequential);
+        let expected = pn.commit_batch(&events);
         let (snap, results) = host.commit_lane(k, &events);
         if let Some(s) = snap {
             host.install(k, s);

@@ -11,7 +11,7 @@
 //!
 //! The walk state lives in reusable [`Scratch`] buffers (no per-step
 //! clones), and [`SamplerConfig::chains`] > 1 runs that many independent
-//! chains across scoped threads per fill pass, merging discoveries in
+//! chains across the worker pool per fill pass, merging discoveries in
 //! chain order so the result is deterministic given the config.
 //!
 //! The store is split copy-on-write: the per-sample state (instances,
@@ -63,7 +63,7 @@ pub struct SamplerConfig {
     /// acceptance rule buys.
     pub anneal: bool,
     /// Independent walk chains per fill pass (≥ 1). Chains run across
-    /// scoped threads, each seeded `seed + chain_id`, and split the
+    /// the worker pool, each seeded `seed + chain_id`, and split the
     /// `n_samples` emission budget; discovered instances are merged in
     /// chain order, so the store content is deterministic given the
     /// config regardless of thread scheduling. `1` keeps the classic
@@ -659,7 +659,7 @@ impl SampleStore {
     /// Runs one multi-chain pass: `config.chains` independent walks across
     /// the persistent work-stealing pool ([`crate::pool`]), each with
     /// `n_samples / chains` (rounded up) emissions, merged in chain order
-    /// (the pool returns results in submission order). Returns how many
+    /// (the pool returns results in item order). Returns how many
     /// new distinct instances were found.
     fn parallel_pass(&mut self, index: &ConflictIndex, feedback: &Feedback) -> usize {
         let chains = self.config.chains.max(1);
@@ -672,20 +672,9 @@ impl SampleStore {
         // sequence
         let epoch = self.pass_epoch;
         self.pass_epoch += 1;
-        let tasks: Vec<crate::pool::Task<'_, (Vec<BitSet>, Vec<u64>)>> = (0..chains as u64)
-            .map(|chain| {
-                Box::new(move || {
-                    run_chain(
-                        index,
-                        feedback,
-                        config,
-                        chain_seed(config.seed, chain, epoch),
-                        per_chain,
-                    )
-                }) as crate::pool::Task<'_, (Vec<BitSet>, Vec<u64>)>
-            })
-            .collect();
-        let results: Vec<(Vec<BitSet>, Vec<u64>)> = crate::pool::global().run(tasks);
+        let results = crate::pool::global().map(0..chains as u64, |chain| {
+            run_chain(index, feedback, config, chain_seed(config.seed, chain, epoch), per_chain)
+        });
         let mut found = 0usize;
         for (instances, counts) in results {
             for (inst, count) in instances.iter().zip(counts) {

@@ -32,7 +32,8 @@
 //!   persistent work-stealing pool ([`crate::pool`]), each seeded
 //!   `seed + shard_id` in the spirit of the multi-chain sampler and merged
 //!   in shard-id order, so the result is bit-deterministic for a fixed
-//!   configuration regardless of scheduling or thread count.
+//!   configuration regardless of scheduling or thread count. Gain scans
+//!   and what-if branches fan out the same way.
 //! * **Distribution** — a host owns the sample state of a *subset* of the
 //!   components. The in-process network's host owns all of them, a shard
 //!   server's host owns its placement slice and the `smn-dist`
@@ -46,7 +47,7 @@ use crate::feedback::{Assertion, Feedback};
 use crate::network::MatchingNetwork;
 use crate::pool;
 use crate::probability::{gains_within, AssertError};
-use crate::reconcile::StepOutcome;
+use crate::reconcile::{commit_ladder, StepOutcome};
 use crate::sampling::{SampleStore, SamplerConfig};
 use smn_constraints::components::ComponentEvolution;
 use smn_constraints::{BitSet, Components, ConflictIndex};
@@ -67,14 +68,11 @@ pub struct ShardingConfig {
     /// Instance cap for the exact-enumeration attempt; a small component
     /// that still exceeds it falls back to sampling.
     pub exact_cap: usize,
-    /// Fill shard stores across the worker pool. Off, shards fill
-    /// sequentially on the caller thread — same result either way.
-    pub parallel: bool,
 }
 
 impl Default for ShardingConfig {
     fn default() -> Self {
-        Self { enabled: true, exact_threshold: 24, exact_cap: 4096, parallel: true }
+        Self { enabled: true, exact_threshold: 24, exact_cap: 4096 }
     }
 }
 
@@ -214,9 +212,8 @@ impl ShardHost {
     }
 
     /// Builds the `owned` shards of `components` (valid ids) — across the
-    /// worker pool when configured and at least one shard is sampled; the
-    /// pool returns results in submission order, so the shards do not
-    /// depend on scheduling.
+    /// worker pool when at least one shard is sampled; the pool returns
+    /// results in item order, so the shards do not depend on scheduling.
     pub(crate) fn build(
         network: MatchingNetwork,
         components: Components,
@@ -244,15 +241,8 @@ impl ShardHost {
             let feedback = Feedback::new(sub.candidate_count());
             Arc::new(build_shard(k, sub, feedback, Vec::new(), sampler, &sharding))
         };
-        let built: Vec<Arc<ShardSnapshot>> = if sharding.parallel && any_sampled && owned.len() > 1
-        {
-            let build = &build;
-            pool::global().run(
-                owned
-                    .iter()
-                    .map(|&k| Box::new(move || build(k)) as pool::Task<'_, Arc<ShardSnapshot>>)
-                    .collect(),
-            )
+        let built: Vec<Arc<ShardSnapshot>> = if any_sampled {
+            pool::global().map(owned.iter().copied(), build)
         } else {
             owned.iter().map(|&k| build(k)).collect()
         };
@@ -344,12 +334,10 @@ impl ShardHost {
     /// the snapshot afterwards, which is what lets disjoint lanes run on
     /// pool workers concurrently.
     ///
-    /// Each event walks the service ladder: integrate as requested, fall
-    /// back to a disapproval when the request is rejected, skip when even
-    /// that contradicts standing feedback. Validation runs against the
-    /// lane's working snapshot *before* any copy is made, so a lane of
-    /// purely redundant events returns `None` — the shard is never cloned
-    /// for work that turns out to be a no-op.
+    /// Each event walks the [`commit_ladder`] on validation alone, against
+    /// the lane's working snapshot and *before* any copy is made, so a
+    /// lane of purely redundant events returns `None` — the shard is never
+    /// cloned for work that turns out to be a no-op.
     pub(crate) fn commit_lane(
         &self,
         k: usize,
@@ -361,14 +349,9 @@ impl ShardHost {
         for event in events {
             let lc = CandidateId::from_index(self.components.local_index(event.candidate));
             let snap = work.as_ref().unwrap_or(base);
-            let step = |approved| snap.validate(event.candidate, lc, approved);
-            let (approved, outcome, mutates) = match step(event.approved) {
-                Ok(m) => (event.approved, StepOutcome::Integrated, m),
-                Err(_) => match step(false) {
-                    Ok(m) => (false, StepOutcome::Flipped, m),
-                    Err(_) => (event.approved, StepOutcome::Skipped, false),
-                },
-            };
+            let (approved, outcome, mutates) =
+                commit_ladder(event.approved, |v| snap.validate(event.candidate, lc, v));
+            let mutates = mutates.unwrap_or(false);
             if mutates {
                 work.get_or_insert_with(|| base.clone()).integrate(lc, approved);
             }
@@ -389,17 +372,28 @@ impl ShardHost {
     /// refill) on a throwaway copy of the one snapshot. Entropy is additive
     /// over independent components, so callers compose `H' = H − H_k + H'_k`
     /// from this without rebuilding the global probability vector (see
-    /// [`Ledger::what_if_batch`](crate::Ledger::what_if_batch)).
-    /// Validation (inertness) is the caller's job; `None` if a candidate
-    /// is unknown or its shard is not owned.
+    /// [`Ledger::what_if_batch`](crate::Ledger::what_if_batch)). Each
+    /// query is a pure function of its own shard, so the queries fan out
+    /// across the worker pool, one item each, and the values do not
+    /// depend on scheduling. Validation (inertness) is the caller's job;
+    /// `None` if a candidate is unknown or its shard is not owned.
     pub fn entropy_after(&self, queries: &[(CandidateId, bool)]) -> Option<Vec<f64>> {
+        self.entropy_after_on(pool::global(), queries)
+    }
+
+    /// [`entropy_after`](Self::entropy_after) on the given worker pool.
+    fn entropy_after_on(
+        &self,
+        workers: &pool::WorkerPool,
+        queries: &[(CandidateId, bool)],
+    ) -> Option<Vec<f64>> {
         let after = |&(candidate, approved): &(CandidateId, bool)| {
             let (k, lc) = self.locate(candidate)?;
             let mut snap = self.snapshot(k)?.clone();
             snap.integrate(lc, approved);
             Some(snapshot_probabilities(&snap).into_iter().map(binary_entropy).sum())
         };
-        queries.iter().map(after).collect()
+        workers.map(queries, after).into_iter().collect()
     }
 
     /// Expected information gains (Eq. 5) of the pool candidates (global
@@ -444,14 +438,8 @@ impl ShardHost {
             let locals: Vec<usize> = entries.iter().map(|&(_, l)| l).collect();
             gains_within(groups[g].store.matrix(), &locals)
         };
-        let values: Vec<Vec<f64>> = if chunks.len() > 1 && work > 1 << 14 && threads > 1 {
-            let scan = &scan;
-            workers.run(
-                chunks
-                    .iter()
-                    .map(|chunk| Box::new(move || scan(chunk)) as pool::Task<'_, Vec<f64>>)
-                    .collect(),
-            )
+        let values: Vec<Vec<f64>> = if work > 1 << 14 {
+            workers.map(&chunks, scan)
         } else {
             chunks.iter().map(scan).collect()
         };
@@ -712,6 +700,7 @@ fn complete_greedily(index: &ConflictIndex, feedback: &Feedback, inst: &mut BitS
 mod tests {
     use super::*;
     use crate::testutil::{fig1_network, perturbed_network};
+    use std::collections::BTreeSet;
 
     fn sampler() -> SamplerConfig {
         SamplerConfig { anneal: true, n_samples: 200, walk_steps: 3, n_min: 50, seed: 5, chains: 1 }
@@ -770,18 +759,37 @@ mod tests {
     #[test]
     fn parallel_and_sequential_builds_agree() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 9);
-        let build = |parallel| {
-            ShardHost::owning_all(
-                net.clone(),
-                sampler(),
-                ShardingConfig { parallel, ..Default::default() },
-            )
-        };
-        let (par, seq) = (build(true), build(false));
+        let build = || ShardHost::owning_all(net.clone(), sampler(), ShardingConfig::default());
+        let (par, seq) = (build(), pool::sequential(build));
         assert_eq!(par.component_count(), seq.component_count());
         assert_eq!(all_probs(&par), all_probs(&seq), "shard fills must not depend on scheduling");
         for ((_, a), (_, b)) in par.owned().zip(seq.owned()) {
             assert_eq!(a.store.samples(), b.store.samples());
+        }
+    }
+
+    #[test]
+    fn batched_entropy_after_equals_one_call_per_query() {
+        let (net, _) = crate::testutil::webform_federation(4, 11);
+        let cfg = ShardingConfig { exact_threshold: 0, ..Default::default() };
+        let host = ShardHost::owning_all(net, sampler(), cfg);
+        // both verdicts of one uncertain candidate in each of ≥ 3 shards
+        let mut queries = Vec::new();
+        for k in host.owned_components() {
+            let probs = host.shard_probabilities(k).unwrap();
+            if let Some(i) = probs.iter().position(|&p| p > 0.0 && p < 1.0) {
+                let c = host.components().members(k)[i];
+                queries.extend([(c, true), (c, false)]);
+            }
+        }
+        let shards: BTreeSet<usize> = queries.iter().map(|&(c, _)| host.component_of(c)).collect();
+        assert!(shards.len() >= 3, "batch spans only {} shards", shards.len());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let one_by_one: Vec<f64> =
+            queries.iter().map(|q| host.entropy_after(&[*q]).unwrap()[0]).collect();
+        for threads in [1, 2] {
+            let batched = host.entropy_after_on(&pool::WorkerPool::new(threads), &queries);
+            assert_eq!(bits(batched.unwrap()), bits(one_by_one.clone()), "{threads} pool threads");
         }
     }
 

@@ -187,7 +187,7 @@ proptest! {
 fn sampled_shards_evolve_deterministically_and_soundly() {
     let evolve = |sharded: bool| {
         let (net, _) = smn_testkit::perturbed_network(3, 5, 0.6, 0.9, 11);
-        let sharding = ShardingConfig { exact_threshold: 0, parallel: false, ..Default::default() };
+        let sharding = ShardingConfig { exact_threshold: 0, ..Default::default() };
         let mut pn = if sharded {
             ProbabilisticNetwork::new_sharded(net, tiny_sampler(3), sharding)
         } else {

@@ -77,7 +77,7 @@ pub struct DistNetwork {
     /// intact components keep their server through evolution.
     owner: Vec<usize>,
     /// One lockstep link per shard server. Mutexed so `&self` query
-    /// paths (what-if, gains) can speak while the service fans out.
+    /// paths (what-if, gains) can speak.
     links: Vec<Mutex<Box<dyn Transport>>>,
     /// WAL-style sequence stamping of the command stream.
     seq: u64,

@@ -21,18 +21,17 @@
 //!   quality-weighted (log-odds) voting — that commits one aggregated
 //!   assertion per leased candidate back to the base snapshot;
 //! * the [`ReconciliationService`] driving
-//!   worker evaluations through the batched what-if
-//!   ([`smn_core::ProbabilisticNetwork::what_if_batch`]) on the
-//!   persistent work-stealing pool of [`smn_core::pool`] (a
-//!   [`Scheduler`] knob keeps the inline path as the
-//!   differential reference): every vote reports the exact what-if
-//!   entropy of its verdict, priced at one copy-on-write shard fork (one
-//!   evaluation per distinct verdict per lease — at most two however
-//!   large the crowd), and results are committed in lease order under a
-//!   seeded virtual schedule — so a run is **byte-reproducible at any
-//!   thread count and under any scheduler**, and precision/recall
-//!   against the verified matching is tracked per round (in the spirit
-//!   of Validation of Matching, Le et al. 2014);
+//!   worker evaluations through one batched what-if per round
+//!   ([`smn_core::ProbabilisticNetwork::what_if_batch`]), which fans out
+//!   on the persistent work-stealing pool of [`smn_core::pool`]: every
+//!   vote reports the exact what-if entropy of its verdict, priced at one
+//!   copy-on-write shard fork (one evaluation per distinct verdict per
+//!   lease — at most two however large the crowd), and results are
+//!   committed in lease order under a seeded virtual schedule — so a run
+//!   is **byte-reproducible at any thread count and under
+//!   [`smn_core::pool::sequential`]**, and precision/recall against the
+//!   verified matching is tracked per round (in the spirit of Validation
+//!   of Matching, Le et al. 2014);
 //! * optional **durability**
 //!   ([`attach_durability`](ReconciliationService::attach_durability)):
 //!   every committed assertion is journaled to an `smn-storage`

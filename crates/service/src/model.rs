@@ -21,15 +21,16 @@ use smn_schema::CandidateId;
 
 /// The query/commit surface a reconciliation service drives.
 ///
-/// `Sync` is a supertrait because branch evaluations fan out across the
-/// worker pool sharing one `&M`; implementations over external
-/// connections guard them internally (e.g. a mutex per shard-server
-/// link). [`GainSource`] is a supertrait because the dispatcher selects
-/// through the model's incremental gain cache — a model that can price
-/// gains can always price them incrementally, and the epoch contract
-/// (globally unique stamps per real mutation) is implementable by
-/// construction wherever the mutation entry points are.
-pub trait ServeModel: Sync + GainSource {
+/// The round loop drives the model from one thread and makes one call
+/// per batch; any fan-out happens inside the model (the in-process
+/// network runs its per-shard batches on the worker pool, a distributed
+/// coordinator sends one request per shard server), so the trait does
+/// not require `Sync`. [`GainSource`] is a supertrait because the
+/// dispatcher selects through the model's incremental gain cache — a
+/// model that can price gains can always price them incrementally, and
+/// the epoch contract (globally unique stamps per real mutation) is
+/// implementable by construction wherever the mutation entry points are.
+pub trait ServeModel: GainSource {
     /// The matching network being reconciled.
     fn network(&self) -> &MatchingNetwork;
 

@@ -18,10 +18,11 @@
 //! * **Commits** flush in batches through
 //!   [`ProbabilisticNetwork::commit_batch`]: pending assertions are
 //!   ordered by `(shard, decision clock)` and applied through
-//!   per-shard commit lanes — on the worker pool's high-priority lane
-//!   under [`Scheduler::Pool`] — with WAL-append-at-commit through
-//!   per-lane sinks ([`smn_storage::LaneSinks`]) when durability is
-//!   attached.
+//!   per-shard commit lanes on the worker pool's high-priority lane
+//!   (`threads: 1` runs them under [`smn_core::pool::sequential`]).
+//!   When durability is attached, each committed assertion is appended
+//!   to the write-ahead log in that commit order, with one fsync per
+//!   flush.
 //! * **Evolution** (extend/retire) takes a brief exclusive epoch: the
 //!   pending buffer flushes, every open question, assignment, claim and
 //!   session view drops, the base evolves, and a fresh snapshot
@@ -36,9 +37,9 @@
 //! ingress, and everything the core does is a pure function of the
 //! accepted-event sequence: worker answers are pure hashes, selection
 //! is an entropy argmax on deterministic snapshots, commits order by
-//! `(shard, clock)`, and commit lanes are byte-identical under any
-//! [`Scheduler`] and thread count. Hence the report and the posteriors
-//! are byte-reproducible across 1/4/8 threads, and
+//! `(shard, clock)`, and commit lanes are byte-identical at any pool
+//! size and under [`smn_core::pool::sequential`]. Hence the report and
+//! the posteriors are byte-reproducible across 1/4/8 threads, and
 //! [`ServingCore::replay`] of the accepted log reproduces a live run
 //! exactly — rejected (backpressured) submissions never influence
 //! results because they never enter the log. The integration suite
@@ -47,16 +48,16 @@
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::event::{IngressError, IngressQueue, ServiceEvent, StampedEvent};
-use crate::service::{crowd_seed, majority_quality, outcome_label, resolve_threads, Scheduler};
+use crate::service::{crowd_seed, majority_quality, outcome_label, with_threads, Scheduler};
 use crate::session::SessionManager;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
 use smn_core::shard::ShardingConfig;
-use smn_core::{CommitExec, MatchingNetwork, ProbabilisticNetwork, SamplerConfig, StepOutcome};
+use smn_core::{MatchingNetwork, ProbabilisticNetwork, SamplerConfig, StepOutcome};
 use smn_schema::{CandidateId, Correspondence};
-use smn_storage::{DurableStore, LaneSinks, StorageError};
+use smn_storage::{DurableStore, StorageError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::path::Path;
@@ -158,11 +159,12 @@ pub struct ServeConfig {
     pub redundancy: usize,
     /// How votes reduce to one assertion.
     pub aggregation: Aggregation,
-    /// OS threads for the commit lanes; `0` uses the machine's available
-    /// parallelism, `1` forces sequential commits. Never affects
+    /// `1` runs each flush's commit lanes on the calling thread (under
+    /// [`smn_core::pool::sequential`]); any other value leaves them to the
+    /// worker pool, whose size bounds the parallelism. Never affects
     /// results, only wall-clock.
     pub threads: usize,
-    /// How commit lanes are scheduled; never affects results.
+    /// Kept for configuration compatibility; see [`Scheduler`].
     pub scheduler: Scheduler,
     /// Seed of the simulated crowd's answer noise.
     pub seed: u64,
@@ -334,11 +336,10 @@ struct DecidedAssertion {
     votes_against: usize,
 }
 
-/// Durability state of a serving core: the store, the per-lane WAL
-/// sinks of the in-flight flush, and the first latched fault.
+/// Durability state of a serving core: the store and the first latched
+/// fault.
 struct ServeDurability {
     store: DurableStore,
-    lanes: LaneSinks,
     error: Option<StorageError>,
 }
 
@@ -456,7 +457,7 @@ impl ServingCore {
     pub fn attach_durability(&mut self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
         let store =
             DurableStore::open(dir.as_ref(), &self.base, &self.history, self.history.len() as u64)?;
-        self.durability = Some(ServeDurability { store, lanes: LaneSinks::new(), error: None });
+        self.durability = Some(ServeDurability { store, error: None });
         Ok(())
     }
 
@@ -598,7 +599,7 @@ impl ServingCore {
             ServiceEvent::Extend { a, b, confidence } => {
                 self.epoch(stamped.clock, |core| {
                     if core.base.extend(a, b, confidence).is_ok() {
-                        core.journal_evolution(NetworkEvent::Extend { a, b, confidence });
+                        core.journal(NetworkEvent::Extend { a, b, confidence });
                     }
                 });
             }
@@ -611,7 +612,7 @@ impl ServingCore {
                                 h.candidate = CandidateId(h.candidate.0 - 1);
                             }
                         }
-                        core.journal_evolution(NetworkEvent::Retire { candidate });
+                        core.journal(NetworkEvent::Retire { candidate });
                     }
                 });
             }
@@ -723,9 +724,10 @@ impl ServingCore {
     }
 
     /// Flushes the pending commit buffer at logical time `clock`:
-    /// decided assertions order by `(shard, decision clock)`, commit
-    /// through per-shard lanes, journal into per-lane WAL sinks, and
-    /// drain to the store with one fsync.
+    /// decided assertions order by `(shard, decision clock)` and commit
+    /// through per-shard lanes; the outcomes come back in that order, so
+    /// appending each committed one to the WAL as it is recorded, then
+    /// syncing once, journals the flush in commit order.
     fn flush(&mut self, clock: u64) {
         if self.pending.is_empty() {
             return;
@@ -736,22 +738,14 @@ impl ServingCore {
             .iter()
             .map(|d| Assertion { candidate: d.candidate, approved: d.approved })
             .collect();
-        let exec = self.commit_exec();
-        let outcomes = self.base.commit_batch(&requests, exec);
+        let outcomes = with_threads(self.config.threads, || self.base.commit_batch(&requests));
         let (entropy_after, effort_after) = (self.base.entropy(), self.base.effort());
         for (d, o) in decided.iter().zip(&outcomes) {
             self.pending_set.remove(&d.candidate);
             self.latencies.push(clock - d.clock);
             if o.outcome != StepOutcome::Skipped {
                 self.history.push(Assertion { candidate: o.candidate, approved: o.approved });
-                if let Some(dur) = &mut self.durability {
-                    if dur.error.is_none() {
-                        dur.lanes.append(
-                            o.shard,
-                            NetworkEvent::Assert { candidate: o.candidate, approved: o.approved },
-                        );
-                    }
-                }
+                self.journal(NetworkEvent::Assert { candidate: o.candidate, approved: o.approved });
             }
             self.commits.push(ServeCommit {
                 step: self.commits.len() + 1,
@@ -770,8 +764,8 @@ impl ServingCore {
         self.flushes += 1;
         self.recount_asserted();
         if let Some(dur) = &mut self.durability {
-            if dur.error.is_none() {
-                if let Err(e) = dur.lanes.drain_into(&mut dur.store) {
+            if dur.error.is_none() && outcomes.iter().any(|o| o.outcome != StepOutcome::Skipped) {
+                if let Err(e) = dur.store.sync() {
                     dur.error = Some(e);
                 }
             }
@@ -797,15 +791,6 @@ impl ServingCore {
         self.asserted_count = (0..self.base.network().candidate_count())
             .filter(|&i| feedback.is_asserted(CandidateId::from_index(i)))
             .count();
-    }
-
-    /// The commit-lane execution for the configured scheduler/threads.
-    fn commit_exec(&self) -> CommitExec {
-        match self.config.scheduler {
-            Scheduler::Inline => CommitExec::Sequential,
-            _ if resolve_threads(self.config.threads) <= 1 => CommitExec::Sequential,
-            Scheduler::Pool => CommitExec::Pool,
-        }
     }
 
     /// Publishes a fresh immutable snapshot when the base actually moved
@@ -839,8 +824,9 @@ impl ServingCore {
         self.epochs += 1;
     }
 
-    /// Journals one applied evolution event, latching the first fault.
-    fn journal_evolution(&mut self, event: NetworkEvent) {
+    /// Appends one applied event to the write-ahead log, latching the
+    /// first fault.
+    fn journal(&mut self, event: NetworkEvent) {
         let Some(d) = &mut self.durability else { return };
         if d.error.is_some() {
             return;

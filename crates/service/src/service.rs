@@ -7,26 +7,26 @@
 //! 1. the [`Dispatcher`] leases up to
 //!    `⌊W/k⌋` distinct uncertain candidates, each to `k` distinct workers
 //!    (disjoint across the round's leases, rotated across rounds);
-//! 2. worker evaluations run through the batched what-if
+//! 2. worker evaluations run through one batched what-if per round
 //!    ([`smn_core::ProbabilisticNetwork::what_if_batch`]) — each worker
 //!    answers from its error-rate profile, and the exact uncertainty each
 //!    distinct verdict would produce is measured against the base's
 //!    copy-on-write snapshots (at most two branch queries per lease,
-//!    shared by all its votes); the per-shard query groups fan out across
-//!    the configured [`Scheduler`] — the persistent work-stealing pool of
-//!    [`smn_core::pool`] by default;
+//!    shared by all its votes); the model fans the branches out across
+//!    the persistent work-stealing pool of [`smn_core::pool`];
 //! 3. votes are reassembled by `(lease, vote)` slot and
 //!    [aggregated](mod@crate::aggregate) in lease order; each aggregated
-//!    assertion commits to the base (inconsistent approvals fall back to
-//!    disapproval, exactly like [`smn_core::reconcile`](mod@smn_core::reconcile)).
+//!    assertion commits to the base through the same
+//!    [`commit_ladder`] as [`smn_core::reconcile`](mod@smn_core::reconcile)
+//!    (inconsistent approvals fall back to disapproval).
 //!
 //! Because every worker answer is a pure function, every branch entropy
 //! is a pure function of the same base snapshot and its query, and
-//! commits happen in lease order, the scheduler and the number of OS
-//! threads only change *who computes what* — never the result. Two runs
-//! with the same config are byte-identical at any thread count and under
-//! any scheduler, which the `determinism` integration suite asserts at
-//! 1, 4 and 8 threads and across pool/inline scheduling.
+//! commits happen in lease order, the pool size and `threads: 1` (which
+//! runs the what-if batch under [`smn_core::pool::sequential`]) only
+//! change *who computes what* — never the result. Two runs with the same
+//! config are byte-identical at any thread count, which the
+//! `determinism` integration suite asserts at 1, 4 and 8 threads.
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::dispatch::{Dispatcher, Lease};
@@ -36,6 +36,7 @@ use serde::Serialize;
 use smn_constraints::BitSet;
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
+use smn_core::reconcile::commit_ladder;
 use smn_core::shard::ShardingConfig;
 use smn_core::{
     MatchingNetwork, PrecisionRecall, ProbabilisticNetwork, ReconciliationGoal, SamplerConfig,
@@ -43,24 +44,17 @@ use smn_core::{
 };
 use smn_schema::{CandidateId, Correspondence};
 use smn_storage::{DurableStore, StorageError};
-use std::collections::BTreeMap;
 use std::path::Path;
 
-/// How a round's what-if branch evaluations are scheduled across
-/// threads. Every variant evaluates the same per-shard
-/// [`what_if_batch`](smn_core::ProbabilisticNetwork::what_if_batch)
-/// queries, and each query's value is a pure function of the base and
-/// the query — so the scheduler never affects results, only wall-clock.
-/// The `determinism` integration suite pins pool ≡ inline.
+/// How per-shard work is scheduled. The worker pool alone decides
+/// whether a batch runs concurrently (see `docs/POOL.md`), so `Pool` is
+/// the only variant; the type and the `scheduler` config fields remain
+/// for configuration compatibility and never affect results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// The persistent work-stealing pool of [`smn_core::pool`] — no
-    /// thread spawns per round (default).
+    /// The persistent work-stealing pool of [`smn_core::pool`].
     #[default]
     Pool,
-    /// The submitting thread evaluates everything sequentially — the
-    /// differential reference.
-    Inline,
 }
 
 /// Service configuration.
@@ -75,12 +69,12 @@ pub struct ServiceConfig {
     pub redundancy: usize,
     /// How votes reduce to one assertion.
     pub aggregation: Aggregation,
-    /// OS threads for worker evaluation; `0` uses the machine's available
-    /// parallelism, `1` forces sequential evaluation. Never affects
-    /// results, only wall-clock. (Under [`Scheduler::Pool`] the pool's
-    /// own size bounds the actual parallelism.)
+    /// `1` evaluates each round's what-if batch on the calling thread
+    /// (under [`smn_core::pool::sequential`]); any other value leaves it
+    /// to the worker pool, whose size bounds the parallelism. Never
+    /// affects results, only wall-clock.
     pub threads: usize,
-    /// How branch evaluations are scheduled; never affects results.
+    /// Kept for configuration compatibility; see [`Scheduler`].
     pub scheduler: Scheduler,
     /// Seed of the virtual schedule (dispatcher tie-breaking) and the
     /// worker noise.
@@ -411,7 +405,6 @@ impl<M: ServeModel> ReconciliationService<M> {
     pub fn run(&mut self) -> ServiceReport {
         let workers = self.pool.len();
         let k = self.config.redundancy.clamp(1, workers);
-        let threads = resolve_threads(self.config.threads);
         let mut round = self.rounds.len();
         loop {
             match self.config.goal {
@@ -427,8 +420,9 @@ impl<M: ServeModel> ReconciliationService<M> {
             if leases.is_empty() {
                 break; // every candidate validated
             }
-            let votes =
-                collect_votes(&self.base, &self.pool, &leases, threads, self.config.scheduler);
+            let votes = with_threads(self.config.threads, || {
+                collect_votes(&self.base, &self.pool, &leases)
+            });
             let committed = self.commit_round(round, &leases, &votes);
             let quality = majority_quality(&self.base, &self.truth);
             self.rounds.push(RoundStats {
@@ -455,19 +449,10 @@ impl<M: ServeModel> ReconciliationService<M> {
                 self.pool.record(v.worker, lease.correspondence, v.approved);
             }
             let verdict: Verdict = aggregate(self.config.aggregation, votes, self.pool.profiles());
-            let wanted = Assertion { candidate: lease.candidate, approved: verdict.approved };
-            let (approved, outcome) = match self.base.assert_candidate(wanted) {
-                Ok(()) => (verdict.approved, StepOutcome::Integrated),
-                Err(_) => {
-                    // an approval that conflicts with standing approvals is
-                    // integrated as a disapproval, like the sequential loop
-                    let fallback = Assertion { candidate: lease.candidate, approved: false };
-                    match self.base.assert_candidate(fallback) {
-                        Ok(()) => (false, StepOutcome::Flipped),
-                        Err(_) => (verdict.approved, StepOutcome::Skipped),
-                    }
-                }
-            };
+            let candidate = lease.candidate;
+            let (approved, outcome, _) = commit_ladder(verdict.approved, |approved| {
+                self.base.assert_candidate(Assertion { candidate, approved })
+            });
             if outcome != StepOutcome::Skipped {
                 committed += 1;
                 self.journal(NetworkEvent::Assert { candidate: lease.candidate, approved });
@@ -540,13 +525,13 @@ pub(crate) fn outcome_label(outcome: StepOutcome) -> String {
     .into()
 }
 
-/// The worker threads a `threads` setting asks for: the machine's
-/// available parallelism for `0`, the setting itself otherwise.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
+/// Runs `f` under [`smn_core::pool::sequential`] when `threads` is `1`,
+/// directly otherwise — what the loops' `threads` setting means.
+pub(crate) fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    if threads == 1 {
+        smn_core::pool::sequential(f)
     } else {
-        threads
+        f()
     }
 }
 
@@ -565,26 +550,18 @@ pub(crate) fn majority_quality<M: ServeModel>(
 }
 
 /// Evaluates one round's leases: worker answers inline (pure-function
-/// lookups), branch entropies through the batched what-if.
+/// lookups), branch entropies through one batched what-if.
 ///
 /// The expensive part — the exact uncertainty a verdict would produce —
 /// depends only on `(lease, verdict)`, so each lease needs at most *two*
 /// branch queries no matter the redundancy. The distinct queries go
-/// through [`ProbabilisticNetwork::what_if_batch`]: each is priced at
-/// one copy-on-write shard fork plus the per-shard entropy
-/// decomposition, never a network-wide fork. Grouped by owning shard —
-/// the dispatcher leases distinct shards, so that is also the natural
-/// unit of parallelism — the groups fan out under the configured
-/// [`Scheduler`]. Every query's value is a pure function of the base and
-/// the query, so neither the grouping nor the scheduler changes the
-/// outcome: votes assembled by slot are identical at any thread count.
-fn collect_votes<M: ServeModel>(
-    base: &M,
-    pool: &WorkerPool,
-    leases: &[Lease],
-    threads: usize,
-    scheduler: Scheduler,
-) -> Vec<Vec<Vote>> {
+/// through [`ProbabilisticNetwork::what_if_batch`] in one call: each is
+/// priced at one copy-on-write shard fork plus the per-shard entropy
+/// decomposition, never a network-wide fork, and the model fans the
+/// queries out across the worker pool. Every query's value is a pure
+/// function of the base and the query, so votes assembled by slot are
+/// identical at any thread count.
+fn collect_votes<M: ServeModel>(base: &M, pool: &WorkerPool, leases: &[Lease]) -> Vec<Vec<Vote>> {
     let answers: Vec<Vec<bool>> = leases
         .iter()
         .map(|l| l.workers.iter().map(|&w| pool.answer(w, l.correspondence)).collect())
@@ -601,7 +578,7 @@ fn collect_votes<M: ServeModel>(
         .collect();
     let queries: Vec<(CandidateId, bool)> =
         jobs.iter().map(|&(li, v)| (leases[li].candidate, v)).collect();
-    let entropies = evaluate_branches(base, &queries, threads, scheduler);
+    let entropies = base.what_if_batch(&queries);
     // branch_entropy[li][approved as usize]
     let mut branch_entropy: Vec<[f64; 2]> = vec![[f64::NAN; 2]; leases.len()];
     for (&(li, v), h) in jobs.iter().zip(entropies) {
@@ -622,49 +599,6 @@ fn collect_votes<M: ServeModel>(
                 .collect()
         })
         .collect()
-}
-
-/// Runs the branch queries through
-/// [`ProbabilisticNetwork::what_if_batch`], fanned out one task per
-/// owning shard under the chosen scheduler. Values align with `queries`.
-///
-/// Any partition of the batch yields the same values — `what_if_batch`
-/// prices a query from the base's entropy, its shard's standing entropy
-/// and the hypothetical shard entropy, all pure functions of the base —
-/// so the sequential whole-batch call is the differential reference for
-/// the pooled path.
-fn evaluate_branches<M: ServeModel>(
-    base: &M,
-    queries: &[(CandidateId, bool)],
-    threads: usize,
-    scheduler: Scheduler,
-) -> Vec<f64> {
-    let workers = threads.min(queries.len()).max(1);
-    if workers <= 1 || scheduler == Scheduler::Inline {
-        return base.what_if_batch(queries);
-    }
-    let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (pos, &(c, _)) in queries.iter().enumerate() {
-        by_shard.entry(base.shard_of(c)).or_default().push(pos);
-    }
-    let groups: Vec<Vec<usize>> = by_shard.into_values().collect();
-    let run_group = |positions: &Vec<usize>| -> Vec<f64> {
-        let group: Vec<(CandidateId, bool)> = positions.iter().map(|&p| queries[p]).collect();
-        base.what_if_batch(&group)
-    };
-    let run_group = &run_group;
-    let tasks: Vec<smn_core::pool::Task<'_, Vec<f64>>> = groups
-        .iter()
-        .map(|g| Box::new(move || run_group(g)) as smn_core::pool::Task<'_, _>)
-        .collect();
-    let per_group = smn_core::pool::global().run(tasks);
-    let mut out = vec![0.0; queries.len()];
-    for (positions, values) in groups.iter().zip(per_group) {
-        for (&p, v) in positions.iter().zip(values) {
-            out[p] = v;
-        }
-    }
-    out
 }
 
 #[cfg(test)]

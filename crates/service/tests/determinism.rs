@@ -4,10 +4,10 @@
 //! * **Thread invariance** — a seeded run is byte-identical (report JSON,
 //!   commit history, final posteriors) at 1, 4 and 8 OS threads: the
 //!   thread count only changes who computes what, never the result.
-//! * **Scheduler invariance** — the persistent worker pool, one-shot
-//!   scoped threads and inline evaluation produce byte-identical runs on
-//!   the fig1, perturbed and federation presets: scheduling is pure
-//!   wall-clock.
+//! * **Scheduler invariance** — `threads: 1` (each round's what-if batch
+//!   under [`smn_core::pool::sequential`]) and `threads: 4` (the worker
+//!   pool) produce byte-identical runs on the fig1, perturbed and
+//!   federation presets: scheduling is pure wall-clock.
 //! * **Sequential replay** — a 1-worker, redundancy-1 service with a
 //!   perfect worker replays a sequential [`Session::run`] trace point for
 //!   point: same candidates, same verdicts, same entropy/effort curve.
@@ -91,7 +91,7 @@ fn runs_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn schedulers_produce_byte_identical_reports() {
-    // pooled vs scoped vs inline on all three presets: a scheduler is
+    // `threads: 1` vs `threads: 4` on all three presets: scheduling is
     // pure wall-clock, so reports and posteriors must match byte for byte
     let cases: Vec<(MatchingNetwork, Vec<Correspondence>)> = vec![
         (fig1_network(), fig1_truth()),
@@ -100,12 +100,12 @@ fn schedulers_produce_byte_identical_reports() {
     ];
     let crowd = vec![0.05, 0.15, 0.25, 0.1, 0.3, 0.2];
     for (case, (net, truth)) in cases.into_iter().enumerate() {
-        let run = |scheduler: Scheduler| {
+        let run = |threads: usize| {
             let mut svc = ReconciliationService::new(
                 net.clone(),
                 truth.clone(),
                 crowd.clone(),
-                ServiceConfig { scheduler, ..service_config(4, ReconciliationGoal::Budget(12)) },
+                service_config(threads, ReconciliationGoal::Budget(12)),
             );
             let report = svc.run();
             (
@@ -113,8 +113,7 @@ fn schedulers_produce_byte_identical_reports() {
                 svc.base().probabilities().to_vec(),
             )
         };
-        let pooled = run(Scheduler::Pool);
-        assert_eq!(pooled, run(Scheduler::Inline), "pool vs inline diverged on case {case}");
+        assert_eq!(run(4), run(1), "pool vs sequential diverged on case {case}");
     }
 }
 

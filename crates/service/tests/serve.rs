@@ -1,10 +1,10 @@
 //! Determinism, backpressure and durability certification of the
 //! request-driven serving core.
 //!
-//! * **Thread/scheduler invariance** — a seeded serving run over the
-//!   open-loop workload is byte-identical (report JSON, commit stream,
-//!   final posteriors) at 1, 4 and 8 commit threads and under the pool,
-//!   scoped and inline schedulers.
+//! * **Thread invariance** — a seeded serving run over the open-loop
+//!   workload is byte-identical (report JSON, commit stream, final
+//!   posteriors) at 1, 4 and 8 commit threads, and when the whole run
+//!   executes under [`smn_core::pool::sequential`].
 //! * **Replay** — feeding the accepted-event log of a live run through
 //!   [`ServingCore::replay`] reproduces the run byte for byte, including
 //!   runs that hit ingress backpressure (proptest over random streams).
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use smn_datasets::SessionAction;
 use smn_schema::{AttributeId, CandidateId};
 use smn_service::{
-    Aggregation, IngressError, ReplayError, Scheduler, ServeConfig, ServeConfigError, ServeReport,
+    Aggregation, IngressError, ReplayError, ServeConfig, ServeConfigError, ServeReport,
     ServiceEvent, ServingCore, StampedEvent,
 };
 use smn_storage::DurableStore;
@@ -34,13 +34,12 @@ fn to_event(action: SessionAction) -> ServiceEvent {
     }
 }
 
-fn serve_config(threads: usize, scheduler: Scheduler) -> ServeConfig {
+fn serve_config(threads: usize) -> ServeConfig {
     ServeConfig {
         sampler: tiny_sampler(5),
         redundancy: 2,
         aggregation: Aggregation::QualityWeighted,
         threads,
-        scheduler,
         seed: 17,
         capacity: 1024,
         flush_every: 8,
@@ -50,10 +49,10 @@ fn serve_config(threads: usize, scheduler: Scheduler) -> ServeConfig {
 
 /// A multi-shard serving run over the federation network and the standard
 /// open-loop workload.
-fn federation_run(threads: usize, scheduler: Scheduler) -> (ServeReport, Vec<f64>) {
+fn federation_run(threads: usize) -> (ServeReport, Vec<f64>) {
     let (net, truth) = webform_federation(4, 11);
-    let mut core = ServingCore::new(net, truth, vec![0.1; 4], serve_config(threads, scheduler))
-        .expect("serving config");
+    let mut core =
+        ServingCore::new(net, truth, vec![0.1; 4], serve_config(threads)).expect("serving config");
     core.run_events(serve_workload(32, 160, 7).into_iter().map(|a| to_event(a.action)));
     let report = core.finish();
     (report, core.base().probabilities().to_vec())
@@ -67,9 +66,9 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn serving_runs_are_byte_identical_across_thread_counts() {
-    let (r1, p1) = federation_run(1, Scheduler::Pool);
-    let (r4, p4) = federation_run(4, Scheduler::Pool);
-    let (r8, p8) = federation_run(8, Scheduler::Pool);
+    let (r1, p1) = federation_run(1);
+    let (r4, p4) = federation_run(4);
+    let (r8, p8) = federation_run(8);
     assert!(r1.questions_asked > 0 && !r1.commits.is_empty(), "the workload must exercise commits");
     let json = |r: &ServeReport| serde_json::to_string(r).unwrap();
     assert_eq!(json(&r1), json(&r4), "1 vs 4 threads");
@@ -80,17 +79,22 @@ fn serving_runs_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn serving_runs_are_byte_identical_across_schedulers() {
-    let (pool, pp) = federation_run(4, Scheduler::Pool);
-    let (inline, pi) = federation_run(4, Scheduler::Inline);
+    // `threads: 1` commits under `pool::sequential`; running the whole
+    // core in a sequential scope also inlines every fill and gain scan
+    let (pool, pp) = federation_run(4);
+    let (one, p1) = federation_run(1);
+    let (inline, pi) = smn_core::pool::sequential(|| federation_run(4));
     let json = |r: &ServeReport| serde_json::to_string(r).unwrap();
-    assert_eq!(json(&pool), json(&inline), "pool vs inline");
+    assert_eq!(json(&pool), json(&one), "threads 4 vs threads 1");
+    assert_eq!(json(&pool), json(&inline), "pool vs sequential scope");
+    assert_eq!(pp, p1);
     assert_eq!(pp, pi);
 }
 
 #[test]
 fn replaying_the_accepted_log_reproduces_the_live_run() {
     let (net, truth) = webform_federation(4, 11);
-    let config = serve_config(4, Scheduler::Pool);
+    let config = serve_config(4);
     let mut live =
         ServingCore::new(net.clone(), truth.clone(), vec![0.1; 4], config).expect("serving config");
     live.run_events(serve_workload(32, 160, 7).into_iter().map(|a| to_event(a.action)));
@@ -115,7 +119,7 @@ fn a_full_ingress_returns_the_typed_error_and_preserves_accepted_events() {
         net,
         truth,
         vec![0.0; 2],
-        ServeConfig { capacity: 2, redundancy: 1, ..serve_config(1, Scheduler::Inline) },
+        ServeConfig { capacity: 2, redundancy: 1, ..serve_config(1) },
     )
     .expect("serving config");
     assert_eq!(core.submit(ServiceEvent::Question { session: 0 }), Ok(0));
@@ -143,7 +147,7 @@ fn a_perfect_crowd_reconciles_fig1_completely() {
         net,
         truth,
         vec![0.0; 2],
-        ServeConfig { redundancy: 1, flush_every: 2, ..serve_config(2, Scheduler::Pool) },
+        ServeConfig { redundancy: 1, flush_every: 2, ..serve_config(2) },
     )
     .expect("serving config");
     core.run_events(serve_workload(2, 24, 3).into_iter().map(|a| to_event(a.action)));
@@ -158,7 +162,7 @@ fn a_perfect_crowd_reconciles_fig1_completely() {
 #[test]
 fn evolution_takes_an_epoch_and_stays_replayable() {
     let (net, truth) = (fig1_network(), fig1_truth());
-    let config = ServeConfig { redundancy: 1, flush_every: 3, ..serve_config(2, Scheduler::Pool) };
+    let config = ServeConfig { redundancy: 1, flush_every: 3, ..serve_config(2) };
     let mut live =
         ServingCore::new(net.clone(), truth.clone(), vec![0.0; 2], config).expect("serving config");
     let mut events: Vec<ServiceEvent> =
@@ -186,7 +190,7 @@ fn evolution_takes_an_epoch_and_stays_replayable() {
 fn serving_durability_recovers_the_live_base_exactly() {
     let dir = scratch("serve-durable").join("store");
     let (net, truth) = webform_federation(4, 11);
-    let config = serve_config(4, Scheduler::Pool);
+    let config = serve_config(4);
 
     let mut plain =
         ServingCore::new(net.clone(), truth.clone(), vec![0.1; 4], config).expect("serving config");
@@ -220,7 +224,7 @@ fn serving_storage_faults_latch_and_surface_in_the_report() {
         net,
         truth,
         vec![0.0; 2],
-        ServeConfig { redundancy: 1, ..serve_config(2, Scheduler::Pool) },
+        ServeConfig { redundancy: 1, ..serve_config(2) },
     )
     .expect("serving config");
     core.attach_durability(&dir).expect("attach");
@@ -237,14 +241,9 @@ fn serving_storage_faults_latch_and_surface_in_the_report() {
 fn an_empty_crowd_is_a_typed_construction_error() {
     // regression: this used to build fine and then panic on the first
     // answer event (`session % crowd.len()` and `redundancy.clamp(1, 0)`)
-    let err = ServingCore::new(
-        fig1_network(),
-        fig1_truth(),
-        Vec::<f64>::new(),
-        serve_config(1, Scheduler::Inline),
-    )
-    .err()
-    .expect("an empty crowd must be rejected at construction");
+    let err = ServingCore::new(fig1_network(), fig1_truth(), Vec::<f64>::new(), serve_config(1))
+        .err()
+        .expect("an empty crowd must be rejected at construction");
     assert_eq!(err, ServeConfigError::EmptyCrowd);
     assert!(err.to_string().contains("crowd worker"), "the error must explain itself");
 }
@@ -253,13 +252,8 @@ fn an_empty_crowd_is_a_typed_construction_error() {
 fn finishing_a_zero_commit_run_reports_zeroed_latency() {
     // regression: the percentile helper used to `expect("nonempty")` on
     // runs that never flushed a commit
-    let mut core = ServingCore::new(
-        fig1_network(),
-        fig1_truth(),
-        vec![0.0; 2],
-        serve_config(1, Scheduler::Inline),
-    )
-    .expect("serving config");
+    let mut core = ServingCore::new(fig1_network(), fig1_truth(), vec![0.0; 2], serve_config(1))
+        .expect("serving config");
     // questions only — nothing ever decides, so nothing ever commits
     for s in 0..4 {
         core.submit(ServiceEvent::Question { session: s }).expect("capacity");
@@ -280,7 +274,7 @@ fn replay_clamps_zero_capacity_and_rejects_drifted_logs() {
     // A zero-capacity replay config is clamped to 1 at the config level
     // and succeeds (replay pumps after every submit)...
     let (net, truth) = (fig1_network(), fig1_truth());
-    let config = ServeConfig { redundancy: 1, ..serve_config(1, Scheduler::Inline) };
+    let config = ServeConfig { redundancy: 1, ..serve_config(1) };
     let mut live =
         ServingCore::new(net.clone(), truth.clone(), vec![0.0; 2], config).expect("serving config");
     live.run_events(serve_workload(2, 12, 3).into_iter().map(|a| to_event(a.action)));
@@ -354,7 +348,7 @@ proptest! {
             fig1_network(),
             fig1_truth(),
             vec![0.0; 2],
-            ServeConfig { capacity, redundancy: 1, ..serve_config(1, Scheduler::Inline) },
+            ServeConfig { capacity, redundancy: 1, ..serve_config(1) },
         )
         .expect("serving config");
         let mut rejections = 0u32;
@@ -390,7 +384,7 @@ proptest! {
             capacity,
             redundancy: 2,
             flush_every: 4,
-            ..serve_config(2, Scheduler::Pool)
+            ..serve_config(2)
         };
         let mut live = ServingCore::new(fig1_network(), fig1_truth(), vec![0.05; 3], config)
             .expect("serving config");

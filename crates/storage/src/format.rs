@@ -34,7 +34,7 @@
 //! | 3  | candidates | `u64 count`, per candidate `u32 a, u32 b, f64 confidence` in id order |
 //! | 4  | index      | `u8 one_to_one, u8 cycle`, `u64 candidate_count`, per candidate `ids pair_conflicts`, `u64 triple_count`, per triple `3 × u32` — the conflict index's *primary* data only; every dense query structure (bit masks, flattened triple tables) is re-derived on load by `ConflictIndex::from_parts` |
 //! | 5  | feedback   | `u64 len`, `ids approved`, `ids disapproved` (global feedback) |
-//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding` (0 = `ShardingConfig::disabled()`), if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 parallel`; `f64 initial_entropy` |
+//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding` (0 = `ShardingConfig::disabled()`), if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 reserved` (written `1`, ignored on read); `f64 initial_entropy` |
 //! | 7  | partition  | `u8 repr_tag` (0 = the whole partition, iff `enabled` is false; 1 = conflict components); if 1 `u64 component_count`, per component `ids members` (global ids, canonical order) — the whole partition's single list `0..n` is implied |
 //! | 8  | stores     | `u64 store_count` (one per component; a structure-only image carries none), per store: *(tag 1 only)* shard feedback `u64 len, ids approved, ids disapproved` — the whole partition's shard feedback is the global feedback of section 5 — then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 pass_epoch`, `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix, dedup map and weights are re-derived on load by re-recording in order, bit-identically |
 //! | 9  | history    | `u64 count`, per assertion `u32 candidate, u8 approved` in integration order |
@@ -451,7 +451,7 @@ fn enc_config(state: &NetworkState) -> Vec<u8> {
         put_bool(&mut b, s.enabled);
         put_u64(&mut b, s.exact_threshold as u64);
         put_u64(&mut b, s.exact_cap as u64);
-        put_bool(&mut b, s.parallel);
+        put_bool(&mut b, true); // reserved byte, ignored on read
     }
     put_f64(&mut b, state.initial_entropy);
     b
@@ -663,12 +663,13 @@ fn dec_config(bytes: &[u8]) -> Result<ConfigParts, StorageError> {
     let mut d = Dec::new(bytes);
     let sampler = d.sampler()?;
     let sharding = if d.bool("config has_sharding")? {
-        ShardingConfig {
+        let sharding = ShardingConfig {
             enabled: d.bool("sharding enabled")?,
             exact_threshold: d.u64("sharding exact_threshold")? as usize,
             exact_cap: d.u64("sharding exact_cap")? as usize,
-            parallel: d.bool("sharding parallel")?,
-        }
+        };
+        d.bool("sharding reserved")?;
+        sharding
     } else {
         ShardingConfig::disabled()
     };

@@ -24,14 +24,12 @@
 pub mod error;
 pub mod format;
 pub mod frame;
-pub mod lanes;
 pub mod recover;
 pub mod store;
 pub mod wal;
 
 pub use error::StorageError;
 pub use frame::{decode_frame, encode_frame, read_frame, write_frame, Frame};
-pub use lanes::{LaneSink, LaneSinks};
 pub use recover::{recover, Recovered};
 pub use store::DurableStore;
 pub use wal::WalBuffer;

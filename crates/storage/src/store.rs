@@ -25,7 +25,7 @@ use crate::error::StorageError;
 use crate::recover::{replay, Recovered};
 use crate::{save_with_history, wal};
 use smn_core::feedback::Assertion;
-use smn_core::persist::{EventSink, NetworkEvent};
+use smn_core::persist::NetworkEvent;
 use smn_core::ProbabilisticNetwork;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -277,46 +277,5 @@ impl DurableStore {
             return replay(network, history, applied_seq, records, wal_error);
         }
         Err(last_error)
-    }
-}
-
-/// Lets a [`DurableStore`] serve directly as a
-/// [`Session`](smn_core::Session) journal. I/O failures cannot surface
-/// through the infallible [`EventSink`] trait, so the first failure is
-/// latched into [`poisoned`](DurableSink::poisoned) and later events are
-/// dropped — the caller checks after the round, exactly like the
-/// reconciliation service does.
-#[derive(Debug)]
-pub struct DurableSink {
-    store: DurableStore,
-    poisoned: Option<StorageError>,
-}
-
-impl DurableSink {
-    /// Wraps a store for journaling.
-    pub fn new(store: DurableStore) -> Self {
-        Self { store, poisoned: None }
-    }
-
-    /// The first append failure, if any; once set, no further events
-    /// were written.
-    pub fn poisoned(&self) -> Option<&StorageError> {
-        self.poisoned.as_ref()
-    }
-
-    /// Unwraps the store (and the latched failure, if any).
-    pub fn into_inner(self) -> (DurableStore, Option<StorageError>) {
-        (self.store, self.poisoned)
-    }
-}
-
-impl EventSink for DurableSink {
-    fn record(&mut self, event: &NetworkEvent) {
-        if self.poisoned.is_some() {
-            return;
-        }
-        if let Err(e) = self.store.append(event) {
-            self.poisoned = Some(e);
-        }
     }
 }

@@ -17,7 +17,7 @@ use crate::feedback::Assertion;
 use crate::instantiate::{instantiate, Instantiation, InstantiationConfig};
 use crate::network::MatchingNetwork;
 use crate::oracle::Oracle;
-use crate::persist::{EventSink, NetworkEvent};
+use crate::persist::{apply_to_history, NetworkEvent};
 use crate::probability::{AssertError, ProbabilisticNetwork};
 use crate::reconcile::{reconcile, ReconciliationGoal, TracePoint};
 use crate::sampling::SamplerConfig;
@@ -92,11 +92,6 @@ pub struct Session {
     /// [`UNDO_DEPTH`](Self::UNDO_DEPTH): the oldest rollback point is
     /// dropped (freeing its pinned snapshots) when a new one exceeds it.
     undo_stack: Vec<(ProbabilisticNetwork, usize)>,
-    /// Durability journal: every *applied* mutation (assert, extend,
-    /// retire) is recorded here, in order, for write-ahead logging. While
-    /// a journal is attached [`undo`](Session::undo) is disabled — an
-    /// append-only log cannot represent a rollback.
-    journal: Option<Box<dyn EventSink>>,
 }
 
 impl Session {
@@ -128,7 +123,7 @@ impl Session {
                 Box::new(InformationGainSelection::new(config.strategy_seed))
             }
         };
-        Self { pn, strategy, asked: history, undo_stack: Vec::new(), journal: None }
+        Self { pn, strategy, asked: history, undo_stack: Vec::new() }
     }
 
     /// Creates a session with a custom selection strategy.
@@ -142,34 +137,6 @@ impl Session {
             strategy,
             asked: Vec::new(),
             undo_stack: Vec::new(),
-            journal: None,
-        }
-    }
-
-    /// Attaches a durability journal: from here on every applied
-    /// mutation — integrated assertions (from [`answer`](Session::answer)
-    /// or [`run`](Session::run)), arrivals and retirements — is recorded
-    /// into `sink` in application order. Attaching clears the undo stack
-    /// and disables [`undo`](Session::undo): an append-only log has no
-    /// representation for a rollback, so a journaled session is
-    /// forward-only. Replaces (and drops) any previously attached sink.
-    pub fn set_journal(&mut self, sink: Box<dyn EventSink>) {
-        self.undo_stack.clear();
-        self.journal = Some(sink);
-    }
-
-    /// Detaches and returns the durability journal, if any. Undo stays
-    /// unavailable for steps taken while the journal was attached (their
-    /// rollback points were never retained), but new steps become
-    /// undoable again.
-    pub fn take_journal(&mut self) -> Option<Box<dyn EventSink>> {
-        self.journal.take()
-    }
-
-    /// Records an applied event into the journal, if one is attached.
-    fn journal_event(&mut self, event: NetworkEvent) {
-        if let Some(journal) = self.journal.as_mut() {
-            journal.record(&event);
         }
     }
 
@@ -190,7 +157,6 @@ impl Session {
             strategy: self.strategy.clone_box(),
             asked: self.asked.clone(),
             undo_stack: Vec::new(),
-            journal: None,
         }
     }
 
@@ -206,14 +172,7 @@ impl Session {
     /// The selection strategy's RNG is deliberately *not* rolled back: an
     /// undone question re-asked may tie-break differently, exactly as a
     /// fresh question would.
-    ///
-    /// While a durability journal is attached
-    /// ([`set_journal`](Session::set_journal)) this always returns `None`:
-    /// the write-ahead log is append-only and cannot unsee an event.
     pub fn undo(&mut self) -> Option<usize> {
-        if self.journal.is_some() {
-            return None;
-        }
         let (pn, asked_len) = self.undo_stack.pop()?;
         let rolled_back = self.asked.len() - asked_len;
         self.pn = pn;
@@ -252,7 +211,6 @@ impl Session {
         self.pn.assert_candidate(assertion).expect("validated assertion integrates");
         self.push_undo(snapshot);
         self.asked.push(assertion);
-        self.journal_event(NetworkEvent::Assert { candidate, approved });
         Ok(())
     }
 
@@ -260,10 +218,6 @@ impl Session {
     /// [`UNDO_DEPTH`](Self::UNDO_DEPTH) so undo history cannot pin an
     /// unbounded number of snapshot versions.
     fn push_undo(&mut self, snapshot: (ProbabilisticNetwork, usize)) {
-        if self.journal.is_some() {
-            // journaled sessions are forward-only; see set_journal
-            return;
-        }
         if self.undo_stack.len() >= Self::UNDO_DEPTH {
             self.undo_stack.remove(0);
         }
@@ -282,10 +236,6 @@ impl Session {
         }
         for t in trace.iter().filter(|t| t.outcome != crate::reconcile::StepOutcome::Skipped) {
             self.asked.push(Assertion { candidate: t.candidate, approved: t.approved });
-            self.journal_event(NetworkEvent::Assert {
-                candidate: t.candidate,
-                approved: t.approved,
-            });
         }
         trace
     }
@@ -303,7 +253,6 @@ impl Session {
         // snapshots preceding a catalog change address a different
         // candidate universe; undoing across evolution is not supported
         self.undo_stack.clear();
-        self.journal_event(NetworkEvent::Extend { a: x, b: y, confidence });
         Ok(id)
     }
 
@@ -314,14 +263,8 @@ impl Session {
     /// candidates.
     pub fn retire(&mut self, c: CandidateId) -> Result<(), smn_schema::SchemaError> {
         self.pn.retire(c)?;
-        self.asked.retain(|a| a.candidate != c);
-        for a in &mut self.asked {
-            if a.candidate > c {
-                a.candidate = CandidateId(a.candidate.0 - 1);
-            }
-        }
+        apply_to_history(&mut self.asked, &NetworkEvent::Retire { candidate: c });
         self.undo_stack.clear();
-        self.journal_event(NetworkEvent::Retire { candidate: c });
         Ok(())
     }
 
@@ -576,55 +519,6 @@ mod tests {
         let id = session.extend(AttributeId(0), AttributeId(3), 0.7).unwrap();
         assert!(id.index() > 0);
         assert_eq!(session.undo(), None, "undo across an arrival is refused");
-    }
-
-    #[test]
-    fn journal_records_every_applied_mutation_in_order() {
-        use crate::persist::{EventSink, NetworkEvent};
-        // a sink the test can still read after the session consumed the Box
-        struct Shared(std::rc::Rc<std::cell::RefCell<Vec<NetworkEvent>>>);
-        impl EventSink for Shared {
-            fn record(&mut self, event: &NetworkEvent) {
-                self.0.borrow_mut().push(*event);
-            }
-        }
-        let events = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut session = Session::new(fig1_network(), config());
-        session.set_journal(Box::new(Shared(events.clone())));
-        session.answer(CandidateId(2), true).unwrap();
-        // rejected and redundant answers must stay out of the journal
-        assert!(session.answer(CandidateId(2), false).is_err());
-        session.answer(CandidateId(2), true).unwrap();
-        session.retire(CandidateId(4)).unwrap();
-        let id = session.extend(AttributeId(0), AttributeId(3), 0.8).unwrap();
-        assert_eq!(id, CandidateId(4));
-        let mut oracle = GroundTruthOracle::new(fig1_truth());
-        let trace = session.run(&mut oracle, ReconciliationGoal::Budget(1));
-        let mut expect = vec![
-            NetworkEvent::Assert { candidate: CandidateId(2), approved: true },
-            NetworkEvent::Retire { candidate: CandidateId(4) },
-            NetworkEvent::Extend { a: AttributeId(0), b: AttributeId(3), confidence: 0.8 },
-        ];
-        for t in &trace {
-            if t.outcome != crate::reconcile::StepOutcome::Skipped {
-                expect.push(NetworkEvent::Assert { candidate: t.candidate, approved: t.approved });
-            }
-        }
-        assert_eq!(*events.borrow(), expect);
-    }
-
-    #[test]
-    fn journaled_session_refuses_undo() {
-        let mut session = Session::new(fig1_network(), config());
-        session.answer(CandidateId(2), true).unwrap();
-        session.set_journal(Box::new(Vec::new()));
-        assert_eq!(session.undo(), None, "attaching the journal cleared the stack");
-        session.answer(CandidateId(0), false).unwrap();
-        assert_eq!(session.undo(), None, "journaled steps are forward-only");
-        session.take_journal();
-        assert_eq!(session.undo(), None, "journaled steps kept no rollback points");
-        session.answer(CandidateId(3), true).unwrap();
-        assert_eq!(session.undo(), Some(1), "detached sessions are undoable again");
     }
 
     #[test]

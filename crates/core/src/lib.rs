@@ -78,7 +78,7 @@ pub use ledger::Ledger;
 pub use metrics::{kl_divergence, kl_ratio, PrecisionRecall};
 pub use network::MatchingNetwork;
 pub use oracle::{CrowdOracle, GroundTruthOracle, NoisyOracle, Oracle};
-pub use persist::{EventSink, NetworkEvent, NetworkState};
+pub use persist::{NetworkEvent, NetworkState};
 pub use probability::{AssertError, CommitOutcome, ProbabilisticNetwork};
 pub use reconcile::{reconcile, ReconciliationGoal, StepOutcome, TracePoint};
 pub use sampling::SamplerConfig;

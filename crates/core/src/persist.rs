@@ -17,15 +17,12 @@
 //!   trip is lossless (probabilities are *recomputed* from the restored
 //!   samples through the same kernels, hence bit-identical).
 //! * **Events** — [`NetworkEvent`] is the write-ahead-log alphabet:
-//!   assertions, candidate arrivals and retirements. A [`Session`]
-//!   (or the reconciliation service) journals each applied event into an
-//!   [`EventSink`]; crash recovery replays the suffix onto a loaded
-//!   snapshot via [`apply_event`], with [`apply_to_history`] mirroring
-//!   the session-history bookkeeping (retirement drops and renumbers
-//!   assertions exactly like
-//!   [`Session::retire`](crate::Session::retire)).
-//!
-//! [`Session`]: crate::Session
+//!   assertions, candidate arrivals and retirements. The serving
+//!   engines append each applied event to `smn-storage`'s durable
+//!   store; crash recovery replays the suffix onto a loaded snapshot via
+//!   [`apply_event`], with [`apply_to_history`] as the one
+//!   session-history rule (retirement drops and renumbers assertions;
+//!   [`Session::retire`](crate::Session::retire) calls it too).
 
 use crate::feedback::{Assertion, Feedback};
 use crate::probability::ProbabilisticNetwork;
@@ -207,20 +204,6 @@ pub enum NetworkEvent {
     },
 }
 
-/// Where journaled events go. `smn-storage` implements this for its
-/// in-memory WAL buffer and its file-backed appender; tests implement
-/// it with a plain `Vec`.
-pub trait EventSink {
-    /// Records one applied event. Sinks must preserve order.
-    fn record(&mut self, event: &NetworkEvent);
-}
-
-impl EventSink for Vec<NetworkEvent> {
-    fn record(&mut self, event: &NetworkEvent) {
-        self.push(*event);
-    }
-}
-
 /// Applies one event to a recovered network — the replay half of crash
 /// recovery. Mirrors exactly what the live path did when the event was
 /// journaled; a failure (which a faithfully replayed log never
@@ -240,10 +223,11 @@ pub fn apply_event(pn: &mut ProbabilisticNetwork, event: &NetworkEvent) -> Resul
     }
 }
 
-/// Maintains a session-history mirror under one event, with the same
-/// rules as [`Session`](crate::Session): an applied assertion appends,
-/// a retirement drops the retiree's assertions and renumbers later ids
-/// down by one, an arrival changes nothing.
+/// The session-history rule for one event, shared by
+/// [`Session`](crate::Session), the serving core and crash recovery: an
+/// applied assertion appends, a retirement drops the retiree's
+/// assertions and renumbers later ids down by one, an arrival changes
+/// nothing.
 pub fn apply_to_history(history: &mut Vec<Assertion>, event: &NetworkEvent) {
     match *event {
         NetworkEvent::Assert { candidate, approved } => {
@@ -318,7 +302,7 @@ mod tests {
         let mut history = Vec::new();
         for e in &events {
             apply_event(&mut live, e).unwrap();
-            journal.record(e);
+            journal.push(*e);
             apply_to_history(&mut history, e);
         }
         // recover: rebuild from the pre-run state image and replay the log

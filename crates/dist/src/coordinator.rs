@@ -43,9 +43,8 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    encode_what_if, put_ids, put_u32, read_f64s, read_shard_probs, Rd, REQ_APPLY_EVENT, REQ_ASSERT,
-    REQ_BOOTSTRAP, REQ_EXPORT, REQ_GAINS, REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN,
-    REQ_WHAT_IF, RESP_ERR, RESP_OK,
+    encode_what_if, read_shard_probs, REQ_APPLY_EVENT, REQ_ASSERT, REQ_BOOTSTRAP, REQ_EXPORT,
+    REQ_GAINS, REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use crate::transport::Transport;
 use smn_constraints::Placement;
@@ -57,7 +56,7 @@ use smn_core::{
 };
 use smn_schema::{AttributeId, CandidateId};
 use smn_service::ServeModel;
-use smn_storage::format::encode_snapshot;
+use smn_storage::format::{encode_snapshot, put_ids, put_u32, Dec};
 use smn_storage::wal::encode_record;
 use smn_storage::Frame;
 use std::collections::BTreeMap;
@@ -121,7 +120,7 @@ impl DistNetwork {
             .map(|server| {
                 let owned: Vec<u32> =
                     (0..count).filter(|&k| this.owner[k] == server).map(|k| k as u32).collect();
-                let mut payload = Vec::with_capacity(4 + owned.len() * 4 + image.len());
+                let mut payload = Vec::with_capacity(8 + owned.len() * 4 + image.len());
                 put_ids(&mut payload, &owned);
                 payload.extend_from_slice(&image);
                 (server, payload)
@@ -136,9 +135,9 @@ impl DistNetwork {
 
     /// Hands a reply's shard probabilities to the ledger.
     fn scatter(&mut self, reply: &Frame) -> Result<(), DistError> {
-        let mut rd = Rd::new(&reply.payload);
-        let entries = read_shard_probs(&mut rd)?;
-        rd.finish("shard probabilities reply")?;
+        let mut d = Dec::new(&reply.payload);
+        let entries = read_shard_probs(&mut d)?;
+        d.finish("shard probabilities reply")?;
         for (k, local) in entries {
             self.ledger.scatter(&self.mirror, k, &local).map_err(DistError::Protocol)?;
         }
@@ -264,7 +263,7 @@ impl DistNetwork {
     /// pool). Panics only on link failure.
     pub fn information_gains(&self, pool: &[CandidateId]) -> Vec<f64> {
         let encode = |batch: &[CandidateId]| {
-            let mut request = Vec::with_capacity(4 + 4 * batch.len());
+            let mut request = Vec::with_capacity(8 + 4 * batch.len());
             put_ids(&mut request, &batch.iter().map(|c| c.0).collect::<Vec<_>>());
             request
         };
@@ -280,7 +279,7 @@ impl DistNetwork {
         candidate: impl Fn(&T) -> CandidateId,
         kind: u32,
         encode: impl Fn(&[T]) -> Vec<u8>,
-        what: &str,
+        what: &'static str,
     ) -> Vec<f64> {
         let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (pos, item) in items.iter().enumerate() {
@@ -298,8 +297,8 @@ impl DistNetwork {
         let mut out = vec![0.0; items.len()];
         for (positions, reply) in by_server.values().zip(self.exchange(kind, requests)) {
             let reply = reply.unwrap_or_else(|e| panic!("{what} lost the cluster: {e}"));
-            let values = read_f64s(&mut Rd::new(&reply.payload), what)
-                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let values =
+                Dec::new(&reply.payload).f64s(what).unwrap_or_else(|e| panic!("{what}: {e}"));
             assert_eq!(values.len(), positions.len(), "{what} reply miscounted");
             for (&pos, value) in positions.iter().zip(values) {
                 out[pos] = value;

@@ -10,15 +10,14 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    self, put_f64s, put_shard_probs, read_ids, Rd, REQ_APPLY_EVENT, REQ_ASSERT, REQ_BOOTSTRAP,
-    REQ_EXPORT, REQ_GAINS, REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN, REQ_WHAT_IF,
-    RESP_ERR, RESP_OK,
+    self, put_shard_probs, REQ_APPLY_EVENT, REQ_ASSERT, REQ_BOOTSTRAP, REQ_EXPORT, REQ_GAINS,
+    REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use crate::transport::{channel_pair, ChannelTransport, Transport};
 use smn_core::persist::{NetworkEvent, ShardState};
 use smn_core::ShardHost;
 use smn_schema::CandidateId;
-use smn_storage::format::{decode_shard_state, decode_snapshot, encode_shard_state};
+use smn_storage::format::{decode_shard_state, decode_snapshot, encode_shard_state, put_f64s, Dec};
 use smn_storage::wal::decode_record;
 use smn_storage::Frame;
 use std::thread::JoinHandle;
@@ -47,13 +46,15 @@ pub fn serve(transport: &mut dyn Transport) -> Result<(), DistError> {
 /// host. String errors become [`RESP_ERR`] payloads.
 fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String> {
     if frame.kind == REQ_BOOTSTRAP {
-        let mut rd = Rd::new(&frame.payload);
-        let owned: Vec<usize> = read_ids(&mut rd, "owned components")
+        let mut d = Dec::new(&frame.payload);
+        let owned: Vec<usize> = d
+            .ids("owned components")
             .map_err(|e| e.to_string())?
             .into_iter()
             .map(|k| k as usize)
             .collect();
-        let (state, _, _) = decode_snapshot(rd.rest()).map_err(|e| e.to_string())?;
+        let image = d.take(d.remaining(), "bootstrap image").map_err(|e| e.to_string())?;
+        let (state, _, _) = decode_snapshot(image).map_err(|e| e.to_string())?;
         let built = ShardHost::from_structure(&state, &owned)?;
         let entries: Vec<(usize, Vec<f64>)> = built
             .owned_components()
@@ -85,22 +86,23 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             Ok(reply)
         }
         REQ_GAINS => {
-            let mut rd = Rd::new(&frame.payload);
-            let pool: Vec<CandidateId> = read_ids(&mut rd, "gain pool")
+            let mut d = Dec::new(&frame.payload);
+            let pool: Vec<CandidateId> = d
+                .ids("gain pool")
                 .map_err(|e| e.to_string())?
                 .into_iter()
                 .map(CandidateId)
                 .collect();
-            rd.finish("gain pool").map_err(|e| e.to_string())?;
+            d.finish("gain pool").map_err(|e| e.to_string())?;
             let values = host.gains(&pool).ok_or("gain scan routed to a non-owner")?;
             let mut reply = Vec::new();
             put_f64s(&mut reply, &values);
             Ok(reply)
         }
         REQ_EXPORT => {
-            let mut rd = Rd::new(&frame.payload);
-            let k = rd.u32("export component").map_err(|e| e.to_string())? as usize;
-            rd.finish("export request").map_err(|e| e.to_string())?;
+            let mut d = Dec::new(&frame.payload);
+            let k = d.u32("export component").map_err(|e| e.to_string())? as usize;
+            d.finish("export request").map_err(|e| e.to_string())?;
             let state = host.export_shard(k).ok_or("export routed to a non-owner")?;
             Ok(encode_shard_state(&state))
         }
@@ -120,23 +122,21 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             Ok(Vec::new())
         }
         REQ_REBUILD_MERGED => {
-            let mut rd = Rd::new(&frame.payload);
-            let k = rd.u32("merged component").map_err(|e| e.to_string())? as usize;
-            let sources = rd.u32("absorbed count").map_err(|e| e.to_string())? as usize;
-            let mut absorbed: Vec<(Vec<CandidateId>, ShardState)> = Vec::with_capacity(sources);
-            for _ in 0..sources {
-                absorbed.push(read_shipment(&mut rd)?);
-            }
-            rd.finish("rebuild-merged request").map_err(|e| e.to_string())?;
+            let mut d = Dec::new(&frame.payload);
+            let k = d.u32("merged component").map_err(|e| e.to_string())? as usize;
+            let sources = d.u32("absorbed count").map_err(|e| e.to_string())?;
+            let absorbed =
+                (0..sources).map(|_| read_shipment(&mut d)).collect::<Result<Vec<_>, _>>()?;
+            d.finish("rebuild-merged request").map_err(|e| e.to_string())?;
             host.rebuild_merged(k, &absorbed)?;
             shard_probs_reply(host, k)
         }
         REQ_REBUILD_PART => {
-            let mut rd = Rd::new(&frame.payload);
-            let k = rd.u32("part component").map_err(|e| e.to_string())? as usize;
-            let retired = CandidateId(rd.u32("retired candidate").map_err(|e| e.to_string())?);
-            let (old_members, old_state) = read_shipment(&mut rd)?;
-            rd.finish("rebuild-part request").map_err(|e| e.to_string())?;
+            let mut d = Dec::new(&frame.payload);
+            let k = d.u32("part component").map_err(|e| e.to_string())? as usize;
+            let retired = CandidateId(d.u32("retired candidate").map_err(|e| e.to_string())?);
+            let (old_members, old_state) = read_shipment(&mut d)?;
+            d.finish("rebuild-part request").map_err(|e| e.to_string())?;
             host.rebuild_part(k, &old_members, &old_state, retired)?;
             shard_probs_reply(host, k)
         }
@@ -146,14 +146,11 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
 
 /// Reads one shipped shard: its pre-event member list and serialized
 /// state (length-prefixed [`encode_shard_state`] section).
-fn read_shipment(rd: &mut Rd<'_>) -> Result<(Vec<CandidateId>, ShardState), String> {
-    let members: Vec<CandidateId> = read_ids(rd, "shipped members")
-        .map_err(|e| e.to_string())?
-        .into_iter()
-        .map(CandidateId)
-        .collect();
-    let len = rd.u32("shipped state length").map_err(|e| e.to_string())? as usize;
-    let bytes = rd.take(len, "shipped state").map_err(|e| e.to_string())?;
+fn read_shipment(d: &mut Dec<'_>) -> Result<(Vec<CandidateId>, ShardState), String> {
+    let members: Vec<CandidateId> =
+        d.ids("shipped members").map_err(|e| e.to_string())?.into_iter().map(CandidateId).collect();
+    let len = d.u32("shipped state length").map_err(|e| e.to_string())? as usize;
+    let bytes = d.take(len, "shipped state").map_err(|e| e.to_string())?;
     let state = decode_shard_state(bytes).map_err(|e| e.to_string())?;
     Ok((members, state))
 }

@@ -38,8 +38,8 @@
 //!   write-ahead log as it commits, the log is fsynced between rounds,
 //!   and snapshots are published (with log rotation) on a configurable
 //!   round cadence — after a crash, [`smn_storage::DurableStore::recover`]
-//!   reproduces the base network bit for bit. Storage failures are
-//!   latched, never panicked on.
+//!   reproduces the base network bit for bit. The store latches storage
+//!   failures; nothing panics on them.
 //! * a **request-driven serving layer** ([`ServingCore`]) inverting the
 //!   round loop: typed [`ServiceEvent`]s flow through a bounded
 //!   [`IngressQueue`] with typed backpressure and gapless logical-clock

@@ -53,7 +53,7 @@ use crate::session::SessionManager;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
 use smn_core::feedback::Assertion;
-use smn_core::persist::NetworkEvent;
+use smn_core::persist::{apply_to_history, NetworkEvent};
 use smn_core::shard::ShardingConfig;
 use smn_core::{MatchingNetwork, ProbabilisticNetwork, SamplerConfig, StepOutcome};
 use smn_schema::{CandidateId, Correspondence};
@@ -336,13 +336,6 @@ struct DecidedAssertion {
     votes_against: usize,
 }
 
-/// Durability state of a serving core: the store and the first latched
-/// fault.
-struct ServeDurability {
-    store: DurableStore,
-    error: Option<StorageError>,
-}
-
 /// The request-driven serving core; see the module docs.
 pub struct ServingCore {
     base: ProbabilisticNetwork,
@@ -374,7 +367,10 @@ pub struct ServingCore {
     flushes: u64,
     publications: u64,
     epochs: u64,
-    durability: Option<ServeDurability>,
+    /// The attached durable store. It latches its own first fault, so
+    /// the results of its writes are dropped here and read back through
+    /// [`durability_error`](Self::durability_error).
+    store: Option<DurableStore>,
 }
 
 impl ServingCore {
@@ -436,7 +432,7 @@ impl ServingCore {
             flushes: 0,
             publications: 0,
             epochs: 0,
-            durability: None,
+            store: None,
         })
     }
 
@@ -449,21 +445,24 @@ impl ServingCore {
 
     /// Attaches a durable store under `dir`: the current base and
     /// committed history snapshot immediately, and every later commit is
-    /// WAL-appended *inside its flush* through per-lane sinks, fsynced
-    /// once per flush. Storage faults latch (see
+    /// WAL-appended in commit order as its flush records it, fsynced
+    /// once per flush. The store latches its first fault (see
     /// [`durability_error`](Self::durability_error) and
     /// [`ServeReport::durability_error`]) — the core never fails on
     /// storage trouble.
     pub fn attach_durability(&mut self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
-        let store =
-            DurableStore::open(dir.as_ref(), &self.base, &self.history, self.history.len() as u64)?;
-        self.durability = Some(ServeDurability { store, error: None });
+        self.store = Some(DurableStore::open(
+            dir.as_ref(),
+            &self.base,
+            &self.history,
+            self.history.len() as u64,
+        )?);
         Ok(())
     }
 
     /// The first storage fault the attached store hit, if any.
     pub fn durability_error(&self) -> Option<&StorageError> {
-        self.durability.as_ref().and_then(|d| d.error.as_ref())
+        self.store.as_ref().and_then(DurableStore::fault)
     }
 
     /// The base probabilistic network (the writer's view).
@@ -545,12 +544,8 @@ impl ServingCore {
         let clock = self.ingress.clock();
         self.flush(clock);
         self.publish();
-        if let Some(d) = &mut self.durability {
-            if d.error.is_none() {
-                if let Err(e) = d.store.publish(&self.base, &self.history) {
-                    d.error = Some(e);
-                }
-            }
+        if let Some(store) = &mut self.store {
+            let _ = store.publish(&self.base, &self.history);
         }
         self.report()
     }
@@ -599,20 +594,14 @@ impl ServingCore {
             ServiceEvent::Extend { a, b, confidence } => {
                 self.epoch(stamped.clock, |core| {
                     if core.base.extend(a, b, confidence).is_ok() {
-                        core.journal(NetworkEvent::Extend { a, b, confidence });
+                        core.record(NetworkEvent::Extend { a, b, confidence });
                     }
                 });
             }
             ServiceEvent::Retire { candidate } => {
                 self.epoch(stamped.clock, |core| {
                     if core.base.retire(candidate).is_ok() {
-                        core.history.retain(|h| h.candidate != candidate);
-                        for h in &mut core.history {
-                            if h.candidate > candidate {
-                                h.candidate = CandidateId(h.candidate.0 - 1);
-                            }
-                        }
-                        core.journal(NetworkEvent::Retire { candidate });
+                        core.record(NetworkEvent::Retire { candidate });
                     }
                 });
             }
@@ -744,8 +733,7 @@ impl ServingCore {
             self.pending_set.remove(&d.candidate);
             self.latencies.push(clock - d.clock);
             if o.outcome != StepOutcome::Skipped {
-                self.history.push(Assertion { candidate: o.candidate, approved: o.approved });
-                self.journal(NetworkEvent::Assert { candidate: o.candidate, approved: o.approved });
+                self.record(NetworkEvent::Assert { candidate: o.candidate, approved: o.approved });
             }
             self.commits.push(ServeCommit {
                 step: self.commits.len() + 1,
@@ -763,11 +751,9 @@ impl ServingCore {
         }
         self.flushes += 1;
         self.recount_asserted();
-        if let Some(dur) = &mut self.durability {
-            if dur.error.is_none() && outcomes.iter().any(|o| o.outcome != StepOutcome::Skipped) {
-                if let Err(e) = dur.store.sync() {
-                    dur.error = Some(e);
-                }
+        if let Some(store) = &mut self.store {
+            if outcomes.iter().any(|o| o.outcome != StepOutcome::Skipped) {
+                let _ = store.sync();
             }
         }
     }
@@ -813,26 +799,19 @@ impl ServingCore {
         self.sessions.reset();
         evolve(self);
         self.recount_asserted();
-        if let Some(d) = &mut self.durability {
-            if d.error.is_none() {
-                if let Err(e) = d.store.sync() {
-                    d.error = Some(e);
-                }
-            }
+        if let Some(store) = &mut self.store {
+            let _ = store.sync();
         }
         self.publish();
         self.epochs += 1;
     }
 
-    /// Appends one applied event to the write-ahead log, latching the
-    /// first fault.
-    fn journal(&mut self, event: NetworkEvent) {
-        let Some(d) = &mut self.durability else { return };
-        if d.error.is_some() {
-            return;
-        }
-        if let Err(e) = d.store.append(&event) {
-            d.error = Some(e);
+    /// Records one applied event: the committed history follows it, and
+    /// the write-ahead log appends it when a store is attached.
+    fn record(&mut self, event: NetworkEvent) {
+        apply_to_history(&mut self.history, &event);
+        if let Some(store) = &mut self.store {
+            let _ = store.append(&event);
         }
     }
 

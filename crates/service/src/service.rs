@@ -220,16 +220,6 @@ impl From<StorageError> for DurabilityError {
     }
 }
 
-/// The attached durability state: a [`DurableStore`] the service journals
-/// committed assertions into, a publication cadence, and the first storage
-/// error if one ever occurred (after which journaling stops — the service
-/// itself never fails or panics on storage trouble).
-struct Durability {
-    store: DurableStore,
-    snapshot_every: usize,
-    error: Option<StorageError>,
-}
-
 /// The concurrent multi-worker reconciliation service, generic over the
 /// [`ServeModel`] it drives (the in-process
 /// [`ProbabilisticNetwork`] by default; a distributed coordinator slots
@@ -244,7 +234,12 @@ pub struct ReconciliationService<M: ServeModel = ProbabilisticNetwork> {
     history: Vec<TracePoint>,
     commits: Vec<CommitRecord>,
     rounds: Vec<RoundStats>,
-    durability: Option<Durability>,
+    /// The attached durable store. It latches its own first fault, so
+    /// the results of its writes are dropped here and read back through
+    /// [`durability_error`](Self::durability_error).
+    store: Option<DurableStore>,
+    /// Publish a snapshot every this many rounds (≥ 1).
+    snapshot_every: usize,
 }
 
 impl ReconciliationService {
@@ -285,7 +280,8 @@ impl<M: ServeModel> ReconciliationService<M> {
             history: Vec::new(),
             commits: Vec::new(),
             rounds: Vec::new(),
-            durability: None,
+            store: None,
+            snapshot_every: 1,
         }
     }
 
@@ -298,9 +294,9 @@ impl<M: ServeModel> ReconciliationService<M> {
     /// base network exactly.
     ///
     /// Storage errors after attachment never surface as panics or run
-    /// failures: the first one is latched (see
-    /// [`durability_error`](Self::durability_error)) and journaling
-    /// stops.
+    /// failures: the store latches the first one (see
+    /// [`durability_error`](Self::durability_error)) and writes nothing
+    /// after it.
     ///
     /// Only in-process models can attach: snapshot publication needs the
     /// concrete [`ProbabilisticNetwork`], so a remote-backed model (one
@@ -315,21 +311,17 @@ impl<M: ServeModel> ReconciliationService<M> {
         let Some(local) = self.base.as_local() else {
             return Err(DurabilityError::RemoteModel);
         };
-        let assertions: Vec<Assertion> = self
-            .history
-            .iter()
-            .map(|t| Assertion { candidate: t.candidate, approved: t.approved })
-            .collect();
-        let store = DurableStore::open(dir.as_ref(), local, &assertions, assertions.len() as u64)?;
-        self.durability =
-            Some(Durability { store, snapshot_every: snapshot_every.max(1), error: None });
+        let assertions = self.assertions();
+        self.store =
+            Some(DurableStore::open(dir.as_ref(), local, &assertions, assertions.len() as u64)?);
+        self.snapshot_every = snapshot_every.max(1);
         Ok(())
     }
 
     /// The first storage error the attached durable store hit, if any.
     /// `None` while journaling is healthy (or detached).
     pub fn durability_error(&self) -> Option<&StorageError> {
-        self.durability.as_ref().and_then(|d| d.error.as_ref())
+        self.store.as_ref().and_then(DurableStore::fault)
     }
 
     /// The committed assertion history in `smn-core` terms — what a
@@ -341,40 +333,17 @@ impl<M: ServeModel> ReconciliationService<M> {
             .collect()
     }
 
-    /// Journals one applied event, latching the first failure.
-    fn journal(&mut self, event: NetworkEvent) {
-        let Some(d) = &mut self.durability else { return };
-        if d.error.is_some() {
-            return;
-        }
-        if let Err(e) = d.store.append(&event) {
-            d.error = Some(e);
-        }
-    }
-
     /// End-of-round durability work: fsync the log, and on the publication
     /// cadence snapshot the base and rotate the log.
     fn checkpoint_round(&mut self) {
-        let Some(d) = &mut self.durability else { return };
-        if d.error.is_some() {
-            return;
-        }
+        let Some(mut store) = self.store.take() else { return };
         // attachment is gated on `as_local`, so a publishing round always
         // finds the concrete network; the defensive fallback still fsyncs
-        let result = match (self.rounds.len() % d.snapshot_every == 0, self.base.as_local()) {
-            (true, Some(local)) => {
-                let assertions: Vec<Assertion> = self
-                    .history
-                    .iter()
-                    .map(|t| Assertion { candidate: t.candidate, approved: t.approved })
-                    .collect();
-                d.store.publish(local, &assertions).map(|_| ())
-            }
-            _ => d.store.sync(),
+        let _ = match (self.rounds.len() % self.snapshot_every == 0, self.base.as_local()) {
+            (true, Some(local)) => store.publish(local, &self.assertions()).map(|_| ()),
+            _ => store.sync(),
         };
-        if let Err(e) = result {
-            d.error = Some(e);
-        }
+        self.store = Some(store);
     }
 
     /// The base model (the probabilistic network in the default
@@ -455,7 +424,9 @@ impl<M: ServeModel> ReconciliationService<M> {
             });
             if outcome != StepOutcome::Skipped {
                 committed += 1;
-                self.journal(NetworkEvent::Assert { candidate: lease.candidate, approved });
+                if let Some(store) = &mut self.store {
+                    let _ = store.append(&NetworkEvent::Assert { candidate, approved });
+                }
                 self.history.push(TracePoint {
                     step: self.history.len() + 1,
                     candidate: lease.candidate,

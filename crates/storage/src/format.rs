@@ -127,20 +127,28 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 }
 
 // ------------------------------------------------------------- encoding
+//
+// The `put_*` writers and [`Dec`] are the one little-endian codec of the
+// workspace: the snapshot, WAL and frame formats here and the
+// distributed mode's routing payloads all encode through them.
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
+/// Appends an `f64` as the little-endian bytes of its bit pattern.
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
-pub(crate) fn put_bool(buf: &mut Vec<u8>, v: bool) {
+/// Appends a boolean as one `0`/`1` byte.
+pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
     buf.push(v as u8);
 }
 
@@ -149,10 +157,19 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[u32]) {
+/// Appends an id list: `u64` count, then each id as `u32`.
+pub fn put_ids(buf: &mut Vec<u8>, ids: &[u32]) {
     put_u64(buf, ids.len() as u64);
     for &id in ids {
         put_u32(buf, id);
+    }
+}
+
+/// Appends an `f64` list: `u64` count, then each value's bit pattern.
+pub fn put_f64s(buf: &mut Vec<u8>, values: &[f64]) {
+    put_u64(buf, values.len() as u64);
+    for &v in values {
+        put_f64(buf, v);
     }
 }
 
@@ -192,21 +209,24 @@ fn put_store(buf: &mut Vec<u8>, s: &StoreState) {
 /// the remaining bytes and fails with
 /// [`TruncatedRecord`](StorageError::TruncatedRecord) — the decoder
 /// cannot be made to read out of bounds or panic.
-pub(crate) struct Dec<'a> {
+pub struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// Starts reading at the front of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    /// The number of unread bytes.
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub(crate) fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], StorageError> {
+    /// Takes `n` raw bytes.
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], StorageError> {
         if self.remaining() < n {
             return Err(StorageError::TruncatedRecord {
                 what,
@@ -219,11 +239,13 @@ impl<'a> Dec<'a> {
         Ok(slice)
     }
 
-    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, StorageError> {
+    /// Reads one byte.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, StorageError> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub(crate) fn bool(&mut self, what: &'static str) -> Result<bool, StorageError> {
+    /// Reads one strict `0`/`1` boolean byte.
+    pub fn bool(&mut self, what: &'static str) -> Result<bool, StorageError> {
         match self.u8(what)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -231,26 +253,25 @@ impl<'a> Dec<'a> {
         }
     }
 
-    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, StorageError> {
+    /// Reads one little-endian `u32`.
+    pub fn u32(&mut self, what: &'static str) -> Result<u32, StorageError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self, what: &'static str) -> Result<u64, StorageError> {
+    /// Reads one little-endian `u64`.
+    pub fn u64(&mut self, what: &'static str) -> Result<u64, StorageError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn f64(&mut self, what: &'static str) -> Result<f64, StorageError> {
+    /// Reads one `f64` bit pattern.
+    pub fn f64(&mut self, what: &'static str) -> Result<f64, StorageError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
     /// A `u64` length that must be addressable: it is checked against the
     /// remaining payload (`elem_size` bytes per element) *before* any
     /// allocation, so hostile lengths cannot balloon memory.
-    pub(crate) fn len(
-        &mut self,
-        elem_size: usize,
-        what: &'static str,
-    ) -> Result<usize, StorageError> {
+    pub fn len(&mut self, elem_size: usize, what: &'static str) -> Result<usize, StorageError> {
         let raw = self.u64(what)?;
         let n = usize::try_from(raw)
             .map_err(|_| StorageError::Invalid(format!("{what}: length {raw} overflows")))?;
@@ -273,9 +294,21 @@ impl<'a> Dec<'a> {
             .map_err(|_| StorageError::Invalid(format!("{what}: non-UTF-8 name")))
     }
 
-    fn ids(&mut self, what: &'static str) -> Result<Vec<u32>, StorageError> {
+    /// Reads an id list written by [`put_ids`].
+    pub fn ids(&mut self, what: &'static str) -> Result<Vec<u32>, StorageError> {
         let n = self.len(4, what)?;
-        (0..n).map(|_| self.u32(what)).collect()
+        let bytes = self.take(4 * n, what)?;
+        Ok(bytes.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).collect())
+    }
+
+    /// Reads an `f64` list written by [`put_f64s`].
+    pub fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, StorageError> {
+        let n = self.len(8, what)?;
+        let bytes = self.take(8 * n, what)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+            .collect())
     }
 
     fn sampler(&mut self) -> Result<SamplerConfig, StorageError> {
@@ -309,7 +342,8 @@ impl<'a> Dec<'a> {
         Ok(StoreState { config, candidate_count, exhausted, pass_epoch, samples, counts })
     }
 
-    fn finish(self, what: &'static str) -> Result<(), StorageError> {
+    /// Fails unless every byte was read.
+    pub fn finish(self, what: &'static str) -> Result<(), StorageError> {
         if self.remaining() != 0 {
             return Err(StorageError::Invalid(format!(
                 "{what}: {} trailing bytes after payload",

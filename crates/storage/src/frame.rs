@@ -5,8 +5,10 @@
 //! boundary. The payloads it carries are the crate's existing encodings
 //! — [`encode_shard_state`](crate::format::encode_shard_state) sections
 //! for shard shipment, [`wal::encode_record`](crate::wal::encode_record)
-//! records for the command stream — so the distributed wire protocol
-//! adds *no new serialization*, only framing:
+//! records for the command stream, and routing lists written with the
+//! [`format`](crate::format) codec's `put_*` and read with its
+//! [`Dec`] — so the distributed wire protocol adds
+//! *no new serialization*, only framing:
 //!
 //! ```text
 //! offset  size  field

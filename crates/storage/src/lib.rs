@@ -6,6 +6,11 @@
 //! suffix* ([`recover()`]), and a file-backed [`store::DurableStore`]
 //! managing snapshot generations and log rotation.
 //!
+//! The store latches its first storage fault: after one failed append,
+//! sync or publish, every later write returns that error without
+//! touching a file, and [`DurableStore::fault`] reports it. Engines
+//! journal through it without a latch of their own.
+//!
 //! The load path rebuilds along the same `Arc` boundaries the live
 //! network uses — shared [`SampleData`]/[`ShardSnapshot`] behind
 //! copy-on-write pointers — without re-sampling: the recorded instance

@@ -13,8 +13,7 @@
 //! the same kernels over the same matrix), and a byte-identical history.
 
 use crate::error::StorageError;
-use crate::format;
-use crate::wal;
+use crate::{load_with_history, wal};
 use smn_core::feedback::Assertion;
 use smn_core::persist::{apply_event, apply_to_history};
 use smn_core::ProbabilisticNetwork;
@@ -47,8 +46,7 @@ pub struct Recovered {
 /// decoded tolerantly ([`wal::decode_prefix`]) and its intact suffix
 /// (`seq > applied_seq`, strictly increasing) is replayed.
 pub fn recover(snapshot: &[u8], wal_bytes: &[u8]) -> Result<Recovered, StorageError> {
-    let (state, history, applied_seq) = format::decode_snapshot(snapshot)?;
-    let network = ProbabilisticNetwork::from_state(&state).map_err(StorageError::Invalid)?;
+    let (network, history, applied_seq) = load_with_history(snapshot)?;
     let (records, wal_error) = wal::decode_prefix(wal_bytes);
     replay(network, history, applied_seq, records, wal_error)
 }

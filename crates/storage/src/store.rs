@@ -20,10 +20,22 @@
 //! and later (ascending, with the `seq > applied_seq` filter), so a
 //! corrupt newest snapshot degrades to *older snapshot + longer replay*,
 //! never to data loss.
+//!
+//! # Fault latch
+//!
+//! The store latches its first storage fault. The first failed
+//! [`append`](DurableStore::append), [`sync`](DurableStore::sync) or
+//! [`publish`](DurableStore::publish) is kept; every later call returns
+//! that same error without touching a file, and
+//! [`fault`](DurableStore::fault) reports it. Stopping at the first
+//! fault is what recovery needs anyway: records appended after a torn
+//! one are dropped by [`wal::decode_prefix`]. Callers can therefore
+//! journal without checking results and read the fault once, at report
+//! time.
 
 use crate::error::StorageError;
 use crate::recover::{replay, Recovered};
-use crate::{save_with_history, wal};
+use crate::{load_with_history, save_with_history, wal};
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
 use smn_core::ProbabilisticNetwork;
@@ -38,9 +50,8 @@ pub struct DurableStore {
     generation: u64,
     wal_file: File,
     next_seq: u64,
-    /// Mirrors the on-disk current WAL so `publish` can verify nothing
-    /// was lost and tests can introspect; cheap (tens of bytes/record).
-    wal_image: Vec<u8>,
+    /// The first failed `append`/`sync`/`publish`; see the module docs.
+    fault: Option<StorageError>,
 }
 
 fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
@@ -93,25 +104,24 @@ fn sync_dir(dir: &Path) -> Result<(), StorageError> {
 }
 
 /// Writes generation `g`: the snapshot atomically, then a fresh WAL
-/// holding only the header. Returns the open WAL file and its image.
+/// holding only the header. Returns the open WAL file.
 fn write_generation(
     dir: &Path,
     generation: u64,
     pn: &ProbabilisticNetwork,
     history: &[Assertion],
     applied_seq: u64,
-) -> Result<(File, Vec<u8>), StorageError> {
+) -> Result<File, StorageError> {
     write_atomic(&snapshot_path(dir, generation), &save_with_history(pn, history, applied_seq))?;
-    let header = wal::wal_header();
     let mut f = OpenOptions::new()
         .create(true)
         .write(true)
         .truncate(true)
         .open(wal_path(dir, generation))?;
-    f.write_all(&header)?;
+    f.write_all(&wal::wal_header())?;
     f.sync_all()?;
     sync_dir(dir)?;
-    Ok((f, header))
+    Ok(f)
 }
 
 impl DurableStore {
@@ -132,13 +142,13 @@ impl DurableStore {
             .last()
             .map_or(0, |&g| g + 1)
             .max(list_generations(dir, "wal", "log")?.last().map_or(0, |&g| g + 1));
-        let (wal_file, wal_image) = write_generation(dir, generation, pn, history, applied_seq)?;
+        let wal_file = write_generation(dir, generation, pn, history, applied_seq)?;
         let store = Self {
             dir: dir.to_path_buf(),
             generation,
             wal_file,
             next_seq: applied_seq + 1,
-            wal_image,
+            fault: None,
         };
         store.prune(generation)?;
         Ok(store)
@@ -161,23 +171,39 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Appends one event to the current WAL and flushes it to the file;
-    /// returns the assigned sequence number. Call
-    /// [`sync`](DurableStore::sync) to force it to media.
-    pub fn append(&mut self, event: &NetworkEvent) -> Result<u64, StorageError> {
-        let seq = self.next_seq;
-        let mut frame = Vec::with_capacity(33);
-        wal::encode_record_into(&mut frame, seq, event);
-        self.wal_file.write_all(&frame)?;
-        self.wal_file.flush()?;
-        self.wal_image.extend_from_slice(&frame);
-        self.next_seq += 1;
-        Ok(seq)
+    /// Runs one writing operation under the fault latch: a latched
+    /// fault is returned without running `op`, and `op`'s own failure
+    /// becomes the latched fault.
+    fn latched<T>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        if let Some(fault) = &self.fault {
+            return Err(fault.clone());
+        }
+        op(self).inspect_err(|e| self.fault = Some(e.clone()))
     }
 
-    /// Forces the current WAL to stable media (`fsync`).
+    /// Appends one event to the current WAL and flushes it to the file;
+    /// returns the assigned sequence number. Call
+    /// [`sync`](DurableStore::sync) to force it to media. Fails with the
+    /// latched fault, if any, without writing.
+    pub fn append(&mut self, event: &NetworkEvent) -> Result<u64, StorageError> {
+        self.latched(|store| {
+            let seq = store.next_seq;
+            let mut frame = Vec::with_capacity(33);
+            wal::encode_record_into(&mut frame, seq, event);
+            store.wal_file.write_all(&frame)?;
+            store.wal_file.flush()?;
+            store.next_seq += 1;
+            Ok(seq)
+        })
+    }
+
+    /// Forces the current WAL to stable media (`fsync`). Fails with the
+    /// latched fault, if any, without syncing.
     pub fn sync(&mut self) -> Result<(), StorageError> {
-        Ok(self.wal_file.sync_data()?)
+        self.latched(|store| Ok(store.wal_file.sync_data()?))
     }
 
     /// Publishes the next snapshot generation for `pn` (which must have
@@ -185,26 +211,29 @@ impl DurableStore {
     /// snapshot carries `applied_seq` = the last appended sequence, the
     /// new log starts right after it, and generations older than the
     /// previous one are pruned. Returns the new generation number.
+    /// Fails with the latched fault, if any, without writing.
     pub fn publish(
         &mut self,
         pn: &ProbabilisticNetwork,
         history: &[Assertion],
     ) -> Result<u64, StorageError> {
-        self.sync()?;
-        let generation = self.generation + 1;
-        let applied_seq = self.next_seq - 1;
-        let (wal_file, wal_image) =
-            write_generation(&self.dir, generation, pn, history, applied_seq)?;
-        self.generation = generation;
-        self.wal_file = wal_file;
-        self.wal_image = wal_image;
-        self.prune(generation)?;
-        Ok(generation)
+        self.latched(|store| {
+            store.wal_file.sync_data()?;
+            let generation = store.generation + 1;
+            let applied_seq = store.next_seq - 1;
+            store.wal_file = write_generation(&store.dir, generation, pn, history, applied_seq)?;
+            store.generation = generation;
+            store.prune(generation)?;
+            Ok(generation)
+        })
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The latched storage fault: the first failed
+    /// [`append`](DurableStore::append), [`sync`](DurableStore::sync) or
+    /// [`publish`](DurableStore::publish), or `None` while the store is
+    /// healthy.
+    pub fn fault(&self) -> Option<&StorageError> {
+        self.fault.as_ref()
     }
 
     /// The current snapshot generation.
@@ -217,11 +246,6 @@ impl DurableStore {
         self.next_seq
     }
 
-    /// The byte image of the current WAL as appended so far.
-    pub fn wal_image(&self) -> &[u8] {
-        &self.wal_image
-    }
-
     /// Recovers the newest durable state from a store directory: the
     /// newest *decodable* snapshot, plus the intact prefix of every WAL
     /// of its generation and later, replayed in order. Fails only when
@@ -230,25 +254,13 @@ impl DurableStore {
         let generations = list_generations(dir, "snapshot", "smn")?;
         let mut last_error = StorageError::Io(format!("no snapshot found in {}", dir.display()));
         for &generation in generations.iter().rev() {
-            let bytes = match fs::read(snapshot_path(dir, generation)) {
-                Ok(b) => b,
-                Err(e) => {
-                    last_error = e.into();
-                    continue;
-                }
-            };
-            let decoded = match crate::format::decode_snapshot(&bytes) {
-                Ok(d) => d,
+            let loaded = fs::read(snapshot_path(dir, generation))
+                .map_err(StorageError::from)
+                .and_then(|bytes| load_with_history(&bytes));
+            let (network, history, applied_seq) = match loaded {
+                Ok(l) => l,
                 Err(e) => {
                     last_error = e;
-                    continue;
-                }
-            };
-            let (state, history, applied_seq) = decoded;
-            let network = match ProbabilisticNetwork::from_state(&state) {
-                Ok(n) => n,
-                Err(reason) => {
-                    last_error = StorageError::Invalid(reason);
                     continue;
                 }
             };

@@ -32,7 +32,7 @@
 
 use crate::error::StorageError;
 use crate::format::{crc64, put_f64, put_u32, put_u64, Dec};
-use smn_core::persist::{EventSink, NetworkEvent};
+use smn_core::persist::NetworkEvent;
 use smn_schema::{AttributeId, CandidateId};
 
 /// WAL magic bytes.
@@ -207,9 +207,7 @@ pub fn decode_prefix(bytes: &[u8]) -> (Vec<(u64, NetworkEvent)>, Option<StorageE
 }
 
 /// An in-memory WAL: the byte image of a log file, plus the sequence
-/// counter handing out record numbers. Implements
-/// [`EventSink`], so it can be attached directly to a
-/// [`Session`](smn_core::Session) via `set_journal`.
+/// counter handing out record numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalBuffer {
     buf: Vec<u8>,
@@ -240,17 +238,6 @@ impl WalBuffer {
     /// The sequence number the next appended record will carry.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Number of record bytes (excluding the fixed header).
-    pub fn record_bytes(&self) -> usize {
-        self.buf.len() - 12
-    }
-}
-
-impl EventSink for WalBuffer {
-    fn record(&mut self, event: &NetworkEvent) {
-        self.append(event);
     }
 }
 

@@ -352,3 +352,27 @@ fn durable_store_rotates_and_prunes_generations() {
 
     let _ = std::fs::remove_dir_all(&base);
 }
+
+/// The store latches its first fault: once a publish fails, a later
+/// append returns that same error without writing, `fault()` reports it,
+/// and the sequence counter stays where it was.
+#[test]
+fn durable_store_latches_its_first_fault() {
+    let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("crash-latch");
+    let _ = std::fs::remove_dir_all(&base);
+
+    let live = build_initial([2, 2, 2], 0x1A7C);
+    let dir = base.join("store");
+    let mut store = DurableStore::open(&dir, &live, &[], 0).expect("open");
+    assert_eq!(store.fault(), None);
+    let next_seq = store.next_seq();
+    std::fs::remove_dir_all(&dir).expect("remove the store directory");
+
+    let err = store.publish(&live, &[]).expect_err("publish into a removed directory fails");
+    let event = NetworkEvent::Assert { candidate: CandidateId(0), approved: false };
+    assert_eq!(store.append(&event), Err(err.clone()), "a later append returns the latched fault");
+    assert_eq!(store.fault(), Some(&err));
+    assert_eq!(store.next_seq(), next_seq, "nothing was appended after the fault");
+
+    let _ = std::fs::remove_dir_all(&base);
+}

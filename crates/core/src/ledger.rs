@@ -8,6 +8,16 @@
 //! because they share these rules and floating-point expressions. The
 //! structure is the caller's: methods that need the conflict index or the
 //! partition take its [`ShardHost`].
+//!
+//! `H(C, P)` is memoized per mutation: the first read after a write to
+//! `P` computes [`entropy_of`] over the whole vector, every later read
+//! returns that value, and [`scatter`](Ledger::scatter),
+//! [`grow`](Ledger::grow) and [`retire`](Ledger::retire) clear it. The
+//! expression and its summation order are the unmemoized ones, so the
+//! value is the same to the bit. There is deliberately no per-candidate
+//! `h(p_c)` vector beside `P`: it would make each read cheaper still, but
+//! every fork (and so every pinned published snapshot) clones the
+//! ledger, and the vector would double what each clone copies.
 
 use crate::entropy::{binary_entropy, entropy_of};
 use crate::feedback::{Assertion, Feedback};
@@ -16,7 +26,7 @@ use crate::probability::AssertError;
 use crate::shard::ShardHost;
 use smn_schema::CandidateId;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Feedback, posterior, entropy baseline and cache stamps of one network.
 /// `Clone` is a fork: everything is copied except the gain cache, which
@@ -26,6 +36,9 @@ pub struct Ledger {
     feedback: Feedback,
     /// The global Eq. 2 posterior, indexed by candidate id.
     probs: Vec<f64>,
+    /// `H(C, P)` of `probs`, computed on first read and cleared by every
+    /// write to `probs`.
+    total: OnceLock<f64>,
     initial_entropy: f64,
     /// Monotone mutation counter: bumped on every change to the model
     /// (integrated assertion, extend, retire) and *not* on no-ops or
@@ -51,6 +64,7 @@ impl Ledger {
         let epoch = next_epoch();
         Self {
             probs: vec![0.0; feedback.approved().capacity()],
+            total: OnceLock::new(),
             feedback,
             initial_entropy: 0.0,
             generation: 0,
@@ -106,9 +120,11 @@ impl Ledger {
         &self.shard_epochs
     }
 
-    /// Network uncertainty `H(C, P)` in bits (Eq. 3).
+    /// Network uncertainty `H(C, P)` in bits (Eq. 3): [`entropy_of`] the
+    /// posterior, computed at most once per mutation of `P` and bit-equal
+    /// to a fresh computation.
     pub fn entropy(&self) -> f64 {
-        entropy_of(&self.probs)
+        *self.total.get_or_init(|| entropy_of(&self.probs))
     }
 
     /// Uncertainty relative to the baseline; 0 when the baseline is 0.
@@ -173,9 +189,10 @@ impl Ledger {
     /// `entropy_after` in request order, which returns each one's
     /// post-assertion shard entropy `H'_k`, and compose as
     /// `(H − H_k + H'_k).max(0)`: entropy is additive over components, so
-    /// only the owning shard is re-evaluated. `H` is computed once per
-    /// batch and each touched shard's standing `H_k` once per shard. Under
-    /// the whole partition `H_k` is `H` to the bit, so the value is `H'_k`.
+    /// only the owning shard is re-evaluated. `H` is the memoized value,
+    /// and each touched shard's standing `H_k` is computed once per shard.
+    /// Under the whole partition `H_k` is `H` to the bit, so the value is
+    /// `H'_k`.
     pub fn what_if_batch(
         &self,
         host: &ShardHost,
@@ -226,6 +243,7 @@ impl Ledger {
         for (&g, &p) in members.iter().zip(local) {
             self.probs[g.index()] = p;
         }
+        self.total.take();
         Ok(())
     }
 
@@ -242,12 +260,14 @@ impl Ledger {
     pub fn grow(&mut self) {
         self.feedback.grow();
         self.probs.push(0.0);
+        self.total.take();
     }
 
     /// Drops retired candidate `c`'s slot; later ids shift down by one.
     pub fn retire(&mut self, c: CandidateId) {
         self.feedback.retire(c);
         self.probs.remove(c.index());
+        self.total.take();
     }
 
     /// Closes an evolution step once the rebuilt shards are scattered:

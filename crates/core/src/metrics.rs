@@ -25,11 +25,16 @@ impl PrecisionRecall {
         truth: impl IntoIterator<Item = Correspondence>,
     ) -> Self {
         let truth: HashSet<Correspondence> = truth.into_iter().collect();
-        let proposed = instance.count();
         let tp = instance.iter().filter(|&c| truth.contains(&network.corr(c))).count();
+        Self::of_counts(tp, instance.count(), truth.len())
+    }
+
+    /// The measures of `proposed` correspondences, `tp` of them true,
+    /// against a ground truth of `truth_len` distinct correspondences.
+    pub fn of_counts(tp: usize, proposed: usize, truth_len: usize) -> Self {
         Self {
             precision: if proposed == 0 { 1.0 } else { tp as f64 / proposed as f64 },
-            recall: if truth.is_empty() { 1.0 } else { tp as f64 / truth.len() as f64 },
+            recall: if truth_len == 0 { 1.0 } else { tp as f64 / truth_len as f64 },
         }
     }
 

@@ -48,7 +48,9 @@
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::event::{IngressError, IngressQueue, ServiceEvent, StampedEvent};
-use crate::service::{crowd_seed, majority_quality, outcome_label, with_threads, Scheduler};
+use crate::service::{
+    crowd_seed, majority_quality, outcome_label, truth_mask, with_threads, Scheduler,
+};
 use crate::session::SessionManager;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
@@ -343,7 +345,6 @@ pub struct ServingCore {
     published_generation: u64,
     sessions: SessionManager,
     crowd: WorkerPool,
-    truth: Vec<Correspondence>,
     config: ServeConfig,
     ingress: IngressQueue,
     open: HashMap<CandidateId, OpenQuestion>,
@@ -402,7 +403,7 @@ impl ServingCore {
             return Err(ServeConfigError::ErrorRate { worker, rate });
         }
         let base = ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding);
-        let crowd = WorkerPool::new(rates, truth.iter().copied(), crowd_seed(config.seed));
+        let crowd = WorkerPool::new(rates, truth, crowd_seed(config.seed));
         let published = Arc::new(base.fork());
         let published_generation = base.generation();
         Ok(Self {
@@ -411,7 +412,6 @@ impl ServingCore {
             published_generation,
             sessions: SessionManager::new(config.max_forks),
             crowd,
-            truth,
             config,
             ingress: IngressQueue::new(config.effective_capacity()),
             open: HashMap::new(),
@@ -817,7 +817,9 @@ impl ServingCore {
 
     /// Assembles the (deterministic) report of everything so far.
     pub fn report(&self) -> ServeReport {
-        let quality = majority_quality(&self.base, &self.truth);
+        // the network evolves, so the mask is built per report
+        let mask = truth_mask(self.base.network(), &self.crowd);
+        let quality = majority_quality(&self.base, &self.crowd, &mask);
         ServeReport {
             sessions: self.sessions_seen.len() as u64,
             workers: self.crowd.len(),

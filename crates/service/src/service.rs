@@ -33,7 +33,6 @@ use crate::dispatch::{Dispatcher, Lease};
 use crate::model::ServeModel;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
-use smn_constraints::BitSet;
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
 use smn_core::reconcile::commit_ladder;
@@ -230,7 +229,10 @@ pub struct ReconciliationService<M: ServeModel = ProbabilisticNetwork> {
     pool: WorkerPool,
     dispatcher: Dispatcher,
     config: ServiceConfig,
-    truth: Vec<Correspondence>,
+    /// Per candidate, whether its correspondence is in the crowd's
+    /// verified matching: built once, since the round loop never evolves
+    /// the network.
+    truth_mask: Vec<bool>,
     history: Vec<TracePoint>,
     commits: Vec<CommitRecord>,
     rounds: Vec<RoundStats>,
@@ -269,14 +271,15 @@ impl<M: ServeModel> ReconciliationService<M> {
         error_rates: impl IntoIterator<Item = f64>,
         config: ServiceConfig,
     ) -> Self {
-        let pool = WorkerPool::new(error_rates, truth.iter().copied(), crowd_seed(config.seed));
+        let pool = WorkerPool::new(error_rates, truth, crowd_seed(config.seed));
         let dispatcher = Dispatcher::new(config.seed);
+        let truth_mask = truth_mask(base.network(), &pool);
         Self {
             base,
             pool,
             dispatcher,
             config,
-            truth,
+            truth_mask,
             history: Vec::new(),
             commits: Vec::new(),
             rounds: Vec::new(),
@@ -393,7 +396,7 @@ impl<M: ServeModel> ReconciliationService<M> {
                 collect_votes(&self.base, &self.pool, &leases)
             });
             let committed = self.commit_round(round, &leases, &votes);
-            let quality = majority_quality(&self.base, &self.truth);
+            let quality = majority_quality(&self.base, &self.pool, &self.truth_mask);
             self.rounds.push(RoundStats {
                 round,
                 leases: leases.len(),
@@ -459,7 +462,7 @@ impl<M: ServeModel> ReconciliationService<M> {
 
     /// Assembles the (deterministic) report of everything so far.
     pub fn report(&self) -> ServiceReport {
-        let quality = majority_quality(&self.base, &self.truth);
+        let quality = majority_quality(&self.base, &self.pool, &self.truth_mask);
         ServiceReport {
             workers: self.pool.len(),
             redundancy: self.config.redundancy.clamp(1, self.pool.len()),
@@ -506,18 +509,31 @@ pub(crate) fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     }
 }
 
+/// Per candidate of `network`, whether `crowd`'s verified matching
+/// contains its correspondence.
+pub(crate) fn truth_mask(network: &MatchingNetwork, crowd: &WorkerPool) -> Vec<bool> {
+    (0..network.candidate_count())
+        .map(|i| crowd.is_true(network.corr(CandidateId::from_index(i))))
+        .collect()
+}
+
 /// Precision/recall of `model`'s probability-majority matching
-/// `{c : p_c > ½}` against the verified matching `truth`.
+/// `{c : p_c > ½}` against `crowd`'s verified matching, given its
+/// [`truth_mask`] over `model`'s candidates: the counts of
+/// [`PrecisionRecall::of_instance`], in one pass over the posterior.
 pub(crate) fn majority_quality<M: ServeModel>(
     model: &M,
-    truth: &[Correspondence],
+    crowd: &WorkerPool,
+    truth_mask: &[bool],
 ) -> PrecisionRecall {
-    let n = model.network().candidate_count();
-    let matching = BitSet::from_ids(
-        n,
-        (0..n).map(CandidateId::from_index).filter(|&c| model.probability(c) > 0.5),
-    );
-    PrecisionRecall::of_instance(model.network(), &matching, truth.iter().copied())
+    let (mut proposed, mut tp) = (0, 0);
+    for (i, &verified) in truth_mask.iter().enumerate() {
+        if model.probability(CandidateId::from_index(i)) > 0.5 {
+            proposed += 1;
+            tp += usize::from(verified);
+        }
+    }
+    PrecisionRecall::of_counts(tp, proposed, crowd.truth_len())
 }
 
 /// Evaluates one round's leases: worker answers inline (pure-function
@@ -588,6 +604,62 @@ mod tests {
             seed: 9,
             goal,
         }
+    }
+
+    /// Runs a service, then replays its committed history round by round
+    /// on a fresh network built like its base, and checks each round's
+    /// precision/recall and the report's final pair bitwise against
+    /// [`PrecisionRecall::of_instance`] on the replayed majority matching.
+    fn assert_quality_is_of_instance(
+        network: MatchingNetwork,
+        truth: &[Correspondence],
+        rates: Vec<f64>,
+        config: ServiceConfig,
+    ) {
+        let mut svc = ReconciliationService::new(network.clone(), truth.to_vec(), rates, config);
+        let report = svc.run();
+        let mut replay =
+            ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding);
+        let of_instance = |pn: &ProbabilisticNetwork| {
+            let n = pn.network().candidate_count();
+            let ids = (0..n).map(CandidateId::from_index).filter(|&c| pn.probability(c) > 0.5);
+            let majority = smn_constraints::BitSet::from_ids(n, ids);
+            PrecisionRecall::of_instance(pn.network(), &majority, truth.iter().copied())
+        };
+        let bits = |q: PrecisionRecall| (q.precision.to_bits(), q.recall.to_bits());
+        let mut history = svc.assertions().into_iter();
+        for round in &report.rounds {
+            for a in history.by_ref().take(round.commits) {
+                replay.assert_candidate(a).expect("a committed assertion replays");
+            }
+            let got = PrecisionRecall { precision: round.precision, recall: round.recall };
+            assert_eq!(bits(got), bits(of_instance(&replay)), "round {}", round.round);
+        }
+        assert!(history.next().is_none(), "every commit belongs to a round");
+        assert_eq!(replay.probabilities(), svc.base().probabilities(), "the replay diverged");
+        let got =
+            PrecisionRecall { precision: report.final_precision, recall: report.final_recall };
+        assert_eq!(bits(got), bits(of_instance(&replay)), "final");
+    }
+
+    #[test]
+    fn round_quality_is_bitwise_of_instance_on_fig1() {
+        // a duplicated truth: recall divides by the distinct count
+        let truth: Vec<Correspondence> = fig1_truth().into_iter().chain(fig1_truth()).collect();
+        let config = ServiceConfig { redundancy: 2, ..config(ReconciliationGoal::Complete) };
+        assert_quality_is_of_instance(fig1_network(), &truth, vec![0.3; 4], config);
+    }
+
+    #[test]
+    fn round_quality_is_bitwise_of_instance_on_a_sampled_federation() {
+        let (network, truth) = smn_testkit::webform_federation(4, 3);
+        let config = ServiceConfig {
+            sharding: ShardingConfig { exact_threshold: 0, ..ShardingConfig::default() },
+            redundancy: 2,
+            aggregation: Aggregation::QualityWeighted,
+            ..config(ReconciliationGoal::Complete)
+        };
+        assert_quality_is_of_instance(network, &truth, vec![0.2; 4], config);
     }
 
     fn perfect_service(workers: usize, goal: ReconciliationGoal) -> ReconciliationService {

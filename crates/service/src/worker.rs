@@ -84,6 +84,11 @@ impl WorkerPool {
         &self.stats
     }
 
+    /// Size of the verified matching (distinct correspondences).
+    pub fn truth_len(&self) -> usize {
+        self.truth.len()
+    }
+
     /// Whether the verified matching contains `corr`.
     pub fn is_true(&self, corr: Correspondence) -> bool {
         self.truth.contains(&corr)

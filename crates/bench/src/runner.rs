@@ -1,6 +1,7 @@
 //! Parallel execution of independent experiment repetitions.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Worker threads available on this machine (≥ 1).
 pub fn available_threads() -> usize {
@@ -38,25 +39,20 @@ where
 {
     assert!(threads > 0, "need at least one thread");
     let results: Mutex<Vec<(u64, T)>> = Mutex::new(Vec::with_capacity(runs as usize));
-    let next: Mutex<u64> = Mutex::new(0);
+    let next = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(runs as usize).max(1) {
             scope.spawn(|| loop {
-                let seed = {
-                    let mut n = next.lock();
-                    if *n >= runs {
-                        break;
-                    }
-                    let s = *n;
-                    *n += 1;
-                    s
-                };
+                let seed = next.fetch_add(1, Ordering::Relaxed);
+                if seed >= runs {
+                    break;
+                }
                 let out = f(seed);
-                results.lock().push((seed, out));
+                results.lock().unwrap().push((seed, out));
             });
         }
     });
-    let mut results = results.into_inner();
+    let mut results = results.into_inner().unwrap();
     results.sort_by_key(|(seed, _)| *seed);
     results.into_iter().map(|(_, t)| t).collect()
 }

@@ -14,7 +14,7 @@
 //! words without tail masking.
 
 use crate::kernels;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use smn_schema::CandidateId;
 
 const WORD_BITS: usize = 64;
@@ -53,7 +53,7 @@ fn iter_words(n_words: usize, word_at: impl Fn(usize) -> u64) -> impl Iterator<I
 }
 
 /// Fixed-capacity bitset indexed by [`CandidateId`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct BitSet {
     len: usize,
     words: Vec<u64>,

@@ -15,12 +15,12 @@
 
 use crate::bitset::BitSet;
 use crate::violation::{Violation, ViolationCounts, ViolationKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use smn_schema::{CandidateId, CandidateSet, Catalog, InteractionGraph};
 use std::sync::Arc;
 
 /// Which constraints the index enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ConstraintConfig {
     /// Enforce the one-to-one constraint.
     pub one_to_one: bool,
@@ -61,7 +61,7 @@ impl ConstraintConfig {
 /// ([`add_candidate`](Self::add_candidate) /
 /// [`retire_candidate`](Self::retire_candidate)) — the structural half of
 /// the evolving-network differential harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ConflictIndex {
     config: ConstraintConfig,
     candidate_count: usize,
@@ -299,11 +299,6 @@ impl ConflictIndex {
     #[inline]
     pub fn pair_conflicts(&self, c: CandidateId) -> &[CandidateId] {
         &self.pair_conflicts[c.index()]
-    }
-
-    /// Potential cycle triples involving `c` (as index triples).
-    pub fn triples_involving(&self, c: CandidateId) -> impl Iterator<Item = [CandidateId; 3]> + '_ {
-        self.triples_of[c.index()].iter().map(move |&i| self.triples[i as usize])
     }
 
     /// The full canonical (lexicographically sorted) triple table — the

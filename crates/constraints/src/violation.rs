@@ -1,11 +1,11 @@
 //! Violation records and per-constraint counts.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use smn_schema::CandidateId;
 use std::fmt;
 
 /// Which constraint a violation belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ViolationKind {
     /// Two candidates map one attribute to two attributes of the same schema.
     OneToOne,
@@ -25,7 +25,7 @@ impl fmt::Display for ViolationKind {
 
 /// A concrete violation: the kind plus the participating candidates
 /// (two for one-to-one, three for cycle).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Violation {
     /// The violated constraint.
     pub kind: ViolationKind,
@@ -55,7 +55,7 @@ impl Violation {
 }
 
 /// Violation totals per constraint, as reported in Table III of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ViolationCounts {
     /// Number of violating candidate pairs.
     pub one_to_one: usize,

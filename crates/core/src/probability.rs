@@ -23,15 +23,17 @@ use crate::feedback::{Assertion, Feedback};
 use crate::gains::{GainCache, GainSource};
 use crate::ledger::Ledger;
 use crate::network::MatchingNetwork;
+use crate::persist::NetworkEvent;
 use crate::pool;
 use crate::reconcile::StepOutcome;
-use crate::sampling::{row_and_count, SampleMatrix, SampleStore, SamplerConfig};
-use crate::shard::{ShardHost, ShardingConfig};
+use crate::sampling::{row_and_count, SampleMatrix, SamplerConfig};
+use crate::shard::{Dissolved, ShardHost, ShardSnapshot, ShardingConfig};
+use smn_constraints::components::ComponentEvolution;
 use smn_constraints::{BitSet, Components};
 use smn_schema::{AttributeId, CandidateId, SchemaError};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Why [`ProbabilisticNetwork::assert_candidate`] (and with it
 /// [`Session::answer`](crate::Session::answer)) rejected an assertion.
@@ -337,11 +339,11 @@ impl ProbabilisticNetwork {
     /// that integrating the assertion `(c, approved)` would produce,
     /// without touching `self`.
     ///
-    /// Unlike the sampled split of [`conditional_entropy`](Self::conditional_entropy)
-    /// — which estimates the *expected* post-assertion entropy from the
-    /// Eq. 4 branch split of the current store — this runs the real
-    /// integration (view maintenance, disapproval re-insertion, refill) on
-    /// a throwaway [`fork`](Self::fork) and reads the entropy off it, so
+    /// Unlike the sampled Eq. 4 branch split behind
+    /// [`information_gain`](Self::information_gain) — which estimates the
+    /// *expected* post-assertion entropy from the current store — this
+    /// runs the real integration (view maintenance, disapproval
+    /// re-insertion, refill) on a throwaway [`fork`](Self::fork) and reads the entropy off it, so
     /// it is exactly the value [`assert_candidate`](Self::assert_candidate)
     /// would leave behind. The copy-on-write snapshot layer prices that at
     /// one shard copy per call.
@@ -493,21 +495,7 @@ impl ProbabilisticNetwork {
     ) -> Result<CandidateId, SchemaError> {
         let (id, evo, absorbed) = self.host.apply_extend(x, y, confidence)?;
         self.ledger.grow();
-        let &[merged_k] = evo.rebuilt.as_slice() else {
-            unreachable!("an arrival always forms exactly one new component")
-        };
-        let sources: Vec<(&[CandidateId], &Feedback, &SampleStore)> = evo
-            .dissolved
-            .iter()
-            .zip(&absorbed)
-            .map(|((_, members), shard)| {
-                let shard = shard.as_deref().expect("owned shard");
-                (members.as_slice(), &shard.feedback, &shard.store)
-            })
-            .collect();
-        self.host.build_merged(merged_k, &sources);
-        self.scatter(merged_k);
-        self.ledger.evolved(&self.host);
+        self.rebuild(&NetworkEvent::Extend { a: x, b: y, confidence }, &evo, &absorbed);
         Ok(id)
     }
 
@@ -523,26 +511,35 @@ impl ProbabilisticNetwork {
     pub fn retire(&mut self, c: CandidateId) -> Result<(), SchemaError> {
         let (evo, dissolved) = self.host.apply_retire(c)?;
         self.ledger.retire(c);
-        let old = dissolved.expect("owned shard");
-        let (_, old_members) = evo.dissolved.first().expect("the retiree's component dissolves");
-        for &part_k in &evo.rebuilt {
-            self.host.build_part(part_k, old_members, &old.feedback, &old.store, c);
-            self.scatter(part_k);
-        }
-        self.ledger.evolved(&self.host);
+        self.rebuild(&NetworkEvent::Retire { candidate: c }, &evo, &dissolved);
         Ok(())
     }
 
-    /// Conditional network uncertainty `H(C | c, P)` (Eq. 4): the expected
-    /// entropy after the user asserts `c`, estimated by splitting Ω\* on
-    /// membership of `c`.
-    ///
-    /// For certain candidates this equals `H(C, P)` (one branch is empty),
-    /// making their information gain zero. Defined as `H(C, P) − IG(c)`
-    /// over the single `gains_within` split kernel, so the Eq. 4/5 math
-    /// lives in exactly one place.
-    pub fn conditional_entropy(&self, c: CandidateId) -> f64 {
-        (self.entropy() - self.information_gain(c)).max(0.0)
+    /// Rebuilds every component the just-applied evolution `event`
+    /// rebuilt from the `dissolved` snapshots, scatters them and closes
+    /// the step in the ledger.
+    fn rebuild(
+        &mut self,
+        event: &NetworkEvent,
+        evo: &ComponentEvolution,
+        dissolved: &[Option<Arc<ShardSnapshot>>],
+    ) {
+        let sources: Vec<Dissolved<'_>> = evo
+            .dissolved
+            .iter()
+            .zip(dissolved)
+            .map(|((_, members), shard)| {
+                let shard = shard.as_deref().expect("the in-process host owns every shard");
+                (members.as_slice(), &shard.feedback, &shard.store)
+            })
+            .collect();
+        self.host
+            .rebuild(event, evo, &evo.rebuilt, &sources)
+            .expect("in-process sources are the dissolved shards");
+        for &k in &evo.rebuilt {
+            self.scatter(k);
+        }
+        self.ledger.evolved(&self.host);
     }
 
     /// Information gain `IG(c) = H(C, P) − H(C | c, P)` (Eq. 5), clamped to

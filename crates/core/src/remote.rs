@@ -18,11 +18,11 @@
 //! single-process run, which is what the `smn-dist` differential
 //! certificate pins.
 
+use crate::feedback::Feedback;
 use crate::persist::{FeedbackState, NetworkState, ShardState};
 use crate::probability::{network_from_state, network_to_structure};
 use crate::sampling::SampleStore;
 use crate::shard::{partition, ShardHost, ShardSnapshot};
-use smn_schema::CandidateId;
 
 impl ShardHost {
     /// Reconstructs a host from a structure-only [`NetworkState`] (the
@@ -64,80 +64,24 @@ impl ShardHost {
         if k >= self.components.count() {
             return Err(format!("imported component {k} of {}", self.components.count()));
         }
-        let m = self.components.members(k).len();
-        if state.store.candidate_count != m {
-            return Err(format!(
-                "shard {k} store sized for {} of {m} members",
-                state.store.candidate_count
-            ));
-        }
-        let snap = ShardSnapshot {
-            index: self.sub_index(k),
-            feedback: state.feedback.build(m)?,
-            store: SampleStore::from_state(&state.store)?,
-        };
-        self.install(k, snap);
+        let (feedback, store) = state
+            .restore(self.components.members(k).len())
+            .map_err(|e| format!("shard {k}: {e}"))?;
+        self.install(k, ShardSnapshot { index: self.sub_index(k), feedback, store });
         Ok(())
     }
+}
 
-    /// Rebuilds the merged component `k` of an extension from the absorbed
-    /// sources' shipped states — the in-process merge kernel — each paired with its pre-merge member list and
-    /// given in ascending *old* component order. Must run after
-    /// [`apply_extend`](Self::apply_extend).
-    pub fn rebuild_merged(
-        &mut self,
-        k: usize,
-        absorbed: &[(Vec<CandidateId>, ShardState)],
-    ) -> Result<(), String> {
-        if k >= self.components.count() {
-            return Err(format!("merged component {k} of {}", self.components.count()));
+impl ShardState {
+    /// Decodes the state of a shard with `m` members into its live
+    /// feedback and store — how a shipped dissolved shard becomes a
+    /// [`rebuild`](ShardHost::rebuild) source. A state sized for another
+    /// member count is refused.
+    pub fn restore(&self, m: usize) -> Result<(Feedback, SampleStore), String> {
+        if self.store.candidate_count != m {
+            return Err(format!("store sized for {} of {m} members", self.store.candidate_count));
         }
-        let mut decoded = Vec::with_capacity(absorbed.len());
-        for (members, state) in absorbed {
-            if state.store.candidate_count != members.len() {
-                return Err(format!(
-                    "absorbed store sized for {} of {} members",
-                    state.store.candidate_count,
-                    members.len()
-                ));
-            }
-            decoded.push((
-                members.as_slice(),
-                state.feedback.build(members.len())?,
-                SampleStore::from_state(&state.store)?,
-            ));
-        }
-        let sources: Vec<_> = decoded.iter().map(|(m, f, s)| (*m, f, s)).collect();
-        self.build_merged(k, &sources);
-        Ok(())
-    }
-
-    /// Rebuilds split part `k` of a retirement from the dissolved shard's
-    /// shipped state — the in-process split kernel — (`old_members` is its pre-event member list, ascending, still
-    /// containing the retiree). Must run after
-    /// [`apply_retire`](Self::apply_retire); every part owner receives the
-    /// same old state.
-    pub fn rebuild_part(
-        &mut self,
-        k: usize,
-        old_members: &[CandidateId],
-        old_state: &ShardState,
-        retired: CandidateId,
-    ) -> Result<(), String> {
-        if k >= self.components.count() {
-            return Err(format!("part component {k} of {}", self.components.count()));
-        }
-        if old_state.store.candidate_count != old_members.len() {
-            return Err(format!(
-                "dissolved store sized for {} of {} members",
-                old_state.store.candidate_count,
-                old_members.len()
-            ));
-        }
-        let old_feedback = old_state.feedback.build(old_members.len())?;
-        let old_store = SampleStore::from_state(&old_state.store)?;
-        self.build_part(k, old_members, &old_feedback, &old_store, retired);
-        Ok(())
+        Ok((self.feedback.build(m)?, SampleStore::from_state(&self.store)?))
     }
 }
 
@@ -145,10 +89,13 @@ impl ShardHost {
 mod tests {
     use super::*;
     use crate::feedback::Assertion;
+    use crate::persist::NetworkEvent;
     use crate::probability::ProbabilisticNetwork;
     use crate::sampling::SamplerConfig;
     use crate::shard::ShardingConfig;
     use crate::testutil::perturbed_network;
+    use smn_constraints::components::ComponentEvolution;
+    use smn_schema::CandidateId;
 
     fn sampler() -> SamplerConfig {
         SamplerConfig { anneal: true, n_samples: 200, walk_steps: 3, n_min: 50, seed: 5, chains: 1 }
@@ -315,6 +262,24 @@ mod tests {
         )
     }
 
+    /// Rebuilds `ks` the way a shard server does: restores each shipped
+    /// `(members, state)` source, then calls [`ShardHost::rebuild`].
+    fn rebuild_shipped(
+        host: &mut ShardHost,
+        event: &NetworkEvent,
+        evo: &ComponentEvolution,
+        ks: &[usize],
+        shipped: &[(Vec<CandidateId>, ShardState)],
+    ) -> Result<(), String> {
+        let restored = shipped
+            .iter()
+            .map(|(members, state)| Ok((members, state.restore(members.len())?)))
+            .collect::<Result<Vec<_>, String>>()?;
+        let sources: Vec<_> =
+            restored.iter().map(|(members, (f, s))| (members.as_slice(), f, s)).collect();
+        host.rebuild(event, evo, ks, &sources)
+    }
+
     #[test]
     fn evolution_rebuilds_match_the_probabilistic_network() {
         use smn_schema::AttributeId;
@@ -346,7 +311,9 @@ mod tests {
                     (members.clone(), state.clone())
                 })
                 .collect();
-            host.rebuild_merged(merged_k, &absorbed).unwrap();
+            let extend =
+                NetworkEvent::Extend { a: AttributeId(1), b: AttributeId(2), confidence: 0.6 };
+            rebuild_shipped(&mut host, &extend, &evo, &[merged_k], &absorbed).unwrap();
             assert_eq!(all_probs(&host), merged_probs, "merged rebuild diverged");
             // -- retire: same dance through the split path
             let retiree = arrival;
@@ -371,7 +338,9 @@ mod tests {
                 "evolution reports the pre-event member list"
             );
             for &part_k in &evo.rebuilt {
-                host.rebuild_part(part_k, old_members, old_state, retiree).unwrap();
+                let shipped = [(old_members.clone(), old_state.clone())];
+                let retire = NetworkEvent::Retire { candidate: retiree };
+                rebuild_shipped(&mut host, &retire, &evo, &[part_k], &shipped).unwrap();
             }
             assert_eq!(all_probs(&host), pn.probabilities(), "split rebuild diverged");
         }

@@ -599,12 +599,6 @@ impl SampleStore {
         self.data.samples.is_empty()
     }
 
-    /// Whether this store still shares its sample snapshot with another
-    /// (forked) store — diagnostic for the copy-on-write tests and benches.
-    pub fn shares_snapshot(&self) -> bool {
-        Arc::strong_count(&self.data) > 1
-    }
-
     /// Whether the store has concluded `Ω* = Ω` (all matching instances
     /// enumerated; probabilities are exact and resampling is pointless).
     pub fn is_exhausted(&self) -> bool {

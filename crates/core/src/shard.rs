@@ -45,6 +45,7 @@ use crate::entropy::binary_entropy;
 use crate::exact;
 use crate::feedback::{Assertion, Feedback};
 use crate::network::MatchingNetwork;
+use crate::persist::NetworkEvent;
 use crate::pool;
 use crate::probability::{gains_within, AssertError};
 use crate::reconcile::{commit_ladder, StepOutcome};
@@ -158,6 +159,11 @@ impl ShardSnapshot {
 /// One commit-lane event's result: the standing verdict, how it resolved
 /// and whether it mutated the shard.
 pub(crate) type LaneStep = (bool, StepOutcome, bool);
+
+/// A component an evolution dissolved, as [`ShardHost::rebuild`] reads
+/// it: the pre-event member list (old global ids, ascending), the local
+/// feedback and the sample store.
+pub type Dissolved<'a> = (&'a [CandidateId], &'a Feedback, &'a SampleStore);
 
 /// One process's view of the partitioned model: the full network
 /// structure and component partition, plus the sample state of the
@@ -458,9 +464,9 @@ impl ShardHost {
     /// Returns the arrival id, the partition evolution (identical on every
     /// participant) and the absorbed components' snapshots aligned with
     /// `evolution.dissolved` (`None` where not owned). The merged
-    /// component has no state until its owner rebuilds it — in process
-    /// from those snapshots, on a shard server through
-    /// [`rebuild_merged`](Self::rebuild_merged).
+    /// component has no state until its owner [`rebuild`](Self::rebuild)s
+    /// it — in process from those snapshots, on a shard server from
+    /// shipped ones.
     #[allow(clippy::type_complexity)]
     pub fn apply_extend(
         &mut self,
@@ -478,20 +484,20 @@ impl ShardHost {
     /// Applies a retirement to the structure: removes the candidate,
     /// patches the index, splits its component and rekeys the owned
     /// shards. Returns the partition evolution and the dissolved
-    /// component's snapshot (`None` where not owned); the split parts have
-    /// no state until their owners rebuild them — in process from that
-    /// snapshot, on a shard server through
-    /// [`rebuild_part`](Self::rebuild_part).
+    /// component's snapshot aligned with `evolution.dissolved` (`None`
+    /// where not owned); the split parts have no state until their owners
+    /// [`rebuild`](Self::rebuild) them.
+    #[allow(clippy::type_complexity)]
     pub fn apply_retire(
         &mut self,
         c: CandidateId,
-    ) -> Result<(ComponentEvolution, Option<Arc<ShardSnapshot>>), SchemaError> {
+    ) -> Result<(ComponentEvolution, Vec<Option<Arc<ShardSnapshot>>>), SchemaError> {
         if c.index() >= self.network.candidate_count() {
             return Err(SchemaError::UnknownCandidate(c));
         }
         self.network.retire(c)?;
         let evo = Arc::make_mut(&mut self.components).retire_candidate(self.network.index(), c);
-        let dissolved = self.rekey(&evo.remap).into_iter().next().flatten();
+        let dissolved = self.rekey(&evo.remap);
         Ok((evo, dissolved))
     }
 
@@ -509,18 +515,57 @@ impl ShardHost {
         dissolved
     }
 
-    /// Builds the merged component `k` of an extension (after
-    /// [`apply_extend`](Self::apply_extend)) from the absorbed sources,
-    /// each `(pre-merge member list, feedback, store)` in ascending *old*
-    /// component order — the cross-combination order, which the
-    /// carried-sample cap makes order-sensitive. Still-consistent
-    /// cross-combinations of the sources' samples are carried over, and
-    /// only this shard enumerates or refills.
-    pub(crate) fn build_merged(
+    /// Builds the post-event components `ks` of the evolution `event`
+    /// this host has just applied (`evo` is what
+    /// [`apply_extend`](Self::apply_extend) or
+    /// [`apply_retire`](Self::apply_retire) returned) from the dissolved
+    /// `sources`, given in `evo.dissolved` order: an extension merges
+    /// them all into its one rebuilt component, a retirement splits its
+    /// one source into the parts. The in-process network rebuilds all of
+    /// `evo.rebuilt` from its own snapshots; a shard server rebuilds the
+    /// ones it owns from shipped states. Ids outside `evo.rebuilt` and
+    /// sources that are not the dissolved components are refused before
+    /// anything is built.
+    pub fn rebuild(
         &mut self,
-        k: usize,
-        sources: &[(&[CandidateId], &Feedback, &SampleStore)],
-    ) {
+        event: &NetworkEvent,
+        evo: &ComponentEvolution,
+        ks: &[usize],
+        sources: &[Dissolved<'_>],
+    ) -> Result<(), String> {
+        let retired = match *event {
+            NetworkEvent::Extend { .. } => None,
+            NetworkEvent::Retire { candidate } => Some(candidate),
+            NetworkEvent::Assert { .. } => return Err("an assertion rebuilds no component".into()),
+        };
+        if !ks.windows(2).all(|w| w[0] < w[1])
+            || ks.iter().any(|k| evo.rebuilt.binary_search(k).is_err())
+        {
+            return Err(format!("components {ks:?} are not among the rebuilt {:?}", evo.rebuilt));
+        }
+        if ks.is_empty() {
+            return Ok(());
+        }
+        if sources.len() != evo.dissolved.len()
+            || sources.iter().zip(&evo.dissolved).any(|(s, (_, members))| s.0 != members.as_slice())
+        {
+            return Err("the rebuild sources are not the dissolved components".into());
+        }
+        for &k in ks {
+            match retired {
+                None => self.build_merged(k, sources),
+                Some(c) => self.build_part(k, sources[0], c),
+            }
+        }
+        Ok(())
+    }
+
+    /// Builds the merged component `k` of an extension from the absorbed
+    /// sources in ascending *old* component order — the cross-combination
+    /// order, which the carried-sample cap makes order-sensitive.
+    /// Still-consistent cross-combinations of the sources' samples are
+    /// carried over, and only this shard enumerates or refills.
+    fn build_merged(&mut self, k: usize, sources: &[Dissolved<'_>]) {
         let arrival = CandidateId::from_index(self.network.candidate_count() - 1);
         let sub = self.sub_index(k);
         let m = sub.candidate_count();
@@ -575,21 +620,13 @@ impl ShardHost {
         self.install(k, shard);
     }
 
-    /// Builds split part `k` of a retirement (after
-    /// [`apply_retire`](Self::apply_retire)) from the dissolved shard:
-    /// `old_members` is its pre-event member list (old global ids,
-    /// ascending, still containing `retired`). Feedback is restricted to
-    /// the part, and sampled parts carry over the old samples restricted
-    /// and deterministically re-maximized — retirement can unblock
-    /// candidates that conflicted only with the departed one.
-    pub(crate) fn build_part(
-        &mut self,
-        k: usize,
-        old_members: &[CandidateId],
-        old_feedback: &Feedback,
-        old_store: &SampleStore,
-        retired: CandidateId,
-    ) {
+    /// Builds split part `k` of a retirement from the dissolved shard,
+    /// whose member list still contains `retired`. Feedback is restricted
+    /// to the part, and sampled parts carry over the old samples
+    /// restricted and deterministically re-maximized — retirement can
+    /// unblock candidates that conflicted only with the departed one.
+    fn build_part(&mut self, k: usize, dissolved: Dissolved<'_>, retired: CandidateId) {
+        let (old_members, old_feedback, old_store) = dissolved;
         let sub = self.sub_index(k);
         let m = sub.candidate_count();
         // OLD-local id, within the dissolved shard, of each part member

@@ -1,13 +1,13 @@
 //! The generated dataset: catalog + concept assignment + ground truth.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use smn_schema::{AttributeId, Catalog, Correspondence, InteractionGraph, SchemaId};
 use std::collections::HashMap;
 
 /// A dataset: a catalog of schemas whose attributes carry hidden concept
 /// labels, from which the ground-truth *selective matching* is derived for
 /// any interaction graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Dataset {
     /// Dataset label (`BP`, `PO`, …).
     pub name: String,

@@ -10,10 +10,10 @@
 use crate::vocab::Vocabulary;
 use rand::seq::IndexedRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Case convention of a schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CaseStyle {
     /// `supplierAddress`
     Camel,
@@ -65,7 +65,7 @@ impl CaseStyle {
 }
 
 /// A schema's naming style.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NamingStyle {
     /// Case convention.
     pub case: CaseStyle,

@@ -18,10 +18,10 @@
 //! (`releaseDate` vs `screenDate` style) that make reconciliation
 //! non-trivial.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A real-world notion that schema attributes can denote.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Concept {
     /// Dense id within the vocabulary.
     pub id: u32,
@@ -37,7 +37,7 @@ impl Concept {
 }
 
 /// A pool of concepts plus a synonym table for name rendering.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Vocabulary {
     /// Domain label (`business-partner`, `purchase-order`, …).
     pub domain: String,

@@ -43,10 +43,11 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    encode_what_if, read_shard_probs, REQ_APPLY_EVENT, REQ_ASSERT, REQ_BOOTSTRAP, REQ_EXPORT,
-    REQ_GAINS, REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
+    encode_evolve, encode_shipments, encode_what_if, read_shard_probs, REQ_ASSERT, REQ_BOOTSTRAP,
+    REQ_EVOLVE, REQ_EXPORT, REQ_GAINS, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use crate::transport::Transport;
+use smn_constraints::components::ComponentEvolution;
 use smn_constraints::Placement;
 use smn_core::feedback::{Assertion, Feedback};
 use smn_core::persist::NetworkEvent;
@@ -307,25 +308,6 @@ impl DistNetwork {
         out
     }
 
-    /// Exports a component's shard state from its owner (old numbering —
-    /// called before the evolution event is broadcast).
-    fn export(&self, owner: usize, k: usize) -> Result<Vec<u8>, DistError> {
-        let mut payload = Vec::with_capacity(4);
-        put_u32(&mut payload, k as u32);
-        Ok(self.request(owner, REQ_EXPORT, &payload)?.payload)
-    }
-
-    /// Broadcasts an evolution event to every server (each applies it to
-    /// its structure mirror and rekeys its owned shards).
-    fn broadcast(&mut self, event: &NetworkEvent) -> Result<(), DistError> {
-        self.seq += 1;
-        let record = encode_record(self.seq, event);
-        for server in 0..self.links.len() {
-            self.request(server, REQ_APPLY_EVENT, &record)?;
-        }
-        Ok(())
-    }
-
     /// Rewrites the owner map through an evolution: intact components
     /// inherit their server (sticky — their live walk state must not
     /// relocate), rebuilt components place fresh on the ring.
@@ -341,15 +323,50 @@ impl DistNetwork {
         }
     }
 
+    /// The distributed epoch of an evolution `event` the mirror has just
+    /// applied: exports the dissolved shards from their owners, re-places
+    /// ownership, and sends every server one [`REQ_EVOLVE`] in one
+    /// exchange — the event, the rebuilt components the server now owns
+    /// and, only if it owns any, every dissolved shard once — so the
+    /// servers apply the event and rebuild concurrently. Their replies
+    /// carry the rebuilt shards' probabilities.
+    fn evolve(&mut self, event: &NetworkEvent, evo: &ComponentEvolution) -> Result<(), DistError> {
+        let mut exports = Vec::with_capacity(evo.dissolved.len());
+        for (old_k, members) in &evo.dissolved {
+            // old numbering: no server has seen the event yet
+            let mut request = Vec::with_capacity(4);
+            put_u32(&mut request, *old_k as u32);
+            let state = self.request(self.owner[*old_k], REQ_EXPORT, &request)?.payload;
+            exports.push((members.as_slice(), state));
+        }
+        let shipments = encode_shipments(&exports);
+        self.rekey_owners(&evo.remap, &evo.rebuilt);
+        self.seq += 1;
+        let requests = (0..self.links.len())
+            .map(|server| {
+                let owned: Vec<u32> = evo
+                    .rebuilt
+                    .iter()
+                    .filter(|&&k| self.owner[k] == server)
+                    .map(|&k| k as u32)
+                    .collect();
+                (server, encode_evolve(self.seq, event, &owned, &shipments))
+            })
+            .collect();
+        for reply in self.exchange(REQ_EVOLVE, requests) {
+            self.scatter(&reply?)?;
+        }
+        self.ledger.evolved(&self.mirror);
+        Ok(())
+    }
+
     /// Admits a new candidate online — the distributed epoch of
-    /// [`ProbabilisticNetwork::extend`]: export the about-to-dissolve
-    /// components from their owners, broadcast the event (every server
-    /// patches its structure and rekeys), re-place ownership, and
-    /// rebuild the merged component at its new owner from the shipped
-    /// states (ascending old component order, the exact single-process
-    /// cross-combination order). The arrival's component may land on a
-    /// different server than any absorbed source — that is the
-    /// migration the differential suite certifies mid-run.
+    /// [`ProbabilisticNetwork::extend`]. The merged component is rebuilt
+    /// at its new owner from the absorbed shards' exports (ascending old
+    /// component order, the exact single-process cross-combination
+    /// order), and may land on a different server than any absorbed
+    /// source — that is the migration the differential suite certifies
+    /// mid-run.
     ///
     /// [`ProbabilisticNetwork::extend`]:
     /// smn_core::ProbabilisticNetwork::extend
@@ -359,67 +376,24 @@ impl DistNetwork {
         y: AttributeId,
         confidence: f64,
     ) -> Result<CandidateId, DistError> {
-        let old_owner = self.owner.clone();
         let (arrival, evo, _) =
             self.mirror.apply_extend(x, y, confidence).map_err(DistError::Schema)?;
-        // export dissolved sources before any server learns of the event
-        let mut shipments: Vec<(Vec<CandidateId>, Vec<u8>)> =
-            Vec::with_capacity(evo.dissolved.len());
-        for (old_k, members) in &evo.dissolved {
-            shipments.push((members.clone(), self.export(old_owner[*old_k], *old_k)?));
-        }
-        self.broadcast(&NetworkEvent::Extend { a: x, b: y, confidence })?;
         self.ledger.grow();
-        self.rekey_owners(&evo.remap, &evo.rebuilt);
-        let &[merged_k] = evo.rebuilt.as_slice() else {
-            return Err(DistError::Protocol("an extension rebuilds exactly one component".into()));
-        };
-        let mut payload = Vec::new();
-        put_u32(&mut payload, merged_k as u32);
-        put_u32(&mut payload, shipments.len() as u32);
-        for (members, state) in &shipments {
-            put_ids(&mut payload, &members.iter().map(|c| c.0).collect::<Vec<u32>>());
-            put_u32(&mut payload, state.len() as u32);
-            payload.extend_from_slice(state);
-        }
-        let reply = self.request(self.owner[merged_k], REQ_REBUILD_MERGED, &payload)?;
-        self.scatter(&reply)?;
-        self.ledger.evolved(&self.mirror);
+        self.evolve(&NetworkEvent::Extend { a: x, b: y, confidence }, &evo)?;
         Ok(arrival)
     }
 
     /// Retires a candidate online — the distributed epoch of
-    /// [`ProbabilisticNetwork::retire`]: export the dissolving component
-    /// from its owner, broadcast the event, re-place ownership, and
-    /// rebuild every split part at its owner from the same shipped
-    /// state (restrict + greedily re-maximize, the single-process
-    /// carry-over).
+    /// [`ProbabilisticNetwork::retire`]. Every split part is rebuilt at
+    /// its owner from the dissolved shard's export (restrict + greedily
+    /// re-maximize, the single-process carry-over).
     ///
     /// [`ProbabilisticNetwork::retire`]:
     /// smn_core::ProbabilisticNetwork::retire
     pub fn retire(&mut self, c: CandidateId) -> Result<(), DistError> {
-        let old_owner = self.owner.clone();
         let (evo, _) = self.mirror.apply_retire(c).map_err(DistError::Schema)?;
-        let (old_k, old_members) = evo
-            .dissolved
-            .first()
-            .ok_or_else(|| DistError::Protocol("a retirement dissolves its component".into()))?;
-        let shipment = self.export(old_owner[*old_k], *old_k)?;
-        self.broadcast(&NetworkEvent::Retire { candidate: c })?;
         self.ledger.retire(c);
-        self.rekey_owners(&evo.remap, &evo.rebuilt);
-        for &part_k in &evo.rebuilt {
-            let mut payload = Vec::new();
-            put_u32(&mut payload, part_k as u32);
-            put_u32(&mut payload, c.0);
-            put_ids(&mut payload, &old_members.iter().map(|m| m.0).collect::<Vec<u32>>());
-            put_u32(&mut payload, shipment.len() as u32);
-            payload.extend_from_slice(&shipment);
-            let reply = self.request(self.owner[part_k], REQ_REBUILD_PART, &payload)?;
-            self.scatter(&reply)?;
-        }
-        self.ledger.evolved(&self.mirror);
-        Ok(())
+        self.evolve(&NetworkEvent::Retire { candidate: c }, &evo)
     }
 
     /// Orderly cluster shutdown: every server acknowledges and exits its

@@ -22,8 +22,10 @@
 //! with a UTF-8 message. Decoders never panic on any input.
 
 use crate::error::DistError;
+use smn_core::persist::{NetworkEvent, ShardState};
 use smn_schema::CandidateId;
-use smn_storage::format::{put_bool, put_f64s, put_u32, put_u64, Dec};
+use smn_storage::format::{decode_shard_state, put_bool, put_f64s, put_ids, put_u32, put_u64, Dec};
+use smn_storage::wal::{encode_record_into, read_record};
 use smn_storage::StorageError;
 
 /// Bootstrap: owned-component list + structure-only snapshot image.
@@ -37,15 +39,11 @@ pub const REQ_WHAT_IF: u32 = 3;
 pub const REQ_GAINS: u32 = 4;
 /// Export one owned shard's sample state for shipment.
 pub const REQ_EXPORT: u32 = 5;
-/// An evolution event (WAL `Extend`/`Retire` record) every server
-/// applies to its structure mirror.
-pub const REQ_APPLY_EVENT: u32 = 6;
-/// Rebuild a merged component from the absorbed shards' exports.
-pub const REQ_REBUILD_MERGED: u32 = 7;
-/// Rebuild one split part from the dissolved shard's export.
-pub const REQ_REBUILD_PART: u32 = 8;
+/// An evolution event every server applies to its structure, rebuilding
+/// the post-event components it owns (see [`encode_evolve`]).
+pub const REQ_EVOLVE: u32 = 6;
 /// Orderly shutdown of the server loop.
-pub const REQ_SHUTDOWN: u32 = 9;
+pub const REQ_SHUTDOWN: u32 = 7;
 /// Success response; payload depends on the request kind.
 pub const RESP_OK: u32 = 100;
 /// Failure response; payload is a UTF-8 message.
@@ -89,6 +87,66 @@ pub fn decode_what_if(payload: &[u8]) -> Result<Vec<(CandidateId, bool)>, DistEr
         .collect::<Result<_, StorageError>>()?;
     d.finish("what-if batch")?;
     Ok(queries)
+}
+
+/// Encodes the shipment section of a [`REQ_EVOLVE`] payload: a `u64`
+/// count, then each dissolved shard's pre-event member list and its
+/// length-prefixed [`encode_shard_state`](smn_storage::format::encode_shard_state)
+/// bytes, in dissolution order.
+pub fn encode_shipments(shipments: &[(&[CandidateId], Vec<u8>)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u64(&mut buf, shipments.len() as u64);
+    for (members, state) in shipments {
+        put_ids(&mut buf, &members.iter().map(|c| c.0).collect::<Vec<u32>>());
+        put_u32(&mut buf, state.len() as u32);
+        buf.extend_from_slice(state);
+    }
+    buf
+}
+
+/// Encodes one server's [`REQ_EVOLVE`] payload: the WAL `Extend`/`Retire`
+/// record, the rebuilt components the server owns, and — only when
+/// that list is non-empty — the [`encode_shipments`] section.
+pub fn encode_evolve(seq: u64, event: &NetworkEvent, rebuilt: &[u32], shipments: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_record_into(&mut buf, seq, event);
+    put_ids(&mut buf, rebuilt);
+    if !rebuilt.is_empty() {
+        buf.extend_from_slice(shipments);
+    }
+    buf
+}
+
+/// A decoded [`REQ_EVOLVE`] payload.
+pub struct Evolve {
+    /// The evolution event.
+    pub event: NetworkEvent,
+    /// The rebuilt components the receiving server owns.
+    pub rebuilt: Vec<usize>,
+    /// Every dissolved shard's pre-event member list and state (empty
+    /// when `rebuilt` is).
+    pub shipped: Vec<(Vec<CandidateId>, ShardState)>,
+}
+
+/// Decodes a [`REQ_EVOLVE`] payload. Strict: truncation, trailing bytes
+/// and hostile counts are typed errors.
+pub fn decode_evolve(payload: &[u8]) -> Result<Evolve, DistError> {
+    let mut d = Dec::new(payload);
+    let (_, event) = read_record(&mut d)?;
+    let rebuilt: Vec<usize> =
+        d.ids("rebuilt components")?.into_iter().map(|k| k as usize).collect();
+    let mut shipped = Vec::new();
+    if !rebuilt.is_empty() {
+        // a shipment is at least an empty member list and a state length
+        let n = d.len(12, "shipment count")?;
+        for _ in 0..n {
+            let members = d.ids("shipped members")?.into_iter().map(CandidateId).collect();
+            let len = d.u32("shipped state length")? as usize;
+            shipped.push((members, decode_shard_state(d.take(len, "shipped state")?)?));
+        }
+    }
+    d.finish("evolve request")?;
+    Ok(Evolve { event, rebuilt, shipped })
 }
 
 #[cfg(test)]

@@ -10,14 +10,14 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    self, put_shard_probs, REQ_APPLY_EVENT, REQ_ASSERT, REQ_BOOTSTRAP, REQ_EXPORT, REQ_GAINS,
-    REQ_REBUILD_MERGED, REQ_REBUILD_PART, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
+    self, put_shard_probs, Evolve, REQ_ASSERT, REQ_BOOTSTRAP, REQ_EVOLVE, REQ_EXPORT, REQ_GAINS,
+    REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use crate::transport::{channel_pair, ChannelTransport, Transport};
-use smn_core::persist::{NetworkEvent, ShardState};
+use smn_core::persist::NetworkEvent;
 use smn_core::ShardHost;
 use smn_schema::CandidateId;
-use smn_storage::format::{decode_shard_state, decode_snapshot, encode_shard_state, put_f64s, Dec};
+use smn_storage::format::{decode_snapshot, encode_shard_state, put_f64s, Dec};
 use smn_storage::wal::decode_record;
 use smn_storage::Frame;
 use std::thread::JoinHandle;
@@ -56,15 +56,9 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
         let image = d.take(d.remaining(), "bootstrap image").map_err(|e| e.to_string())?;
         let (state, _, _) = decode_snapshot(image).map_err(|e| e.to_string())?;
         let built = ShardHost::from_structure(&state, &owned)?;
-        let entries: Vec<(usize, Vec<f64>)> = built
-            .owned_components()
-            .into_iter()
-            .map(|k| (k, built.shard_probabilities(k).expect("owned shard has probabilities")))
-            .collect();
-        let mut reply = Vec::new();
-        put_shard_probs(&mut reply, &entries);
+        let reply = shard_probs_reply(&built, &built.owned_components());
         *host = Some(built);
-        return Ok(reply);
+        return reply;
     }
     let host = host.as_mut().ok_or("server not bootstrapped")?;
     match frame.kind {
@@ -76,7 +70,7 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             let k = host
                 .assert_unchecked(candidate, approved)
                 .ok_or("assertion routed to a non-owner")?;
-            shard_probs_reply(host, k)
+            shard_probs_reply(host, &[k])
         }
         REQ_WHAT_IF => {
             let queries = proto::decode_what_if(&frame.payload).map_err(|e| e.to_string())?;
@@ -106,60 +100,48 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             let state = host.export_shard(k).ok_or("export routed to a non-owner")?;
             Ok(encode_shard_state(&state))
         }
-        REQ_APPLY_EVENT => {
-            let (_, event) = decode_record(&frame.payload).map_err(|e| e.to_string())?;
-            match event {
+        REQ_EVOLVE => {
+            // decode and restore the whole payload before the event
+            // touches the structure, and apply it to a copy, so that a
+            // request refused at any step leaves the host as it was
+            let Evolve { event, rebuilt, shipped } =
+                proto::decode_evolve(&frame.payload).map_err(|e| e.to_string())?;
+            let restored = shipped
+                .iter()
+                .map(|(members, state)| Ok((members, state.restore(members.len())?)))
+                .collect::<Result<Vec<_>, String>>()?;
+            let sources: Vec<_> =
+                restored.iter().map(|(members, (f, s))| (members.as_slice(), f, s)).collect();
+            let mut next = host.clone();
+            let evo = match event {
                 NetworkEvent::Extend { a, b, confidence } => {
-                    host.apply_extend(a, b, confidence).map_err(|e| e.to_string())?;
+                    next.apply_extend(a, b, confidence).map(|(_, evo, _)| evo)
                 }
                 NetworkEvent::Retire { candidate } => {
-                    host.apply_retire(candidate).map_err(|e| e.to_string())?;
+                    next.apply_retire(candidate).map(|(evo, _)| evo)
                 }
                 NetworkEvent::Assert { .. } => {
-                    return Err("apply-event request carries an assert record".into());
+                    return Err("evolve request carries an assert record".into())
                 }
             }
-            Ok(Vec::new())
-        }
-        REQ_REBUILD_MERGED => {
-            let mut d = Dec::new(&frame.payload);
-            let k = d.u32("merged component").map_err(|e| e.to_string())? as usize;
-            let sources = d.u32("absorbed count").map_err(|e| e.to_string())?;
-            let absorbed =
-                (0..sources).map(|_| read_shipment(&mut d)).collect::<Result<Vec<_>, _>>()?;
-            d.finish("rebuild-merged request").map_err(|e| e.to_string())?;
-            host.rebuild_merged(k, &absorbed)?;
-            shard_probs_reply(host, k)
-        }
-        REQ_REBUILD_PART => {
-            let mut d = Dec::new(&frame.payload);
-            let k = d.u32("part component").map_err(|e| e.to_string())? as usize;
-            let retired = CandidateId(d.u32("retired candidate").map_err(|e| e.to_string())?);
-            let (old_members, old_state) = read_shipment(&mut d)?;
-            d.finish("rebuild-part request").map_err(|e| e.to_string())?;
-            host.rebuild_part(k, &old_members, &old_state, retired)?;
-            shard_probs_reply(host, k)
+            .map_err(|e| e.to_string())?;
+            next.rebuild(&event, &evo, &rebuilt, &sources)?;
+            *host = next;
+            shard_probs_reply(host, &rebuilt)
         }
         kind => Err(format!("unknown request kind {kind}")),
     }
 }
 
-/// Reads one shipped shard: its pre-event member list and serialized
-/// state (length-prefixed [`encode_shard_state`] section).
-fn read_shipment(d: &mut Dec<'_>) -> Result<(Vec<CandidateId>, ShardState), String> {
-    let members: Vec<CandidateId> =
-        d.ids("shipped members").map_err(|e| e.to_string())?.into_iter().map(CandidateId).collect();
-    let len = d.u32("shipped state length").map_err(|e| e.to_string())? as usize;
-    let bytes = d.take(len, "shipped state").map_err(|e| e.to_string())?;
-    let state = decode_shard_state(bytes).map_err(|e| e.to_string())?;
-    Ok((members, state))
-}
-
-/// A single-shard probability reply (rebuilds, asserts).
-fn shard_probs_reply(host: &ShardHost, k: usize) -> Result<Vec<u8>, String> {
-    let probs = host.shard_probabilities(k).ok_or("shard missing")?;
+/// A per-shard probability reply for components `ks` (bootstrap,
+/// asserts, evolution).
+fn shard_probs_reply(host: &ShardHost, ks: &[usize]) -> Result<Vec<u8>, String> {
+    let entries = ks
+        .iter()
+        .map(|&k| Ok((k, host.shard_probabilities(k).ok_or("shard missing")?)))
+        .collect::<Result<Vec<_>, String>>()?;
     let mut reply = Vec::new();
-    put_shard_probs(&mut reply, &[(k, probs)]);
+    put_shard_probs(&mut reply, &entries);
     Ok(reply)
 }
 

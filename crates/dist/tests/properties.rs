@@ -47,7 +47,8 @@ proptest! {
             let count = pn.network().candidate_count();
             if op % 4 == 3 {
                 // retire a random live candidate — the epoch path:
-                // export, broadcast, rebuild split parts on new owners
+                // export, then one evolve request per server rebuilds
+                // the split parts on their new owners
                 if count == 0 {
                     continue;
                 }

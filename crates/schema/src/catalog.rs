@@ -8,11 +8,11 @@
 
 use crate::error::SchemaError;
 use crate::ids::{AttributeId, SchemaId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// A single attribute of a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Attribute {
     /// Globally unique id of this attribute.
     pub id: AttributeId,
@@ -23,7 +23,7 @@ pub struct Attribute {
 }
 
 /// A database schema: a named, finite set of attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Schema {
     /// Dense id of this schema within its catalog.
     pub id: SchemaId,
@@ -59,7 +59,7 @@ impl Schema {
 /// assert_eq!(catalog.schema_count(), 1);
 /// assert_eq!(catalog.attribute_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Catalog {
     schemas: Vec<Schema>,
     attributes: Vec<Attribute>,

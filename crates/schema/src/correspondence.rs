@@ -13,14 +13,14 @@ use crate::catalog::Catalog;
 use crate::error::SchemaError;
 use crate::graph::InteractionGraph;
 use crate::ids::{AttributeId, CandidateId, SchemaId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// An unordered pair of attributes from two different schemas.
 ///
 /// Stored normalized (`a.0 < b.0`) so that `(x, y)` and `(y, x)` compare
 /// equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Correspondence {
     a: AttributeId,
     b: AttributeId,
@@ -84,7 +84,7 @@ impl Correspondence {
 /// argues (§III-A) — they are "not normalized, often unreliable", so the core
 /// crate derives probabilities from constraint structure instead. Confidences
 /// still matter as matcher-internal tie-breakers and for matcher evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Candidate {
     /// Dense id in the owning [`CandidateSet`].
     pub id: CandidateId,
@@ -95,7 +95,7 @@ pub struct Candidate {
 }
 
 /// The candidate set `C` of a matching network, with dense ids and indexes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct CandidateSet {
     candidates: Vec<Candidate>,
     by_pair: HashMap<Correspondence, CandidateId>,

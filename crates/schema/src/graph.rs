@@ -9,12 +9,12 @@
 
 use crate::ids::SchemaId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Undirected graph over schema ids with adjacency lists and an edge list.
 ///
 /// Edges are stored normalized (`lo < hi`) and deduplicated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct InteractionGraph {
     vertex_count: usize,
     edges: Vec<(SchemaId, SchemaId)>,

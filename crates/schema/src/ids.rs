@@ -6,13 +6,13 @@
 //! what keeps the Algorithm 3 sampler and the information-gain computation
 //! cheap (cf. the conflict-index design in `smn-constraints`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a schema within one [`Catalog`](crate::Catalog).
 ///
 /// Schemas are numbered densely from zero in insertion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct SchemaId(pub u32);
 
 /// Identifier of an attribute, unique across the *whole* catalog.
@@ -20,7 +20,7 @@ pub struct SchemaId(pub u32);
 /// The paper requires `s_i ∩ s_j = ∅` for distinct schemas ("each schema is
 /// built of unique attributes (by using unique identifiers)"); global dense
 /// numbering realizes exactly that.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct AttributeId(pub u32);
 
 /// Identifier of a candidate correspondence inside one
@@ -28,7 +28,7 @@ pub struct AttributeId(pub u32);
 ///
 /// Dense numbering is what allows matching instances to be represented as
 /// bitsets over candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct CandidateId(pub u32);
 
 macro_rules! impl_id {

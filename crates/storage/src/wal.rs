@@ -97,11 +97,7 @@ pub fn encode_record(seq: u64, event: &NetworkEvent) -> Vec<u8> {
 /// [`TruncatedRecord`](StorageError::TruncatedRecord).
 pub fn decode_record(bytes: &[u8]) -> Result<(u64, NetworkEvent), StorageError> {
     let mut dec = Dec::new(bytes);
-    let record = next_record(&mut dec)?.ok_or(StorageError::TruncatedRecord {
-        what: "wal record frame",
-        needed: 12,
-        available: 0,
-    })?;
+    let record = read_record(&mut dec)?;
     if dec.remaining() != 0 {
         return Err(StorageError::Invalid(format!(
             "wal record: {} trailing bytes after the frame",
@@ -109,6 +105,17 @@ pub fn decode_record(bytes: &[u8]) -> Result<(u64, NetworkEvent), StorageError> 
         )));
     }
     Ok(record)
+}
+
+/// Reads one framed record from the front of `dec` — for a record that
+/// leads a larger payload. Strict like [`decode_record`], except that
+/// the bytes after the frame are left to the caller.
+pub fn read_record(dec: &mut Dec<'_>) -> Result<(u64, NetworkEvent), StorageError> {
+    next_record(dec)?.ok_or(StorageError::TruncatedRecord {
+        what: "wal record frame",
+        needed: 12,
+        available: 0,
+    })
 }
 
 fn decode_payload(payload: &[u8]) -> Result<(u64, NetworkEvent), StorageError> {

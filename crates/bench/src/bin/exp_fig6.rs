@@ -62,10 +62,6 @@ struct Point {
 fn main() {
     const SAMPLES: usize = 1000;
     const SETTINGS: u64 = 3;
-    // `SMN_CHAINS=k` runs k parallel walk chains per fill (deterministic
-    // chain-order merge, announced on stderr); the default measures the
-    // paper's single chain.
-    let chains = smn_bench::sampling_chains();
     let mut table = Table::new(["#Correspondences", "time/sample (ms)", "|C| measured"]);
     let mut points = Vec::new();
     for exp in 7..=12u32 {
@@ -82,7 +78,7 @@ fn main() {
                 n_min: 1, // single pass: time exactly `SAMPLES` emissions
                 seed: setting,
                 anneal: true,
-                chains,
+                chains: 1,
             };
             let t = Instant::now();
             let store = SampleStore::new(&network, &feedback, config);

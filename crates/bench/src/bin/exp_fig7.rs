@@ -104,7 +104,7 @@ fn main() {
                     n_min: 1, // fixed budget — no refill loop
                     seed,
                     anneal: true,
-                    chains: smn_bench::sampling_chains(),
+                    chains: 1,
                 },
             );
             // add-half smoothing at the sampling resolution: a candidate

@@ -36,5 +36,5 @@ pub mod speed;
 
 pub use grid::EffortGrid;
 pub use report::{save_json, Table};
-pub use runner::{available_threads, parallel_runs, sampling_chains};
+pub use runner::parallel_runs;
 pub use setup::{matched_network, standard_sampler, MatcherKind};

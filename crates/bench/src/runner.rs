@@ -3,32 +3,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Worker threads available on this machine (≥ 1).
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map(std::num::NonZero::get).unwrap_or(1)
-}
-
-/// Walk-chain count for the experiment bins: `SMN_CHAINS=k` if set (0 or
-/// `auto` meaning all available cores), else 1 — the paper's single-chain
-/// sampler stays the default so published numbers remain comparable.
-///
-/// A non-default count is announced once on stderr: multi-chain fills
-/// discover a different (equally valid, still deterministic) Ω\* than the
-/// single-chain walk, so runs with the knob active must be identifiable.
-pub fn sampling_chains() -> usize {
-    let chains = match std::env::var("SMN_CHAINS") {
-        Ok(v) if v == "auto" || v == "0" => available_threads(),
-        Ok(v) => v.parse().ok().filter(|&k| k >= 1).unwrap_or(1),
-        Err(_) => 1,
-    };
-    if chains > 1 {
-        static ANNOUNCED: std::sync::Once = std::sync::Once::new();
-        ANNOUNCED
-            .call_once(|| eprintln!("SMN_CHAINS={chains}: sampling with {chains} walk chains"));
-    }
-    chains
-}
-
 /// Runs `runs` seeded repetitions of `f` across `threads` worker threads
 /// and returns the results ordered by seed. Determinism is preserved
 /// because each repetition derives everything from its seed.

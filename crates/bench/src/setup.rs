@@ -78,19 +78,9 @@ pub fn matched_network(
 }
 
 /// The sampler configuration used by the quality experiments: 1000 samples
-/// as in §VI-B, refill threshold 300. Honors `SMN_CHAINS=<k|auto>` (see
-/// [`sampling_chains`](crate::runner::sampling_chains)); the default of 1
-/// is the paper's single-chain sampler, and multi-chain runs stay
-/// deterministic for a fixed chain count.
+/// as in §VI-B, refill threshold 300.
 pub fn standard_sampler(seed: u64) -> SamplerConfig {
-    SamplerConfig {
-        n_samples: 1000,
-        walk_steps: 4,
-        n_min: 300,
-        seed,
-        anneal: true,
-        chains: crate::runner::sampling_chains(),
-    }
+    SamplerConfig { n_samples: 1000, walk_steps: 4, n_min: 300, seed, anneal: true, chains: 1 }
 }
 
 #[cfg(test)]

@@ -787,9 +787,9 @@ impl ConflictIndex {
         // table canonical without a re-sort
         let mut alive_pos = vec![u32::MAX; self.triples.len()];
         let mut write = 0usize;
-        for read in 0..self.triples.len() {
+        for (read, pos) in alive_pos.iter_mut().enumerate() {
             if !self.triples[read].contains(&c) {
-                alive_pos[read] = u32::try_from(write).expect("triple index overflow");
+                *pos = u32::try_from(write).expect("triple index overflow");
                 self.triples[write] = self.triples[read];
                 write += 1;
             }

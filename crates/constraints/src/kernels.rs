@@ -333,9 +333,9 @@ mod tests {
             let mut block = [0u64; 64];
             block.copy_from_slice(&rows);
             transpose64(&mut block);
-            for i in 0..64 {
-                for j in 0..64 {
-                    prop_assert_eq!(block[i] >> j & 1, rows[j] >> i & 1, "bit ({},{})", i, j);
+            for (i, &column) in block.iter().enumerate() {
+                for (j, &row) in rows.iter().enumerate() {
+                    prop_assert_eq!(column >> j & 1, row >> i & 1, "bit ({},{})", i, j);
                 }
             }
             // a second transpose is the identity

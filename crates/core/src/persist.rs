@@ -106,9 +106,9 @@ impl FeedbackState {
 
 /// Serialized sample-store state: the distinct instances Ω\* in
 /// discovery order (each as an ascending candidate-id list) with their
-/// visit counts, plus the sampler config and exhaustion/epoch flags.
-/// The transposed matrix, dedup map and cached weights are derived on
-/// load by re-recording the instances in order — bit-identically.
+/// visit counts, plus the sampler config and the exhaustion flag.
+/// The transposed matrix and dedup map are derived on load by
+/// re-recording the instances in order — bit-identically.
 ///
 /// The store carries its *own* [`SamplerConfig`]: evolved shards are
 /// reseeded per merge/split event, so their seeds differ from the
@@ -121,8 +121,6 @@ pub struct StoreState {
     pub candidate_count: usize,
     /// Whether the store concluded `Ω* = Ω`.
     pub exhausted: bool,
-    /// Monotone multi-chain pass counter.
-    pub pass_epoch: u64,
     /// Distinct instances in discovery order, each as ascending ids.
     pub samples: Vec<Vec<u32>>,
     /// Per-instance emission counts, aligned with `samples`.

@@ -2,14 +2,15 @@
 //!
 //! Every per-shard batch in the workspace — the sharded fill and gain
 //! scan in [`crate::shard`], the what-if branches of
-//! [`ShardHost::entropy_after`](crate::ShardHost::entropy_after), the
+//! [`ShardHost::entropy_after`](crate::ShardHost::entropy_after) and the
 //! commit lanes of
-//! [`commit_batch`](crate::ProbabilisticNetwork::commit_batch) and the
-//! multi-chain sampler pass in [`crate::sampling`] — goes through
-//! [`WorkerPool::map`] (or [`WorkerPool::map_high`]), and this module
-//! alone decides whether it runs concurrently. A batch runs inline on the
-//! calling thread when the pool has one thread, when it has one item, or
-//! when the caller is inside a [`sequential`] scope; otherwise it fans out.
+//! [`commit_batch`](crate::ProbabilisticNetwork::commit_batch) — goes
+//! through [`WorkerPool::map`] (or [`WorkerPool::map_high`]), and this
+//! module decides whether it runs concurrently (the gain scan alone keeps
+//! a caller-side size cut, see `docs/POOL.md`). A batch runs inline on
+//! the calling thread when the pool has one thread, when it has one item,
+//! or when the caller is inside a [`sequential`] scope; otherwise it fans
+//! out.
 //! The integrity constraints couple only candidates that share a
 //! conflict, so every per-shard batch gives the same bits on any
 //! schedule. The threads live for the process lifetime, so a batch pays a
@@ -22,10 +23,9 @@
 //!   the back of their neighbours' queues when empty;
 //! * [`WorkerPool::map`] submits one task per item and blocks until all
 //!   of them finished, **helping** — the calling thread executes queued
-//!   tasks while it waits. Helping is what makes nested batches (a shard
-//!   fill task that itself runs a multi-chain pass) deadlock-free: the
-//!   inner batch's submitter drains work itself even when every pool
-//!   worker is busy;
+//!   tasks while it waits. Helping is what makes nested batches (a pool
+//!   task that itself submits a batch) deadlock-free: the inner batch's
+//!   submitter drains work itself even when every pool worker is busy;
 //! * results land in per-task slots and are returned **in item order**,
 //!   so the merge order — and with it every downstream posterior and
 //!   report byte — is a pure function of the items, never of scheduling.

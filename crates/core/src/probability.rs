@@ -323,9 +323,9 @@ impl ProbabilisticNetwork {
     ///
     /// The fork shares every immutable snapshot with `self` by pointer:
     /// the underlying [`MatchingNetwork`] (catalog, candidates, conflict
-    /// index), the component partition and every shard snapshot (sub-index
-    /// + sample matrix + cached weights). Cost is `O(#shards)` pointer
-    /// copies plus the `O(|C|)` probability vector and feedback bitsets —
+    /// index), the component partition and every shard snapshot (its
+    /// sub-index and sample matrix). Cost is `O(#shards)` pointer copies
+    /// plus the `O(|C|)` probability vector and feedback bitsets —
     /// **no sample matrix or conflict index is copied** until one side
     /// writes, and a write copies exactly the one shard it touches
     /// (`Arc::make_mut`). `Clone` has the same semantics; `fork` is the

@@ -10,14 +10,13 @@
 //! prefers long jumps and so escapes high-density regions.
 //!
 //! The walk state lives in reusable [`Scratch`] buffers (no per-step
-//! clones), and [`SamplerConfig::chains`] > 1 runs that many independent
-//! chains across the worker pool per fill pass, merging discoveries in
-//! chain order so the result is deterministic given the config.
+//! clones). Every fill runs this one walk on the caller thread, so the
+//! store content is a pure function of the config and the feedback.
 //!
 //! The store is split copy-on-write: the per-sample state (instances,
-//! counts, matrix, cached weights) lives in an immutable `Arc`-shared
-//! snapshot, while the walk machinery (RNG, scratch buffers) is a thin
-//! mutable overlay. Cloning a store — the engine of
+//! counts, matrix) lives in an immutable `Arc`-shared snapshot, while
+//! the walk machinery (RNG, scratch buffers) is a thin mutable overlay.
+//! Cloning a store — the engine of
 //! [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork) —
 //! copies a pointer plus the overlay; the snapshot is copied only by the
 //! first mutation after a fork (`Arc::make_mut`).
@@ -62,12 +61,10 @@ pub struct SamplerConfig {
     /// every jump — a pure random walk; ablation benches quantify what the
     /// acceptance rule buys.
     pub anneal: bool,
-    /// Independent walk chains per fill pass (≥ 1). Chains run across
-    /// the worker pool, each seeded `seed + chain_id`, and split the
-    /// `n_samples` emission budget; discovered instances are merged in
-    /// chain order, so the store content is deterministic given the
-    /// config regardless of thread scheduling. `1` keeps the classic
-    /// single-chain walk on the caller thread.
+    /// Ignored: every fill runs the single walk of Algorithm 3. The field
+    /// remains for configuration compatibility (the repository benchmark
+    /// names it) and still round-trips through snapshots; it never
+    /// affects results.
     pub chains: usize,
 }
 
@@ -351,10 +348,13 @@ pub fn row_and_count(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// The view-maintained set Ω\* of distinct sampled matching instances,
-/// with per-instance visit counts kept as a mixing diagnostic.
+/// with per-instance visit counts (persisted by snapshots).
 ///
-/// Probability estimation treats the discovered instances uniformly (see
-/// [`weights`](SampleStore::weights)); once the store is
+/// Probability estimation weights the discovered instances uniformly:
+/// Eq. 1 targets the *uniform* distribution over matching instances, and
+/// empirically the walk's occupancy frequencies deviate from it far more
+/// than the discovered-set uniform does (the annealing rule promotes
+/// coverage, not uniform occupancy). Once the store is
 /// [exhausted](SampleStore::is_exhausted) — `Ω* = Ω` — that estimate is
 /// exactly Eq. 1.
 #[derive(Debug, Clone)]
@@ -368,15 +368,11 @@ pub struct SampleStore {
     rng: StdRng,
     scratch: Scratch,
     walk_buf: BitSet,
-    /// Monotone pass counter seeding multi-chain passes (advances across
-    /// refills so chains never replay earlier trajectories).
-    pass_epoch: u64,
 }
 
 /// The snapshot half of a [`SampleStore`]: the distinct instances Ω\*,
-/// their visit counts and dedup map, the transposed sample matrix and the
-/// cached uniform weight slice — everything whose copy cost scales with
-/// the number of samples.
+/// their visit counts and dedup map, and the transposed sample matrix —
+/// everything whose copy cost scales with the number of samples.
 ///
 /// A store clone (and with it
 /// [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork))
@@ -389,7 +385,6 @@ struct SampleData {
     counts: Vec<u64>,
     seen: HashMap<BitSet, usize>,
     matrix: SampleMatrix,
-    uniform: Vec<f64>,
 }
 
 impl SampleStore {
@@ -405,7 +400,7 @@ impl SampleStore {
     pub fn with_index(index: &ConflictIndex, feedback: &Feedback, config: SamplerConfig) -> Self {
         let mut store = Self::empty(index.candidate_count(), config);
         store.fill(index, feedback);
-        store.sync_weights();
+        store.sync_matrix();
         store
     }
 
@@ -423,7 +418,7 @@ impl SampleStore {
             store.record(&inst);
         }
         store.exhausted = true;
-        store.sync_weights();
+        store.sync_matrix();
         store
     }
 
@@ -452,22 +447,21 @@ impl SampleStore {
             store.record(&inst);
         }
         store.fill(index, feedback);
-        store.sync_weights();
+        store.sync_matrix();
         store
     }
 
     /// Extracts the serializable state of this store — the distinct
     /// instances in discovery order with their visit counts, plus the
-    /// config and exhaustion/epoch flags. The transposed matrix, the dedup
-    /// map and the cached weights are all derived and are *not* part of
-    /// the state: [`from_state`](SampleStore::from_state) re-records the
-    /// instances in the same order, which rebuilds them bit-for-bit.
+    /// config and the exhaustion flag. The transposed matrix and the dedup
+    /// map are derived and are *not* part of the state:
+    /// [`from_state`](SampleStore::from_state) re-records the instances in
+    /// the same order, which rebuilds them bit-for-bit.
     pub fn to_state(&self) -> crate::persist::StoreState {
         crate::persist::StoreState {
             config: self.config,
             candidate_count: self.data.matrix.candidate_count(),
             exhausted: self.exhausted,
-            pass_epoch: self.pass_epoch,
             samples: self.data.samples.iter().map(|s| s.iter().map(|c| c.0).collect()).collect(),
             counts: self.data.counts.clone(),
         }
@@ -504,8 +498,7 @@ impl SampleStore {
             }
         }
         store.exhausted = state.exhausted;
-        store.pass_epoch = state.pass_epoch;
-        store.sync_weights();
+        store.sync_matrix();
         Ok(store)
     }
 
@@ -516,44 +509,48 @@ impl SampleStore {
                 counts: Vec::new(),
                 seen: HashMap::new(),
                 matrix: SampleMatrix::new(n),
-                uniform: Vec::new(),
             }),
             exhausted: false,
             rng: StdRng::seed_from_u64(config.seed),
             config,
             scratch: Scratch::new(n),
             walk_buf: BitSet::new(n),
-            pass_epoch: 0,
         }
     }
 
-    /// Records `count` emissions of `inst`. Returns whether it was new.
+    /// Records `count` emissions of `inst`: merges `count` into the
+    /// existing entry or appends a new one in discovery order. Returns
+    /// whether it was new.
     fn record_with_count(&mut self, inst: &BitSet, count: u64) -> bool {
         let data = Arc::make_mut(&mut self.data);
-        // the matrix deliberately lags here: sync_weights() appends all
+        // the matrix deliberately lags here: sync_matrix() appends all
         // columns recorded since the last sync in one transpose pass
-        dedup_record(&mut data.seen, &mut data.samples, &mut data.counts, inst, count)
+        if let Some(&pos) = data.seen.get(inst) {
+            data.counts[pos] += count;
+            false
+        } else {
+            data.seen.insert(inst.clone(), data.samples.len());
+            data.samples.push(inst.clone());
+            data.counts.push(count);
+            true
+        }
     }
 
-    /// Records one emission of `inst`. Returns whether it was new.
-    fn record(&mut self, inst: &BitSet) -> bool {
-        self.record_with_count(inst, 1)
+    /// Records one emission of `inst`.
+    fn record(&mut self, inst: &BitSet) {
+        self.record_with_count(inst, 1);
     }
 
-    /// Restores the derived-state invariants: the transposed matrix covers
+    /// Restores the derived-state invariant: the transposed matrix covers
     /// every recorded sample (columns recorded since the last sync are
-    /// appended in one batched transpose pass) and the cached weight slice
-    /// matches (`uniform.len() == samples.len()`, all 1.0). Every mutation
-    /// path ends here before the store is readable again. A no-op (no
-    /// copy-on-write) when the invariants already hold.
-    fn sync_weights(&mut self) {
-        if self.data.matrix.sample_count() != self.data.samples.len()
-            || self.data.uniform.len() != self.data.samples.len()
-        {
+    /// appended in one batched transpose pass). Every mutation path ends
+    /// here before the store is readable again. A no-op (no copy-on-write)
+    /// when the matrix is already in sync.
+    fn sync_matrix(&mut self) {
+        if self.data.matrix.sample_count() != self.data.samples.len() {
             let data = Arc::make_mut(&mut self.data);
             let from = data.matrix.sample_count();
             data.matrix.append_samples(&data.samples[from..]);
-            data.uniform.resize(data.samples.len(), 1.0);
         }
     }
 
@@ -566,26 +563,6 @@ impl SampleStore {
     /// [`samples`](SampleStore::samples).
     pub fn matrix(&self) -> &SampleMatrix {
         &self.data.matrix
-    }
-
-    /// The sampling weight of each instance, aligned with
-    /// [`samples`](SampleStore::samples).
-    ///
-    /// Weights are uniform: Eq. 1 targets the *uniform* distribution over
-    /// matching instances, and empirically the walk's occupancy frequencies
-    /// deviate from it far more than the discovered-set uniform does (the
-    /// annealing rule promotes coverage, not uniform occupancy). Visit
-    /// counts are still tracked — see [`visit_counts`](SampleStore::visit_counts)
-    /// — as a mixing diagnostic. The slice is cached; no allocation per
-    /// query.
-    pub fn weights(&self) -> &[f64] {
-        &self.data.uniform
-    }
-
-    /// How often each distinct instance was emitted by the walk (mixing
-    /// diagnostic; aligned with [`samples`](SampleStore::samples)).
-    pub fn visit_counts(&self) -> &[u64] {
-        &self.data.counts
     }
 
     /// Number of distinct samples `|Ω*|`.
@@ -605,10 +582,9 @@ impl SampleStore {
         self.exhausted
     }
 
-    /// Runs one single-chain sampling pass (`n_samples` emissions) on the
-    /// caller thread, inserting distinct instances. Returns how many new
-    /// distinct instances were found.
-    fn sample_pass(&mut self, index: &ConflictIndex, feedback: &Feedback) -> usize {
+    /// Runs one sampling pass (`n_samples` emissions) on the caller
+    /// thread, recording every instance the walk visits.
+    fn sample_pass(&mut self, index: &ConflictIndex, feedback: &Feedback) {
         // the scratch frontier tracks whatever instance the previous pass
         // ended on; this pass starts from a different one
         self.scratch.invalidate_frontier();
@@ -628,11 +604,8 @@ impl SampleStore {
                 seed_inst
             }
         };
-        let mut found = 0usize;
-        // the chain start is itself a valid instance — record it
-        if self.record(&current) {
-            found += 1;
-        }
+        // the walk's start is itself a valid instance — record it
+        self.record(&current);
         for _ in 0..self.config.n_samples {
             walk(
                 index,
@@ -643,41 +616,8 @@ impl SampleStore {
                 &mut self.walk_buf,
                 &mut self.scratch,
             );
-            if self.record(&current) {
-                found += 1;
-            }
+            self.record(&current);
         }
-        found
-    }
-
-    /// Runs one multi-chain pass: `config.chains` independent walks across
-    /// the persistent work-stealing pool ([`crate::pool`]), each with
-    /// `n_samples / chains` (rounded up) emissions, merged in chain order
-    /// (the pool returns results in item order). Returns how many
-    /// new distinct instances were found.
-    fn parallel_pass(&mut self, index: &ConflictIndex, feedback: &Feedback) -> usize {
-        let chains = self.config.chains.max(1);
-        let per_chain = self.config.n_samples.div_ceil(chains);
-        let config = self.config;
-        // every pass — across fills and refills — advances the epoch, so
-        // refill chains explore fresh trajectories instead of replaying
-        // the previous fill's (the multi-chain analogue of the persistent
-        // single-chain RNG); still deterministic given the assertion
-        // sequence
-        let epoch = self.pass_epoch;
-        self.pass_epoch += 1;
-        let results = crate::pool::global().map(0..chains as u64, |chain| {
-            run_chain(index, feedback, config, chain_seed(config.seed, chain, epoch), per_chain)
-        });
-        let mut found = 0usize;
-        for (instances, counts) in results {
-            for (inst, count) in instances.iter().zip(counts) {
-                if self.record_with_count(inst, count) {
-                    found += 1;
-                }
-            }
-        }
-        found
     }
 
     /// Fills the store until `n_min` distinct samples exist or two
@@ -690,15 +630,11 @@ impl SampleStore {
             self.exhausted = true;
             return;
         }
-        for _pass in 0..2u64 {
+        for _pass in 0..2 {
             if self.data.samples.len() >= self.config.n_min {
                 return;
             }
-            if self.config.chains > 1 {
-                self.parallel_pass(index, feedback);
-            } else {
-                self.sample_pass(index, feedback);
-            }
+            self.sample_pass(index, feedback);
         }
         if self.data.samples.len() < self.config.n_min {
             // two consecutive passes could not reach n_min: per §III-B the
@@ -812,37 +748,8 @@ impl SampleStore {
         if !self.exhausted && self.data.samples.len() < self.config.n_min {
             self.fill(index, feedback);
         }
-        self.sync_weights();
+        self.sync_matrix();
     }
-}
-
-/// Order-preserving distinct-instance recording: merges `count` into the
-/// existing entry or appends a new one. The single implementation behind
-/// both [`SampleStore::record`] and the per-chain accumulators of
-/// [`run_chain`], so the dedup/count-merge invariant cannot drift between
-/// the single- and multi-chain paths.
-fn dedup_record(
-    seen: &mut HashMap<BitSet, usize>,
-    instances: &mut Vec<BitSet>,
-    counts: &mut Vec<u64>,
-    inst: &BitSet,
-    count: u64,
-) -> bool {
-    if let Some(&pos) = seen.get(inst) {
-        counts[pos] += count;
-        false
-    } else {
-        seen.insert(inst.clone(), instances.len());
-        instances.push(inst.clone());
-        counts.push(count);
-        true
-    }
-}
-
-/// Per-chain RNG seed: `seed + chain_id`, with each pass epoch spread by a
-/// golden-ratio stride so refills explore new trajectories.
-fn chain_seed(seed: u64, chain: u64, epoch: u64) -> u64 {
-    seed.wrapping_add(chain).wrapping_add(epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// One emission of Algorithm 3: `walk_steps` random-walk steps from
@@ -907,34 +814,6 @@ fn walk(
             debug_assert_eq!(next, current);
         }
     }
-}
-
-/// Runs one independent sampling chain: its own RNG, scratch buffers and
-/// walk state, starting from the maximized approved set. Returns the
-/// distinct instances in discovery order with their emission counts.
-fn run_chain(
-    index: &ConflictIndex,
-    feedback: &Feedback,
-    config: SamplerConfig,
-    chain_seed: u64,
-    emissions: usize,
-) -> (Vec<BitSet>, Vec<u64>) {
-    let n = index.candidate_count();
-    let mut rng = StdRng::seed_from_u64(chain_seed);
-    let mut scratch = Scratch::new(n);
-    let mut next = BitSet::new(n);
-    let mut current = feedback.approved().clone();
-    debug_assert!(index.is_consistent(&current), "approved set must be consistent");
-    maximize_in(index, &mut current, feedback.disapproved(), &mut rng, &mut scratch);
-    let mut seen: HashMap<BitSet, usize> = HashMap::new();
-    let mut instances: Vec<BitSet> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
-    dedup_record(&mut seen, &mut instances, &mut counts, &current, 1);
-    for _ in 0..emissions {
-        walk(index, feedback, &config, &mut rng, &mut current, &mut next, &mut scratch);
-        dedup_record(&mut seen, &mut instances, &mut counts, &current, 1);
-    }
-    (instances, counts)
 }
 
 #[cfg(test)]
@@ -1106,14 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_are_cached_and_uniform() {
-        let net = fig1_network();
-        let store = SampleStore::new(&net, &Feedback::new(5), small_config());
-        assert_eq!(store.weights().len(), store.len());
-        assert!(store.weights().iter().all(|&w| w == 1.0));
-    }
-
-    #[test]
     fn maintain_approval_keeps_only_containing() {
         let net = fig1_network();
         let mut fb = Feedback::new(5);
@@ -1163,51 +1034,6 @@ mod tests {
         let a = SampleStore::new(&net, &fb, small_config());
         let b = SampleStore::new(&net, &fb, small_config());
         assert_eq!(a.samples(), b.samples());
-    }
-
-    #[test]
-    fn multi_chain_is_deterministic_and_complete() {
-        let net = fig1_network();
-        let fb = Feedback::new(5);
-        let config = SamplerConfig { chains: 4, ..small_config() };
-        let a = SampleStore::new(&net, &fb, config);
-        let b = SampleStore::new(&net, &fb, config);
-        assert_eq!(a.samples(), b.samples(), "chain-order merge must be deterministic");
-        assert_eq!(a.visit_counts(), b.visit_counts());
-        assert!(a.is_exhausted());
-        assert_eq!(a.len(), 4, "all four maximal instances found across chains");
-        for s in a.samples() {
-            assert!(net.index().is_consistent(s));
-            assert!(net.index().is_maximal(s, fb.disapproved()));
-        }
-    }
-
-    #[test]
-    fn multi_chain_respects_feedback() {
-        let net = fig1_network();
-        let mut fb = Feedback::new(5);
-        fb.approve(CandidateId(0));
-        fb.disapprove(CandidateId(3));
-        let store = SampleStore::new(&net, &fb, SamplerConfig { chains: 3, ..small_config() });
-        assert!(!store.is_empty());
-        for s in store.samples() {
-            assert!(s.contains(CandidateId(0)));
-            assert!(!s.contains(CandidateId(3)));
-        }
-    }
-
-    #[test]
-    fn multi_chain_matches_single_chain_distinct_set_when_exhaustive() {
-        // on the tiny fig1 space both settings must discover all of Ω
-        let net = fig1_network();
-        let fb = Feedback::new(5);
-        let single = SampleStore::new(&net, &fb, small_config());
-        let multi = SampleStore::new(&net, &fb, SamplerConfig { chains: 2, ..small_config() });
-        let mut a: Vec<_> = single.samples().to_vec();
-        let mut b: Vec<_> = multi.samples().to_vec();
-        a.sort_by_key(|s| s.to_vec());
-        b.sort_by_key(|s| s.to_vec());
-        assert_eq!(a, b);
     }
 
     #[test]

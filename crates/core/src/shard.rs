@@ -217,9 +217,9 @@ impl ShardHost {
         Self::build(network, components, sampler, sharding, &all)
     }
 
-    /// Builds the `owned` shards of `components` (valid ids) — across the
-    /// worker pool when at least one shard is sampled; the pool returns
-    /// results in item order, so the shards do not depend on scheduling.
+    /// Builds the `owned` shards of `components` (valid ids) across the
+    /// worker pool; the pool returns results in item order, so the shards
+    /// do not depend on scheduling.
     pub(crate) fn build(
         network: MatchingNetwork,
         components: Components,
@@ -235,23 +235,11 @@ impl ShardHost {
             sampler,
             sharding,
         };
-        if owned.is_empty() {
-            return host;
-        }
-        // dispatching to the pool only pays when at least one shard must
-        // be *sampled*; all-exact builds are microseconds of enumeration
-        // and run faster sequentially than any cross-thread handoff
-        let any_sampled = owned.iter().any(|&k| sharding.samples(host.components.members(k).len()));
-        let build = |k: usize| {
+        let built = pool::global().map(owned.iter().copied(), |k| {
             let sub = host.sub_index(k);
             let feedback = Feedback::new(sub.candidate_count());
             Arc::new(build_shard(k, sub, feedback, Vec::new(), sampler, &sharding))
-        };
-        let built: Vec<Arc<ShardSnapshot>> = if any_sampled {
-            pool::global().map(owned.iter().copied(), build)
-        } else {
-            owned.iter().map(|&k| build(k)).collect()
-        };
+        });
         for (&k, shard) in owned.iter().zip(built) {
             host.shards[k] = Some(shard);
         }

@@ -223,7 +223,7 @@ mod tests {
     fn times_are_nondecreasing_and_sessions_alternate() {
         let events: Vec<ArrivalEvent> = open_loop(spec()).collect();
         let mut last = 0u64;
-        let mut outstanding = vec![false; 8];
+        let mut outstanding = [false; 8];
         for e in &events {
             assert!(e.at >= last, "time went backwards");
             last = e.at;

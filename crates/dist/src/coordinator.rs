@@ -43,8 +43,8 @@
 
 use crate::error::DistError;
 use crate::proto::{
-    encode_evolve, encode_shipments, encode_what_if, read_shard_probs, REQ_ASSERT, REQ_BOOTSTRAP,
-    REQ_EVOLVE, REQ_EXPORT, REQ_GAINS, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
+    decode_exports, encode_evolve, encode_shipments, encode_what_if, read_shard_probs, REQ_ASSERT,
+    REQ_BOOTSTRAP, REQ_EVOLVE, REQ_EXPORT, REQ_GAINS, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use crate::transport::Transport;
 use smn_constraints::components::ComponentEvolution;
@@ -57,7 +57,7 @@ use smn_core::{
 };
 use smn_schema::{AttributeId, CandidateId};
 use smn_service::ServeModel;
-use smn_storage::format::{encode_snapshot, put_ids, put_u32, Dec};
+use smn_storage::format::{encode_snapshot, put_ids, Dec};
 use smn_storage::wal::encode_record;
 use smn_storage::Frame;
 use std::collections::BTreeMap;
@@ -271,6 +271,17 @@ impl DistNetwork {
         self.fan_out(pool, |&c| c, REQ_GAINS, encode, "gain scan")
     }
 
+    /// Groups positions by the server owning the component at each
+    /// position, ascending by server — the one-request-per-server order
+    /// [`exchange`](Self::exchange) takes.
+    fn by_owner(&self, components: impl Iterator<Item = usize>) -> BTreeMap<usize, Vec<usize>> {
+        let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (pos, k) in components.enumerate() {
+            by_server.entry(self.owner[k]).or_default().push(pos);
+        }
+        by_server
+    }
+
     /// Sends every server the items whose candidates its components own
     /// as one `kind` request, and returns the one-`f64`-per-item replies
     /// aligned with `items`. Panics only on link failure.
@@ -282,13 +293,8 @@ impl DistNetwork {
         encode: impl Fn(&[T]) -> Vec<u8>,
         what: &'static str,
     ) -> Vec<f64> {
-        let mut by_server: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, item) in items.iter().enumerate() {
-            by_server
-                .entry(self.owner[self.mirror.component_of(candidate(item))])
-                .or_default()
-                .push(pos);
-        }
+        let by_server =
+            self.by_owner(items.iter().map(|item| self.mirror.component_of(candidate(item))));
         let requests = by_server
             .iter()
             .map(|(&server, positions)| {
@@ -323,23 +329,52 @@ impl DistNetwork {
         }
     }
 
-    /// The distributed epoch of an evolution `event` the mirror has just
-    /// applied: exports the dissolved shards from their owners, re-places
-    /// ownership, and sends every server one [`REQ_EVOLVE`] in one
-    /// exchange — the event, the rebuilt components the server now owns
-    /// and, only if it owns any, every dissolved shard once — so the
-    /// servers apply the event and rebuild concurrently. Their replies
-    /// carry the rebuilt shards' probabilities.
-    fn evolve(&mut self, event: &NetworkEvent, evo: &ComponentEvolution) -> Result<(), DistError> {
-        let mut exports = Vec::with_capacity(evo.dissolved.len());
-        for (old_k, members) in &evo.dissolved {
-            // old numbering: no server has seen the event yet
-            let mut request = Vec::with_capacity(4);
-            put_u32(&mut request, *old_k as u32);
-            let state = self.request(self.owner[*old_k], REQ_EXPORT, &request)?.payload;
-            exports.push((members.as_slice(), state));
+    /// Exports the `dissolved` shards from their owners — one
+    /// [`REQ_EXPORT`] per owning server, all in one exchange — and
+    /// encodes them as the shipment section, in dissolution order.
+    fn export(&self, dissolved: &[(usize, Vec<CandidateId>)]) -> Result<Vec<u8>, DistError> {
+        // old numbering: no server has seen the event yet
+        let by_server = self.by_owner(dissolved.iter().map(|(k, _)| *k));
+        let requests = by_server
+            .iter()
+            .map(|(&server, positions)| {
+                let mut request = Vec::new();
+                let ks: Vec<u32> = positions.iter().map(|&p| dissolved[p].0 as u32).collect();
+                put_ids(&mut request, &ks);
+                (server, request)
+            })
+            .collect();
+        let mut states = vec![Vec::new(); dissolved.len()];
+        for (positions, reply) in by_server.values().zip(self.exchange(REQ_EXPORT, requests)) {
+            let exported = decode_exports(&reply?.payload)?;
+            if exported.len() != positions.len() {
+                return Err(DistError::Protocol("export reply miscounted".into()));
+            }
+            for (&pos, state) in positions.iter().zip(exported) {
+                states[pos] = state;
+            }
         }
-        let shipments = encode_shipments(&exports);
+        let shipments: Vec<_> = dissolved
+            .iter()
+            .zip(states)
+            .map(|((_, members), state)| (members.as_slice(), state))
+            .collect();
+        Ok(encode_shipments(&shipments))
+    }
+
+    /// The distributed epoch of an evolution `event` the mirror has just
+    /// applied: exports the dissolved shards from their owners (nothing
+    /// when no component is rebuilt, as for a retiree alone in its
+    /// component), re-places ownership, and sends every server one
+    /// [`REQ_EVOLVE`] in one exchange — the event, the rebuilt components
+    /// the server now owns and, only if it owns any, every dissolved
+    /// shard once — so the servers apply the event and rebuild
+    /// concurrently. Their replies carry the rebuilt shards'
+    /// probabilities.
+    fn evolve(&mut self, event: &NetworkEvent, evo: &ComponentEvolution) -> Result<(), DistError> {
+        // with nothing rebuilt, no server reads a shipment
+        let shipments =
+            if evo.rebuilt.is_empty() { Vec::new() } else { self.export(&evo.dissolved)? };
         self.rekey_owners(&evo.remap, &evo.rebuilt);
         self.seq += 1;
         let requests = (0..self.links.len())

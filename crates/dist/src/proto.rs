@@ -37,7 +37,8 @@ pub const REQ_WHAT_IF: u32 = 3;
 /// One flat pool of candidates (global ids, all owned) to price by
 /// information gain.
 pub const REQ_GAINS: u32 = 4;
-/// Export one owned shard's sample state for shipment.
+/// Export owned shards' sample states for shipment: an `ids` list of
+/// component ids, answered by [`encode_exports`].
 pub const REQ_EXPORT: u32 = 5;
 /// An evolution event every server applies to its structure, rebuilding
 /// the post-event components it owns (see [`encode_evolve`]).
@@ -87,6 +88,34 @@ pub fn decode_what_if(payload: &[u8]) -> Result<Vec<(CandidateId, bool)>, DistEr
         .collect::<Result<_, StorageError>>()?;
     d.finish("what-if batch")?;
     Ok(queries)
+}
+
+/// Encodes a [`REQ_EXPORT`] reply: a `u64` count, then each
+/// [`encode_shard_state`](smn_storage::format::encode_shard_state)
+/// payload as a `u32` length and its bytes, in request order.
+pub fn encode_exports(states: &[Vec<u8>]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u64(&mut buf, states.len() as u64);
+    for state in states {
+        put_u32(&mut buf, state.len() as u32);
+        buf.extend_from_slice(state);
+    }
+    buf
+}
+
+/// Decodes a [`REQ_EXPORT`] reply into the encoded shard states, which
+/// the coordinator forwards in the shipment section undecoded.
+pub fn decode_exports(payload: &[u8]) -> Result<Vec<Vec<u8>>, DistError> {
+    let mut d = Dec::new(payload);
+    let n = d.len(4, "export count")?;
+    let states = (0..n)
+        .map(|_| {
+            let len = d.u32("exported state length")? as usize;
+            Ok(d.take(len, "exported state")?.to_vec())
+        })
+        .collect::<Result<_, StorageError>>()?;
+    d.finish("export reply")?;
+    Ok(states)
 }
 
 /// Encodes the shipment section of a [`REQ_EVOLVE`] payload: a `u64`

@@ -95,10 +95,14 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
         }
         REQ_EXPORT => {
             let mut d = Dec::new(&frame.payload);
-            let k = d.u32("export component").map_err(|e| e.to_string())? as usize;
+            let ks = d.ids("export components").map_err(|e| e.to_string())?;
             d.finish("export request").map_err(|e| e.to_string())?;
-            let state = host.export_shard(k).ok_or("export routed to a non-owner")?;
-            Ok(encode_shard_state(&state))
+            let states = ks
+                .into_iter()
+                .map(|k| Some(encode_shard_state(&host.export_shard(k as usize)?)))
+                .collect::<Option<Vec<_>>>()
+                .ok_or("export routed to a non-owner")?;
+            Ok(proto::encode_exports(&states))
         }
         REQ_EVOLVE => {
             // decode and restore the whole payload before the event

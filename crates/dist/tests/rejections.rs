@@ -7,15 +7,15 @@ use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
 use smn_core::{AssertError, ProbabilisticNetwork, ShardHost, ShardingConfig};
 use smn_dist::proto::{
-    encode_evolve, encode_shipments, read_shard_probs, REQ_BOOTSTRAP, REQ_EVOLVE, REQ_EXPORT,
-    REQ_GAINS, REQ_SHUTDOWN, RESP_ERR, RESP_OK,
+    decode_exports, encode_evolve, encode_shipments, read_shard_probs, REQ_BOOTSTRAP, REQ_EVOLVE,
+    REQ_EXPORT, REQ_GAINS, REQ_SHUTDOWN, RESP_ERR, RESP_OK,
 };
 use smn_dist::{spawn_local_cluster, DistNetwork, Transport};
 use smn_schema::{AttributeId, CandidateId};
 use smn_service::ServeModel;
-use smn_storage::format::{encode_snapshot, put_ids, put_u32, put_u64, Dec};
+use smn_storage::format::{decode_shard_state, encode_snapshot, put_ids, put_u64, Dec};
 use smn_storage::wal::encode_record;
-use smn_testkit::{perturbed_network, tiny_sampler};
+use smn_testkit::{perturbed_network, tiny_sampler, webform_federation};
 
 #[test]
 fn unknown_candidates_are_typed_errors_not_panics() {
@@ -88,15 +88,11 @@ fn hostile_evolve_requests_are_refused_and_leave_the_server_unchanged() {
     let event = NetworkEvent::Extend { a: x, b: y, confidence: 0.6 };
     let (_, evo, _) = mirror.apply_extend(x, y, 0.6).unwrap();
     assert!(!evo.dissolved.is_empty(), "the arrival absorbs a component");
-    let exports: Vec<(Vec<CandidateId>, Vec<u8>)> = evo
-        .dissolved
-        .iter()
-        .map(|(k, members)| {
-            let mut request = Vec::new();
-            put_u32(&mut request, *k as u32);
-            (members.clone(), ok(link, REQ_EXPORT, &request))
-        })
-        .collect();
+    let mut request = Vec::new();
+    put_ids(&mut request, &evo.dissolved.iter().map(|(k, _)| *k as u32).collect::<Vec<_>>());
+    let states = decode_exports(&ok(link, REQ_EXPORT, &request)).unwrap();
+    let exports: Vec<(Vec<CandidateId>, Vec<u8>)> =
+        evo.dissolved.iter().map(|(_, members)| members.clone()).zip(states).collect();
     let ship = |exports: &[(Vec<CandidateId>, Vec<u8>)]| {
         encode_shipments(
             &exports.iter().map(|(m, s)| (m.as_slice(), s.clone())).collect::<Vec<_>>(),
@@ -139,6 +135,57 @@ fn hostile_evolve_requests_are_refused_and_leave_the_server_unchanged() {
         for (&g, p) in mirror.components().members(k).iter().zip(local) {
             assert_eq!(p.to_bits(), pn.probability(g).to_bits(), "rebuilt {g:?}");
         }
+    }
+
+    ok(link, REQ_SHUTDOWN, &[]);
+    for h in handles {
+        h.join().expect("no server panic").expect("clean server exit");
+    }
+}
+
+#[test]
+fn hostile_export_requests_are_refused_and_the_server_keeps_answering() {
+    let net = webform_federation(3, 42).0;
+    let (sampler, sharding) = (tiny_sampler(3), ShardingConfig::default());
+    let mirror = ShardHost::new(net, sampler, sharding, &[]);
+    let count = mirror.component_count() as u32;
+    assert!(count >= 2, "a component to leave unowned");
+    let (mut links, handles) = spawn_local_cluster(1);
+    let link = &mut links[0];
+    // the server owns every component but 0
+    let mut bootstrap = Vec::new();
+    put_ids(&mut bootstrap, &(1..count).collect::<Vec<_>>());
+    bootstrap.extend_from_slice(&encode_snapshot(&mirror.structure(), &[], 0));
+    ok(link, REQ_BOOTSTRAP, &bootstrap);
+
+    let request = |ks: &[u32]| {
+        let mut b = Vec::new();
+        put_ids(&mut b, ks);
+        b
+    };
+    let valid = request(&[count - 1, 1]);
+    let before = ok(link, REQ_EXPORT, &valid);
+    let states = decode_exports(&before).unwrap();
+    assert_eq!(states.len(), 2, "one state per requested id");
+    for state in &states {
+        decode_shard_state(state).expect("each state decodes");
+    }
+
+    let mut huge_count = Vec::new();
+    put_u64(&mut huge_count, 1 << 40);
+    let mut trailing = valid.clone();
+    trailing.push(0);
+    let hostile = [
+        ("non-owned id", request(&[0])),
+        ("a non-owned id among owned ones", request(&[1, 0])),
+        ("id past the component count", request(&[count])),
+        ("count of 2^40", huge_count),
+        ("trailing bytes", trailing),
+    ];
+    for (what, payload) in hostile {
+        link.send(REQ_EXPORT, &payload).unwrap();
+        assert_eq!(link.recv().unwrap().kind, RESP_ERR, "{what}: accepted");
+        assert_eq!(ok(link, REQ_EXPORT, &valid), before, "{what}: the server changed");
     }
 
     ok(link, REQ_SHUTDOWN, &[]);

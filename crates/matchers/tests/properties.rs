@@ -8,11 +8,14 @@ fn name_strategy() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[A-Za-z0-9_ -]{0,24}").expect("valid regex")
 }
 
+/// A character-level similarity measure with its name.
+type Measure = (&'static str, fn(&str, &str) -> f64);
+
 proptest! {
     /// Every character-level measure is bounded, symmetric and reflexive.
     #[test]
     fn measures_are_bounded_symmetric_reflexive(a in name_strategy(), b in name_strategy()) {
-        let measures: [(&str, fn(&str, &str) -> f64); 4] = [
+        let measures: [Measure; 4] = [
             ("levenshtein", text::levenshtein_similarity),
             ("jaro-winkler", text::jaro_winkler),
             ("token-jaccard", text::token_jaccard),

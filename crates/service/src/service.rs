@@ -559,7 +559,7 @@ fn collect_votes<M: ServeModel>(base: &M, pool: &WorkerPool, leases: &[Lease]) -
             let answers = &answers;
             [true, false]
                 .into_iter()
-                .filter(move |&v| answers[li].iter().any(|&a| a == v))
+                .filter(move |&v| answers[li].contains(&v))
                 .map(move |v| (li, v))
         })
         .collect();

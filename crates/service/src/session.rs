@@ -264,7 +264,7 @@ pub fn select_on(
         }
         let d = (p - 0.5).abs();
         // strict < keeps the lowest id on ties
-        if best.map_or(true, |(bd, _)| d < bd) {
+        if best.is_none_or(|(bd, _)| d < bd) {
             best = Some((d, c));
         }
     }

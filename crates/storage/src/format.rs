@@ -34,9 +34,9 @@
 //! | 3  | candidates | `u64 count`, per candidate `u32 a, u32 b, f64 confidence` in id order |
 //! | 4  | index      | `u8 one_to_one, u8 cycle`, `u64 candidate_count`, per candidate `ids pair_conflicts`, `u64 triple_count`, per triple `3 × u32` — the conflict index's *primary* data only; every dense query structure (bit masks, flattened triple tables) is re-derived on load by `ConflictIndex::from_parts` |
 //! | 5  | feedback   | `u64 len`, `ids approved`, `ids disapproved` (global feedback) |
-//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains`; `u8 has_sharding` (0 = `ShardingConfig::disabled()`), if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 reserved` (written `1`, ignored on read); `f64 initial_entropy` |
+//! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains` (`chains` round-trips but the sampler ignores it); `u8 has_sharding` (0 = `ShardingConfig::disabled()`), if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 reserved` (written `1`, ignored on read); `f64 initial_entropy` |
 //! | 7  | partition  | `u8 repr_tag` (0 = the whole partition, iff `enabled` is false; 1 = conflict components); if 1 `u64 component_count`, per component `ids members` (global ids, canonical order) — the whole partition's single list `0..n` is implied |
-//! | 8  | stores     | `u64 store_count` (one per component; a structure-only image carries none), per store: *(tag 1 only)* shard feedback `u64 len, ids approved, ids disapproved` — the whole partition's shard feedback is the global feedback of section 5 — then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 pass_epoch`, `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix, dedup map and weights are re-derived on load by re-recording in order, bit-identically |
+//! | 8  | stores     | `u64 store_count` (one per component; a structure-only image carries none), per store: *(tag 1 only)* shard feedback `u64 len, ids approved, ids disapproved` — the whole partition's shard feedback is the global feedback of section 5 — then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 reserved` (written `0`, any other value refused), `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix and dedup map are re-derived on load by re-recording in order, bit-identically |
 //! | 9  | history    | `u64 count`, per assertion `u32 candidate, u8 approved` in integration order |
 //!
 //! `str` = `u64 byte_len` + UTF-8 bytes; `ids` = `u64 count` + `count ×
@@ -192,7 +192,7 @@ fn put_store(buf: &mut Vec<u8>, s: &StoreState) {
     put_sampler(buf, &s.config);
     put_u64(buf, s.candidate_count as u64);
     put_bool(buf, s.exhausted);
-    put_u64(buf, s.pass_epoch);
+    put_u64(buf, 0); // reserved slot, refused unless 0 on read
     put_u64(buf, s.samples.len() as u64);
     for instance in &s.samples {
         put_ids(buf, instance);
@@ -334,12 +334,15 @@ impl<'a> Dec<'a> {
         let config = self.sampler()?;
         let candidate_count = self.u64("store candidate_count")? as usize;
         let exhausted = self.bool("store exhausted")?;
-        let pass_epoch = self.u64("store pass_epoch")?;
+        let reserved = self.u64("store reserved")?;
+        if reserved != 0 {
+            return Err(StorageError::Invalid(format!("store reserved slot {reserved}, not 0")));
+        }
         let n = self.len(8, "store instances")?;
         let samples = (0..n).map(|_| self.ids("store instance")).collect::<Result<Vec<_>, _>>()?;
         let m = self.len(8, "store counts")?;
         let counts = (0..m).map(|_| self.u64("store count")).collect::<Result<Vec<_>, _>>()?;
-        Ok(StoreState { config, candidate_count, exhausted, pass_epoch, samples, counts })
+        Ok(StoreState { config, candidate_count, exhausted, samples, counts })
     }
 
     /// Fails unless every byte was read.
@@ -814,7 +817,6 @@ mod tests {
                     config: SamplerConfig::default(),
                     candidate_count: 0,
                     exhausted: true,
-                    pass_epoch: 0,
                     samples: vec![],
                     counts: vec![],
                 },

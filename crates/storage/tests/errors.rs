@@ -4,10 +4,12 @@
 //! whatsoever can panic any decoder.
 
 use proptest::prelude::*;
-use smn_core::persist::NetworkEvent;
+use smn_core::persist::{NetworkEvent, StoreState};
 use smn_core::{ProbabilisticNetwork, ShardingConfig};
 use smn_schema::CandidateId;
-use smn_storage::format::{decode_snapshot, SNAP_VERSION};
+use smn_storage::format::{
+    crc64, decode_shard_state, decode_snapshot, encode_shard_state, SNAP_VERSION,
+};
 use smn_storage::wal::{decode_prefix, decode_records, WalBuffer};
 use smn_storage::{load_with_history, save_with_history, StorageError};
 use smn_testkit::faults::{corrupt_range, flip_bit, truncate_at, FaultRng};
@@ -134,6 +136,58 @@ fn semantically_impossible_content_is_invalid_not_a_panic() {
     state.feedback.len = 3;
     let bytes = smn_storage::format::encode_snapshot(&state, &[], 0);
     assert!(matches!(load_with_history(&bytes), Err(StorageError::Invalid(_))));
+}
+
+/// Offset of the store's reserved `u64` slot (written 0) inside one
+/// encoded shard state: it sits right before the instance list, whose
+/// length follows from the state.
+fn reserved_slot(store: &StoreState, encoded_len: usize) -> usize {
+    let instances: usize = store.samples.iter().map(|s| 8 + 4 * s.len()).sum();
+    let tail = 8 + instances + 8 + 8 * store.counts.len();
+    encoded_len - tail - 8
+}
+
+#[test]
+fn nonzero_reserved_store_slot_is_invalid() {
+    let pn = ProbabilisticNetwork::new_sharded(
+        fig1_network(),
+        tiny_sampler(5),
+        ShardingConfig::default(),
+    );
+    let state = pn.to_state();
+    assert!(state.sharding.enabled, "section 8 then carries shard feedback per store");
+    let shard = encode_shard_state(&state.shards[0]);
+    let slot = reserved_slot(&state.shards[0].store, shard.len());
+    assert_eq!(shard[slot..slot + 8], [0; 8], "the encoder writes 0");
+    for value in [1u64, u64::MAX] {
+        let mut bad = shard.clone();
+        bad[slot..slot + 8].copy_from_slice(&value.to_le_bytes());
+        assert!(matches!(decode_shard_state(&bad), Err(StorageError::Invalid(_))));
+    }
+
+    // the same slot of the first store inside a snapshot, with the
+    // section and header checksums recomputed so only the slot is wrong
+    let snap = save_with_history(&pn, &[], 0);
+    let sections = u32::from_le_bytes(snap[20..24].try_into().unwrap()) as usize;
+    let entry = (0..sections)
+        .map(|i| 24 + 28 * i)
+        .find(|&e| u32::from_le_bytes(snap[e..e + 4].try_into().unwrap()) == 8)
+        .expect("stores section in the table");
+    let offset = u64::from_le_bytes(snap[entry + 4..entry + 12].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(snap[entry + 12..entry + 20].try_into().unwrap()) as usize;
+    // the stores section opens with `u64 store_count`, then the first
+    // store's bytes are exactly its shard-state encoding
+    let first = offset + 8;
+    assert_eq!(snap[first..first + shard.len()], shard[..]);
+    let mut bad = snap.clone();
+    bad[first + slot..first + slot + 8].copy_from_slice(&1u64.to_le_bytes());
+    let section_crc = crc64(&bad[offset..offset + len]);
+    bad[entry + 20..entry + 28].copy_from_slice(&section_crc.to_le_bytes());
+    let header_end = 24 + 28 * sections;
+    let header_crc = crc64(&bad[..header_end]);
+    bad[header_end..header_end + 8].copy_from_slice(&header_crc.to_le_bytes());
+    assert!(matches!(decode_snapshot(&bad), Err(StorageError::Invalid(_))));
+    assert!(decode_snapshot(&snap).is_ok(), "the untouched snapshot still decodes");
 }
 
 #[test]

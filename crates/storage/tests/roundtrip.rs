@@ -171,9 +171,9 @@ proptest! {
     }
 }
 
-/// The sampler configuration is preserved exactly — including a
-/// multi-chain config, whose restored store must keep reporting the same
-/// content it was saved with.
+/// The sampler configuration is preserved exactly — including the
+/// ignored `chains` field, which still round-trips — and the restored
+/// store keeps reporting the same content it was saved with.
 #[test]
 fn config_fidelity_across_the_round_trip() {
     let config = SamplerConfig {

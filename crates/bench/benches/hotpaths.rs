@@ -1,7 +1,8 @@
 //! Criterion wrappers for the Algorithm 1 hot paths: batch
 //! `information_gains` and the per-assertion `assert_candidate`
-//! (view maintenance + probability recomputation), at the three standard
-//! bench sizes.
+//! (view maintenance + probability recomputation), approving and
+//! disapproving, at the three standard bench sizes. A disapproval is the
+//! path that re-inserts shrunken dying instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::hotpaths::{bench_network, store_config, SIZES};
@@ -43,13 +44,16 @@ fn bench_assert_candidate(c: &mut Criterion) {
                 p > 0.0 && p < 1.0
             })
             .expect("uncertain candidate");
-        group.bench_with_input(BenchmarkId::from_parameter(format!("C{n}")), &pn, |b, pn| {
-            b.iter(|| {
-                let mut fresh = pn.clone();
-                fresh.assert_candidate(Assertion { candidate: probe, approved: true }).unwrap();
-                fresh.entropy()
+        for (verdict, approved) in [("approve", true), ("disapprove", false)] {
+            let id = BenchmarkId::from_parameter(format!("{verdict}/C{n}"));
+            group.bench_with_input(id, &pn, |b, pn| {
+                b.iter(|| {
+                    let mut fresh = pn.clone();
+                    fresh.assert_candidate(Assertion { candidate: probe, approved }).unwrap();
+                    fresh.entropy()
+                });
             });
-        });
+        }
     }
     group.finish();
     let mut group = c.benchmark_group("hotpaths/clone-baseline");

@@ -577,6 +577,32 @@ impl ConflictIndex {
         blocked.iter_unset().next().is_none()
     }
 
+    /// Whether `set` is maximal under `forbidden`, given that `c ∈
+    /// forbidden`, `c ∉ set` and `set ∪ {c}` was maximal under
+    /// `forbidden \ {c}` — the re-insertion test of disapproval view
+    /// maintenance, where `set ∪ {c}` is a dying stored instance.
+    ///
+    /// Under that precondition the result equals
+    /// [`is_maximal`](Self::is_maximal)`(set, forbidden)` at
+    /// O(conflict degree of `c`) cost instead of a blocked-set rebuild
+    /// over all of `set`. Every candidate outside `set ∪ forbidden` was
+    /// blocked by `set ∪ {c}`; a block not involving `c` still holds, so
+    /// only `c`'s pair partners and the third members of triples
+    /// `(c, a, b)` with the other member in `set` can have become
+    /// addable. `can_add` is probed on exactly those.
+    pub fn stays_maximal_without(&self, set: &BitSet, c: CandidateId, forbidden: &BitSet) -> bool {
+        debug_assert!(forbidden.contains(c) && !set.contains(c));
+        let addable =
+            |x: CandidateId| !set.contains(x) && !forbidden.contains(x) && self.can_add(set, x);
+        if self.pair_conflicts(c).iter().any(|&x| addable(x)) {
+            return false;
+        }
+        !self
+            .other_pairs(c)
+            .iter()
+            .any(|&[a, b]| (set.contains(a) && addable(b)) || (set.contains(b) && addable(a)))
+    }
+
     /// Extracts the sub-index of component `k` of a conflict-component
     /// partition, candidates renumbered to shard-local ids
     /// (`components.local_index`), in one pass over that component's
@@ -1110,6 +1136,145 @@ mod tests {
                     prop_assert_eq!(blocked.contains(c), !idx.can_add(&inst, c));
                 }
             }
+        }
+    }
+
+    /// The local re-insertion check of disapproval view maintenance
+    /// against the scalar all-candidates maximality oracle.
+    mod local_maximality {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        use smn_datasets::{FederationSpec, SharingModel, Vocabulary};
+        use smn_matchers::matcher::match_network;
+        use smn_matchers::PerturbationMatcher;
+        use std::sync::OnceLock;
+
+        /// `k` schemas of `m` attributes in a complete graph, candidates
+        /// from a perturbed identity ground truth.
+        fn perturbed(k: usize, m: usize, seed: u64) -> ConflictIndex {
+            let mut b = CatalogBuilder::new();
+            for s in 0..k {
+                b.add_schema_with_attributes(format!("s{s}"), (0..m).map(|i| format!("a{s}_{i}")))
+                    .unwrap();
+            }
+            let cat = b.build();
+            let g = InteractionGraph::complete(k);
+            let truth = (0..k).flat_map(|s1| {
+                ((s1 + 1)..k).flat_map(move |s2| {
+                    (0..m).map(move |i| {
+                        smn_schema::Correspondence::new(
+                            AttributeId::from_index(s1 * m + i),
+                            AttributeId::from_index(s2 * m + i),
+                        )
+                    })
+                })
+            });
+            let matcher = PerturbationMatcher::new(truth, 0.6, 0.9, seed);
+            let cs = match_network(&matcher, &cat, &g).unwrap();
+            ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default())
+        }
+
+        /// A federation of small webform clusters: many independent
+        /// conflict components.
+        fn federation(groups: usize, seed: u64) -> ConflictIndex {
+            let fed = FederationSpec {
+                name: format!("Fed{groups}"),
+                vocabulary: Vocabulary::web_form(),
+                groups,
+                schemas_per_group: 3,
+                attrs_min: 8,
+                attrs_max: 14,
+                sharing: SharingModel::RankBiased { alpha: 1.3 },
+            }
+            .generate(seed);
+            let truth = fed.dataset.selective_matching(&fed.graph);
+            let matcher = PerturbationMatcher::new(truth, 0.65, 0.85, seed);
+            let cs = match_network(&matcher, &fed.dataset.catalog, &fed.graph).unwrap();
+            ConflictIndex::build(&fed.dataset.catalog, &fed.graph, &cs, ConstraintConfig::default())
+        }
+
+        fn indices() -> &'static [ConflictIndex] {
+            static INDICES: OnceLock<Vec<ConflictIndex>> = OnceLock::new();
+            INDICES.get_or_init(|| {
+                vec![fig1().3, perturbed(4, 8, 1), perturbed(5, 12, 2), federation(4, 3)]
+            })
+        }
+
+        /// A random forbidden set `F` (each candidate with probability
+        /// `1 / forbid_one_in`) and a random instance `J` maximal under it.
+        fn maximal_under(idx: &ConflictIndex, seed: u64, forbid_one_in: usize) -> (BitSet, BitSet) {
+            use rand::Rng;
+            let n = idx.candidate_count();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let forbidden = BitSet::from_ids(
+                n,
+                (0..n)
+                    .map(CandidateId::from_index)
+                    .filter(|_| rng.random_range(0..forbid_one_in) == 0),
+            );
+            let mut order: Vec<CandidateId> = (0..n).map(CandidateId::from_index).collect();
+            order.shuffle(&mut rng);
+            let mut inst = BitSet::new(n);
+            for c in order {
+                if !forbidden.contains(c) && idx.can_add(&inst, c) {
+                    inst.insert(c);
+                }
+            }
+            assert!(idx.scalar_is_maximal(&inst, &forbidden));
+            (inst, forbidden)
+        }
+
+        /// `(stays maximal, does not)` counts of the local check over every
+        /// member `c` of `J`, asserting each against the oracle
+        /// `scalar_is_maximal(J \ {c}, F ∪ {c})`.
+        fn check_every_member(
+            idx: &ConflictIndex,
+            inst: &BitSet,
+            forbidden: &BitSet,
+        ) -> [usize; 2] {
+            let mut outcomes = [0, 0];
+            for c in inst.iter() {
+                let mut set = inst.clone();
+                set.remove(c);
+                let mut forb = forbidden.clone();
+                forb.insert(c);
+                let local = idx.stays_maximal_without(&set, c, &forb);
+                assert_eq!(local, idx.scalar_is_maximal(&set, &forb), "member {c:?}");
+                outcomes[usize::from(!local)] += 1;
+            }
+            outcomes
+        }
+
+        proptest! {
+            #[test]
+            fn local_check_matches_the_scalar_oracle(
+                which in 0usize..4,
+                seed in any::<u64>(),
+                forbid_one_in in 2usize..12,
+            ) {
+                let idx = &indices()[which];
+                let (inst, forbidden) = maximal_under(idx, seed, forbid_one_in);
+                check_every_member(idx, &inst, &forbidden);
+            }
+        }
+
+        /// Both answers occur on the fixtures, so the property above is not
+        /// satisfied by a constant.
+        #[test]
+        fn both_outcomes_occur() {
+            let mut outcomes = [0, 0];
+            for (i, idx) in indices().iter().enumerate() {
+                for seed in 0..8 {
+                    let (inst, forbidden) = maximal_under(idx, seed * 31 + i as u64, 4);
+                    let [stays, not] = check_every_member(idx, &inst, &forbidden);
+                    outcomes[0] += stays;
+                    outcomes[1] += not;
+                }
+            }
+            assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
         }
     }
 

@@ -2,15 +2,21 @@
 //!
 //! The Eq. 4/5 machinery spends its time in a handful of primitive loops
 //! over `&[u64]` slices: AND/AND-NOT/XOR + popcount, intersection tests,
-//! subset tests and bulk copies. On stable Rust (no `std::simd`, no
-//! target-feature dispatch) the way to reach the hardware ceiling is
-//! manual unrolling: each kernel walks the slices in blocks of
-//! [`LANES`] = 4 words (256 bits) with four independent accumulators, so
-//! the four popcounts per block form separate dependency chains the CPU
-//! can retire in parallel — and the shape is exactly what LLVM's
-//! auto-vectorizer turns into AVX2 `vpand`/`vpshufb`-popcount sequences
-//! when they are profitable. The tail (`len % LANES` words) is handled by
-//! an explicit scalar epilogue; no kernel ever reads past the slices.
+//! subset tests and bulk copies. On stable Rust (no `std::simd`) the way
+//! to reach the hardware ceiling is manual unrolling: each kernel walks
+//! the slices in blocks of [`LANES`] = 4 words (256 bits) with four
+//! independent accumulators, so the four popcounts per block form
+//! separate dependency chains the CPU can retire in parallel. The tail
+//! (`len % LANES` words) is handled by an explicit scalar epilogue; no
+//! kernel ever reads past the slices.
+//!
+//! The kernels are compiled for the baseline target, where `count_ones`
+//! is a software bit-count. CPU features are dispatched at runtime by
+//! the callers whose loops dominate: the Eq. 5 gain kernel of `smn-core`
+//! runs its body in a `popcnt`-enabled instantiation (into which
+//! [`and_count`] is always inlined), and the sample-matrix column filter
+//! in a BMI2 one (`PEXT`). Both instantiations compute the same integers
+//! as the portable code.
 //!
 //! Callers guarantee the usual [`BitSet`](crate::BitSet) invariant: bits
 //! beyond the logical length are zero in every word, so popcounts need no
@@ -21,18 +27,6 @@
 
 /// Words per unrolled block (4 × u64 = 256 bits).
 pub const LANES: usize = 4;
-
-/// Slice length (in words) below which [`and_count`] — the innermost
-/// loop of the Eq. 4/5 gain split, called once per (candidate, row)
-/// pair — takes a fused scalar loop instead of the unrolled block walk.
-/// Under two full blocks the 4-accumulator prologue/epilogue costs more
-/// than it saves (the 400-sample stores of the standard benchmarks have
-/// 7-word rows, which is exactly where the hot-path benchmark showed the
-/// wide path 2–12% *behind* the scalar loop at |C| ≤ 352); at
-/// or above two blocks the independent dependency chains win. Both
-/// paths compute the identical integer, so the cutover can never change
-/// a value.
-pub const AND_COUNT_SCALAR_BELOW: usize = 2 * LANES;
 
 /// Popcount of `a` — `Σ count_ones(a[i])`.
 #[inline]
@@ -49,14 +43,14 @@ pub fn count(a: &[u64]) -> usize {
     c0 + c1 + c2 + c3 + tail
 }
 
-/// Popcount of `a & b`. Short slices (see [`AND_COUNT_SCALAR_BELOW`])
-/// take a fused scalar loop; the result is the same integer either way.
-#[inline]
+/// Popcount of `a & b` — the innermost loop of the Eq. 4/5 gain split
+/// for rows longer than 8 words (shorter rows get fixed-width unrolled
+/// loops there). Always inlined, so a caller compiled with hardware
+/// popcount (the gain kernel's `popcnt` instantiation) gets it in this
+/// loop too.
+#[inline(always)]
 pub fn and_count(a: &[u64], b: &[u64]) -> usize {
     debug_assert_eq!(a.len(), b.len());
-    if a.len() < AND_COUNT_SCALAR_BELOW {
-        return a.iter().zip(b).map(|(x, y)| (x & y).count_ones() as usize).sum();
-    }
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
     let (mut c0, mut c1, mut c2, mut c3) = (0usize, 0usize, 0usize, 0usize);

@@ -341,8 +341,10 @@ fn pext64(x: u64, mask: u64) -> u64 {
     x
 }
 
-/// AND+popcount of two raw matrix rows (wide kernel).
-#[inline]
+/// AND+popcount of two raw matrix rows (wide kernel). Always inlined, so
+/// it picks up the target features of its caller (see the popcnt
+/// instantiation of the gain kernel).
+#[inline(always)]
 pub fn row_and_count(a: &[u64], b: &[u64]) -> usize {
     kernels::and_count(a, b)
 }
@@ -659,6 +661,15 @@ impl SampleStore {
     /// maximality. Re-inserting those keeps disapproval maintenance exact
     /// too (an improvement over the paper's filter; see DESIGN.md), so an
     /// exhausted store stays exhausted.
+    ///
+    /// The maximality of each `J \ {c}` is decided locally, from `c`'s
+    /// conflicts alone ([`ConflictIndex::stays_maximal_without`]). That
+    /// relies on the store invariant that every stored sample is a
+    /// matching instance under the store's feedback before the assertion,
+    /// which fill, the approval filter, re-insertion, evolution carry-over
+    /// and exact enumeration all keep; snapshot restore trusts the
+    /// persisted store to have been written by them. Debug builds
+    /// cross-check every decision against the full blocked-set test.
     pub fn maintain(
         &mut self,
         network: &MatchingNetwork,
@@ -733,9 +744,12 @@ impl SampleStore {
             if !approved {
                 for (mut inst, count) in dying {
                     inst.remove(candidate);
-                    if index.is_maximal_in(&inst, feedback.disapproved(), &mut self.walk_buf)
-                        && !data.seen.contains_key(&inst)
-                    {
+                    // every stored sample is a matching instance under the
+                    // pre-assertion feedback, so the local check applies
+                    let maximal =
+                        index.stays_maximal_without(&inst, candidate, feedback.disapproved());
+                    debug_assert_eq!(maximal, index.is_maximal(&inst, feedback.disapproved()));
+                    if maximal && !data.seen.contains_key(&inst) {
                         // the shrunken instance inherits its ancestor's weight
                         data.seen.insert(inst.clone(), data.samples.len());
                         data.matrix.push_sample(&inst);

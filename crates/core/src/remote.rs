@@ -23,6 +23,8 @@ use crate::persist::{FeedbackState, NetworkState, ShardState};
 use crate::probability::{network_from_state, network_to_structure};
 use crate::sampling::SampleStore;
 use crate::shard::{partition, ShardHost, ShardSnapshot};
+use smn_constraints::{BitSet, ConflictIndex};
+use smn_schema::CandidateId;
 
 impl ShardHost {
     /// Reconstructs a host from a structure-only [`NetworkState`] (the
@@ -59,29 +61,64 @@ impl ShardHost {
     /// Installs a shipped (or snapshot-loaded) shard state as component
     /// `k`, deriving the sub-index locally (sub-indices are canonical:
     /// every derivation path yields the same index, so a migrated shard
-    /// continues exactly as it would have on its old server).
+    /// continues exactly as it would have on its old server). A state
+    /// holding a sample that is not a matching instance of that sub-index
+    /// under the shard feedback is refused.
     pub fn import_shard(&mut self, k: usize, state: &ShardState) -> Result<(), String> {
         if k >= self.components.count() {
             return Err(format!("imported component {k} of {}", self.components.count()));
         }
-        let (feedback, store) = state
-            .restore(self.components.members(k).len())
-            .map_err(|e| format!("shard {k}: {e}"))?;
-        self.install(k, ShardSnapshot { index: self.sub_index(k), feedback, store });
+        let index = self.sub_index(k);
+        let (feedback, store) = state.restore(&index).map_err(|e| format!("shard {k}: {e}"))?;
+        self.install(k, ShardSnapshot { index, feedback, store });
         Ok(())
+    }
+
+    /// Decodes a shipped state of the component whose members are
+    /// `members` (global ids, ascending) into a
+    /// [`rebuild`](ShardHost::rebuild) source, checked like
+    /// [`import_shard`](Self::import_shard). Call it on the host *before*
+    /// it applies the evolution event, while the dissolved component is
+    /// still one of its components; other member lists are refused.
+    pub fn restore_dissolved(
+        &self,
+        members: &[CandidateId],
+        state: &ShardState,
+    ) -> Result<(Feedback, SampleStore), String> {
+        let k = members
+            .first()
+            .and_then(|&c| self.locate(c))
+            .map(|(k, _)| k)
+            .filter(|&k| self.components.members(k) == members)
+            .ok_or("the shipped members are not a component of this host")?;
+        state.restore(&self.sub_index(k)).map_err(|e| format!("dissolved shard {k}: {e}"))
     }
 }
 
 impl ShardState {
-    /// Decodes the state of a shard with `m` members into its live
-    /// feedback and store — how a shipped dissolved shard becomes a
-    /// [`rebuild`](ShardHost::rebuild) source. A state sized for another
-    /// member count is refused.
-    pub fn restore(&self, m: usize) -> Result<(Feedback, SampleStore), String> {
+    /// Decodes the state of the shard whose restricted conflict index is
+    /// `index` into its live feedback and store. A state sized for another
+    /// member count is refused, and so is a store holding a sample that
+    /// is not a matching instance under the shard feedback (inconsistent,
+    /// against the feedback, or not maximal): view maintenance assumes
+    /// every stored sample is one.
+    pub(crate) fn restore(&self, index: &ConflictIndex) -> Result<(Feedback, SampleStore), String> {
+        let m = index.candidate_count();
         if self.store.candidate_count != m {
             return Err(format!("store sized for {} of {m} members", self.store.candidate_count));
         }
-        Ok((self.feedback.build(m)?, SampleStore::from_state(&self.store)?))
+        let feedback = self.feedback.build(m)?;
+        let store = SampleStore::from_state(&self.store)?;
+        let mut blocked = BitSet::new(m);
+        let mut is_instance = |s: &BitSet| {
+            index.is_consistent(s)
+                && feedback.respected_by(s)
+                && index.is_maximal_in(s, feedback.disapproved(), &mut blocked)
+        };
+        if let Some(i) = store.samples().iter().position(|s| !is_instance(s)) {
+            return Err(format!("stored sample {i} is not a matching instance of the shard"));
+        }
+        Ok((feedback, store))
     }
 }
 
@@ -93,9 +130,8 @@ mod tests {
     use crate::probability::ProbabilisticNetwork;
     use crate::sampling::SamplerConfig;
     use crate::shard::ShardingConfig;
-    use crate::testutil::perturbed_network;
+    use crate::testutil::{fig1_network, perturbed_network};
     use smn_constraints::components::ComponentEvolution;
-    use smn_schema::CandidateId;
 
     fn sampler() -> SamplerConfig {
         SamplerConfig { anneal: true, n_samples: 200, walk_steps: 3, n_min: 50, seed: 5, chains: 1 }
@@ -209,6 +245,34 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_sample_that_is_not_a_matching_instance_is_refused() {
+        // fig1 is one exact shard holding its four maximal instances
+        let fig1 = || ShardHost::new(fig1_network(), sampler(), ShardingConfig::default(), &[]);
+        let mut host = ShardHost::owning_all(fig1_network(), sampler(), ShardingConfig::default());
+        host.assert_unchecked(CandidateId(4), false).unwrap();
+        let good = host.export_shard(0).unwrap();
+        fig1().import_shard(0, &good).expect("an exported shard re-imports");
+        // {c0} is consistent and avoids the disapproved c4, but c1 can
+        // still join it; {c0, c1, c3} breaks one-to-one at a1; {c0, c3,
+        // c4} holds the disapproved c4
+        for (sample, what) in
+            [(vec![0], "not maximal"), (vec![0, 1, 3], "inconsistent"), (vec![0, 3, 4], "feedback")]
+        {
+            let mut bad = good.clone();
+            bad.store.samples = vec![sample];
+            bad.store.counts = vec![1];
+            let err = fig1().import_shard(0, &bad).expect_err(what);
+            assert!(err.contains("not a matching instance"), "{what}: {err}");
+            // the same state is refused as a rebuild source
+            let members = host.components().members(0);
+            assert!(host.restore_dissolved(members, &bad).is_err(), "{what} as a source");
+        }
+        // a member list that is not a component is refused, not a panic
+        assert!(host.restore_dissolved(&[], &good).is_err());
+        assert!(host.restore_dissolved(&[CandidateId(0)], &good).is_err());
+    }
+
+    #[test]
     fn per_shard_queries_match_the_probabilistic_network() {
         let (net, _) = perturbed_network(3, 6, 0.6, 0.9, 17);
         let pn =
@@ -263,9 +327,11 @@ mod tests {
     }
 
     /// Rebuilds `ks` the way a shard server does: restores each shipped
-    /// `(members, state)` source, then calls [`ShardHost::rebuild`].
+    /// `(members, state)` source on the pre-event host `before`, then
+    /// calls [`ShardHost::rebuild`].
     fn rebuild_shipped(
         host: &mut ShardHost,
+        before: &ShardHost,
         event: &NetworkEvent,
         evo: &ComponentEvolution,
         ks: &[usize],
@@ -273,7 +339,7 @@ mod tests {
     ) -> Result<(), String> {
         let restored = shipped
             .iter()
-            .map(|(members, state)| Ok((members, state.restore(members.len())?)))
+            .map(|(members, state)| Ok((members, before.restore_dissolved(members, state)?)))
             .collect::<Result<Vec<_>, String>>()?;
         let sources: Vec<_> =
             restored.iter().map(|(members, (f, s))| (members.as_slice(), f, s)).collect();
@@ -299,6 +365,7 @@ mod tests {
                 .iter()
                 .map(|&k| (k, host.components().members(k).to_vec(), host.export_shard(k).unwrap()))
                 .collect();
+            let before = host.clone();
             let (arrival, evo, _) = host.apply_extend(AttributeId(1), AttributeId(2), 0.6).unwrap();
             assert_eq!(arrival, arrival_pn);
             let &[merged_k] = evo.rebuilt.as_slice() else { panic!("one merged component") };
@@ -313,7 +380,7 @@ mod tests {
                 .collect();
             let extend =
                 NetworkEvent::Extend { a: AttributeId(1), b: AttributeId(2), confidence: 0.6 };
-            rebuild_shipped(&mut host, &extend, &evo, &[merged_k], &absorbed).unwrap();
+            rebuild_shipped(&mut host, &before, &extend, &evo, &[merged_k], &absorbed).unwrap();
             assert_eq!(all_probs(&host), merged_probs, "merged rebuild diverged");
             // -- retire: same dance through the split path
             let retiree = arrival;
@@ -328,6 +395,7 @@ mod tests {
                 .map(|&k| (k, host.export_shard(k).unwrap()))
                 .collect();
             pn.retire(retiree).unwrap();
+            let before = host.clone();
             let (evo, _) = host.apply_retire(retiree).unwrap();
             let (old_k, old_members) = evo.dissolved.first().expect("retiree shard dissolves");
             let old_state =
@@ -340,7 +408,7 @@ mod tests {
             for &part_k in &evo.rebuilt {
                 let shipped = [(old_members.clone(), old_state.clone())];
                 let retire = NetworkEvent::Retire { candidate: retiree };
-                rebuild_shipped(&mut host, &retire, &evo, &[part_k], &shipped).unwrap();
+                rebuild_shipped(&mut host, &before, &retire, &evo, &[part_k], &shipped).unwrap();
             }
             assert_eq!(all_probs(&host), pn.probabilities(), "split rebuild diverged");
         }

@@ -112,7 +112,7 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
                 proto::decode_evolve(&frame.payload).map_err(|e| e.to_string())?;
             let restored = shipped
                 .iter()
-                .map(|(members, state)| Ok((members, state.restore(members.len())?)))
+                .map(|(members, state)| Ok((members, host.restore_dissolved(members, state)?)))
                 .collect::<Result<Vec<_>, String>>()?;
             let sources: Vec<_> =
                 restored.iter().map(|(members, (f, s))| (members.as_slice(), f, s)).collect();

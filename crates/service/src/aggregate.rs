@@ -42,10 +42,6 @@ pub struct Vote {
     pub worker: usize,
     /// The worker's verdict.
     pub approved: bool,
-    /// Exact network uncertainty this verdict would produce, measured by
-    /// the worker on its copy-on-write fork
-    /// ([`smn_core::ProbabilisticNetwork::what_if`] semantics).
-    pub expected_entropy: f64,
 }
 
 /// An aggregated decision.
@@ -104,7 +100,7 @@ mod tests {
     use super::*;
 
     fn vote(worker: usize, approved: bool) -> Vote {
-        Vote { worker, approved, expected_entropy: 0.0 }
+        Vote { worker, approved }
     }
 
     fn profiles(rates: &[f64]) -> Vec<WorkerProfile> {

@@ -179,7 +179,8 @@ pub struct ServeConfig {
     /// Cap on live session views (FIFO eviction beyond it, min 1). A view
     /// is the published snapshot's `Arc` plus the components the session
     /// echoed its own answers into; an evicted session reopens a fresh
-    /// view and forgets its echo.
+    /// view and forgets its echo. Views a publish left dead take no echo
+    /// but count toward the cap until replaced or evicted.
     pub max_forks: usize,
 }
 
@@ -342,7 +343,6 @@ struct DecidedAssertion {
 pub struct ServingCore {
     base: ProbabilisticNetwork,
     published: Arc<ProbabilisticNetwork>,
-    published_generation: u64,
     sessions: SessionManager,
     crowd: WorkerPool,
     config: ServeConfig,
@@ -405,11 +405,9 @@ impl ServingCore {
         let base = ProbabilisticNetwork::new_sharded(network, config.sampler, config.sharding);
         let crowd = WorkerPool::new(rates, truth, crowd_seed(config.seed));
         let published = Arc::new(base.fork());
-        let published_generation = base.generation();
         Ok(Self {
             base,
             published,
-            published_generation,
             sessions: SessionManager::new(config.max_forks),
             crowd,
             config,
@@ -661,7 +659,7 @@ impl ServingCore {
             let unavailable = move |c: CandidateId| {
                 base_feedback.is_asserted(c) || pending.contains(&c) || open.contains_key(&c)
             };
-            self.sessions.select(session, &self.published, self.published_generation, &unavailable)
+            self.sessions.select(session, &self.published, &unavailable)
         };
         match selected {
             Some(c) => {
@@ -690,10 +688,10 @@ impl ServingCore {
         let approved = verdict.unwrap_or_else(|| self.crowd.answer(worker, corr));
         self.crowd.record(worker, corr, approved);
         self.questions_asked += 1;
-        self.sessions.observe(session, Assertion { candidate, approved });
+        self.sessions.observe(session, &self.published, Assertion { candidate, approved });
         let k = self.redundancy();
         let Some(q) = self.open.get_mut(&candidate) else { return };
-        q.votes.push(Vote { worker, approved, expected_entropy: 0.0 });
+        q.votes.push(Vote { worker, approved });
         if q.votes.len() < k {
             return;
         }
@@ -773,18 +771,15 @@ impl ServingCore {
     /// Recounts base assertions after a flush or epoch (the only moments
     /// the base's feedback can change).
     fn recount_asserted(&mut self) {
-        let feedback = self.base.feedback();
-        self.asserted_count = (0..self.base.network().candidate_count())
-            .filter(|&i| feedback.is_asserted(CandidateId::from_index(i)))
-            .count();
+        self.asserted_count = self.base.feedback().len();
     }
 
     /// Publishes a fresh immutable snapshot when the base actually moved
-    /// since the last publication.
+    /// since the last publication (a fork carries its base's generation),
+    /// which leaves every session view opened on the old snapshot dead.
     fn publish(&mut self) {
-        if self.base.generation() != self.published_generation {
+        if self.base.generation() != self.published.generation() {
             self.published = Arc::new(self.base.fork());
-            self.published_generation = self.base.generation();
             self.publications += 1;
         }
     }

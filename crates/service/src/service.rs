@@ -392,10 +392,10 @@ impl<M: ServeModel> ReconciliationService<M> {
             if leases.is_empty() {
                 break; // every candidate validated
             }
-            let votes = with_threads(self.config.threads, || {
+            let ballots = with_threads(self.config.threads, || {
                 collect_votes(&self.base, &self.pool, &leases)
             });
-            let committed = self.commit_round(round, &leases, &votes);
+            let committed = self.commit_round(round, &leases, &ballots);
             let quality = majority_quality(&self.base, &self.pool, &self.truth_mask);
             self.rounds.push(RoundStats {
                 round,
@@ -414,9 +414,9 @@ impl<M: ServeModel> ReconciliationService<M> {
 
     /// Integrates one round's aggregated verdicts in lease order. Returns
     /// how many assertions were committed (vs skipped).
-    fn commit_round(&mut self, round: usize, leases: &[Lease], votes: &[Vec<Vote>]) -> usize {
+    fn commit_round(&mut self, round: usize, leases: &[Lease], ballots: &[Ballot]) -> usize {
         let mut committed = 0usize;
-        for (lease, votes) in leases.iter().zip(votes) {
+        for (lease, (votes, min_expected)) in leases.iter().zip(ballots) {
             for v in votes {
                 self.pool.record(v.worker, lease.correspondence, v.approved);
             }
@@ -440,8 +440,6 @@ impl<M: ServeModel> ReconciliationService<M> {
                     normalized_entropy: self.base.normalized_entropy(),
                 });
             }
-            let min_expected =
-                votes.iter().map(|v| v.expected_entropy).fold(f64::INFINITY, f64::min);
             self.commits.push(CommitRecord {
                 step: self.commits.len() + 1,
                 round,
@@ -452,7 +450,7 @@ impl<M: ServeModel> ReconciliationService<M> {
                 score: lease.score,
                 votes_for: verdict.votes_for,
                 votes_against: verdict.votes_against,
-                min_expected_entropy: min_expected,
+                min_expected_entropy: *min_expected,
                 entropy_after: self.base.entropy(),
                 effort_after: self.base.effort(),
             });
@@ -536,6 +534,10 @@ pub(crate) fn majority_quality<M: ServeModel>(
     PrecisionRecall::of_counts(tp, proposed, crowd.truth_len())
 }
 
+/// One lease's votes, and the lowest exact what-if entropy among the
+/// verdicts its voters gave.
+type Ballot = (Vec<Vote>, f64);
+
 /// Evaluates one round's leases: worker answers inline (pure-function
 /// lookups), branch entropies through one batched what-if.
 ///
@@ -548,7 +550,7 @@ pub(crate) fn majority_quality<M: ServeModel>(
 /// queries out across the worker pool. Every query's value is a pure
 /// function of the base and the query, so votes assembled by slot are
 /// identical at any thread count.
-fn collect_votes<M: ServeModel>(base: &M, pool: &WorkerPool, leases: &[Lease]) -> Vec<Vec<Vote>> {
+fn collect_votes<M: ServeModel>(base: &M, pool: &WorkerPool, leases: &[Lease]) -> Vec<Ballot> {
     let answers: Vec<Vec<bool>> = leases
         .iter()
         .map(|l| l.workers.iter().map(|&w| pool.answer(w, l.correspondence)).collect())
@@ -573,17 +575,13 @@ fn collect_votes<M: ServeModel>(base: &M, pool: &WorkerPool, leases: &[Lease]) -
     }
     leases
         .iter()
-        .enumerate()
-        .map(|(li, l)| {
-            l.workers
-                .iter()
-                .zip(&answers[li])
-                .map(|(&worker, &approved)| Vote {
-                    worker,
-                    approved,
-                    expected_entropy: branch_entropy[li][usize::from(approved)],
-                })
-                .collect()
+        .zip(&answers)
+        .zip(&branch_entropy)
+        .map(|((l, answers), branch)| {
+            let votes = l.workers.iter().zip(answers);
+            let min_expected =
+                answers.iter().map(|&a| branch[usize::from(a)]).fold(f64::INFINITY, f64::min);
+            (votes.map(|(&worker, &approved)| Vote { worker, approved }).collect(), min_expected)
         })
         .collect()
 }

@@ -8,11 +8,15 @@
 //! even before the commit lanes fold the answer into the base, and a view
 //! costs what its echoed shards cost: opening one is an `Arc` clone, and
 //! the first answer into a component copies that one shard. Views open
-//! lazily (only when a session selects a fresh question), refresh when the
-//! published generation moves past them, and are capped at
+//! lazily (only when a session selects a fresh question) and are capped at
 //! `SessionManager::new(max_views)` live views with FIFO eviction — an
 //! evicted session reopens a fresh view on the published snapshot and
 //! forgets its echo, which is deterministic like everything else here.
+//!
+//! A view is **current or dead**: current exactly when its base is the
+//! published `Arc` ([`Arc::ptr_eq`]), so a publish kills every older view.
+//! A dead view takes no echo, since the session's next selection replaces
+//! it unread; until then it keeps its FIFO slot and its `Arc`.
 //!
 //! Question selection is the paper's entropy-argmax restricted to what
 //! serving can afford per event: `argmax H(p_c)` over the uncertain,
@@ -50,19 +54,18 @@ use std::sync::Arc;
 use smn_schema::CandidateId;
 
 /// One session's private view: the published base it was opened on, the
-/// generation of that base, the session's echo, and the ascending member
-/// ids of the echoed components — the domain where the shared entry list
-/// is stale for this session and the echo is consulted instead.
+/// session's echo, and the ascending member ids of the echoed components
+/// — the domain where the shared entry list is stale for this session and
+/// the echo is consulted instead.
 struct SessionView {
     base: Arc<ProbabilisticNetwork>,
-    generation: u64,
     echo: Echo,
     overlay: Vec<u32>,
 }
 
 impl SessionView {
-    fn fresh(base: &Arc<ProbabilisticNetwork>, generation: u64) -> Self {
-        Self { base: Arc::clone(base), generation, echo: Echo::new(), overlay: Vec::new() }
+    fn fresh(base: &Arc<ProbabilisticNetwork>) -> Self {
+        Self { base: Arc::clone(base), echo: Echo::new(), overlay: Vec::new() }
     }
 }
 
@@ -114,21 +117,19 @@ impl SessionManager {
     /// entry cache plus the session's overlay — provided every
     /// [`claim`](Self::claim)ed candidate is `unavailable`.
     ///
-    /// Lazily opens a view on `published` for the session (refreshing a
-    /// view whose `generation` fell behind `published_generation`),
-    /// evicting the oldest view at the cap.
+    /// Lazily opens a view on `published` for the session (replacing a
+    /// dead one), evicting the oldest view at the cap.
     pub fn select(
         &mut self,
         session: u64,
         published: &Arc<ProbabilisticNetwork>,
-        published_generation: u64,
         unavailable: &dyn Fn(CandidateId) -> bool,
     ) -> Option<CandidateId> {
         match self.views.get_mut(&session) {
-            Some(view) if view.generation >= published_generation => {}
-            // stale view: the base has moved — reopen on published (the
+            Some(view) if Arc::ptr_eq(&view.base, published) => {}
+            // dead view: the base has moved — reopen on published (the
             // echo goes with it: the new base has no echoes yet)
-            Some(view) => *view = SessionView::fresh(published, published_generation),
+            Some(view) => *view = SessionView::fresh(published),
             None => {
                 // at the cap: evict the oldest holders to admit this one
                 while self.views.len() >= self.max_views {
@@ -139,14 +140,14 @@ impl SessionManager {
                         None => break,
                     }
                 }
-                self.views.insert(session, SessionView::fresh(published, published_generation));
+                self.views.insert(session, SessionView::fresh(published));
                 self.view_fifo.push_back(session);
             }
         }
         let claimed = &self.claimed;
         let is_claimed = |id: u32| claimed.contains(CandidateId(id));
         let shared = &mut self.shared;
-        if shared.generation != Some(published_generation) {
+        if shared.generation != Some(published.generation()) {
             let probs = published.probabilities();
             shared.entries = sorted_entries(
                 (0..probs.len() as u32)
@@ -154,7 +155,7 @@ impl SessionManager {
                     .map(|id| (id, probs[id as usize])),
             );
             shared.head = 0;
-            shared.generation = Some(published_generation);
+            shared.generation = Some(published.generation());
         }
         // claimed entries never come back within the epoch: step past them
         while shared.entries.get(shared.head).is_some_and(|&(_, id)| is_claimed(id)) {
@@ -210,13 +211,22 @@ impl SessionManager {
         self.claimed.insert(c);
     }
 
-    /// Echoes `assertion` into the session's view (if it holds one), so
-    /// its next selection sees its own answer immediately. The
-    /// authoritative integration happens in the commit lanes; a rejected
-    /// or redundant echo is simply dropped. The first mutating echo into a
-    /// component adds that component's members to the session's overlay.
-    pub fn observe(&mut self, session: u64, assertion: Assertion) {
+    /// Echoes `assertion` into the session's view if it is current (opened
+    /// on `published`), so its next selection sees its own answer
+    /// immediately. The authoritative integration happens in the commit
+    /// lanes; a rejected or redundant echo, or one into a dead view, is
+    /// simply dropped. The first mutating echo into a component adds that
+    /// component's members to the session's overlay.
+    pub fn observe(
+        &mut self,
+        session: u64,
+        published: &Arc<ProbabilisticNetwork>,
+        assertion: Assertion,
+    ) {
         let Some(view) = self.views.get_mut(&session) else { return };
+        if !Arc::ptr_eq(&view.base, published) {
+            return; // dead: the session's next selection replaces it unread
+        }
         let k = view.base.shard_of(assertion.candidate);
         let new_shard = !view.echo.contains_shard(k);
         if view.base.echo_assert(&mut view.echo, assertion) == Ok(true) && new_shard {
@@ -296,10 +306,10 @@ mod tests {
         let base = published();
         let mut mgr = SessionManager::new(8);
         // fig1: all five candidates at p = 0.5 → lowest id wins
-        let c = mgr.select(0, &base, 0, &|_| false).expect("uncertain candidates exist");
+        let c = mgr.select(0, &base, &|_| false).expect("uncertain candidates exist");
         assert_eq!(c, CandidateId(0));
         // masking c0 moves to the next lowest
-        let c = mgr.select(1, &base, 0, &|c| c == CandidateId(0)).expect("more remain");
+        let c = mgr.select(1, &base, &|c| c == CandidateId(0)).expect("more remain");
         assert_eq!(c, CandidateId(1));
     }
 
@@ -307,15 +317,15 @@ mod tests {
     fn observed_answers_steer_the_sessions_own_next_question() {
         let base = published();
         let mut mgr = SessionManager::new(8);
-        assert_eq!(mgr.select(7, &base, 0, &|_| false), Some(CandidateId(0)));
-        mgr.observe(7, Assertion { candidate: CandidateId(2), approved: true });
+        assert_eq!(mgr.select(7, &base, &|_| false), Some(CandidateId(0)));
+        mgr.observe(7, &base, Assertion { candidate: CandidateId(2), approved: true });
         // the private echo collapsed c2 (p=1) and c4 (p=0); both leave the
         // uncertain pool for THIS session only
-        let c = mgr.select(7, &base, 0, &|c| c == CandidateId(0)).expect("still uncertain");
+        let c = mgr.select(7, &base, &|c| c == CandidateId(0)).expect("still uncertain");
         assert_ne!(c, CandidateId(2));
         assert_ne!(c, CandidateId(4));
         // an unrelated session still sees the published base untouched
-        assert_eq!(mgr.select(8, &base, 0, &|c| c == CandidateId(0)), Some(CandidateId(1)));
+        assert_eq!(mgr.select(8, &base, &|c| c == CandidateId(0)), Some(CandidateId(1)));
     }
 
     #[test]
@@ -323,7 +333,7 @@ mod tests {
         let base = published();
         let mut mgr = SessionManager::new(2);
         for s in 0..5u64 {
-            assert!(mgr.select(s, &base, 0, &|_| false).is_some());
+            assert!(mgr.select(s, &base, &|_| false).is_some());
         }
         assert!(mgr.live_views() <= 2, "cap must bound live views");
     }
@@ -332,16 +342,57 @@ mod tests {
     fn stale_forks_refresh_to_the_published_generation() {
         let base = published();
         let mut mgr = SessionManager::new(4);
-        mgr.observe(3, Assertion { candidate: CandidateId(2), approved: true });
-        assert_eq!(mgr.select(3, &base, 0, &|_| false), Some(CandidateId(0)));
-        mgr.observe(3, Assertion { candidate: CandidateId(2), approved: true });
+        mgr.observe(3, &base, Assertion { candidate: CandidateId(2), approved: true });
+        assert_eq!(mgr.select(3, &base, &|_| false), Some(CandidateId(0)));
+        mgr.observe(3, &base, Assertion { candidate: CandidateId(2), approved: true });
         // bump the published generation: the session's view must refresh,
         // forgetting its private echo
         let mut fresh = base.as_ref().fork();
         fresh.assert_candidate(Assertion { candidate: CandidateId(0), approved: false }).unwrap();
         let fresh = Arc::new(fresh);
-        let c = mgr.select(3, &fresh, 1, &|_| false).expect("uncertain remain");
+        let c = mgr.select(3, &fresh, &|_| false).expect("uncertain remain");
         assert_ne!(c, CandidateId(0), "refreshed view must see the published assertion");
+    }
+
+    /// The shards session `session`'s view holds echoes of, if it holds a
+    /// view.
+    fn echoed_shards(mgr: &SessionManager, session: u64) -> Option<Vec<usize>> {
+        mgr.views.get(&session).map(|view| view.echo.shards().collect())
+    }
+
+    #[test]
+    fn a_dead_view_takes_no_echo() {
+        // a multi-shard base, so the two answers land in different shards
+        let (net, _) = webform_federation(3, 21);
+        let base = Arc::new(ProbabilisticNetwork::new_sharded(
+            net,
+            tiny_sampler(6),
+            smn_core::shard::ShardingConfig::default(),
+        ));
+        let uncertain = base.uncertain_candidates();
+        let a = uncertain[0];
+        let b = *uncertain
+            .iter()
+            .find(|&&c| base.shard_of(c) != base.shard_of(a))
+            .expect("uncertain candidates in a second shard");
+        let mut mgr = SessionManager::new(4);
+        assert!(mgr.select(0, &base, &|_| false).is_some());
+        mgr.observe(0, &base, Assertion { candidate: a, approved: false });
+        assert_eq!(echoed_shards(&mgr, 0), Some(vec![base.shard_of(a)]), "a current view echoes");
+        // publish a new generation: the view is dead and takes no echo
+        let mut next = base.as_ref().fork();
+        next.assert_candidate(Assertion { candidate: a, approved: false }).unwrap();
+        let next = Arc::new(next);
+        mgr.observe(0, &next, Assertion { candidate: b, approved: false });
+        assert_eq!(
+            echoed_shards(&mgr, 0),
+            Some(vec![base.shard_of(a)]),
+            "a dead view must not echo the answer into a new shard"
+        );
+        assert_eq!(mgr.live_views(), 1, "the dead view keeps its slot");
+        // its next selection replaces it with a fresh, echo-free view
+        assert!(mgr.select(0, &next, &|_| false).is_some());
+        assert_eq!(echoed_shards(&mgr, 0), Some(vec![]));
     }
 
     #[test]
@@ -351,19 +402,19 @@ mod tests {
         // must select exactly what it selected before
         let base = published();
         let mut mgr = SessionManager::new(1);
-        let first = mgr.select(0, &base, 0, &|_| false).expect("uncertain candidates exist");
+        let first = mgr.select(0, &base, &|_| false).expect("uncertain candidates exist");
         assert_eq!(mgr.live_views(), 1);
         // admitting session 1 evicts session 0's view but still selects
-        let other = mgr.select(1, &base, 0, &|_| false).expect("selection survives eviction");
+        let other = mgr.select(1, &base, &|_| false).expect("selection survives eviction");
         assert_eq!(mgr.live_views(), 1, "the cap holds through eviction");
         assert_eq!(first, other, "fresh views of the same base select identically");
         // re-admission of the evicted session: same base, same answer
-        let again = mgr.select(0, &base, 0, &|_| false).expect("re-admission selects");
+        let again = mgr.select(0, &base, &|_| false).expect("re-admission selects");
         assert_eq!(first, again, "eviction then re-admission keeps selection consistent");
         assert_eq!(mgr.live_views(), 1);
         // and the re-admitted view is live: its private echo steers it
-        mgr.observe(0, Assertion { candidate: CandidateId(2), approved: true });
-        let steered = mgr.select(0, &base, 0, &|c| c == CandidateId(0)).expect("still uncertain");
+        mgr.observe(0, &base, Assertion { candidate: CandidateId(2), approved: true });
+        let steered = mgr.select(0, &base, &|c| c == CandidateId(0)).expect("still uncertain");
         assert_ne!(steered, CandidateId(2));
         assert_ne!(steered, CandidateId(4));
     }
@@ -373,7 +424,7 @@ mod tests {
         let base = published();
         let mut mgr = SessionManager::new(4);
         for s in 0..3 {
-            mgr.select(s, &base, 0, &|_| false);
+            mgr.select(s, &base, &|_| false);
         }
         assert!(mgr.live_views() > 0);
         mgr.reset();
@@ -396,7 +447,7 @@ mod tests {
             let view = reference.entry(session).or_insert_with(|| base.as_ref().fork()) as &mut _;
             let mask = CandidateId((state >> 17) as u32 % 5);
             let masked = move |c: CandidateId| c == mask;
-            let got = mgr.select(session, &base, 0, &masked);
+            let got = mgr.select(session, &base, &masked);
             let want = select_on(view, &masked);
             assert_eq!(got, want, "step {step}: cached merge diverged from the plain scan");
             if state & 4 != 0 {
@@ -404,7 +455,7 @@ mod tests {
                     candidate: CandidateId((state >> 23) as u32 % 5),
                     approved: state & 8 != 0,
                 };
-                mgr.observe(session, echo);
+                mgr.observe(session, &base, echo);
                 let _ = view.assert_candidate(echo);
             }
         }
@@ -499,7 +550,7 @@ mod tests {
                         let unavailable = |c: CandidateId| {
                             feedback.is_asserted(c) || claims.contains(&c) || c == mask
                         };
-                        let got = mgr.select(session, &published, generation, &unavailable);
+                        let got = mgr.select(session, &published, &unavailable);
                         let want = reference.select(session, &published, generation, &unavailable);
                         assert_eq!(got, want, "views {max_views} step {step}: selection diverged");
                         if let Some(c) = got.filter(|_| r & 1 == 1) {
@@ -509,7 +560,7 @@ mod tests {
                     }
                     8..=11 => {
                         let approved = r & 2 != 0;
-                        mgr.observe(session, Assertion { candidate: c, approved });
+                        mgr.observe(session, &published, Assertion { candidate: c, approved });
                         reference.observe(session, Assertion { candidate: c, approved });
                     }
                     12..=14 => {

@@ -8,7 +8,7 @@ use smn_core::persist::{NetworkEvent, StoreState};
 use smn_core::{ProbabilisticNetwork, ShardingConfig};
 use smn_schema::CandidateId;
 use smn_storage::format::{
-    crc64, decode_shard_state, decode_snapshot, encode_shard_state, SNAP_VERSION,
+    crc64, decode_shard_state, decode_snapshot, encode_shard_state, encode_snapshot, SNAP_VERSION,
 };
 use smn_storage::wal::{decode_prefix, decode_records, WalBuffer};
 use smn_storage::{load_with_history, save_with_history, StorageError};
@@ -188,6 +188,28 @@ fn nonzero_reserved_store_slot_is_invalid() {
     bad[header_end..header_end + 8].copy_from_slice(&header_crc.to_le_bytes());
     assert!(matches!(decode_snapshot(&bad), Err(StorageError::Invalid(_))));
     assert!(decode_snapshot(&snap).is_ok(), "the untouched snapshot still decodes");
+}
+
+#[test]
+fn a_stored_sample_that_is_not_a_matching_instance_is_invalid() {
+    // a well-formed snapshot, re-encoded so every checksum holds, whose
+    // fig1 store holds the non-maximal sample {c0} (c1 can still join it)
+    let pn = ProbabilisticNetwork::new_sharded(
+        fig1_network(),
+        tiny_sampler(5),
+        ShardingConfig::default(),
+    );
+    let (mut state, history, applied_seq) =
+        decode_snapshot(&save_with_history(&pn, &[], 0)).unwrap();
+    let store = &mut state.shards[0].store;
+    store.samples = vec![vec![0]];
+    store.counts = vec![1];
+    let bad = encode_snapshot(&state, &history, applied_seq);
+    assert!(decode_snapshot(&bad).is_ok(), "the bytes themselves are well-formed");
+    match load_with_history(&bad) {
+        Err(StorageError::Invalid(e)) => assert!(e.contains("not a matching instance"), "{e}"),
+        other => panic!("expected Invalid, got {:?}", other.map(|_| ())),
+    }
 }
 
 #[test]

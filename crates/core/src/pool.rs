@@ -5,12 +5,11 @@
 //! [`ShardHost::entropy_after`](crate::ShardHost::entropy_after) and the
 //! commit lanes of
 //! [`commit_batch`](crate::ProbabilisticNetwork::commit_batch) — goes
-//! through [`WorkerPool::map`] (or [`WorkerPool::map_high`]), and this
-//! module decides whether it runs concurrently (the gain scan alone keeps
-//! a caller-side size cut, see `docs/POOL.md`). A batch runs inline on
-//! the calling thread when the pool has one thread, when it has one item,
-//! or when the caller is inside a [`sequential`] scope; otherwise it fans
-//! out.
+//! through [`WorkerPool::map`], and this module decides whether it runs
+//! concurrently (the gain scan alone keeps a caller-side size cut, see
+//! `docs/POOL.md`). A batch runs inline on the calling thread when the
+//! pool has one thread, when it has one item, or when the caller is
+//! inside a [`sequential`] scope; otherwise it fans out.
 //! The integrity constraints couple only candidates that share a
 //! conflict, so every per-shard batch gives the same bits on any
 //! schedule. The threads live for the process lifetime, so a batch pays a
@@ -58,12 +57,6 @@ type RawTask = Box<dyn FnOnce() + Send + 'static>;
 struct Shared {
     /// One run queue per worker; submitters push round-robin.
     queues: Vec<Mutex<VecDeque<RawTask>>>,
-    /// The high-priority lane: latency-critical batches (the serving
-    /// layer's per-shard commit lanes) enqueue here and every worker
-    /// checks it before its own queue, so commits overtake queued
-    /// background work (gain scans, shard refills) without preempting a
-    /// task already running.
-    high: Mutex<VecDeque<RawTask>>,
     /// Wakes sleeping workers when work arrives (paired with `sleep`).
     wake: Condvar,
     sleep: Mutex<()>,
@@ -71,14 +64,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Pops work for worker `w`: the high-priority lane first, then its
-    /// own queue (front = FIFO), then a steal sweep over the other queues
-    /// (back = the submission-order tail, keeping owners and thieves off
-    /// the same end).
+    /// Pops work for worker `w`: its own queue first (front = FIFO),
+    /// then a steal sweep over the other queues (back = the
+    /// submission-order tail, keeping owners and thieves off the same
+    /// end).
     fn find_task(&self, w: usize) -> Option<RawTask> {
-        if let Some(t) = self.high.lock().expect("pool queue").pop_front() {
-            return Some(t);
-        }
         if let Some(t) = self.queues[w].lock().expect("pool queue").pop_front() {
             return Some(t);
         }
@@ -93,12 +83,8 @@ impl Shared {
     }
 
     /// Pops work from any queue — the help-while-waiting path for
-    /// submitting threads, which have no home queue. Honours the
-    /// high-priority lane first, like the workers.
+    /// submitting threads, which have no home queue.
     fn find_any_task(&self) -> Option<RawTask> {
-        if let Some(t) = self.high.lock().expect("pool queue").pop_front() {
-            return Some(t);
-        }
         for q in &self.queues {
             if let Some(t) = q.lock().expect("pool queue").pop_front() {
                 return Some(t);
@@ -130,7 +116,6 @@ impl WorkerPool {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            high: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             sleep: Mutex::new(()),
             shutdown: AtomicBool::new(false),
@@ -163,28 +148,6 @@ impl WorkerPool {
         items: impl IntoIterator<Item = X>,
         f: impl Fn(X) -> T + Sync,
     ) -> Vec<T> {
-        self.map_with(items, f, false)
-    }
-
-    /// Like [`WorkerPool::map`], but submits the batch to the
-    /// high-priority lane: every worker drains it before its own queue,
-    /// so these tasks overtake queued background batches. Results still
-    /// come back in item order — priority changes wall-clock, never
-    /// bytes.
-    pub fn map_high<X: Send, T: Send>(
-        &self,
-        items: impl IntoIterator<Item = X>,
-        f: impl Fn(X) -> T + Sync,
-    ) -> Vec<T> {
-        self.map_with(items, f, true)
-    }
-
-    fn map_with<X: Send, T: Send>(
-        &self,
-        items: impl IntoIterator<Item = X>,
-        f: impl Fn(X) -> T + Sync,
-        priority: bool,
-    ) -> Vec<T> {
         let items: Vec<X> = items.into_iter().collect();
         let n = items.len();
         if n <= 1 || self.threads() == 1 || in_sequential_scope() {
@@ -214,18 +177,14 @@ impl WorkerPool {
             // SAFETY: erases the borrow of `f` and the items' lifetimes
             // to 'static. The closure (and everything it borrows) is
             // guaranteed to have finished executing and been dropped
-            // before `map_with` returns: tasks only leave the queues by
+            // before `map` returns: tasks only leave the queues by
             // being executed, execution decrements `remaining` after
             // dropping the task, and we block below until
             // `remaining == 0`.
             let raw: RawTask =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RawTask>(closure) };
-            if priority {
-                self.shared.high.lock().expect("pool queue").push_back(raw);
-            } else {
-                let q = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.threads();
-                self.shared.queues[q].lock().expect("pool queue").push_back(raw);
-            }
+            let q = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.threads();
+            self.shared.queues[q].lock().expect("pool queue").push_back(raw);
         }
         self.shared.wake.notify_all();
         // Help while waiting: run queued tasks (ours or anyone's — also
@@ -407,28 +366,13 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    #[test]
-    fn high_priority_batches_return_the_same_results_as_normal_ones() {
-        let pool = WorkerPool::new(3);
-        let normal = pool.map(0u64..48, mix);
-        let high = pool.map_high(0u64..48, mix);
-        assert_eq!(high, normal);
-        assert_eq!(high, (0..48).map(mix).collect::<Vec<_>>());
-    }
-
-    /// Runs a 32-item `map` and a 32-item `map_high` on `pool`, checks
-    /// that both return their results in item order, and returns the
-    /// threads that ran the items.
+    /// Runs a 32-item `map` on `pool`, checks that it returns its results
+    /// in item order, and returns the threads that ran the items.
     fn traced(pool: &WorkerPool) -> Vec<ThreadId> {
-        let mut threads = Vec::new();
-        for high in [false, true] {
-            let f = |x: u64| (mix(x), std::thread::current().id());
-            let out = if high { pool.map_high(0u64..32, f) } else { pool.map(0u64..32, f) };
-            let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
-            assert_eq!(values, (0..32).map(mix).collect::<Vec<_>>(), "item order");
-            threads.extend(out.into_iter().map(|(_, t)| t));
-        }
-        threads
+        let out = pool.map(0u64..32, |x| (mix(x), std::thread::current().id()));
+        let values: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
+        assert_eq!(values, (0..32).map(mix).collect::<Vec<_>>(), "item order");
+        out.into_iter().map(|(_, t)| t).collect()
     }
 
     fn all_on_this_thread(threads: &[ThreadId]) -> bool {
@@ -441,10 +385,6 @@ mod tests {
         assert!(all_on_this_thread(&traced(&WorkerPool::new(1))), "one-thread pool");
         let pool = WorkerPool::new(3);
         assert_eq!(pool.map([5u64], |x| (mix(x), std::thread::current().id())), vec![(mix(5), me)]);
-        assert_eq!(
-            pool.map_high([5u64], |x| (mix(x), std::thread::current().id())),
-            vec![(mix(5), me)]
-        );
         assert!(sequential(|| all_on_this_thread(&traced(&pool))), "sequential scope");
         // scopes nest, and leaving the inner one keeps the outer in force
         assert!(sequential(|| {
@@ -473,39 +413,5 @@ mod tests {
         let caught = catch_unwind(AssertUnwindSafe(|| sequential(|| panic!("unwind"))));
         assert!(caught.is_err());
         assert!(!in_sequential_scope());
-    }
-
-    #[test]
-    fn high_priority_tasks_overtake_queued_background_work() {
-        use std::sync::atomic::AtomicU64;
-        // Flood the normal queues with slow tasks from another thread,
-        // then submit a high batch: every high task must start before the
-        // background tail drains, i.e. the lane really is checked first.
-        let pool = Arc::new(WorkerPool::new(2));
-        let started = AtomicU64::new(0);
-        let bg_done = Arc::new(AtomicU64::new(0));
-        let bg = {
-            let pool = Arc::clone(&pool);
-            let bg_done = Arc::clone(&bg_done);
-            std::thread::spawn(move || {
-                pool.map(0..64, |_| {
-                    std::thread::sleep(Duration::from_micros(500));
-                    bg_done.fetch_add(1, Ordering::SeqCst);
-                });
-            })
-        };
-        // give the background batch a head start at filling the queues
-        std::thread::sleep(Duration::from_millis(2));
-        let drained: Vec<u64> = pool.map_high(0..8, |_| {
-            started.fetch_add(1, Ordering::SeqCst);
-            bg_done.load(Ordering::SeqCst)
-        });
-        bg.join().expect("background batch");
-        assert_eq!(started.load(Ordering::SeqCst), 8);
-        // at least one high task ran while background work was still queued
-        assert!(
-            drained.iter().any(|&seen| seen < 64),
-            "high-priority lane never overtook the background queue: {drained:?}"
-        );
     }
 }

@@ -429,9 +429,9 @@ impl ProbabilisticNetwork {
     /// Requests of the same shard apply in request order against that
     /// shard's single working copy (at most one copy-on-write per touched
     /// shard per batch, none for all-redundant lanes); disjoint shards are
-    /// independent, so the lanes run on the worker pool's high-priority
-    /// lane ([`WorkerPool::map_high`](pool::WorkerPool::map_high)), and the
-    /// result is byte-identical to a run under [`pool::sequential`]
+    /// independent, so the lanes run as one worker-pool batch
+    /// ([`WorkerPool::map`](pool::WorkerPool::map)), and the result is
+    /// byte-identical to a run under [`pool::sequential`]
     /// because lanes are installed (and the mutation
     /// [`generation`](Self::generation) advanced) in ascending shard order
     /// either way.
@@ -451,7 +451,7 @@ impl ProbabilisticNetwork {
             .collect();
         let host = &self.host;
         let lane_results = pool::global()
-            .map_high(&lanes, |(k, events): &(usize, Vec<Assertion>)| host.commit_lane(*k, events));
+            .map(&lanes, |(k, events): &(usize, Vec<Assertion>)| host.commit_lane(*k, events));
         // install lanes in ascending shard order and scatter outcomes back
         let mut out: Vec<Option<CommitOutcome>> = vec![None; requests.len()];
         for (((k, _), positions), (snapshot, results)) in

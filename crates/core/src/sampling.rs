@@ -107,6 +107,9 @@ impl SampleMatrix {
         self.cols.div_ceil(64)
     }
 
+    /// Appends one instance as a new column, bit by bit: the scalar
+    /// oracle of [`append_samples`](Self::append_samples).
+    #[cfg(test)]
     fn push_sample(&mut self, inst: &BitSet) {
         let (w, b) = (self.cols / 64, self.cols % 64);
         if b == 0 && w == self.stride {
@@ -750,9 +753,9 @@ impl SampleStore {
                         index.stays_maximal_without(&inst, candidate, feedback.disapproved());
                     debug_assert_eq!(maximal, index.is_maximal(&inst, feedback.disapproved()));
                     if maximal && !data.seen.contains_key(&inst) {
-                        // the shrunken instance inherits its ancestor's weight
+                        // the shrunken instance inherits its ancestor's
+                        // weight; the closing sync_matrix() appends its column
                         data.seen.insert(inst.clone(), data.samples.len());
-                        data.matrix.push_sample(&inst);
                         data.samples.push(inst);
                         data.counts.push(count);
                     }

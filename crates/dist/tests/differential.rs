@@ -14,7 +14,7 @@ use smn_core::feedback::Assertion;
 use smn_core::{ProbabilisticNetwork, SamplerConfig, ShardingConfig};
 use smn_dist::{spawn_local_cluster, DistError, DistNetwork, Transport};
 use smn_schema::{AttributeId, CandidateId, CandidateSet, CatalogBuilder, InteractionGraph};
-use smn_service::{DurabilityError, ReconciliationService, ServeModel, ServiceConfig};
+use smn_service::{ReconciliationService, ServeModel, ServiceConfig};
 use smn_testkit::{fast_sampler, fig1_network, fig1_truth, perturbed_network, webform_federation};
 use std::thread::JoinHandle;
 
@@ -264,19 +264,6 @@ fn the_service_report_is_byte_identical_over_a_cluster() {
         serde_json::to_string(&dist_report).unwrap(),
         "a cluster-backed service must reproduce the in-process report byte for byte"
     );
-    teardown(served.into_model(), handles);
-}
-
-#[test]
-fn durability_on_a_remote_model_is_a_typed_error() {
-    let config = ServiceConfig { sampler: fast_sampler(13), ..ServiceConfig::default() };
-    let (dist, handles) = cluster(fig1_network(), config.sampler, config.sharding, 2);
-    let mut served: ReconciliationService<DistNetwork> =
-        ReconciliationService::with_model(dist, fig1_truth(), [0.1], config);
-    let err = served
-        .attach_durability(std::env::temp_dir().join("smn-dist-never-created"), 4)
-        .expect_err("remote models cannot attach in-process durability");
-    assert!(matches!(err, DurabilityError::RemoteModel));
     teardown(served.into_model(), handles);
 }
 

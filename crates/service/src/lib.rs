@@ -32,14 +32,6 @@
 //!   [`smn_core::pool::sequential`]**, and precision/recall against the
 //!   verified matching is tracked per round (in the spirit of Validation
 //!   of Matching, Le et al. 2014);
-//! * optional **durability**
-//!   ([`attach_durability`](ReconciliationService::attach_durability)):
-//!   every committed assertion is journaled to an `smn-storage`
-//!   write-ahead log as it commits, the log is fsynced between rounds,
-//!   and snapshots are published (with log rotation) on a configurable
-//!   round cadence — after a crash, [`smn_storage::DurableStore::recover`]
-//!   reproduces the base network bit for bit. The store latches storage
-//!   failures; nothing panics on them.
 //! * a **request-driven serving layer** ([`ServingCore`]) inverting the
 //!   round loop: typed [`ServiceEvent`]s flow through a bounded
 //!   [`IngressQueue`] with typed backpressure and gapless logical-clock
@@ -47,11 +39,13 @@
 //!   sessions over the published snapshot, each with a sparse echo of
 //!   its own answers (only the components it answered into);
 //!   decided assertions commit in `(shard, clock)` order through
-//!   per-shard commit lanes on the worker pool's high-priority lane,
-//!   with WAL-append-at-commit per lane; evolution takes a brief
-//!   exclusive epoch and snapshots publish by `Arc` swap. The accepted
-//!   event log replays byte for byte ([`ServingCore::replay`]) — see
-//!   `docs/SERVING.md`.
+//!   per-shard commit lanes on the worker pool, with
+//!   WAL-append-at-commit per lane
+//!   ([`attach_durability`](ServingCore::attach_durability) — after a
+//!   crash, [`smn_storage::DurableStore::recover`] reproduces the base
+//!   network bit for bit); evolution takes a brief exclusive epoch and
+//!   snapshots publish by `Arc` swap. The accepted event log replays
+//!   byte for byte ([`ServingCore::replay`]) — see `docs/SERVING.md`.
 
 pub mod aggregate;
 pub mod dispatch;
@@ -71,8 +65,7 @@ pub use serve::{
     ServingCore,
 };
 pub use service::{
-    CommitRecord, DurabilityError, ReconciliationService, RoundStats, Scheduler, ServiceConfig,
-    ServiceReport,
+    CommitRecord, ReconciliationService, RoundStats, Scheduler, ServiceConfig, ServiceReport,
 };
 pub use session::SessionManager;
 pub use worker::{WorkerPool, WorkerProfile, WorkerStats};

@@ -68,10 +68,10 @@ pub trait ServeModel: GainSource {
     fn assert_candidate(&mut self, assertion: Assertion) -> Result<(), AssertError>;
 
     /// The in-process [`ProbabilisticNetwork`] behind this model, if it
-    /// is one. Durability attachment (snapshot + WAL publication) needs
-    /// the concrete network; remote-backed models return `None` and the
-    /// service surfaces a typed
-    /// [`DurabilityError::RemoteModel`](crate::DurabilityError).
+    /// is one; remote-backed models return `None`. Nothing in the
+    /// workspace reads it: it stays only because the repository
+    /// benchmark's timing wrapper (`perfbench/src/cluster.rs`) overrides
+    /// it, and goes with that override.
     fn as_local(&self) -> Option<&ProbabilisticNetwork> {
         None
     }

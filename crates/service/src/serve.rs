@@ -18,7 +18,7 @@
 //! * **Commits** flush in batches through
 //!   [`ProbabilisticNetwork::commit_batch`]: pending assertions are
 //!   ordered by `(shard, decision clock)` and applied through
-//!   per-shard commit lanes on the worker pool's high-priority lane
+//!   per-shard commit lanes, one worker-pool batch per flush
 //!   (`threads: 1` runs them under [`smn_core::pool::sequential`]).
 //!   When durability is attached, each committed assertion is appended
 //!   to the write-ahead log in that commit order, with one fsync per
@@ -868,5 +868,15 @@ mod tests {
         }
         // the boundaries stay valid
         assert!(core(vec![0.0, 1.0]).is_ok());
+    }
+
+    #[test]
+    fn a_latched_storage_fault_serializes_into_the_report() {
+        // the latch itself is certified in tests/serve.rs; this pins that
+        // saved JSON carries the fault text rather than dropping it
+        let mut report = core(vec![0.0]).expect("serving config").report();
+        report.durability_error = Some("disk gone".into());
+        let json = serde_json::to_string(&report).unwrap();
+        assert!(json.contains(r#""durability_error":"disk gone""#), "{json}");
     }
 }

@@ -34,7 +34,6 @@ use crate::model::ServeModel;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
 use smn_core::feedback::Assertion;
-use smn_core::persist::NetworkEvent;
 use smn_core::reconcile::commit_ladder;
 use smn_core::shard::ShardingConfig;
 use smn_core::{
@@ -42,8 +41,6 @@ use smn_core::{
     StepOutcome, TracePoint,
 };
 use smn_schema::{CandidateId, Correspondence};
-use smn_storage::{DurableStore, StorageError};
-use std::path::Path;
 
 /// How per-shard work is scheduled. The worker pool alone decides
 /// whether a batch runs concurrently (see `docs/POOL.md`), so `Pool` is
@@ -180,43 +177,6 @@ pub struct ServiceReport {
     pub final_precision: f64,
     /// Final recall of the probability-majority matching.
     pub final_recall: f64,
-    /// The latched storage fault of the attached durable store, if any —
-    /// surfaced in the report (not only behind the
-    /// [`durability_error`](ReconciliationService::durability_error)
-    /// getter) so saved JSON cannot silently drop a journaling failure.
-    /// `None` while journaling is healthy or detached.
-    pub durability_error: Option<String>,
-}
-
-/// Why durability could not be attached to the service.
-#[derive(Debug)]
-pub enum DurabilityError {
-    /// The serving model is not an in-process
-    /// [`ProbabilisticNetwork`] (e.g. a distributed coordinator):
-    /// snapshot publication needs the concrete network, so remote-backed
-    /// services journal at their shard servers instead.
-    RemoteModel,
-    /// Opening the durable store failed.
-    Storage(StorageError),
-}
-
-impl std::fmt::Display for DurabilityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::RemoteModel => {
-                write!(f, "durability requires an in-process network model")
-            }
-            Self::Storage(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurabilityError {}
-
-impl From<StorageError> for DurabilityError {
-    fn from(e: StorageError) -> Self {
-        Self::Storage(e)
-    }
 }
 
 /// The concurrent multi-worker reconciliation service, generic over the
@@ -236,12 +196,6 @@ pub struct ReconciliationService<M: ServeModel = ProbabilisticNetwork> {
     history: Vec<TracePoint>,
     commits: Vec<CommitRecord>,
     rounds: Vec<RoundStats>,
-    /// The attached durable store. It latches its own first fault, so
-    /// the results of its writes are dropped here and read back through
-    /// [`durability_error`](Self::durability_error).
-    store: Option<DurableStore>,
-    /// Publish a snapshot every this many rounds (≥ 1).
-    snapshot_every: usize,
 }
 
 impl ReconciliationService {
@@ -283,70 +237,7 @@ impl<M: ServeModel> ReconciliationService<M> {
             history: Vec::new(),
             commits: Vec::new(),
             rounds: Vec::new(),
-            store: None,
-            snapshot_every: 1,
         }
-    }
-
-    /// Attaches a durable store under `dir`: the current base network and
-    /// assertion history are snapshotted immediately, every later commit
-    /// is appended to a write-ahead log as it happens, the log is fsynced
-    /// between rounds, and every `snapshot_every` rounds a fresh snapshot
-    /// is published and the log rotated. After a crash,
-    /// [`DurableStore::recover`] on the same directory reproduces the
-    /// base network exactly.
-    ///
-    /// Storage errors after attachment never surface as panics or run
-    /// failures: the store latches the first one (see
-    /// [`durability_error`](Self::durability_error)) and writes nothing
-    /// after it.
-    ///
-    /// Only in-process models can attach: snapshot publication needs the
-    /// concrete [`ProbabilisticNetwork`], so a remote-backed model (one
-    /// whose [`ServeModel::as_local`] is `None`) gets
-    /// [`DurabilityError::RemoteModel`] instead of silently journaling
-    /// nothing.
-    pub fn attach_durability(
-        &mut self,
-        dir: impl AsRef<Path>,
-        snapshot_every: usize,
-    ) -> Result<(), DurabilityError> {
-        let Some(local) = self.base.as_local() else {
-            return Err(DurabilityError::RemoteModel);
-        };
-        let assertions = self.assertions();
-        self.store =
-            Some(DurableStore::open(dir.as_ref(), local, &assertions, assertions.len() as u64)?);
-        self.snapshot_every = snapshot_every.max(1);
-        Ok(())
-    }
-
-    /// The first storage error the attached durable store hit, if any.
-    /// `None` while journaling is healthy (or detached).
-    pub fn durability_error(&self) -> Option<&StorageError> {
-        self.store.as_ref().and_then(DurableStore::fault)
-    }
-
-    /// The committed assertion history in `smn-core` terms — what a
-    /// recovery of the attached store replays over its snapshot.
-    pub fn assertions(&self) -> Vec<Assertion> {
-        self.history
-            .iter()
-            .map(|t| Assertion { candidate: t.candidate, approved: t.approved })
-            .collect()
-    }
-
-    /// End-of-round durability work: fsync the log, and on the publication
-    /// cadence snapshot the base and rotate the log.
-    fn checkpoint_round(&mut self) {
-        let Some(mut store) = self.store.take() else { return };
-        // attachment is gated on `as_local`, so a publishing round always
-        // finds the concrete network; the defensive fallback still fsyncs
-        let _ = match (self.rounds.len() % self.snapshot_every == 0, self.base.as_local()) {
-            (true, Some(local)) => store.publish(local, &self.assertions()).map(|_| ()),
-            _ => store.sync(),
-        };
-        self.store = Some(store);
     }
 
     /// The base model (the probabilistic network in the default
@@ -406,7 +297,6 @@ impl<M: ServeModel> ReconciliationService<M> {
                 precision: quality.precision,
                 recall: quality.recall,
             });
-            self.checkpoint_round();
             round += 1;
         }
         self.report()
@@ -427,9 +317,6 @@ impl<M: ServeModel> ReconciliationService<M> {
             });
             if outcome != StepOutcome::Skipped {
                 committed += 1;
-                if let Some(store) = &mut self.store {
-                    let _ = store.append(&NetworkEvent::Assert { candidate, approved });
-                }
                 self.history.push(TracePoint {
                     step: self.history.len() + 1,
                     candidate: lease.candidate,
@@ -474,7 +361,6 @@ impl<M: ServeModel> ReconciliationService<M> {
             final_effort: self.base.effort(),
             final_precision: quality.precision,
             final_recall: quality.recall,
-            durability_error: self.durability_error().map(|e| e.to_string()),
         }
     }
 }
@@ -625,7 +511,10 @@ mod tests {
             PrecisionRecall::of_instance(pn.network(), &majority, truth.iter().copied())
         };
         let bits = |q: PrecisionRecall| (q.precision.to_bits(), q.recall.to_bits());
-        let mut history = svc.assertions().into_iter();
+        let mut history = svc
+            .history()
+            .iter()
+            .map(|t| Assertion { candidate: t.candidate, approved: t.approved });
         for round in &report.rounds {
             for a in history.by_ref().take(round.commits) {
                 replay.assert_candidate(a).expect("a committed assertion replays");

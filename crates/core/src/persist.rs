@@ -107,8 +107,8 @@ impl FeedbackState {
 /// Serialized sample-store state: the distinct instances Ω\* in
 /// discovery order (each as an ascending candidate-id list) with their
 /// visit counts, plus the sampler config and the exhaustion flag.
-/// The transposed matrix and dedup map are derived on load by
-/// re-recording the instances in order — bit-identically.
+/// The transposed matrix is derived on load by re-recording the
+/// instances in order — bit-identically.
 ///
 /// The store carries its *own* [`SamplerConfig`]: evolved shards are
 /// reseeded per merge/split event, so their seeds differ from the

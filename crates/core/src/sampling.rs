@@ -10,16 +10,21 @@
 //! prefers long jumps and so escapes high-density regions.
 //!
 //! The walk state lives in reusable [`Scratch`] buffers (no per-step
-//! clones). Every fill runs this one walk on the caller thread, so the
-//! store content is a pure function of the config and the feedback.
+//! clones) that belong to one sampling pass: a pass allocates them, and
+//! nothing in them survives it. Every fill runs this one walk on the
+//! caller thread, so the store content is a pure function of the config
+//! and the feedback.
 //!
-//! The store is split copy-on-write: the per-sample state (instances,
-//! counts, matrix) lives in an immutable `Arc`-shared snapshot, while
-//! the walk machinery (RNG, scratch buffers) is a thin mutable overlay.
-//! Cloning a store — the engine of
+//! The store is split copy-on-write: the samples (instances, counts,
+//! matrix) live in an immutable `Arc`-shared snapshot, and the store
+//! itself adds only the RNG, the config and the exhaustion flag. Cloning
+//! a store — the engine of
 //! [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork) —
-//! copies a pointer plus the overlay; the snapshot is copied only by the
-//! first mutation after a fork (`Arc::make_mut`).
+//! copies that pointer and those few words; the snapshot is copied only
+//! by the first mutation after a fork (`Arc::make_mut`), and the copy is
+//! the samples alone. Deduplication uses a hash index that the recording
+//! code builds and drops (a fill pass, a constructor, disapproval
+//! re-insertion), so no copy ever carries one.
 //!
 //! [`SampleStore`] keeps the *distinct* instances found (Ω\*) twice: as a
 //! list of instance bitsets and as a transposed candidate×sample bit
@@ -41,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smn_constraints::{kernels, BitSet, ConflictIndex};
 use smn_schema::CandidateId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Configuration of the Algorithm 3 sampler.
@@ -371,25 +376,49 @@ pub struct SampleStore {
     exhausted: bool,
     config: SamplerConfig,
     rng: StdRng,
-    scratch: Scratch,
-    walk_buf: BitSet,
 }
 
 /// The snapshot half of a [`SampleStore`]: the distinct instances Ω\*,
-/// their visit counts and dedup map, and the transposed sample matrix —
-/// everything whose copy cost scales with the number of samples.
+/// their visit counts and the transposed sample matrix — the samples and
+/// nothing else.
 ///
 /// A store clone (and with it
 /// [`ProbabilisticNetwork::fork`](crate::ProbabilisticNetwork::fork))
-/// copies one `Arc` pointer instead of this block; the thin mutable
-/// overlay that *is* cloned per fork (RNG, scratch buffers, config,
-/// exhaustion flag) is O(candidates), independent of the sample count.
+/// copies one `Arc` pointer instead of this block, plus the RNG, the
+/// config and the exhaustion flag, independent of the sample count and of
+/// the network size. The first write to a shared snapshot copies exactly
+/// these three vectors.
 #[derive(Debug, Clone)]
 struct SampleData {
     samples: Vec<BitSet>,
     counts: Vec<u64>,
-    seen: HashMap<BitSet, usize>,
     matrix: SampleMatrix,
+}
+
+/// A transient dedup index over [`SampleData::samples`]: instance →
+/// position. The code that records builds one, records through it and
+/// drops it, so a copy of the store never holds a second copy of its
+/// samples.
+type SeenIndex = HashMap<BitSet, usize>;
+
+impl SampleData {
+    /// Records `count` emissions of `inst`, looked up in `seen` (which
+    /// must index `self.samples`): merges `count` into the existing entry
+    /// or appends a new one in discovery order. Returns whether it was
+    /// new.
+    fn record(&mut self, seen: &mut SeenIndex, inst: &BitSet, count: u64) -> bool {
+        // the matrix deliberately lags here: sync_matrix() appends all
+        // columns recorded since the last sync in one transpose pass
+        if let Some(&pos) = seen.get(inst) {
+            self.counts[pos] += count;
+            false
+        } else {
+            seen.insert(inst.clone(), self.samples.len());
+            self.samples.push(inst.clone());
+            self.counts.push(count);
+            true
+        }
+    }
 }
 
 impl SampleStore {
@@ -419,8 +448,10 @@ impl SampleStore {
         config: SamplerConfig,
     ) -> Self {
         let mut store = Self::empty(candidate_count, config);
+        let data = Arc::make_mut(&mut store.data);
+        let mut seen = SeenIndex::new();
         for inst in instances {
-            store.record(&inst);
+            data.record(&mut seen, &inst, 1);
         }
         store.exhausted = true;
         store.sync_matrix();
@@ -442,6 +473,8 @@ impl SampleStore {
         carried: impl IntoIterator<Item = BitSet>,
     ) -> Self {
         let mut store = Self::empty(index.candidate_count(), config);
+        let data = Arc::make_mut(&mut store.data);
+        let mut seen = SeenIndex::new();
         for inst in carried {
             debug_assert!(index.is_consistent(&inst), "carried instance inconsistent");
             debug_assert!(feedback.respected_by(&inst), "carried instance breaks feedback");
@@ -449,7 +482,7 @@ impl SampleStore {
                 index.is_maximal(&inst, feedback.disapproved()),
                 "carried instance not maximal"
             );
-            store.record(&inst);
+            data.record(&mut seen, &inst, 1);
         }
         store.fill(index, feedback);
         store.sync_matrix();
@@ -458,10 +491,10 @@ impl SampleStore {
 
     /// Extracts the serializable state of this store — the distinct
     /// instances in discovery order with their visit counts, plus the
-    /// config and the exhaustion flag. The transposed matrix and the dedup
-    /// map are derived and are *not* part of the state:
-    /// [`from_state`](SampleStore::from_state) re-records the instances in
-    /// the same order, which rebuilds them bit-for-bit.
+    /// config and the exhaustion flag. The transposed matrix is derived and
+    /// is *not* part of the state: [`from_state`](SampleStore::from_state)
+    /// re-records the instances in the same order, which rebuilds it
+    /// bit-for-bit.
     pub fn to_state(&self) -> crate::persist::StoreState {
         crate::persist::StoreState {
             config: self.config,
@@ -493,12 +526,14 @@ impl SampleStore {
             ));
         }
         let mut store = Self::empty(n, state.config);
+        let data = Arc::make_mut(&mut store.data);
+        let mut seen = SeenIndex::new();
         for (ids, &count) in state.samples.iter().zip(&state.counts) {
             if ids.iter().any(|&i| i as usize >= n) {
                 return Err(format!("sample member out of range (candidate_count {n})"));
             }
             let inst = BitSet::from_ids(n, ids.iter().map(|&i| CandidateId(i)));
-            if !store.record_with_count(&inst, count) {
+            if !data.record(&mut seen, &inst, count) {
                 return Err("duplicate instance in serialized sample store".into());
             }
         }
@@ -512,38 +547,12 @@ impl SampleStore {
             data: Arc::new(SampleData {
                 samples: Vec::new(),
                 counts: Vec::new(),
-                seen: HashMap::new(),
                 matrix: SampleMatrix::new(n),
             }),
             exhausted: false,
             rng: StdRng::seed_from_u64(config.seed),
             config,
-            scratch: Scratch::new(n),
-            walk_buf: BitSet::new(n),
         }
-    }
-
-    /// Records `count` emissions of `inst`: merges `count` into the
-    /// existing entry or appends a new one in discovery order. Returns
-    /// whether it was new.
-    fn record_with_count(&mut self, inst: &BitSet, count: u64) -> bool {
-        let data = Arc::make_mut(&mut self.data);
-        // the matrix deliberately lags here: sync_matrix() appends all
-        // columns recorded since the last sync in one transpose pass
-        if let Some(&pos) = data.seen.get(inst) {
-            data.counts[pos] += count;
-            false
-        } else {
-            data.seen.insert(inst.clone(), data.samples.len());
-            data.samples.push(inst.clone());
-            data.counts.push(count);
-            true
-        }
-    }
-
-    /// Records one emission of `inst`.
-    fn record(&mut self, inst: &BitSet) {
-        self.record_with_count(inst, 1);
     }
 
     /// Restores the derived-state invariant: the transposed matrix covers
@@ -590,11 +599,15 @@ impl SampleStore {
     /// Runs one sampling pass (`n_samples` emissions) on the caller
     /// thread, recording every instance the walk visits.
     fn sample_pass(&mut self, index: &ConflictIndex, feedback: &Feedback) {
-        // the scratch frontier tracks whatever instance the previous pass
-        // ended on; this pass starts from a different one
-        self.scratch.invalidate_frontier();
+        // the walk buffers and the dedup index live for this pass only, so
+        // no store copy carries them and no pass inherits another's frontier
+        let n = index.candidate_count();
+        let (mut scratch, mut next) = (Scratch::new(n), BitSet::new(n));
+        let data = Arc::make_mut(&mut self.data);
+        let mut seen: SeenIndex =
+            data.samples.iter().enumerate().map(|(pos, s)| (s.clone(), pos)).collect();
         // start from a surviving sample if any, else from maximized F+
-        let mut current = match self.data.samples.last() {
+        let mut current = match data.samples.last() {
             Some(s) => s.clone(),
             None => {
                 let mut seed_inst = feedback.approved().clone();
@@ -604,13 +617,13 @@ impl SampleStore {
                     &mut seed_inst,
                     feedback.disapproved(),
                     &mut self.rng,
-                    &mut self.scratch,
+                    &mut scratch,
                 );
                 seed_inst
             }
         };
         // the walk's start is itself a valid instance — record it
-        self.record(&current);
+        data.record(&mut seen, &current, 1);
         for _ in 0..self.config.n_samples {
             walk(
                 index,
@@ -618,10 +631,10 @@ impl SampleStore {
                 &self.config,
                 &mut self.rng,
                 &mut current,
-                &mut self.walk_buf,
-                &mut self.scratch,
+                &mut next,
+                &mut scratch,
             );
-            self.record(&current);
+            data.record(&mut seen, &current, 1);
         }
     }
 
@@ -707,59 +720,53 @@ impl SampleStore {
                 mask
             };
             data.matrix.filter_columns(&mask);
-            // survivors compact in place (order preserved, no clones) and
-            // the dedup map keeps its entries via a position remap — the
-            // old drain-and-rebuild re-hashed and re-cloned every
-            // surviving instance on every assertion, which dominated the
-            // whole assert path once stores grew past a few hundred samples
+            // survivors compact in place (order preserved, no clones)
             let total = data.samples.len();
-            let mut remap: Vec<usize> = Vec::with_capacity(total);
             let mut dying: Vec<(BitSet, u64)> = Vec::new();
             let mut write = 0usize;
             for read in 0..total {
                 if data.samples[read].contains(candidate) == approved {
-                    remap.push(write);
                     if write != read {
                         data.samples.swap(write, read);
                         data.counts.swap(write, read);
                     }
                     write += 1;
-                } else {
-                    remap.push(usize::MAX);
-                    if !approved {
-                        // the slot's content is dead either way; keep it
-                        // only when disapproval re-insertion needs it
-                        dying.push((
-                            std::mem::replace(&mut data.samples[read], BitSet::new(0)),
-                            data.counts[read],
-                        ));
-                    }
+                } else if !approved {
+                    // the slot's content is dead either way; keep it
+                    // only when disapproval re-insertion needs it
+                    dying.push((
+                        std::mem::replace(&mut data.samples[read], BitSet::new(0)),
+                        data.counts[read],
+                    ));
                 }
             }
             data.samples.truncate(write);
             data.counts.truncate(write);
-            data.seen.retain(|_, pos| {
-                let new_pos = remap[*pos];
-                *pos = new_pos;
-                new_pos != usize::MAX
-            });
             debug_assert_eq!(data.matrix.sample_count(), data.samples.len());
-            if !approved {
-                for (mut inst, count) in dying {
-                    inst.remove(candidate);
-                    // every stored sample is a matching instance under the
-                    // pre-assertion feedback, so the local check applies
-                    let maximal =
-                        index.stays_maximal_without(&inst, candidate, feedback.disapproved());
-                    debug_assert_eq!(maximal, index.is_maximal(&inst, feedback.disapproved()));
-                    if maximal && !data.seen.contains_key(&inst) {
-                        // the shrunken instance inherits its ancestor's
-                        // weight; the closing sync_matrix() appends its column
-                        data.seen.insert(inst.clone(), data.samples.len());
-                        data.samples.push(inst);
-                        data.counts.push(count);
-                    }
+            // distinct dying `J` give distinct `J \ {c}`, so a re-inserted
+            // instance can only collide with a survivor; the survivor
+            // index is built on the first maximal one
+            let mut survivors: Option<HashSet<&BitSet>> = None;
+            let mut reinserted: Vec<(BitSet, u64)> = Vec::new();
+            for (mut inst, count) in dying {
+                inst.remove(candidate);
+                // every stored sample is a matching instance under the
+                // pre-assertion feedback, so the local check applies
+                let maximal = index.stays_maximal_without(&inst, candidate, feedback.disapproved());
+                debug_assert_eq!(maximal, index.is_maximal(&inst, feedback.disapproved()));
+                if maximal
+                    && !survivors
+                        .get_or_insert_with(|| data.samples.iter().collect())
+                        .contains(&inst)
+                {
+                    // the shrunken instance inherits its ancestor's
+                    // weight; the closing sync_matrix() appends its column
+                    reinserted.push((inst, count));
                 }
+            }
+            for (inst, count) in reinserted {
+                data.samples.push(inst);
+                data.counts.push(count);
             }
         }
         if !self.exhausted && self.data.samples.len() < self.config.n_min {
@@ -1071,6 +1078,95 @@ mod tests {
         let store = SampleStore::new(&net, &Feedback::new(0), small_config());
         assert!(store.is_exhausted());
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn repeated_emissions_merge_their_counts() {
+        let net = fig1_network();
+        let config = small_config();
+        let store = SampleStore::new(&net, &Feedback::new(5), config);
+        // fig1 exhausts after two passes, each recording its start and
+        // n_samples emissions
+        let total: u64 = store.to_state().counts.iter().sum();
+        assert_eq!(total, 2 * (config.n_samples as u64 + 1));
+        assert!(store.len() < total as usize, "the walk revisits instances");
+        let a = BitSet::from_ids(5, [CandidateId(2), CandidateId(3)]);
+        let b = BitSet::from_ids(5, [CandidateId(1), CandidateId(4)]);
+        let exact = SampleStore::from_instances(5, [a.clone(), b.clone(), a.clone()], config);
+        assert_eq!(exact.samples(), [a, b]);
+        assert_eq!(exact.to_state().counts, [2, 1]);
+    }
+
+    #[test]
+    fn disapproval_reinsertion_never_duplicates_a_survivor() {
+        // {c0,c1,c2} dies under ¬c0 and shrinks to {c1,c2}, which is
+        // already stored; {c0,c3,c4} shrinks to the new {c3,c4}
+        let net = fig1_network();
+        let state = crate::persist::StoreState {
+            config: small_config(),
+            candidate_count: 5,
+            exhausted: true,
+            samples: vec![vec![0, 1, 2], vec![1, 2], vec![0, 3, 4]],
+            counts: vec![3, 5, 7],
+        };
+        let mut store = SampleStore::from_state(&state).unwrap();
+        let mut fb = Feedback::new(5);
+        fb.disapprove(CandidateId(0));
+        store.maintain(&net, &fb, CandidateId(0), false);
+        let after = store.to_state();
+        assert_eq!(after.samples, [vec![1, 2], vec![3, 4]]);
+        assert_eq!(after.counts, [5, 7], "the survivor keeps its own count");
+        assert_eq!(store.matrix().sample_count(), 2);
+    }
+
+    #[test]
+    fn a_clone_maintains_and_refills_like_its_original() {
+        // the walk buffers are per pass, so a clone taken after a fill
+        // must take every later step to the same bits as its original
+        let (net, _) = crate::testutil::perturbed_network(4, 8, 0.7, 0.9, 3);
+        let config = SamplerConfig { n_samples: 120, n_min: 100, seed: 9, ..small_config() };
+        let mut fb = Feedback::new(net.candidate_count());
+        let mut original = SampleStore::new(&net, &fb, config);
+        let mut copy = original.clone();
+        let mut refilled = false;
+        for step in 0..6 {
+            let len = original.len();
+            let Some(c) = (0..net.candidate_count()).map(CandidateId::from_index).find(|&c| {
+                let m = original.matrix().membership_count(c);
+                !fb.is_asserted(c) && m > 0 && m < len
+            }) else {
+                break;
+            };
+            let approved = step % 2 == 0 && net.index().can_add(fb.approved(), c);
+            if approved {
+                fb.approve(c);
+            } else {
+                fb.disapprove(c);
+            }
+            let before: u64 = original.to_state().counts.iter().sum();
+            original.maintain(&net, &fb, c, approved);
+            copy.maintain(&net, &fb, c, approved);
+            // filtering and re-insertion never add emissions; a refill does
+            refilled |= original.to_state().counts.iter().sum::<u64>() > before;
+            assert_eq!(copy.to_state(), original.to_state(), "step {step}");
+            for c in (0..net.candidate_count()).map(CandidateId::from_index) {
+                assert_eq!(copy.matrix().row(c), original.matrix().row(c), "step {step}");
+            }
+        }
+        assert!(refilled, "the sequence must exercise a refill");
+    }
+
+    #[test]
+    fn from_state_refuses_a_duplicated_instance() {
+        let state = crate::persist::StoreState {
+            config: small_config(),
+            candidate_count: 5,
+            exhausted: true,
+            samples: vec![vec![2, 3], vec![1, 4], vec![2, 3]],
+            counts: vec![1, 1, 1],
+        };
+        let err = SampleStore::from_state(&state).unwrap_err();
+        assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]

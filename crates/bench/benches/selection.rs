@@ -1,13 +1,20 @@
 //! Criterion benches for the selection strategies of §IV-D: the cost of
-//! one select step, and the batch information-gain computation.
+//! one select step, the batch information-gain computation, and one warm
+//! cached pick after an assertion (the steady-state per-question cost)
+//! against one full-pool fresh scan on the small federation. That the
+//! cached and fresh paths ask the same questions is certified by
+//! `smn-core`'s `tests/evolution.rs` and `smn-dist`'s differential suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network};
+use smn_bench::speed::FEDERATION_GROUPS;
 use smn_bench::{matched_network, standard_sampler, MatcherKind};
+use smn_core::feedback::Assertion;
 use smn_core::selection::{
     ConfidenceOrderSelection, InformationGainSelection, MaxEntropySelection, RandomSelection,
     SelectionStrategy,
 };
-use smn_core::ProbabilisticNetwork;
+use smn_core::{GainSource, ProbabilisticNetwork};
 
 fn bp_network() -> ProbabilisticNetwork {
     let d = smn_datasets::bp(1);
@@ -57,5 +64,31 @@ fn bench_information_gains_batch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_select_step, bench_information_gains_batch);
+fn steady_state_network() -> ProbabilisticNetwork {
+    let net = federation_network(FEDERATION_GROUPS[0], 7);
+    let mut pn = ProbabilisticNetwork::new_sharded(net, bench_sampler(3), bench_sharding());
+    // one integrated answer: the steady state a reconciliation loop
+    // selects from (exactly one component dirty)
+    let c = pn.uncertain_candidates()[0];
+    pn.assert_candidate(Assertion { candidate: c, approved: false }).unwrap();
+    pn
+}
+
+fn bench_cached_vs_fresh(c: &mut Criterion) {
+    let pn = steady_state_network();
+    let n = pn.network().candidate_count();
+    let mut group = c.benchmark_group("selection/cached-vs-fresh");
+    group.bench_with_input(BenchmarkId::new("fresh-scan", format!("C{n}")), &pn, |b, pn| {
+        let mut strategy = InformationGainSelection::new(11).without_cache();
+        b.iter(|| strategy.select(pn));
+    });
+    group.bench_with_input(BenchmarkId::new("cached", format!("C{n}")), &pn, |b, pn| {
+        let mut strategy = InformationGainSelection::new(11);
+        pn.refresh_gain_cache(); // pay the cold scan outside the timer
+        b.iter(|| strategy.select(pn));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_select_step, bench_information_gains_batch, bench_cached_vs_fresh);
 criterion_main!(benches);

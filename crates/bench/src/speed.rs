@@ -4,7 +4,7 @@
 //!
 //! `benches/speed.rs` times the sampling fill, [`what_if_batch`] against
 //! a per-candidate [`what_if`] loop, and a federation gain scan;
-//! `benches/select.rs` times cached against fresh-scan selection. The
+//! `benches/selection.rs` times cached against fresh-scan selection. The
 //! batch path re-evaluates only the touched shard per query
 //! (`H' = H − H_k + H'_k`) instead of forking the whole network; this
 //! module's tests certify that it agrees with the loop to 1e-12.

@@ -149,7 +149,7 @@ fn timed_paths_take_measurable_time() {
         let pn = sharded.fork();
         assert!(
             min_ms(1, || {
-                std::hint::black_box(strategy.select_with_score(&pn));
+                std::hint::black_box(strategy.select(&pn));
             }) > 0.0
         );
     }

@@ -84,20 +84,9 @@ pub struct Session {
     pn: ProbabilisticNetwork,
     strategy: Box<dyn SelectionStrategy>,
     asked: Vec<Assertion>,
-    /// Rollback points: the pre-integration network fork and history
-    /// length of every undoable step ([`Session::answer`] pushes one per
-    /// integrated assertion, [`Session::run`] one per run). Forks are
-    /// copy-on-write, so an entry costs pointers — but each entry pins
-    /// the snapshot versions it refers to, so the stack is capped at
-    /// [`UNDO_DEPTH`](Self::UNDO_DEPTH): the oldest rollback point is
-    /// dropped (freeing its pinned snapshots) when a new one exceeds it.
-    undo_stack: Vec<(ProbabilisticNetwork, usize)>,
 }
 
 impl Session {
-    /// Maximum retained rollback points; see [`Session::undo`].
-    pub const UNDO_DEPTH: usize = 32;
-
     /// Creates a session: builds the probabilistic network (initial
     /// sampling) and installs the selection strategy.
     pub fn new(network: MatchingNetwork, config: SessionConfig) -> Self {
@@ -123,7 +112,7 @@ impl Session {
                 Box::new(InformationGainSelection::new(config.strategy_seed))
             }
         };
-        Self { pn, strategy, asked: history, undo_stack: Vec::new() }
+        Self { pn, strategy, asked: history }
     }
 
     /// Creates a session with a custom selection strategy.
@@ -132,12 +121,7 @@ impl Session {
         sampler: SamplerConfig,
         strategy: Box<dyn SelectionStrategy>,
     ) -> Self {
-        Self {
-            pn: ProbabilisticNetwork::new(network, sampler),
-            strategy,
-            asked: Vec::new(),
-            undo_stack: Vec::new(),
-        }
+        Self { pn: ProbabilisticNetwork::new(network, sampler), strategy, asked: Vec::new() }
     }
 
     /// The probabilistic network state.
@@ -145,45 +129,10 @@ impl Session {
         &self.pn
     }
 
-    /// Forks the session into an independent what-if branch: the
-    /// probabilistic network is shared copy-on-write
-    /// ([`ProbabilisticNetwork::fork`]), the strategy (with its RNG state)
-    /// and history are cloned. Assertions on either side never leak to the
-    /// other. The fork starts with an empty undo stack — it is a new
-    /// branch, not a view of this session's past.
-    pub fn fork(&self) -> Session {
-        Session {
-            pn: self.pn.fork(),
-            strategy: self.strategy.clone_box(),
-            asked: self.asked.clone(),
-            undo_stack: Vec::new(),
-        }
-    }
-
-    /// Rolls the session back to the state before the most recent undoable
-    /// step — one [`answer`](Session::answer) assertion, or one whole
-    /// [`run`](Session::run) — restoring the probabilistic network from
-    /// its pre-step fork and truncating the history. Returns how many
-    /// history entries were rolled back, or `None` with the session
-    /// untouched when nothing is undoable (fresh session, the undo stack
-    /// was cleared by catalog evolution, or the step fell off the
-    /// [`UNDO_DEPTH`](Self::UNDO_DEPTH)-entry history).
-    ///
-    /// The selection strategy's RNG is deliberately *not* rolled back: an
-    /// undone question re-asked may tie-break differently, exactly as a
-    /// fresh question would.
-    pub fn undo(&mut self) -> Option<usize> {
-        let (pn, asked_len) = self.undo_stack.pop()?;
-        let rolled_back = self.asked.len() - asked_len;
-        self.pn = pn;
-        self.asked.truncate(asked_len);
-        Some(rolled_back)
-    }
-
     /// The next correspondence the expert should assert, or `None` when the
     /// network is fully reconciled.
     pub fn next_question(&mut self) -> Option<Question> {
-        let (candidate, score) = self.strategy.select_with_score(&self.pn)?;
+        let (candidate, score) = self.strategy.select(&self.pn)?;
         Some(Question {
             candidate,
             correspondence: self.pn.network().corr(candidate),
@@ -192,48 +141,28 @@ impl Session {
         })
     }
 
-    /// Integrates the expert's answer for a candidate.
+    /// Integrates the expert's answer for a candidate, in place.
     ///
     /// Repeating an earlier answer verbatim is a successful no-op;
     /// flipping an earlier answer or approving a candidate that conflicts
     /// with earlier approvals returns the corresponding [`AssertError`]
-    /// with the session state untouched. This method never panics on any
-    /// `(candidate, approved)` input.
+    /// with the session state untouched — the paper's Algorithm 1 takes
+    /// every assertion as right, so there is nothing to roll back. This
+    /// method never panics on any `(candidate, approved)` input.
     pub fn answer(&mut self, candidate: CandidateId, approved: bool) -> Result<(), AssertError> {
         let assertion = Assertion { candidate, approved };
-        // validate before the undo-snapshot fork: a redundant (Ok-no-op)
-        // or rejected answer leaves the model unchanged, so it must not
-        // pay a fork — nor any copy-on-write underneath the assert
-        if !self.pn.validate_assertion(assertion)? {
-            return Ok(());
+        // a same-way re-assertion is a no-op and stays out of the history
+        if self.pn.validate_assertion(assertion)? {
+            self.pn.assert_candidate(assertion).expect("validated assertion integrates");
+            self.asked.push(assertion);
         }
-        let snapshot = (self.pn.fork(), self.asked.len());
-        self.pn.assert_candidate(assertion).expect("validated assertion integrates");
-        self.push_undo(snapshot);
-        self.asked.push(assertion);
         Ok(())
     }
 
-    /// Retains a rollback point, evicting the oldest beyond
-    /// [`UNDO_DEPTH`](Self::UNDO_DEPTH) so undo history cannot pin an
-    /// unbounded number of snapshot versions.
-    fn push_undo(&mut self, snapshot: (ProbabilisticNetwork, usize)) {
-        if self.undo_stack.len() >= Self::UNDO_DEPTH {
-            self.undo_stack.remove(0);
-        }
-        self.undo_stack.push(snapshot);
-    }
-
     /// Runs the reconciliation loop against an oracle until the goal holds
-    /// (Algorithm 1). Returns the trace. A run that integrated anything
-    /// becomes one undoable step: [`undo`](Session::undo) rolls back the
-    /// whole run.
+    /// (Algorithm 1). Returns the trace.
     pub fn run(&mut self, oracle: &mut dyn Oracle, goal: ReconciliationGoal) -> Vec<TracePoint> {
-        let snapshot = (self.pn.fork(), self.asked.len());
         let trace = reconcile(&mut self.pn, self.strategy.as_mut(), oracle, goal);
-        if trace.iter().any(|t| t.outcome != crate::reconcile::StepOutcome::Skipped) {
-            self.push_undo(snapshot);
-        }
         for t in trace.iter().filter(|t| t.outcome != crate::reconcile::StepOutcome::Skipped) {
             self.asked.push(Assertion { candidate: t.candidate, approved: t.approved });
         }
@@ -249,11 +178,7 @@ impl Session {
         y: smn_schema::AttributeId,
         confidence: f64,
     ) -> Result<CandidateId, smn_schema::SchemaError> {
-        let id = self.pn.extend(x, y, confidence)?;
-        // snapshots preceding a catalog change address a different
-        // candidate universe; undoing across evolution is not supported
-        self.undo_stack.clear();
-        Ok(id)
+        self.pn.extend(x, y, confidence)
     }
 
     /// Retires a candidate from the live session (see
@@ -264,7 +189,6 @@ impl Session {
     pub fn retire(&mut self, c: CandidateId) -> Result<(), smn_schema::SchemaError> {
         self.pn.retire(c)?;
         apply_to_history(&mut self.asked, &NetworkEvent::Retire { candidate: c });
-        self.undo_stack.clear();
         Ok(())
     }
 
@@ -439,86 +363,6 @@ mod tests {
         let mut session =
             Session::new(fig1_network(), SessionConfig { strategy: Strategy::Random, ..config() });
         assert_eq!(session.next_question().unwrap().score, None);
-    }
-
-    #[test]
-    fn forked_session_diverges_without_leaking() {
-        let mut base = Session::new(fig1_network(), config());
-        base.answer(CandidateId(2), true).unwrap();
-        let mut branch = base.fork();
-        assert_eq!(branch.history(), base.history());
-        branch.answer(CandidateId(0), false).unwrap();
-        assert_eq!(base.history().len(), 1, "branch answers stay on the branch");
-        assert_ne!(branch.network().probabilities(), base.network().probabilities());
-        // both sides keep reconciling independently
-        let mut oracle = GroundTruthOracle::new(fig1_truth());
-        base.run(&mut oracle, ReconciliationGoal::Complete);
-        assert_eq!(base.entropy(), 0.0);
-        assert!(branch.network().probability(CandidateId(0)) == 0.0);
-    }
-
-    #[test]
-    fn undo_rolls_back_single_answers() {
-        let mut session = Session::new(fig1_network(), config());
-        assert_eq!(session.undo(), None, "nothing to undo on a fresh session");
-        let before = session.network().probabilities().to_vec();
-        session.answer(CandidateId(2), true).unwrap();
-        session.answer(CandidateId(0), false).unwrap();
-        assert_eq!(session.history().len(), 2);
-        assert_eq!(session.undo(), Some(1));
-        assert_eq!(session.history().len(), 1);
-        assert!(session.network().feedback().approved().contains(CandidateId(2)));
-        assert!(!session.network().feedback().is_asserted(CandidateId(0)));
-        assert_eq!(session.undo(), Some(1));
-        assert_eq!(session.network().probabilities(), &before[..]);
-        assert!((session.effort() - 0.0).abs() < 1e-12);
-        assert_eq!(session.undo(), None);
-    }
-
-    #[test]
-    fn undo_rolls_back_a_whole_run_and_redundant_answers_are_not_undoable() {
-        let mut session = Session::new(fig1_network(), config());
-        session.answer(CandidateId(2), true).unwrap();
-        // a same-way re-answer is a no-op and must not create an undo point
-        session.answer(CandidateId(2), true).unwrap();
-        let mut oracle = GroundTruthOracle::new(fig1_truth());
-        let trace = session.run(&mut oracle, ReconciliationGoal::Complete);
-        assert!(!trace.is_empty());
-        assert_eq!(session.undo(), Some(trace.len()), "one undo rolls back the whole run");
-        assert_eq!(session.history().len(), 1);
-        assert_eq!(session.undo(), Some(1));
-        assert_eq!(session.history().len(), 0);
-        assert_eq!(session.undo(), None);
-    }
-
-    #[test]
-    fn undo_history_is_capped() {
-        // a larger catalog so > UNDO_DEPTH distinct answers exist
-        let (net, _) = crate::testutil::perturbed_network(3, 16, 0.7, 0.9, 3);
-        let n = net.candidate_count();
-        assert!(n > Session::UNDO_DEPTH + 1);
-        let mut session = Session::new(net, config());
-        for i in 0..Session::UNDO_DEPTH + 5 {
-            session.answer(CandidateId(i as u32), false).unwrap();
-        }
-        let mut undone = 0;
-        while session.undo().is_some() {
-            undone += 1;
-        }
-        assert_eq!(undone, Session::UNDO_DEPTH, "only the capped history is undoable");
-        assert_eq!(session.history().len(), 5, "older steps stay integrated");
-    }
-
-    #[test]
-    fn evolution_clears_the_undo_stack() {
-        let mut session = Session::new(fig1_network(), config());
-        session.answer(CandidateId(2), true).unwrap();
-        session.retire(CandidateId(4)).unwrap();
-        assert_eq!(session.undo(), None, "undo across a retirement is refused");
-        session.answer(CandidateId(0), false).unwrap();
-        let id = session.extend(AttributeId(0), AttributeId(3), 0.7).unwrap();
-        assert!(id.index() > 0);
-        assert_eq!(session.undo(), None, "undo across an arrival is refused");
     }
 
     #[test]

@@ -41,10 +41,10 @@
 //! an `Arc<Mutex<_>>` *shared by forks* (cheap `fork()` must not deep-
 //! copy it), and because two diverged forks can never mint the same
 //! epoch for the same shard, a hit is always a value computed against
-//! precisely the reader's state — including a fork restored by
-//! [`Session::undo`](crate::Session), whose old epochs simply re-match
-//! the entries cached before the undone step. Epochs only ever decide
-//! *hit or miss*, never a value, so determinism is unconditional.
+//! precisely the reader's state — including an older parked fork, whose
+//! old epochs simply re-match the entries cached while it was current.
+//! Epochs only ever decide *hit or miss*, never a value, so determinism
+//! is unconditional.
 
 use crate::selection::TIE_EPSILON;
 use smn_schema::CandidateId;

@@ -329,8 +329,8 @@ impl ProbabilisticNetwork {
     /// **no sample matrix or conflict index is copied** until one side
     /// writes, and a write copies exactly the one shard it touches
     /// (`Arc::make_mut`). `Clone` has the same semantics; `fork` is the
-    /// intent-revealing name the what-if / undo / multi-worker machinery
-    /// uses.
+    /// intent-revealing name that serving's published snapshots and
+    /// [`what_if`](Self::what_if) use.
     pub fn fork(&self) -> Self {
         self.clone()
     }

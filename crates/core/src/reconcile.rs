@@ -88,7 +88,7 @@ pub fn reconcile(
             _ => {}
         }
         // (1) select an uncertain correspondence
-        let Some(candidate) = strategy.select(pn) else {
+        let Some((candidate, _)) = strategy.select(pn) else {
             break; // fully reconciled
         };
         // (2) elicit the assertion

@@ -91,30 +91,14 @@ pub trait SelectionStrategy {
     fn name(&self) -> &'static str;
 
     /// Selects an uncertain candidate, or `None` when every candidate is
-    /// certain (reconciliation finished).
-    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<CandidateId>;
-
-    /// Like [`select`](Self::select), additionally reporting the scalar
-    /// score that justified the pick (the information gain for the
-    /// paper's heuristic, the marginal entropy / matcher confidence for
-    /// the ablations) so callers — the session, the service dispatcher,
-    /// the experiment bins — can log *why* a question was chosen without
-    /// recomputing gains. `None` means the strategy has no meaningful
-    /// scalar for this pick (random selection, fallback picks).
-    ///
-    /// The default delegates to [`select`](Self::select) with no score;
-    /// strategies that already compute one should override both so the two
-    /// entry points consume identical RNG streams.
-    fn select_with_score(
-        &mut self,
-        pn: &ProbabilisticNetwork,
-    ) -> Option<(CandidateId, Option<f64>)> {
-        self.select(pn).map(|c| (c, None))
-    }
-
-    /// Clones the strategy behind a box — what lets a
-    /// [`Session`](crate::Session) fork mid-reconciliation.
-    fn clone_box(&self) -> Box<dyn SelectionStrategy>;
+    /// certain (reconciliation finished), together with the scalar score
+    /// that justified the pick: the information gain for the paper's
+    /// heuristic, the marginal entropy / matcher confidence for the
+    /// ablations. Callers (the session, the service dispatcher, the
+    /// experiment bins) log *why* a question was chosen without
+    /// recomputing gains. A `None` score means the strategy has no
+    /// meaningful scalar for this pick (random selection, fallback picks).
+    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<(CandidateId, Option<f64>)>;
 }
 
 /// Uniformly random *unasserted* candidate — the paper's baseline of
@@ -140,12 +124,8 @@ impl SelectionStrategy for RandomSelection {
         "random"
     }
 
-    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<CandidateId> {
-        random_unasserted(pn, &mut self.rng)
-    }
-
-    fn clone_box(&self) -> Box<dyn SelectionStrategy> {
-        Box::new(self.clone())
+    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<(CandidateId, Option<f64>)> {
+        random_unasserted(pn, &mut self.rng).map(|c| (c, None))
     }
 }
 
@@ -198,14 +178,7 @@ impl SelectionStrategy for InformationGainSelection {
         "information-gain"
     }
 
-    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<CandidateId> {
-        self.select_with_score(pn).map(|(c, _)| c)
-    }
-
-    fn select_with_score(
-        &mut self,
-        pn: &ProbabilisticNetwork,
-    ) -> Option<(CandidateId, Option<f64>)> {
+    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<(CandidateId, Option<f64>)> {
         let mut pool = pn.uncertain_candidates();
         if pool.is_empty() {
             // no uncertainty left: every further assertion has zero gain,
@@ -240,10 +213,6 @@ impl SelectionStrategy for InformationGainSelection {
         let (window, gains) = pn.cached_gain_window();
         scored_argmax(&window, &gains, &mut self.rng).map(|(c, gain)| (c, Some(gain)))
     }
-
-    fn clone_box(&self) -> Box<dyn SelectionStrategy> {
-        Box::new(self.clone())
-    }
 }
 
 /// Maximal marginal entropy: probability closest to ½ (ablation strategy).
@@ -255,23 +224,13 @@ impl SelectionStrategy for MaxEntropySelection {
         "max-entropy"
     }
 
-    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<CandidateId> {
-        pn.uncertain_candidates().into_iter().max_by(|&a, &b| {
-            let ha = crate::entropy::binary_entropy(pn.probability(a));
-            let hb = crate::entropy::binary_entropy(pn.probability(b));
-            ha.total_cmp(&hb).then(b.cmp(&a))
-        })
-    }
-
-    fn select_with_score(
-        &mut self,
-        pn: &ProbabilisticNetwork,
-    ) -> Option<(CandidateId, Option<f64>)> {
-        self.select(pn).map(|c| (c, Some(crate::entropy::binary_entropy(pn.probability(c)))))
-    }
-
-    fn clone_box(&self) -> Box<dyn SelectionStrategy> {
-        Box::new(self.clone())
+    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<(CandidateId, Option<f64>)> {
+        let h = |c| crate::entropy::binary_entropy(pn.probability(c));
+        let c = pn
+            .uncertain_candidates()
+            .into_iter()
+            .max_by(|&a, &b| h(a).total_cmp(&h(b)).then(b.cmp(&a)))?;
+        Some((c, Some(h(c))))
     }
 }
 
@@ -286,23 +245,13 @@ impl SelectionStrategy for ConfidenceOrderSelection {
         "confidence-order"
     }
 
-    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<CandidateId> {
-        pn.uncertain_candidates().into_iter().min_by(|&a, &b| {
-            let ca = pn.network().candidates().confidence(a);
-            let cb = pn.network().candidates().confidence(b);
-            ca.total_cmp(&cb).then(a.cmp(&b))
-        })
-    }
-
-    fn select_with_score(
-        &mut self,
-        pn: &ProbabilisticNetwork,
-    ) -> Option<(CandidateId, Option<f64>)> {
-        self.select(pn).map(|c| (c, Some(pn.network().candidates().confidence(c))))
-    }
-
-    fn clone_box(&self) -> Box<dyn SelectionStrategy> {
-        Box::new(self.clone())
+    fn select(&mut self, pn: &ProbabilisticNetwork) -> Option<(CandidateId, Option<f64>)> {
+        let confidence = |c| pn.network().candidates().confidence(c);
+        let c = pn
+            .uncertain_candidates()
+            .into_iter()
+            .min_by(|&a, &b| confidence(a).total_cmp(&confidence(b)).then(a.cmp(&b)))?;
+        Some((c, Some(confidence(c))))
     }
 }
 
@@ -336,7 +285,7 @@ mod tests {
         let mut strat = InformationGainSelection::new(1);
         for seed in 0..10 {
             let mut s = InformationGainSelection::new(seed);
-            let picked = s.select(&pn()).unwrap();
+            let (picked, _) = s.select(&pn()).unwrap();
             assert_ne!(picked, CandidateId(0), "c0 has strictly lower gain");
         }
         assert!(strat.select(&pn()).is_some());
@@ -351,7 +300,7 @@ mod tests {
         let mut strat = RandomSelection::new(3);
         let mut picked = std::collections::HashSet::new();
         for _ in 0..60 {
-            let c = strat.select(&pn).unwrap();
+            let (c, _) = strat.select(&pn).unwrap();
             assert_ne!(c, CandidateId(2), "asserted candidates are never re-selected");
             picked.insert(c);
         }
@@ -365,9 +314,9 @@ mod tests {
         pn.assert_candidate(Assertion { candidate: CandidateId(4), approved: true }).unwrap();
         assert_eq!(pn.entropy(), 0.0);
         // c0, c1, c2 are certain but unasserted: both strategies keep going
-        let c = RandomSelection::new(0).select(&pn).unwrap();
+        let (c, _) = RandomSelection::new(0).select(&pn).unwrap();
         assert!(!pn.feedback().is_asserted(c));
-        let c = InformationGainSelection::new(0).select(&pn).unwrap();
+        let (c, _) = InformationGainSelection::new(0).select(&pn).unwrap();
         assert!(!pn.feedback().is_asserted(c));
         // the uncertainty-only ablation strategies stop here
         assert!(MaxEntropySelection.select(&pn).is_none());
@@ -393,13 +342,13 @@ mod tests {
         // fig1 confidences: c0=0.9, c1=c2=0.8, c3=c4=0.7 → picks c3 (lowest
         // id among the 0.7 pair)
         let mut strat = ConfidenceOrderSelection;
-        assert_eq!(strat.select(&pn), Some(CandidateId(3)));
+        assert_eq!(strat.select(&pn), Some((CandidateId(3), Some(0.7))));
     }
 
     #[test]
     fn limit_restricts_evaluations_but_still_selects() {
         let mut strat = InformationGainSelection::new(0).with_limit(2);
-        let c = strat.select(&pn()).unwrap();
+        let (c, _) = strat.select(&pn()).unwrap();
         assert!(c.index() < 5);
     }
 
@@ -407,7 +356,7 @@ mod tests {
     fn max_entropy_picks_an_uncertain_candidate() {
         let mut pn = pn();
         pn.assert_candidate(Assertion { candidate: CandidateId(2), approved: true }).unwrap();
-        let c = MaxEntropySelection.select(&pn).unwrap();
+        let (c, _) = MaxEntropySelection.select(&pn).unwrap();
         let p = pn.probability(c);
         assert!(p > 0.0 && p < 1.0);
     }

@@ -262,64 +262,64 @@ fn arrival_stream_from_empty_reaches_the_batch_network() {
 
 /// The cached-selection mirror of [`Session`]: a fresh-scan
 /// [`InformationGainSelection`] (via
-/// [`without_cache`](InformationGainSelection::without_cache)) plus a
-/// hand-rolled replica of the session's undo/fork bookkeeping. Driving it
-/// in lockstep with a real (cache-enabled) session pins the tentpole
-/// contract — the gain cache must never change a question, a score bit,
-/// or an RNG draw, through any interleaving of answers, arrivals,
-/// retirements, undos and forks.
+/// [`without_cache`](InformationGainSelection::without_cache)) over a
+/// plain network. Driving it in lockstep with a real (cache-enabled)
+/// session pins the gain cache's contract — it must never change a
+/// question, a score bit, or an RNG draw, through any interleaving of
+/// answers, arrivals and retirements.
 struct FreshReference {
     pn: ProbabilisticNetwork,
     strategy: InformationGainSelection,
-    undo_stack: Vec<ProbabilisticNetwork>,
 }
 
 impl FreshReference {
     fn next_question(&mut self) -> Option<(CandidateId, Option<u64>)> {
-        let (c, score) = self.strategy.select_with_score(&self.pn)?;
+        let (c, score) = self.strategy.select(&self.pn)?;
         Some((c, score.map(f64::to_bits)))
-    }
-
-    /// Mirror of [`Session::answer`]: validate first, snapshot only
-    /// before an assertion that will really integrate.
-    fn answer(&mut self, candidate: CandidateId, approved: bool) {
-        let assertion = Assertion { candidate, approved };
-        if !matches!(self.pn.validate_assertion(assertion), Ok(true)) {
-            return;
-        }
-        let snapshot = self.pn.fork();
-        self.pn.assert_candidate(assertion).expect("validated assertion integrates");
-        if self.undo_stack.len() >= smn_core::Session::UNDO_DEPTH {
-            self.undo_stack.remove(0);
-        }
-        self.undo_stack.push(snapshot);
     }
 }
 
+/// Half of the pair pool on `sizes` attributes per schema — the starting
+/// network of the cached-selection properties, leaving arrivals to draw.
+fn half_pool_network(sizes: [usize; 3]) -> (MatchingNetwork, Vec<(AttributeId, AttributeId)>) {
+    let (cat, graph) = three_schema_catalog(sizes);
+    let pool = pair_pool(&cat);
+    let mut cs = CandidateSet::new(&cat);
+    for &(x, y) in pool.iter().take(pool.len().div_ceil(2)) {
+        cs.add(&cat, Some(&graph), x, y, 0.5).unwrap();
+    }
+    (MatchingNetwork::new(cat, graph, cs, ConstraintConfig::default()), pool)
+}
+
+/// A pool pair `pn` has no candidate for yet, chosen by `pick`.
+fn free_pair(
+    pn: &ProbabilisticNetwork,
+    pool: &[(AttributeId, AttributeId)],
+    pick: usize,
+) -> Option<(AttributeId, AttributeId)> {
+    let free: Vec<_> = pool
+        .iter()
+        .filter(|(x, y)| pn.network().candidates().find(*x, *y).is_none())
+        .copied()
+        .collect();
+    (!free.is_empty()).then(|| free[pick % free.len()])
+}
+
 proptest! {
-    /// Cached selection ≡ fresh scan, byte for byte, across evolution,
-    /// undo and forks. The real session runs the (default) cache-enabled
+    /// Cached selection ≡ fresh scan, byte for byte, across evolution.
+    /// The real session runs the (default) cache-enabled
     /// [`InformationGainSelection`]; the reference recomputes every gain
     /// from scratch. Every question — candidate id *and* score bits —
     /// must agree at every step, which also proves the two sides consume
     /// identical RNG streams (one divergent draw would desynchronise all
-    /// later tie-breaks). Undo restores forks whose shard epochs predate
-    /// cache entries shared through the [`Session::fork`] `Arc` — the
-    /// aliasing case the globally unique epochs exist for.
+    /// later tie-breaks).
     #[test]
-    fn cached_session_trace_equals_fresh_scan_through_evolution_and_undo(
+    fn cached_session_trace_equals_fresh_scan_through_evolution(
         sizes in prop::array::uniform3(1usize..4),
         seed in any::<u64>(),
         ops in prop::collection::vec(any::<u32>(), 1..24),
     ) {
-        let (cat, graph) = three_schema_catalog(sizes);
-        let pool = pair_pool(&cat);
-        let mut cs = CandidateSet::new(&cat);
-        for &(x, y) in pool.iter().take(pool.len().div_ceil(2)) {
-            cs.add(&cat, Some(&graph), x, y, 0.5).unwrap();
-        }
-        let net =
-            MatchingNetwork::new(cat.clone(), graph.clone(), cs, ConstraintConfig::default());
+        let (net, pool) = half_pool_network(sizes);
         let mut session = smn_core::Session::new(
             net.clone(),
             smn_core::SessionConfig {
@@ -332,7 +332,6 @@ proptest! {
         let mut fresh = FreshReference {
             pn: ProbabilisticNetwork::new_sharded(net, sampler(), exact_sharding()),
             strategy: InformationGainSelection::new(seed).without_cache(),
-            undo_stack: Vec::new(),
         };
         for &op in &ops {
             // lockstep question — the observable the cache must not move
@@ -344,38 +343,25 @@ proptest! {
                 "cached and fresh questions diverged"
             );
             let pick = (op >> 3) as usize;
-            match op % 8 {
+            match op % 6 {
                 0..=3 => {
                     let Some(q) = question else { continue };
                     let approved = q.probability > 0.5;
-                    let _ = session.answer(q.candidate, approved);
-                    fresh.answer(q.candidate, approved);
+                    let got = session.answer(q.candidate, approved);
+                    let want = fresh.pn.assert_candidate(Assertion {
+                        candidate: q.candidate,
+                        approved,
+                    });
+                    prop_assert_eq!(got, want);
                 }
                 4 => {
-                    let undone = session.undo();
-                    let reference = fresh.undo_stack.pop();
-                    prop_assert_eq!(undone.is_some(), reference.is_some());
-                    if let Some(pn) = reference {
-                        fresh.pn = pn;
-                    }
-                }
-                5 => {
-                    let free: Vec<(AttributeId, AttributeId)> = pool
-                        .iter()
-                        .filter(|(x, y)| {
-                            session.network().network().candidates().find(*x, *y).is_none()
-                        })
-                        .copied()
-                        .collect();
-                    if free.is_empty() {
+                    let Some((x, y)) = free_pair(session.network(), &pool, pick) else {
                         continue;
-                    }
-                    let (x, y) = free[pick % free.len()];
+                    };
                     session.extend(x, y, 0.5).unwrap();
                     fresh.pn.extend(x, y, 0.5).unwrap();
-                    fresh.undo_stack.clear();
                 }
-                6 => {
+                _ => {
                     let n = session.network().network().candidate_count();
                     if n == 0 {
                         continue;
@@ -383,21 +369,67 @@ proptest! {
                     let c = CandidateId::from_index(pick % n);
                     session.retire(c).unwrap();
                     fresh.pn.retire(c).unwrap();
-                    fresh.undo_stack.clear();
-                }
-                _ => {
-                    // branch both sides: the fork shares the parent's
-                    // gain cache through the Arc, on purpose
-                    session = session.fork();
-                    fresh = FreshReference {
-                        pn: fresh.pn.fork(),
-                        strategy: fresh.strategy.clone(),
-                        undo_stack: Vec::new(),
-                    };
                 }
             }
         }
         // final posterior parity: the cache never touched the model
         prop_assert_eq!(session.network().probabilities(), fresh.pn.probabilities());
+    }
+
+    /// Forks share one gain cache on purpose (a serving snapshot and its
+    /// session views reuse each other's clean shards), so the cache must
+    /// never serve one fork an entry computed on another. Two forks of one
+    /// network diverge under answers, arrivals, retirements and further
+    /// forks; cached picks hop between the parked forks — returning to
+    /// older ones whose shard epochs predate entries the others cached —
+    /// and every pick must equal a fresh scan of its own fork, by
+    /// candidate and by score bits. The globally unique epochs are what
+    /// make each hit an entry computed from exactly the reader's state.
+    #[test]
+    fn forks_sharing_a_gain_cache_each_pick_their_own_fresh_scan(
+        sizes in prop::array::uniform3(1usize..4),
+        seed in any::<u64>(),
+        ops in prop::collection::vec(any::<u32>(), 1..32),
+    ) {
+        let (net, pool) = half_pool_network(sizes);
+        let root = ProbabilisticNetwork::new_sharded(net, sampler(), exact_sharding());
+        let mut forks = vec![root.fork(), root];
+        let mut cached = InformationGainSelection::new(seed);
+        let mut fresh = InformationGainSelection::new(seed).without_cache();
+        for (step, &op) in ops.iter().enumerate() {
+            // alternate between the parked forks, else jump to any of them
+            let f = if op & 8 == 0 { step % 2 } else { (op >> 4) as usize % forks.len() };
+            let got = cached.select(&forks[f]);
+            let want = fresh.select(&forks[f]);
+            prop_assert_eq!(
+                got.map(|(c, s)| (c, s.map(f64::to_bits))),
+                want.map(|(c, s)| (c, s.map(f64::to_bits))),
+                "fork {} step {}: cached pick vs its own fresh scan", f, step
+            );
+            let pick = (op >> 4) as usize;
+            let pn = &mut forks[f];
+            match op % 8 {
+                0..=4 => {
+                    let Some((candidate, _)) = want else { continue };
+                    let approved = pn.probability(candidate) > 0.5;
+                    pn.assert_candidate(Assertion { candidate, approved }).unwrap();
+                }
+                5 => {
+                    if let Some((x, y)) = free_pair(pn, &pool, pick) {
+                        pn.extend(x, y, 0.5).unwrap();
+                    }
+                }
+                6 => {
+                    let n = pn.network().candidate_count();
+                    if n > 0 {
+                        pn.retire(CandidateId::from_index(pick % n)).unwrap();
+                    }
+                }
+                _ => {
+                    let branch = pn.fork();
+                    forks.push(branch);
+                }
+            }
+        }
     }
 }

@@ -318,7 +318,7 @@ fn cached_dispatch_over_a_cluster_matches_a_fresh_single_process_scan() {
         let mut dispatcher = Dispatcher::new(7);
         let mut driven = 0usize;
         for step in 0..18 {
-            let expected = fresh.select_with_score(&pn);
+            let expected = fresh.select(&pn);
             let leases = dispatcher.lease_round(&dist, 1, 1, 1, step);
             let got = leases.first().map(|l| (l.candidate, l.score.map(f64::to_bits)));
             assert_eq!(

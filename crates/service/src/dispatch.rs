@@ -173,7 +173,7 @@ mod tests {
             let pn = sharded(3);
             let mut strategy = InformationGainSelection::new(seed);
             let mut dispatcher = Dispatcher::new(seed);
-            let expected = strategy.select_with_score(&pn).unwrap();
+            let expected = strategy.select(&pn).unwrap();
             let leases = dispatcher.lease_round(&pn, 1, 1, 1, 0);
             assert_eq!(leases.len(), 1);
             assert_eq!((leases[0].candidate, leases[0].score), expected);

@@ -234,13 +234,9 @@ impl SelectionStrategy for ScriptedSelection {
         "scripted"
     }
 
-    fn select(&mut self, _pn: &ProbabilisticNetwork) -> Option<CandidateId> {
+    fn select(&mut self, _pn: &ProbabilisticNetwork) -> Option<(CandidateId, Option<f64>)> {
         let next = self.script.get(self.pos).copied();
         self.pos += 1;
-        next
-    }
-
-    fn clone_box(&self) -> Box<dyn SelectionStrategy> {
-        Box::new(self.clone())
+        next.map(|c| (c, None))
     }
 }

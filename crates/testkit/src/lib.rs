@@ -60,7 +60,7 @@ mod tests {
         assert!(oracle.assert(corr), "script cycles");
         let pn = ProbabilisticNetwork::new(fig1_network(), tiny_sampler(1));
         let mut sel = ScriptedSelection::new([CandidateId(2)]);
-        assert_eq!(sel.select(&pn), Some(CandidateId(2)));
+        assert_eq!(sel.select(&pn), Some((CandidateId(2), None)));
         assert_eq!(sel.select(&pn), None);
     }
 }

@@ -1,4 +1,4 @@
-//! A persistent work-stealing worker pool for shard-granular parallelism.
+//! A persistent worker pool for shard-granular parallelism.
 //!
 //! Every per-shard batch in the workspace — the sharded fill and gain
 //! scan in [`crate::shard`], the what-if branches of
@@ -17,20 +17,25 @@
 //!
 //! ## Shape
 //!
-//! * one [`Mutex`]`<VecDeque>` run queue per worker; submitters push
-//!   round-robin, workers pop their own queue front-first and steal from
-//!   the back of their neighbours' queues when empty;
+//! * one FIFO run queue and the shutdown flag under one [`Mutex`], plus
+//!   one [`Condvar`]: a submitter pushes its whole batch under a single
+//!   lock and wakes the workers; workers pop the front and block on the
+//!   condvar while the queue is empty. Every push and the shutdown flag
+//!   change under the lock that an idle worker checks before it blocks,
+//!   so no wakeup is lost and nothing polls;
 //! * [`WorkerPool::map`] submits one task per item and blocks until all
-//!   of them finished, **helping** — the calling thread executes queued
-//!   tasks while it waits. Helping is what makes nested batches (a pool
-//!   task that itself submits a batch) deadlock-free: the inner batch's
-//!   submitter drains work itself even when every pool worker is busy;
+//!   of them finished, **helping** — the calling thread pops and executes
+//!   queued tasks from the same front until the queue is empty or its
+//!   batch is done, then blocks on the batch latch. Helping is what makes
+//!   nested batches (a pool task that itself submits a batch)
+//!   deadlock-free: the inner batch's submitter drains work itself even
+//!   when every pool worker is busy;
 //! * results land in per-task slots and are returned **in item order**,
 //!   so the merge order — and with it every downstream posterior and
 //!   report byte — is a pure function of the items, never of scheduling.
 //!   This is the pool's determinism contract (see `docs/POOL.md`): thread
-//!   count, steal order and [`sequential`] scopes may change wall-clock,
-//!   not results;
+//!   count, which thread pops which task and [`sequential`] scopes may
+//!   change wall-clock, not results;
 //! * a panicking task is caught, its batch still completes, and the panic
 //!   resumes on the submitting thread — same observable behaviour as a
 //!   panicked scoped thread, without poisoning the long-lived workers.
@@ -48,93 +53,64 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 type RawTask = Box<dyn FnOnce() + Send + 'static>;
 
+/// The run queue and the shutdown flag, guarded together.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<RawTask>,
+    shutdown: bool,
+}
+
+#[derive(Default)]
 struct Shared {
-    /// One run queue per worker; submitters push round-robin.
-    queues: Vec<Mutex<VecDeque<RawTask>>>,
-    /// Wakes sleeping workers when work arrives (paired with `sleep`).
-    wake: Condvar,
-    sleep: Mutex<()>,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled when tasks are pushed or the pool shuts down.
+    work: Condvar,
 }
 
 impl Shared {
-    /// Pops work for worker `w`: its own queue first (front = FIFO),
-    /// then a steal sweep over the other queues (back = the
-    /// submission-order tail, keeping owners and thieves off the same
-    /// end).
-    fn find_task(&self, w: usize) -> Option<RawTask> {
-        if let Some(t) = self.queues[w].lock().expect("pool queue").pop_front() {
-            return Some(t);
-        }
-        let n = self.queues.len();
-        for step in 1..n {
-            let q = (w + step) % n;
-            if let Some(t) = self.queues[q].lock().expect("pool queue").pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Pops work from any queue — the help-while-waiting path for
-    /// submitting threads, which have no home queue.
-    fn find_any_task(&self) -> Option<RawTask> {
-        for q in &self.queues {
-            if let Some(t) = q.lock().expect("pool queue").pop_front() {
-                return Some(t);
-            }
-        }
-        None
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("pool queue")
     }
 }
 
-/// Per-batch completion state: one result slot per task plus a latch.
+/// Per-batch completion state: one result slot per task plus a latch
+/// counting the tasks still to finish.
 struct Batch<T> {
-    remaining: AtomicUsize,
     slots: Vec<Mutex<Option<std::thread::Result<T>>>>,
+    remaining: Mutex<usize>,
     done: Condvar,
-    done_lock: Mutex<()>,
 }
 
-/// The persistent work-stealing pool. One lives for the whole process
+/// The persistent worker pool. One lives for the whole process
 /// (see [`global`]); tests may build private ones.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    next_queue: AtomicUsize,
 }
 
 impl WorkerPool {
     /// Spawns a pool with `threads` long-lived workers (min 1).
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            wake: Condvar::new(),
-            sleep: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..threads)
+        let shared = Arc::new(Shared::default());
+        let handles = (0..threads.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("smn-pool-{w}"))
-                    .spawn(move || worker_loop(w, &shared))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
-        Self { shared, handles, next_queue: AtomicUsize::new(0) }
+        Self { shared, handles }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.queues.len()
+        self.handles.len()
     }
 
     /// Applies `f` to every item as one batch and returns the results in
@@ -156,52 +132,47 @@ impl WorkerPool {
             return items.into_iter().map(f).collect();
         }
         let batch: Arc<Batch<T>> = Arc::new(Batch {
-            remaining: AtomicUsize::new(n),
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            remaining: Mutex::new(n),
             done: Condvar::new(),
-            done_lock: Mutex::new(()),
         });
         let f = &f;
-        for (i, x) in items.into_iter().enumerate() {
-            let b = Arc::clone(&batch);
-            let closure: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| f(x)));
-                *b.slots[i].lock().expect("batch slot") = Some(result);
-                // last finisher trips the latch under the lock so the
-                // notify cannot race the submitter's final check
-                if b.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let _g = b.done_lock.lock().expect("batch latch");
-                    b.done.notify_all();
-                }
-            });
-            // SAFETY: erases the borrow of `f` and the items' lifetimes
-            // to 'static. The closure (and everything it borrows) is
-            // guaranteed to have finished executing and been dropped
-            // before `map` returns: tasks only leave the queues by
-            // being executed, execution decrements `remaining` after
-            // dropping the task, and we block below until
-            // `remaining == 0`.
-            let raw: RawTask =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RawTask>(closure) };
-            let q = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.threads();
-            self.shared.queues[q].lock().expect("pool queue").push_back(raw);
-        }
-        self.shared.wake.notify_all();
+        let tasks: Vec<RawTask> = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| {
+                let b = Arc::clone(&batch);
+                let closure: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    let result = catch_unwind(AssertUnwindSafe(|| f(x)));
+                    *b.slots[i].lock().expect("batch slot") = Some(result);
+                    let mut remaining = b.remaining.lock().expect("batch latch");
+                    *remaining -= 1;
+                    if *remaining == 0 {
+                        b.done.notify_all();
+                    }
+                });
+                // SAFETY: erases the borrow of `f` and the items' lifetimes
+                // to 'static. The closure (and everything it borrows) is
+                // guaranteed to have finished executing and been dropped
+                // before `map` returns: tasks only leave the queue by
+                // being executed, execution decrements `remaining` after
+                // dropping the task, and we block below until
+                // `remaining == 0`.
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, RawTask>(closure) }
+            })
+            .collect();
+        self.shared.lock().tasks.extend(tasks);
+        self.shared.work.notify_all();
         // Help while waiting: run queued tasks (ours or anyone's — also
-        // what keeps nested batches live), then park briefly on the latch.
-        while batch.remaining.load(Ordering::Acquire) != 0 {
-            if let Some(t) = self.shared.find_any_task() {
-                t();
-                continue;
-            }
-            let g = batch.done_lock.lock().expect("batch latch");
-            if batch.remaining.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            // timed backstop: a worker could finish the last task between
-            // our check and the wait
-            let _ = batch.done.wait_timeout(g, Duration::from_micros(200)).expect("batch latch");
+        // what keeps nested batches live) until the queue is empty or the
+        // batch is done, then block on the latch. Whatever of the batch is
+        // still unfinished by then is running on other threads.
+        while *batch.remaining.lock().expect("batch latch") != 0 {
+            let Some(task) = self.shared.lock().tasks.pop_front() else { break };
+            task();
         }
+        let remaining = batch.remaining.lock().expect("batch latch");
+        drop(batch.done.wait_while(remaining, |left| *left != 0).expect("batch latch"));
         // Drain every slot before the batch can be dropped; panics are
         // re-raised only after the whole batch has settled.
         let mut out = Vec::with_capacity(n);
@@ -221,36 +192,25 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // wake everyone under the sleep lock so no worker can re-park
-        // between the flag store and the notify
-        {
-            let _g = self.shared.sleep.lock().expect("pool sleep lock");
-            self.shared.wake.notify_all();
-        }
+        // set under the queue lock, so no worker can block between its
+        // check of the flag and the notify; a poisoned lock still guards a
+        // whole queue (tasks run outside it), and `drop` must not panic
+        self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
+        self.shared.work.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(w: usize, shared: &Shared) {
+fn worker_loop(shared: &Shared) {
+    let idle = |q: &mut Queue| q.tasks.is_empty() && !q.shutdown;
     loop {
-        if let Some(task) = shared.find_task(w) {
-            task();
-            continue;
-        }
-        let g = shared.sleep.lock().expect("pool sleep lock");
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Timed park: submission notifies, but a push can land between
-        // our empty sweep and this wait — the timeout bounds that race
-        // instead of a queue-revision protocol.
-        let _ = shared.wake.wait_timeout(g, Duration::from_millis(1)).expect("pool sleep lock");
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
+        let mut queue = shared.work.wait_while(shared.lock(), idle).expect("pool queue");
+        // only shutdown wakes a worker to an empty queue
+        let Some(task) = queue.tasks.pop_front() else { return };
+        drop(queue);
+        task();
     }
 }
 
@@ -299,6 +259,7 @@ pub fn sequential<R>(f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
     use std::thread::ThreadId;
 
     fn mix(x: u64) -> u64 {
@@ -329,11 +290,47 @@ mod tests {
 
     #[test]
     fn nested_batches_complete() {
-        // a task that itself submits a batch to the same pool — the shard
-        // fill / multi-chain nesting shape
+        // a task that itself submits a batch to the same pool; helping
+        // keeps the inner batches live while every worker runs an outer task
         let pool = WorkerPool::new(2);
         let out = pool.map(0..8u64, |i| pool.map(0u64..8, |x| x + 1).iter().sum::<u64>() + i);
         assert_eq!(out, (0..8u64).map(|i| 36 + i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_submitters_each_get_their_own_results_in_item_order() {
+        // each submitter's first batch holds a task that waits at a barrier
+        // for the other submitters' tasks, so all first batches share the
+        // one run queue at once and helping submitters pop each other's
+        // tasks; the later rounds overlap as they happen to
+        const SUBMITTERS: u64 = 4;
+        let pool = WorkerPool::new(3);
+        let in_flight = Barrier::new(SUBMITTERS as usize);
+        std::thread::scope(|s| {
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let (pool, in_flight) = (&pool, &in_flight);
+                    s.spawn(move || {
+                        (0..20u64).all(|round| {
+                            let base = (t << 32) | (round << 16);
+                            let out = pool.map(base..base + 48, |x| {
+                                if round == 0 && x == base {
+                                    in_flight.wait();
+                                }
+                                mix(x)
+                            });
+                            out == (base..base + 48).map(mix).collect::<Vec<_>>()
+                        })
+                    })
+                })
+                .collect();
+            for h in submitters {
+                assert!(
+                    h.join().expect("submitter"),
+                    "a submitter got foreign or reordered results"
+                );
+            }
+        });
     }
 
     #[test]

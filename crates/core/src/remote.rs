@@ -20,7 +20,7 @@
 
 use crate::feedback::Feedback;
 use crate::persist::{FeedbackState, NetworkState, ShardState};
-use crate::probability::{network_from_state, network_to_structure};
+use crate::probability::{network_from_state, network_to_structure, AssertError};
 use crate::sampling::SampleStore;
 use crate::shard::{partition, ShardHost, ShardSnapshot};
 use smn_constraints::{BitSet, ConflictIndex};
@@ -92,6 +92,22 @@ impl ShardHost {
             .filter(|&k| self.components.members(k) == members)
             .ok_or("the shipped members are not a component of this host")?;
         state.restore(&self.sub_index(k)).map_err(|e| format!("dissolved shard {k}: {e}"))
+    }
+
+    /// Checks `(candidate, approved)` against its owning shard alone, by
+    /// the rule commit lanes and echoes use: `Ok(true)` would mutate,
+    /// `Ok(false)` is a same-way re-assertion, errors are flips and
+    /// conflicting approvals; `None` if the candidate is unknown or its
+    /// shard is not owned. [`assert_unchecked`](Self::assert_unchecked)
+    /// and [`entropy_after`](Self::entropy_after) trust their caller, so
+    /// a shard server runs this on every request before either.
+    pub fn validate_owned(
+        &self,
+        candidate: CandidateId,
+        approved: bool,
+    ) -> Option<Result<bool, AssertError>> {
+        let (k, lc) = self.locate(candidate)?;
+        Some(self.snapshot(k)?.validate(candidate, lc, approved))
     }
 }
 

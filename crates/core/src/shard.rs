@@ -29,7 +29,7 @@
 //!   instead of sampled: their stores are born exhausted and their
 //!   posteriors exact (Eq. 1).
 //! * **Parallel fill** — shard stores fill independently across the
-//!   persistent work-stealing pool ([`crate::pool`]), each seeded
+//!   persistent worker pool's one run queue ([`crate::pool`]), each seeded
 //!   `seed + shard_id` in the spirit of the multi-chain sampler and merged
 //!   in shard-id order, so the result is bit-deterministic for a fixed
 //!   configuration regardless of scheduling or thread count. Gain scans

@@ -25,7 +25,8 @@ use std::thread::JoinHandle;
 /// Runs one shard server over `transport` until the coordinator sends
 /// [`REQ_SHUTDOWN`] (clean `Ok`) or the link drops (`Err`). Request
 /// failures — unknown kinds, malformed payloads, questions about
-/// components this server does not own — are answered with
+/// components this server does not own, assertions or what-if queries
+/// that would not mutate their shard — are answered with
 /// [`RESP_ERR`] and the loop continues.
 pub fn serve(transport: &mut dyn Transport) -> Result<(), DistError> {
     let mut host: Option<ShardHost> = None;
@@ -67,6 +68,7 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             let NetworkEvent::Assert { candidate, approved } = event else {
                 return Err("assert request carries a non-assert record".into());
             };
+            check_mutation(host, candidate, approved)?;
             let k = host
                 .assert_unchecked(candidate, approved)
                 .ok_or("assertion routed to a non-owner")?;
@@ -74,6 +76,9 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
         }
         REQ_WHAT_IF => {
             let queries = proto::decode_what_if(&frame.payload).map_err(|e| e.to_string())?;
+            for &(candidate, approved) in &queries {
+                check_mutation(host, candidate, approved)?;
+            }
             let values = host.entropy_after(&queries).ok_or("what-if routed to a non-owner")?;
             let mut reply = Vec::new();
             put_f64s(&mut reply, &values);
@@ -134,6 +139,19 @@ fn handle(host: &mut Option<ShardHost>, frame: &Frame) -> Result<Vec<u8>, String
             shard_probs_reply(host, &rebuilt)
         }
         kind => Err(format!("unknown request kind {kind}")),
+    }
+}
+
+/// Refuses `(candidate, approved)` unless its owning shard here accepts
+/// it as a mutation. A coordinator only sends validated mutations, but
+/// the kernels behind [`REQ_ASSERT`] and [`REQ_WHAT_IF`] trust their
+/// caller, and a flip would panic in them.
+fn check_mutation(host: &ShardHost, candidate: CandidateId, approved: bool) -> Result<(), String> {
+    match host.validate_owned(candidate, approved) {
+        Some(Ok(true)) => Ok(()),
+        Some(Ok(false)) => Err(format!("{candidate} is already asserted that way")),
+        Some(Err(e)) => Err(e.to_string()),
+        None => Err(format!("{candidate} is not owned by this server")),
     }
 }
 

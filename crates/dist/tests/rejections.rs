@@ -1,14 +1,15 @@
 //! Rejected assertions on the coordinator are typed errors that leave
 //! every process untouched — an unknown candidate id included — and
 //! hostile requests sent straight to a shard server are refused without
-//! changing it.
+//! changing it: a malformed evolution or export, and an assertion or
+//! what-if query that would flip a verdict or conflict with an approval.
 
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
 use smn_core::{AssertError, ProbabilisticNetwork, ShardHost, ShardingConfig};
 use smn_dist::proto::{
-    decode_exports, encode_evolve, encode_shipments, read_shard_probs, REQ_BOOTSTRAP, REQ_EVOLVE,
-    REQ_EXPORT, REQ_GAINS, REQ_SHUTDOWN, RESP_ERR, RESP_OK,
+    decode_exports, encode_evolve, encode_shipments, encode_what_if, read_shard_probs, REQ_ASSERT,
+    REQ_BOOTSTRAP, REQ_EVOLVE, REQ_EXPORT, REQ_GAINS, REQ_SHUTDOWN, REQ_WHAT_IF, RESP_ERR, RESP_OK,
 };
 use smn_dist::{spawn_local_cluster, DistNetwork, Transport};
 use smn_schema::{AttributeId, CandidateId};
@@ -60,6 +61,68 @@ fn ok(link: &mut dyn Transport, kind: u32, payload: &[u8]) -> Vec<u8> {
     reply.payload
 }
 
+/// Bootstraps `link`'s server as the owner of every component of
+/// `mirror`'s network.
+fn bootstrap_all(link: &mut dyn Transport, mirror: &ShardHost) {
+    let mut bootstrap = Vec::new();
+    put_ids(&mut bootstrap, &(0..mirror.component_count() as u32).collect::<Vec<_>>());
+    bootstrap.extend_from_slice(&encode_snapshot(&mirror.structure(), &[], 0));
+    ok(link, REQ_BOOTSTRAP, &bootstrap);
+}
+
+#[test]
+fn flips_and_conflicting_approvals_are_refused_and_leave_the_server_unchanged() {
+    let net = perturbed_network(2, 4, 0.5, 0.9, 7).0;
+    let (sampler, sharding) = (tiny_sampler(3), ShardingConfig::default());
+    let pn = ProbabilisticNetwork::new_sharded(net.clone(), sampler, sharding);
+    // an approval `a` and a candidate `b` whose approval then conflicts
+    let approve = |c| Assertion { candidate: c, approved: true };
+    let (a, b) = net
+        .candidates()
+        .ids()
+        .find_map(|a| {
+            let mut after = pn.fork();
+            after.assert_candidate(approve(a)).ok()?;
+            let b = net.candidates().ids().find(|&b| {
+                after.validate_assertion(approve(b)) == Err(AssertError::InconsistentApproval(b))
+            })?;
+            Some((a, b))
+        })
+        .expect("a conflicting pair of approvals");
+    let c = net.candidates().ids().find(|&c| c != a && c != b).expect("a third candidate");
+
+    let (mut links, handles) = spawn_local_cluster(1);
+    let link = &mut links[0];
+    bootstrap_all(link, &ShardHost::new(net.clone(), sampler, sharding, &[]));
+    let record = |seq, candidate, approved| {
+        encode_record(seq, &NetworkEvent::Assert { candidate, approved })
+    };
+    ok(link, REQ_ASSERT, &record(1, a, true));
+    ok(link, REQ_ASSERT, &record(2, c, false));
+    let mut gains = Vec::new();
+    put_ids(&mut gains, &(0..net.candidate_count() as u32).collect::<Vec<_>>());
+    let before = ok(link, REQ_GAINS, &gains);
+
+    let hostile = [
+        ("flip as an assertion", REQ_ASSERT, record(3, c, true)),
+        ("flip as a what-if", REQ_WHAT_IF, encode_what_if(&[(c, true)])),
+        ("flip beside a valid what-if", REQ_WHAT_IF, encode_what_if(&[(b, false), (c, true)])),
+        ("conflicting approval", REQ_ASSERT, record(3, b, true)),
+        ("conflicting approval as a what-if", REQ_WHAT_IF, encode_what_if(&[(b, true)])),
+        ("same-way re-assertion", REQ_ASSERT, record(3, a, true)),
+    ];
+    for (what, kind, payload) in hostile {
+        link.send(kind, &payload).unwrap();
+        assert_eq!(link.recv().unwrap().kind, RESP_ERR, "{what}: accepted");
+        assert_eq!(ok(link, REQ_GAINS, &gains), before, "{what}: the server changed");
+    }
+
+    ok(link, REQ_SHUTDOWN, &[]);
+    for h in handles {
+        h.join().expect("no server panic").expect("clean server exit");
+    }
+}
+
 #[test]
 fn hostile_evolve_requests_are_refused_and_leave_the_server_unchanged() {
     let net = perturbed_network(2, 4, 0.5, 0.9, 7).0;
@@ -67,11 +130,7 @@ fn hostile_evolve_requests_are_refused_and_leave_the_server_unchanged() {
     let mut mirror = ShardHost::new(net.clone(), sampler, sharding, &[]);
     let (mut links, handles) = spawn_local_cluster(1);
     let link = &mut links[0];
-    // one server owning every component
-    let mut bootstrap = Vec::new();
-    put_ids(&mut bootstrap, &(0..mirror.component_count() as u32).collect::<Vec<_>>());
-    bootstrap.extend_from_slice(&encode_snapshot(&mirror.structure(), &[], 0));
-    ok(link, REQ_BOOTSTRAP, &bootstrap);
+    bootstrap_all(link, &mirror);
     let mut gains = Vec::new();
     put_ids(&mut gains, &(0..net.candidate_count() as u32).collect::<Vec<_>>());
     let before = ok(link, REQ_GAINS, &gains);

@@ -32,7 +32,6 @@ pub mod firstline;
 pub mod matcher;
 pub mod synthetic;
 pub mod text;
-pub mod tuning;
 
 pub use ensemble::{Aggregation, EnsembleMatcher, Selection};
 pub use eval::MatchQuality;

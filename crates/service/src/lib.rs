@@ -23,13 +23,14 @@
 //! * the [`ReconciliationService`] driving
 //!   worker evaluations through one batched what-if per round
 //!   ([`smn_core::ProbabilisticNetwork::what_if_batch`]), which fans out
-//!   on the persistent work-stealing pool of [`smn_core::pool`]: every
-//!   vote reports the exact what-if entropy of its verdict, priced at one
-//!   copy-on-write shard fork (one evaluation per distinct verdict per
-//!   lease — at most two however large the crowd), and results are
-//!   committed in lease order under a seeded virtual schedule — so a run
-//!   is **byte-reproducible at any thread count and under
-//!   [`smn_core::pool::sequential`]**, and precision/recall against the
+//!   on the one run queue of the persistent worker pool of
+//!   [`smn_core::pool`]: each distinct verdict of a lease is priced once
+//!   by its exact what-if entropy on one copy-on-write shard fork (at
+//!   most two branch queries per lease however large the crowd), a
+//!   lease's ballot carries the lowest of its branch entropies, and
+//!   results are committed in lease order under a seeded virtual
+//!   schedule — so a run is **byte-reproducible at any thread count and
+//!   under [`smn_core::pool::sequential`]**, and precision/recall against the
 //!   verified matching is tracked per round (in the spirit of Validation
 //!   of Matching, Le et al. 2014);
 //! * a **request-driven serving layer** ([`ServingCore`]) inverting the

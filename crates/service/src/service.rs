@@ -13,7 +13,8 @@
 //!    distinct verdict would produce is measured against the base's
 //!    copy-on-write snapshots (at most two branch queries per lease,
 //!    shared by all its votes); the model fans the branches out across
-//!    the persistent work-stealing pool of [`smn_core::pool`];
+//!    the one run queue of the persistent worker pool of
+//!    [`smn_core::pool`];
 //! 3. votes are reassembled by `(lease, vote)` slot and
 //!    [aggregated](mod@crate::aggregate) in lease order; each aggregated
 //!    assertion commits to the base through the same
@@ -48,7 +49,8 @@ use smn_schema::{CandidateId, Correspondence};
 /// for configuration compatibility and never affect results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// The persistent work-stealing pool of [`smn_core::pool`].
+    /// The persistent worker pool of [`smn_core::pool`]: one FIFO run
+    /// queue that its workers and every submitting thread pop.
     #[default]
     Pool,
 }

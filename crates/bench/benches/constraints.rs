@@ -4,21 +4,12 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smn_bench::{matched_network, MatcherKind};
+use smn_bench::bp_coma;
 use smn_constraints::{BitSet, ClosureChecker, ConflictIndex, ConstraintConfig};
-use smn_core::MatchingNetwork;
 use smn_schema::CandidateId;
 
-fn bp_network() -> MatchingNetwork {
-    let d = smn_datasets::bp(1);
-    let g = d.complete_graph();
-    matched_network(&d, &g, MatcherKind::Coma).0
-}
-
 fn bench_index_build(c: &mut Criterion) {
-    let d = smn_datasets::bp(1);
-    let g = d.complete_graph();
-    let (net, _) = matched_network(&d, &g, MatcherKind::Coma);
+    let (net, _) = bp_coma();
     let mut group = c.benchmark_group("constraints/build");
     group.bench_function("bp-coma", |b| {
         b.iter(|| {
@@ -35,7 +26,7 @@ fn bench_index_build(c: &mut Criterion) {
 }
 
 fn bench_incremental_ops(c: &mut Criterion) {
-    let net = bp_network();
+    let (net, _) = bp_coma();
     let n = net.candidate_count();
     let index = net.index();
     // a random consistent instance to probe against
@@ -68,7 +59,7 @@ fn bench_incremental_ops(c: &mut Criterion) {
 }
 
 fn bench_closure_checker(c: &mut Criterion) {
-    let net = bp_network();
+    let (net, _) = bp_coma();
     let checker = ClosureChecker::new(net.catalog(), net.candidates());
     let full = BitSet::full(net.candidate_count());
     let mut group = c.benchmark_group("constraints/closure");

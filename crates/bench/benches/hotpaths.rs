@@ -1,33 +1,43 @@
-//! Criterion wrappers for the Algorithm 1 hot paths: batch
-//! `information_gains` and the per-assertion `assert_candidate`
+//! Criterion wrappers for the Algorithm 1 hot paths after the fill: the
+//! batch `information_gains` scan, the per-assertion `assert_candidate`
 //! (view maintenance + probability recomputation), approving and
-//! disapproving, at the three standard bench sizes. A disapproval is the
+//! disapproving, and the exact what-if, at the BP sizes under the whole
+//! partition and the webform federations under the whole and the
+//! component partition (`smn_bench::hotpaths`). A disapproval is the
 //! path that re-inserts shrunken dying instances. `commit-lanes` times
 //! the serving write path: one `commit_batch` of assertions into distinct
 //! small shards of the webform federation, each lane copying its shard.
+//! That the batched what-if agrees with the per-candidate loop is
+//! certified by the `hotpaths` module's tests.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smn_bench::hotpaths::{
-    bench_network, commit_lane_requests, store_config, COMMIT_LANES, LANE_GROUPS, SIZES,
+    bp_points, commit_lane_requests, federation_points, what_if_queries, COMMIT_LANES, LANE_GROUPS,
+    SCAN_GROUPS,
 };
-use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network};
+use smn_bench::sharding::sharded_federation;
 use smn_core::feedback::Assertion;
 use smn_core::ProbabilisticNetwork;
-use smn_schema::CandidateId;
 
-fn prepared() -> Vec<ProbabilisticNetwork> {
-    SIZES
-        .iter()
-        .map(|&(s, a)| ProbabilisticNetwork::new(bench_network(s, a, 7), store_config()))
-        .collect()
+type Point = (String, ProbabilisticNetwork);
+
+fn hotpaths(c: &mut Criterion) {
+    let points: Vec<Point> = bp_points().into_iter().chain(federation_points()).collect();
+    let scan: Point = (format!("component/g{SCAN_GROUPS}"), sharded_federation(SCAN_GROUPS));
+    let lanes: Vec<Point> =
+        LANE_GROUPS.iter().map(|&g| (format!("component/g{g}"), sharded_federation(g))).collect();
+    information_gains(c, points.iter().chain([&scan]));
+    assert_candidate(c, &points);
+    clone_baseline(c, points.iter().chain(&lanes));
+    commit_lanes(c, &lanes);
+    what_if(c, &points, &scan);
 }
 
-fn bench_information_gains(c: &mut Criterion) {
+fn information_gains<'a>(c: &mut Criterion, points: impl Iterator<Item = &'a Point>) {
     let mut group = c.benchmark_group("hotpaths/information-gains");
-    for pn in prepared() {
-        let n = pn.network().candidate_count();
+    for (label, pn) in points {
         let pool = pn.uncertain_candidates();
-        group.bench_with_input(BenchmarkId::from_parameter(format!("C{n}")), &pn, |b, pn| {
+        group.bench_with_input(BenchmarkId::from_parameter(label), pn, |b, pn| {
             b.iter(|| pn.information_gains(&pool));
         });
     }
@@ -35,23 +45,16 @@ fn bench_information_gains(c: &mut Criterion) {
 }
 
 /// The vendored criterion stand-in has no `iter_batched`, so the measured
-/// closure must include the `pn.clone()` setup. The companion
-/// `clone-baseline` group times that clone alone — subtract it to get the
+/// closure must include the `pn.clone()` setup. The `clone-baseline`
+/// group times that clone alone at every point — subtract it to get the
 /// assertion path itself.
-fn bench_assert_candidate(c: &mut Criterion) {
+fn assert_candidate(c: &mut Criterion, points: &[Point]) {
     let mut group = c.benchmark_group("hotpaths/assert-candidate (incl. clone)");
-    for pn in prepared() {
-        let n = pn.network().candidate_count();
-        let probe = (0..n)
-            .map(CandidateId::from_index)
-            .find(|&cand| {
-                let p = pn.probability(cand);
-                p > 0.0 && p < 1.0
-            })
-            .expect("uncertain candidate");
+    for (label, pn) in points {
+        let probe = pn.uncertain_candidates()[0];
         for (verdict, approved) in [("approve", true), ("disapprove", false)] {
-            let id = BenchmarkId::from_parameter(format!("{verdict}/C{n}"));
-            group.bench_with_input(id, &pn, |b, pn| {
+            let id = BenchmarkId::from_parameter(format!("{verdict}/{label}"));
+            group.bench_with_input(id, pn, |b, pn| {
                 b.iter(|| {
                     let mut fresh = pn.clone();
                     fresh.assert_candidate(Assertion { candidate: probe, approved }).unwrap();
@@ -61,10 +64,12 @@ fn bench_assert_candidate(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+fn clone_baseline<'a>(c: &mut Criterion, points: impl Iterator<Item = &'a Point>) {
     let mut group = c.benchmark_group("hotpaths/clone-baseline");
-    for pn in prepared() {
-        let n = pn.network().candidate_count();
-        group.bench_with_input(BenchmarkId::from_parameter(format!("C{n}")), &pn, |b, pn| {
+    for (label, pn) in points {
+        group.bench_with_input(BenchmarkId::from_parameter(label), pn, |b, pn| {
             b.iter(|| pn.clone().entropy());
         });
     }
@@ -74,22 +79,11 @@ fn bench_assert_candidate(c: &mut Criterion) {
 /// Like the assert group, the measured closure includes the `pn.clone()`
 /// that `clone-baseline` times alone; the entropy read after the batch is
 /// the one a serving flush makes.
-fn bench_commit_lanes(c: &mut Criterion) {
-    let prepared: Vec<ProbabilisticNetwork> = LANE_GROUPS
-        .iter()
-        .map(|&g| {
-            ProbabilisticNetwork::new_sharded(
-                federation_network(g, 7),
-                bench_sampler(3),
-                bench_sharding(),
-            )
-        })
-        .collect();
+fn commit_lanes(c: &mut Criterion, lanes: &[Point]) {
     let mut group = c.benchmark_group("hotpaths/commit-lanes (incl. clone)");
-    for pn in &prepared {
+    for (label, pn) in lanes {
         let requests = commit_lane_requests(pn, COMMIT_LANES);
-        let id = BenchmarkId::from_parameter(format!("C{}", pn.network().candidate_count()));
-        group.bench_with_input(id, pn, |b, pn| {
+        group.bench_with_input(BenchmarkId::from_parameter(label), pn, |b, pn| {
             b.iter(|| {
                 let mut fresh = pn.clone();
                 fresh.commit_batch(&requests);
@@ -98,13 +92,29 @@ fn bench_commit_lanes(c: &mut Criterion) {
         });
     }
     group.finish();
-    let mut group = c.benchmark_group("hotpaths/commit-lanes clone-baseline");
-    for pn in &prepared {
-        let id = BenchmarkId::from_parameter(format!("C{}", pn.network().candidate_count()));
-        group.bench_with_input(id, pn, |b, pn| b.iter(|| pn.clone().entropy()));
+}
+
+/// One exact what-if at every point, and the standard query mix on the
+/// scan federation: batched against the per-candidate loop.
+fn what_if(c: &mut Criterion, points: &[Point], (scan_label, scan): &Point) {
+    let mut group = c.benchmark_group("hotpaths/what-if");
+    for (label, pn) in points {
+        let probe = pn.uncertain_candidates()[0];
+        group.bench_with_input(BenchmarkId::new("single", label), pn, |b, pn| {
+            b.iter(|| pn.what_if(probe, true));
+        });
     }
+    let queries = what_if_queries(scan);
+    let n = queries.len();
+    group.bench_with_input(BenchmarkId::new(format!("batched-{n}"), scan_label), scan, |b, pn| {
+        b.iter(|| pn.what_if_batch(&queries));
+    });
+    let id = BenchmarkId::new(format!("per-candidate-{n}"), scan_label);
+    group.bench_with_input(id, scan, |b, pn| {
+        b.iter(|| queries.iter().map(|&(q, a)| pn.what_if(q, a)).sum::<f64>());
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_information_gains, bench_assert_candidate, bench_commit_lanes);
+criterion_group!(benches, hotpaths);
 criterion_main!(benches);

@@ -2,19 +2,11 @@
 //! proposal-rule ablations called out in DESIGN.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use smn_bench::{matched_network, standard_sampler, MatcherKind};
+use smn_bench::bp_sampled;
 use smn_core::instantiate::{instantiate, InstantiationConfig, Proposal};
-use smn_core::ProbabilisticNetwork;
-
-fn bp_network() -> ProbabilisticNetwork {
-    let d = smn_datasets::bp(1);
-    let g = d.complete_graph();
-    let (net, _) = matched_network(&d, &g, MatcherKind::Coma);
-    ProbabilisticNetwork::new(net, standard_sampler(1))
-}
 
 fn bench_instantiate(c: &mut Criterion) {
-    let pn = bp_network();
+    let pn = bp_sampled();
     let mut group = c.benchmark_group("instantiation");
     group.bench_function("greedy-pick-only", |b| {
         b.iter(|| {
@@ -32,7 +24,7 @@ fn bench_instantiate(c: &mut Criterion) {
 /// on/off. Criterion reports the time; the quality impact is reported by
 /// the figure experiments and `EXPERIMENTS.md §Ablations`.
 fn bench_ablations(c: &mut Criterion) {
-    let pn = bp_network();
+    let pn = bp_sampled();
     let mut group = c.benchmark_group("instantiation/ablations");
     let configs = [
         ("baseline", InstantiationConfig::default()),

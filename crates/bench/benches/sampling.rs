@@ -1,46 +1,49 @@
-//! Criterion benches for Algorithm 3 sampling, including the
-//! simulated-annealing ablation called out in DESIGN.md.
+//! Criterion benches for Algorithm 3 sampling: the fill, the
+//! simulated-annealing ablation called out in DESIGN.md, and view
+//! maintenance under one assertion against resampling from scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smn_bench::{matched_network, MatcherKind};
+use smn_bench::hotpaths::{bench_network, emission_config, SIZES};
+use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network, GROUPS};
 use smn_core::feedback::Feedback;
-use smn_core::sampling::{SampleStore, SamplerConfig};
-use smn_core::MatchingNetwork;
-use smn_datasets::{DatasetSpec, SharingModel, Vocabulary};
+use smn_core::sampling::SampleStore;
+use smn_core::ProbabilisticNetwork;
 
-fn network(schemas: usize, attrs: usize, seed: u64) -> MatchingNetwork {
-    let d = DatasetSpec {
-        name: "bench".into(),
-        vocabulary: Vocabulary::business_partner(),
-        schema_count: schemas,
-        attrs_min: attrs,
-        attrs_max: attrs,
-        sharing: SharingModel::RankBiased { alpha: 0.6 },
-    }
-    .generate(seed);
-    let g = d.complete_graph();
-    matched_network(&d, &g, MatcherKind::perturbation(seed)).0
-}
-
-fn bench_sample_emission(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sampling/emission");
-    for (schemas, attrs) in [(3usize, 20usize), (4, 40), (6, 60)] {
-        let net = network(schemas, attrs, 7);
-        let n = net.candidate_count();
-        group.bench_with_input(BenchmarkId::from_parameter(format!("C{n}")), &net, |b, net| {
-            let feedback = Feedback::new(net.candidate_count());
-            b.iter(|| {
-                let cfg = SamplerConfig {
-                    n_samples: 50,
-                    walk_steps: 4,
-                    n_min: 1,
-                    seed: 3,
-                    anneal: true,
-                    chains: 1,
-                };
-                SampleStore::new(net, &feedback, cfg).len()
-            });
+/// The fill at two grains, each labelled by the operation it times: one
+/// 50-emission pass of a bare sample store (`store/…`) at the BP sizes
+/// and one below them, under the whole partition; a whole network build
+/// (store, then posterior; `network/…`) at the federation sizes, under
+/// the whole and the component partition.
+fn bench_fill(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sampling/fill");
+    for (schemas, attrs) in std::iter::once((3, 20)).chain(SIZES) {
+        let net = bench_network(schemas, attrs, 7);
+        let empty = Feedback::new(net.candidate_count());
+        let id = BenchmarkId::from_parameter(format!("store/whole/C{}", net.candidate_count()));
+        group.bench_with_input(id, &net, |b, net| {
+            b.iter(|| SampleStore::new(net, &empty, emission_config()).len());
         });
+    }
+    for groups in GROUPS {
+        let net = federation_network(groups, 7);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("network/whole/g{groups}")),
+            &net,
+            |b, net| b.iter(|| ProbabilisticNetwork::new(net.clone(), bench_sampler(3))),
+        );
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("network/component/g{groups}")),
+            &net,
+            |b, net| {
+                b.iter(|| {
+                    ProbabilisticNetwork::new_sharded(
+                        net.clone(),
+                        bench_sampler(3),
+                        bench_sharding(),
+                    )
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -49,26 +52,17 @@ fn bench_sample_emission(c: &mut Criterion) {
 /// both the wall time and (via the returned distinct count) the coverage
 /// value of the acceptance rule.
 fn bench_annealing_ablation(c: &mut Criterion) {
-    let net = network(4, 40, 7);
+    let (schemas, attrs) = SIZES[0];
+    let net = bench_network(schemas, attrs, 7);
     let feedback = Feedback::new(net.candidate_count());
     let mut group = c.benchmark_group("sampling/annealing");
     for anneal in [true, false] {
+        let mut cfg = emission_config();
+        cfg.anneal = anneal;
         group.bench_with_input(
             BenchmarkId::from_parameter(if anneal { "anneal" } else { "always-accept" }),
-            &anneal,
-            |b, &anneal| {
-                b.iter(|| {
-                    let cfg = SamplerConfig {
-                        n_samples: 50,
-                        walk_steps: 4,
-                        n_min: 1,
-                        seed: 3,
-                        anneal,
-                        chains: 1,
-                    };
-                    SampleStore::new(&net, &feedback, cfg).len()
-                });
-            },
+            &cfg,
+            |b, &cfg| b.iter(|| SampleStore::new(&net, &feedback, cfg).len()),
         );
     }
     group.finish();
@@ -77,15 +71,9 @@ fn bench_annealing_ablation(c: &mut Criterion) {
 /// View maintenance (one assertion) vs resampling from scratch.
 fn bench_view_maintenance(c: &mut Criterion) {
     use smn_schema::CandidateId;
-    let net = network(4, 40, 7);
-    let cfg = SamplerConfig {
-        n_samples: 400,
-        walk_steps: 4,
-        n_min: 150,
-        seed: 3,
-        anneal: true,
-        chains: 1,
-    };
+    let (schemas, attrs) = SIZES[0];
+    let net = bench_network(schemas, attrs, 7);
+    let cfg = bench_sampler(3);
     let feedback = Feedback::new(net.candidate_count());
     let store = SampleStore::new(&net, &feedback, cfg);
     // pick a candidate contained in some but not all samples
@@ -116,5 +104,5 @@ fn bench_view_maintenance(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sample_emission, bench_annealing_ablation, bench_view_maintenance);
+criterion_group!(benches, bench_fill, bench_annealing_ablation, bench_view_maintenance);
 criterion_main!(benches);

@@ -6,9 +6,9 @@
 //! `smn-core`'s `tests/evolution.rs` and `smn-dist`'s differential suite.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network};
-use smn_bench::speed::FEDERATION_GROUPS;
-use smn_bench::{matched_network, standard_sampler, MatcherKind};
+use smn_bench::bp_sampled;
+use smn_bench::hotpaths::SCAN_GROUPS;
+use smn_bench::sharding::sharded_federation;
 use smn_core::feedback::Assertion;
 use smn_core::selection::{
     ConfidenceOrderSelection, InformationGainSelection, MaxEntropySelection, RandomSelection,
@@ -16,15 +16,8 @@ use smn_core::selection::{
 };
 use smn_core::{GainSource, ProbabilisticNetwork};
 
-fn bp_network() -> ProbabilisticNetwork {
-    let d = smn_datasets::bp(1);
-    let g = d.complete_graph();
-    let (net, _) = matched_network(&d, &g, MatcherKind::Coma);
-    ProbabilisticNetwork::new(net, standard_sampler(1))
-}
-
 fn bench_select_step(c: &mut Criterion) {
-    let pn = bp_network();
+    let pn = bp_sampled();
     let mut group = c.benchmark_group("selection/step");
     group.bench_function("random", |b| {
         let mut s = RandomSelection::new(1);
@@ -50,7 +43,7 @@ fn bench_select_step(c: &mut Criterion) {
 }
 
 fn bench_information_gains_batch(c: &mut Criterion) {
-    let pn = bp_network();
+    let pn = bp_sampled();
     let pool = pn.uncertain_candidates();
     let mut group = c.benchmark_group("selection/information-gains");
     group.bench_with_input(BenchmarkId::from_parameter(pool.len()), &pool, |b, pool| {
@@ -65,8 +58,7 @@ fn bench_information_gains_batch(c: &mut Criterion) {
 }
 
 fn steady_state_network() -> ProbabilisticNetwork {
-    let net = federation_network(FEDERATION_GROUPS[0], 7);
-    let mut pn = ProbabilisticNetwork::new_sharded(net, bench_sampler(3), bench_sharding());
+    let mut pn = sharded_federation(SCAN_GROUPS);
     // one integrated answer: the steady state a reconciliation loop
     // selects from (exactly one component dirty)
     let c = pn.uncertain_candidates()[0];

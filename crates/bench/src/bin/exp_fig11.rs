@@ -6,7 +6,8 @@
 //! Run: `cargo run --release -p smn-bench --bin exp_fig11 [-- --runs N]`
 
 use serde::Serialize;
-use smn_bench::{matched_network, parallel_runs, save_json, standard_sampler, MatcherKind, Table};
+use smn_bench::{bp_coma, save_json, standard_sampler, Table};
+use smn_core::pool;
 use smn_core::reconcile::reconcile;
 use smn_core::selection::{InformationGainSelection, SelectionStrategy};
 use smn_core::{
@@ -28,19 +29,16 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(20);
-    let dataset = smn_datasets::bp(1);
-    let graph = dataset.complete_graph();
-    let (network, truth) = matched_network(&dataset, &graph, MatcherKind::Coma);
+    let (network, truth) = bp_coma();
     let n = network.candidate_count();
     eprintln!("BP network: |C| = {n}, |M| = {}, runs = {runs}", truth.len());
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
 
     let efforts = [0.0, 0.025, 0.05, 0.075, 0.10, 0.125, 0.15];
     let mut results: Vec<Point> = Vec::new();
     for use_likelihood in [false, true] {
         for &effort in &efforts {
             let budget = (effort * n as f64).round() as usize;
-            let qualities = parallel_runs(runs, threads, |seed| {
+            let qualities = pool::global().map(0..runs, |seed| {
                 let mut pn = ProbabilisticNetwork::new(network.clone(), standard_sampler(seed));
                 let mut strategy: Box<dyn SelectionStrategy> =
                     Box::new(InformationGainSelection::new(seed));

@@ -9,7 +9,7 @@
 //! Run: `cargo run --release -p smn-bench --bin exp_fig8`
 
 use serde::Serialize;
-use smn_bench::{matched_network, save_json, standard_sampler, MatcherKind, Table};
+use smn_bench::{bp_coma, save_json, standard_sampler, Table};
 use smn_core::ProbabilisticNetwork;
 use std::collections::HashSet;
 
@@ -22,9 +22,7 @@ struct Bucket {
 }
 
 fn main() {
-    let dataset = smn_datasets::bp(1);
-    let graph = dataset.complete_graph();
-    let (network, truth) = matched_network(&dataset, &graph, MatcherKind::Coma);
+    let (network, truth) = bp_coma();
     let truth_set: HashSet<_> = truth.iter().copied().collect();
     let n = network.candidate_count();
     let pn = ProbabilisticNetwork::new(network, standard_sampler(1));

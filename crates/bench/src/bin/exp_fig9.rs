@@ -11,9 +11,8 @@
 //! Run: `cargo run --release -p smn-bench --bin exp_fig9 [-- --runs N]`
 
 use serde::Serialize;
-use smn_bench::{
-    matched_network, parallel_runs, save_json, standard_sampler, EffortGrid, MatcherKind, Table,
-};
+use smn_bench::{bp_coma, save_json, standard_sampler, EffortGrid, Table};
+use smn_core::pool;
 use smn_core::reconcile::reconcile;
 use smn_core::selection::{InformationGainSelection, RandomSelection, SelectionStrategy};
 use smn_core::{GroundTruthOracle, ProbabilisticNetwork, ReconciliationGoal};
@@ -33,14 +32,11 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(50);
-    let dataset = smn_datasets::bp(1);
-    let graph = dataset.complete_graph();
-    let (network, truth) = matched_network(&dataset, &graph, MatcherKind::Coma);
+    let (network, truth) = bp_coma();
     let truth_set: HashSet<_> = truth.iter().copied().collect();
     let n = network.candidate_count();
     eprintln!("BP network: |C| = {n}, |M| = {}, runs = {runs}", truth.len());
 
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
     let mut output = Vec::new();
     let mut table = Table::new([
         "effort %",
@@ -53,7 +49,7 @@ fn main() {
 
     for heuristic in [false, true] {
         let label = if heuristic { "heuristic" } else { "random" };
-        let grids = parallel_runs(runs, threads, |seed| {
+        let grids = pool::global().map(0..runs, |seed| {
             let mut pn = ProbabilisticNetwork::new(network.clone(), standard_sampler(seed));
             let mut strategy: Box<dyn SelectionStrategy> = if heuristic {
                 Box::new(InformationGainSelection::new(seed))

@@ -10,7 +10,8 @@
 //! Run: `cargo run --release -p smn-bench --bin exp_noisy [-- --runs N]`
 
 use serde::Serialize;
-use smn_bench::{matched_network, parallel_runs, save_json, standard_sampler, MatcherKind, Table};
+use smn_bench::{bp_coma, save_json, standard_sampler, Table};
+use smn_core::pool;
 use smn_core::reconcile::reconcile;
 use smn_core::selection::{InformationGainSelection, SelectionStrategy};
 use smn_core::{
@@ -33,19 +34,16 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(12);
-    let dataset = smn_datasets::bp(1);
-    let graph = dataset.complete_graph();
-    let (network, truth) = matched_network(&dataset, &graph, MatcherKind::Coma);
+    let (network, truth) = bp_coma();
     let n = network.candidate_count();
     let budget = (0.15 * n as f64).round() as usize;
     eprintln!("BP network: |C| = {n}, budget = {budget}, runs = {runs}");
-    let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
 
     let mut results = Vec::new();
     let mut table = Table::new(["expert", "error %", "precision", "recall", "F1"]);
     for (expert, workers) in [("single", 1usize), ("crowd-5", 5)] {
         for error in [0.0, 0.05, 0.10, 0.20] {
-            let qualities = parallel_runs(runs, threads, |seed| {
+            let qualities = pool::global().map(0..runs, |seed| {
                 let mut pn = ProbabilisticNetwork::new(network.clone(), standard_sampler(seed));
                 let mut strategy: Box<dyn SelectionStrategy> =
                     Box::new(InformationGainSelection::new(seed));

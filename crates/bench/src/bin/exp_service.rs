@@ -53,7 +53,7 @@ fn run_cell(
         net.clone(),
         truth.to_vec(),
         error_rates,
-        service_config(redundancy, aggregation, 0, ReconciliationGoal::Complete),
+        service_config(redundancy, aggregation, ReconciliationGoal::Complete),
     );
     let report = svc.run();
     // thin the effort/quality curve to ≤ 12 evenly spaced points (first

@@ -17,24 +17,23 @@
 //! | `exp_service` | concurrent multi-worker reconciliation: worker × error × redundancy grid |
 //!
 //! Binaries print the paper's rows/series to stdout and write
-//! machine-readable JSON to `results/`. Criterion micro-benchmarks (incl.
-//! the ablations listed in DESIGN.md) live under `benches/`; the `evolve`,
-//! `hotpaths`, `serve`, `service`, `sharding` and `speed` modules hold
-//! the scenarios they share. End-to-end speed is
-//! measured by the repository benchmark in `perfbench/`.
+//! machine-readable JSON to `results/`. The repetition binaries map their
+//! seeds over the worker pool of `smn_core::pool`, so `SMN_POOL_THREADS`
+//! sizes every thread they use. Criterion micro-benchmarks (incl. the
+//! ablations listed in DESIGN.md) live under `benches/`, one group per
+//! hot path; the `evolve`, `hotpaths` and `sharding` modules hold the
+//! points they share, and `service` the configuration of `exp_service`.
+//! End-to-end speed is measured by the repository benchmark in
+//! `perfbench/`.
 
 pub mod evolve;
 pub mod grid;
 pub mod hotpaths;
 pub mod report;
-pub mod runner;
-pub mod serve;
 pub mod service;
 pub mod setup;
 pub mod sharding;
-pub mod speed;
 
 pub use grid::EffortGrid;
 pub use report::{save_json, Table};
-pub use runner::parallel_runs;
-pub use setup::{matched_network, standard_sampler, MatcherKind};
+pub use setup::{bp_coma, bp_sampled, matched_network, standard_sampler, MatcherKind};

@@ -1,24 +1,15 @@
-//! The round-mode service configuration shared by `exp_service` and the
-//! service bench.
-//!
-//! `benches/service.rs` times the copy-on-write snapshot primitives
-//! (fork, exact what-if, first commit on a fork) on the federation sizes
-//! of [`FORK_GROUPS`] and a budgeted multi-worker run;
-//! `tests/timing.rs` checks that a fork stays flat while the stores grow.
+//! The round-mode service configuration of `exp_service`. Its tests
+//! also pin the scenario behind the fork timing of `tests/timing.rs`.
 
 use crate::sharding::{bench_sampler, bench_sharding};
 use smn_core::ReconciliationGoal;
-use smn_service::{Aggregation, Scheduler, ServiceConfig};
-
-/// Federation sizes for the snapshot-cost benches.
-pub const FORK_GROUPS: [usize; 3] = [4, 12, 24];
+use smn_service::{Aggregation, ServiceConfig};
 
 /// A round-mode service configuration over the bench sampler and
-/// sharding, with the pool scheduler and service seed 17.
+/// sharding, with service seed 17.
 pub fn service_config(
     redundancy: usize,
     aggregation: Aggregation,
-    threads: usize,
     goal: ReconciliationGoal,
 ) -> ServiceConfig {
     ServiceConfig {
@@ -26,17 +17,16 @@ pub fn service_config(
         sharding: bench_sharding(),
         redundancy,
         aggregation,
-        threads,
-        scheduler: Scheduler::Pool,
         seed: 17,
         goal,
+        ..ServiceConfig::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sharding::federation_network;
+    use crate::sharding::{federation_network, GROUPS};
     use smn_core::feedback::Assertion;
     use smn_core::ProbabilisticNetwork;
     use smn_service::ReconciliationService;
@@ -46,7 +36,7 @@ mod tests {
         // the scenario behind the fork timing of `tests/timing.rs`: the
         // stores grow with the federation, and a fork is an exact copy
         // that a write on either side leaves independent
-        let counts: Vec<usize> = FORK_GROUPS
+        let counts: Vec<usize> = GROUPS
             .iter()
             .map(|&groups| {
                 let net = federation_network(groups, 7);
@@ -67,7 +57,7 @@ mod tests {
                 sharded.distinct_sample_count()
             })
             .collect();
-        assert_eq!(counts.len(), FORK_GROUPS.len());
+        assert_eq!(counts.len(), GROUPS.len());
         assert!(counts[counts.len() - 1] > counts[0], "federation growth must grow the stores");
     }
 
@@ -80,7 +70,6 @@ mod tests {
             let config = service_config(
                 workers,
                 Aggregation::QualityWeighted,
-                workers,
                 ReconciliationGoal::Budget(48),
             );
             let run = || {

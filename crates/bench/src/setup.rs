@@ -1,7 +1,7 @@
 //! Shared experiment setup: datasets × matchers → matching networks.
 
 use smn_constraints::ConstraintConfig;
-use smn_core::{MatchingNetwork, SamplerConfig};
+use smn_core::{MatchingNetwork, ProbabilisticNetwork, SamplerConfig};
 use smn_datasets::Dataset;
 use smn_matchers::matcher::match_network;
 use smn_matchers::{ensemble, PerturbationMatcher};
@@ -75,6 +75,18 @@ pub fn matched_network(
         ConstraintConfig::default(),
     );
     (network, truth)
+}
+
+/// The BP dataset (seed 1) matched by COMA on its complete interaction
+/// graph — the network of the quality experiments — and its ground truth.
+pub fn bp_coma() -> (MatchingNetwork, Vec<Correspondence>) {
+    let dataset = smn_datasets::bp(1);
+    matched_network(&dataset, &dataset.complete_graph(), MatcherKind::Coma)
+}
+
+/// [`bp_coma`]'s network sampled by [`standard_sampler`] with seed 1.
+pub fn bp_sampled() -> ProbabilisticNetwork {
+    ProbabilisticNetwork::new(bp_coma().0, standard_sampler(1))
 }
 
 /// The sampler configuration used by the quality experiments: 1000 samples

@@ -3,15 +3,16 @@
 //! ([`smn_datasets::FederationSpec`]). It has many independent conflict
 //! clusters and no cross-cluster candidates — the regime where the
 //! component-sharded `ProbabilisticNetwork` turns per-assertion and
-//! information-gain cost local. `benches/sharding.rs` times fill,
-//! assertion and gain scan on it, monolithic against sharded;
-//! `tests/sharding.rs` certifies that the two representations agree.
+//! information-gain cost local. The benches time fill, assertion, gain
+//! scan, what-if and copies on it under the whole and the component
+//! partition (see [`crate::hotpaths`]); `tests/sharding.rs` certifies
+//! that the two representations agree.
 
 use crate::{matched_network, MatcherKind};
-use smn_core::{MatchingNetwork, SamplerConfig, ShardingConfig};
+use smn_core::{MatchingNetwork, ProbabilisticNetwork, SamplerConfig, ShardingConfig};
 use smn_datasets::{FederationSpec, SharingModel, Vocabulary};
 
-/// Federation sizes of the sharding bench (number of fused
+/// Federation sizes of the partition benches (number of fused
 /// sub-networks); 12 is the `webform_federation` preset shape.
 pub const GROUPS: [usize; 3] = [4, 12, 24];
 
@@ -41,8 +42,8 @@ pub fn federation_network(groups: usize, seed: u64) -> MatchingNetwork {
     federation_case(groups, seed).0
 }
 
-/// Sampler configuration of the sharding bench: the §VI-B shape scaled to
-/// interactive sizes.
+/// Sampler configuration of the hot-path bench networks: the §VI-B shape
+/// scaled to interactive sizes.
 pub fn bench_sampler(seed: u64) -> SamplerConfig {
     SamplerConfig { n_samples: 400, walk_steps: 4, n_min: 150, seed, anneal: true, chains: 1 }
 }
@@ -54,10 +55,19 @@ pub fn bench_sharding() -> ShardingConfig {
     ShardingConfig::default()
 }
 
+/// The federation of `groups` clusters (seed 7) under the component
+/// partition, sampled with [`bench_sampler`].
+pub fn sharded_federation(groups: usize) -> ProbabilisticNetwork {
+    ProbabilisticNetwork::new_sharded(
+        federation_network(groups, 7),
+        bench_sampler(3),
+        bench_sharding(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smn_core::ProbabilisticNetwork;
 
     #[test]
     fn smallest_point_is_deterministic_and_multi_component() {

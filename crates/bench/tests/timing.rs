@@ -10,16 +10,14 @@
 //! the unit tests of the module that builds the scenario.
 
 use smn_bench::evolve::{apply, candidate_pool, evolving_scenario, initial_network, live, rebuild};
-use smn_bench::hotpaths::{bench_network, emission_config, store_config, SIZES};
-use smn_bench::service::FORK_GROUPS;
-use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network};
+use smn_bench::hotpaths::{bench_network, emission_config, SIZES};
+use smn_bench::sharding::{bench_sampler, bench_sharding, federation_network, GROUPS};
 use smn_core::feedback::{Assertion, Feedback};
 use smn_core::sampling::SampleStore;
 use smn_core::selection::SelectionStrategy;
 use smn_core::{InformationGainSelection, ProbabilisticNetwork};
 use smn_datasets::ChurnEvent;
 use smn_dist::{spawn_local_cluster, DistNetwork, Transport};
-use smn_schema::CandidateId;
 use std::time::Instant;
 
 /// Minimum wall-clock milliseconds of `f` over `iters` runs.
@@ -83,7 +81,7 @@ fn incremental_evolution_beats_rebuild() {
 #[ignore = "wall-clock; run by the CI timing step"]
 fn fork_cost_is_flat_while_stores_grow() {
     // (distinct samples, sharded fork µs) per federation size
-    let points: Vec<(usize, f64)> = FORK_GROUPS
+    let points: Vec<(usize, f64)> = GROUPS
         .iter()
         .map(|&groups| {
             let net = federation_network(groups, 7);
@@ -116,13 +114,10 @@ fn timed_paths_take_measurable_time() {
     let net = bench_network(s, a, 7);
     let empty = Feedback::new(net.candidate_count());
     assert!(min_ms(1, || drop(SampleStore::new(&net, &empty, emission_config()))) > 0.0);
-    let pn = ProbabilisticNetwork::new(net, store_config());
+    let pn = ProbabilisticNetwork::new(net, bench_sampler(3));
     let pool = pn.uncertain_candidates();
     assert!(min_ms(1, || drop(pn.information_gains(&pool))) >= 0.0);
-    let probe = (0..pn.network().candidate_count())
-        .map(CandidateId::from_index)
-        .find(|&c| pn.probability(c) > 0.0 && pn.probability(c) < 1.0)
-        .expect("bench network has uncertain candidates");
+    let probe = pn.uncertain_candidates()[0];
     let mut fresh = pn.clone();
     assert!(
         min_ms(1, || fresh

@@ -104,29 +104,6 @@ impl ClosureChecker {
         }
         true
     }
-
-    /// Size of the largest equivalence class induced by the instance
-    /// (diagnostic; a class spanning `k` schemas witnesses `k`-way agreement).
-    pub fn largest_class(&self, instance: &BitSet) -> usize {
-        let mut uf = UnionFind::new(self.schema_of.len());
-        for c in instance.iter() {
-            let [a, b] = self.endpoints[c.index()];
-            uf.union(a.0, b.0);
-        }
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        let mut touched: Vec<u32> = Vec::new();
-        for c in instance.iter() {
-            for attr in self.endpoints[c.index()] {
-                touched.push(attr.0);
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for attr in touched {
-            *counts.entry(uf.find(attr)).or_insert(0) += 1;
-        }
-        counts.values().copied().max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -159,7 +136,6 @@ mod tests {
         let mut ok = full.clone();
         ok.remove(CandidateId(3));
         assert!(checker.is_consistent(&ok));
-        assert_eq!(checker.largest_class(&ok), 4);
     }
 
     #[test]
@@ -186,6 +162,5 @@ mod tests {
         let cs = CandidateSet::new(&cat);
         let checker = ClosureChecker::new(&cat, &cs);
         assert!(checker.is_consistent(&BitSet::new(0)));
-        assert_eq!(checker.largest_class(&BitSet::new(0)), 0);
     }
 }

@@ -472,35 +472,6 @@ impl ConflictIndex {
         out
     }
 
-    /// Violations inside `set` that involve `c`. After adding `c` to a
-    /// previously consistent instance, *all* violations involve `c`, so this
-    /// is the work list of the repair routine.
-    pub fn violations_involving(&self, set: &BitSet, c: CandidateId) -> Vec<Violation> {
-        let mut out = Vec::new();
-        self.violations_involving_into(set, c, &mut out);
-        out
-    }
-
-    /// Allocation-free form of
-    /// [`violations_involving`](ConflictIndex::violations_involving):
-    /// appends into a caller-owned (scratch) buffer.
-    pub fn violations_involving_into(
-        &self,
-        set: &BitSet,
-        c: CandidateId,
-        out: &mut Vec<Violation>,
-    ) {
-        for x in self.pair_masks[c.index()].iter_and(set) {
-            out.push(Violation::one_to_one(c, x));
-        }
-        for (&t, &[a, b]) in self.triples_of[c.index()].iter().zip(self.other_pairs(c)) {
-            if set.contains(a) && set.contains(b) {
-                let tr = self.triples[t as usize];
-                out.push(Violation::cycle(tr[0], tr[1], tr[2]));
-            }
-        }
-    }
-
     /// Calls `f` with the member slice of every violation inside `set`
     /// involving `c`, without materializing [`Violation`] records — the
     /// work-list enumeration of the Algorithm 4 repair hot path.
@@ -980,10 +951,10 @@ mod tests {
         assert_eq!(counts.one_to_one, 2);
         assert_eq!(counts.cycle, 2);
         assert_eq!(counts.total(), viols.len());
-        // every violation involving c0 is a cycle violation
-        let involving0 = idx.violations_involving(&full, CandidateId(0));
-        assert_eq!(involving0.len(), 2);
-        assert!(involving0.iter().all(|v| v.kind == ViolationKind::Cycle));
+        // every violation involving c0 is a cycle violation (a triple)
+        let mut involving0 = Vec::new();
+        idx.for_each_violation_involving(&full, CandidateId(0), |v| involving0.push(v.len()));
+        assert_eq!(involving0, [3, 3]);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl Placement {
     pub fn assign(&self, components: usize) -> Vec<usize> {
         (0..components).map(|c| self.server_of(c)).collect()
     }
-
-    /// Components of `0..components` owned by `server`, ascending.
-    pub fn owned_by(&self, server: usize, components: usize) -> Vec<usize> {
-        (0..components).filter(|&c| self.server_of(c) == server).collect()
-    }
 }
 
 #[cfg(test)]
@@ -154,14 +149,6 @@ mod tests {
                 "server {server} owns {count} of {n} components"
             );
         }
-        // owned_by partitions exactly
-        let mut total = 0;
-        for server in 0..4 {
-            let owned = p.owned_by(server, n);
-            assert!(owned.iter().all(|&c| assign[c] == server));
-            total += owned.len();
-        }
-        assert_eq!(total, n);
     }
 
     #[test]

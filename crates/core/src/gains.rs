@@ -9,9 +9,9 @@
 //! leaves every *other* shard's gains bit-identical. This module turns
 //! that theorem into an incremental cache:
 //!
-//! * the network stamps each shard with a **mutation epoch** — a
-//!   globally unique `u64` drawn from one process-wide counter, bumped
-//!   whenever the shard's state actually changes (integrated assertion,
+//! * the network stamps each shard with a **mutation epoch** — its own
+//!   mutation generation at the shard's last change, re-stamped whenever
+//!   the shard's state actually changes (integrated assertion,
 //!   commit-lane install) and reset wholesale on structural evolution
 //!   (extend / retire, which renumber shards);
 //! * [`GainCache`] holds, per shard, the uncertain members with their
@@ -37,58 +37,44 @@
 //! trace**, RNG stream included; the differential and property suites
 //! certify exactly that.
 //!
-//! Epoch uniqueness is what makes sharing safe: the cache lives behind
-//! an `Arc<Mutex<_>>` *shared by forks* (cheap `fork()` must not deep-
-//! copy it), and because two diverged forks can never mint the same
-//! epoch for the same shard, a hit is always a value computed against
-//! precisely the reader's state — including an older parked fork, whose
-//! old epochs simply re-match the entries cached while it was current.
-//! Epochs only ever decide *hit or miss*, never a value, so determinism
-//! is unconditional.
+//! Each network owns its cache, and a fork starts with an empty one, so
+//! an entry is only ever read by the network that computed it. A
+//! network's generation only grows, so no two states of one shard carry
+//! the same epoch, and a hit is always a value computed against exactly
+//! the reader's state. Epochs only ever decide *hit or miss*, never a
+//! value, so determinism is unconditional.
 
 use crate::selection::TIE_EPSILON;
 use smn_schema::CandidateId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Process-wide epoch source. Starts at 1 so the default (empty) cache
-/// epoch 0 can never match a live shard.
-static EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// Draws a globally unique mutation epoch. Relaxed ordering suffices:
-/// uniqueness is all the cache needs, cross-thread visibility of the
-/// stamped state travels with the network itself.
-pub fn next_epoch() -> u64 {
-    EPOCH.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One shard's cached gains: the uncertain members (ascending id) with
 /// their Eq. 5 gains, the shard maximum, and the epoch the values were
-/// computed at (`0` = never filled).
+/// computed at (`None` = never filled).
 #[derive(Debug, Clone, Default)]
 struct ShardGains {
-    epoch: u64,
+    epoch: Option<u64>,
     ids: Vec<CandidateId>,
     gains: Vec<f64>,
     max_gain: f64,
 }
 
 /// The per-network gain cache; see the module docs for the contract.
-/// Shared across forks behind `Arc<Mutex<_>>` — epoch uniqueness makes
-/// stale reads impossible, the mutex makes concurrent refreshes safe.
+/// Its network owns it behind a `Mutex`, which makes concurrent refreshes
+/// through a shared reference safe.
 #[derive(Debug, Default)]
 pub struct GainCache {
-    /// The structure epoch the shard vector below belongs to (`0` =
+    /// The structure epoch the shard vector below belongs to (`None` =
     /// never filled). Evolution renumbers shards, so a mismatch drops
     /// everything.
-    structure_epoch: u64,
+    structure_epoch: Option<u64>,
     shards: Vec<ShardGains>,
 }
 
 impl GainCache {
     fn lookup(&self, k: usize, epoch: u64, c: CandidateId) -> Option<f64> {
         let s = self.shards.get(k)?;
-        if s.epoch != epoch {
+        if s.epoch != Some(epoch) {
             return None;
         }
         s.ids.binary_search(&c).ok().map(|j| s.gains[j])
@@ -111,7 +97,7 @@ fn lock(cache: &Mutex<GainCache>) -> std::sync::MutexGuard<'_, GainCache> {
 /// selection strategy, the service dispatcher, the coordinator — shares
 /// one definition of "cached selection".
 pub trait GainSource {
-    /// The shared cache. Must never be locked by the required methods
+    /// This model's cache. Must never be locked by the required methods
     /// below (the provided methods hold it across `compute_gains`).
     fn gain_cache(&self) -> &Mutex<GainCache>;
 
@@ -141,13 +127,13 @@ pub trait GainSource {
         let structure = self.gain_structure_epoch();
         let epochs = self.gain_shard_epochs();
         let mut cache = lock(self.gain_cache());
-        if cache.structure_epoch != structure {
-            cache.structure_epoch = structure;
+        if cache.structure_epoch != Some(structure) {
+            cache.structure_epoch = Some(structure);
             cache.shards.clear();
             cache.shards.resize(epochs.len(), ShardGains::default());
         }
         let dirty: Vec<usize> =
-            (0..epochs.len()).filter(|&k| cache.shards[k].epoch != epochs[k]).collect();
+            (0..epochs.len()).filter(|&k| cache.shards[k].epoch != Some(epochs[k])).collect();
         if dirty.is_empty() {
             return;
         }
@@ -164,7 +150,7 @@ pub trait GainSource {
             s.ids = pool[start..end].to_vec();
             s.gains = gains[start..end].to_vec();
             s.max_gain = s.gains.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            s.epoch = epochs[k];
+            s.epoch = Some(epochs[k]);
         }
     }
 
@@ -234,7 +220,7 @@ pub trait GainSource {
     /// read costs exactly what it always did.
     fn warm_cached_gain(&self, c: CandidateId) -> Option<f64> {
         let cache = lock(self.gain_cache());
-        if cache.structure_epoch != self.gain_structure_epoch() {
+        if cache.structure_epoch != Some(self.gain_structure_epoch()) {
             return None;
         }
         let k = self.gain_shard_of(c);
@@ -248,17 +234,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epochs_are_unique_and_nonzero() {
-        let a = next_epoch();
-        let b = next_epoch();
-        assert_ne!(a, 0);
-        assert_ne!(a, b);
-        assert!(b > a);
-    }
-
-    #[test]
     fn empty_cache_misses_everything() {
+        // a fresh network stamps every shard 0, which never-filled misses
         let cache = GainCache::default();
+        assert_eq!(cache.lookup(0, 0, CandidateId(0)), None);
         assert_eq!(cache.lookup(0, 1, CandidateId(0)), None);
         assert_eq!(cache.lookup(7, 1, CandidateId(3)), None);
     }

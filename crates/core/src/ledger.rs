@@ -1,6 +1,6 @@
 //! The global state of Algorithm 1's loop, written once: the feedback
-//! `F`, the posterior `P` (Eq. 2), the entropy baseline (Eq. 3) and the
-//! gain-cache stamps, with every rule about them. Both
+//! `F`, the posterior `P` (Eq. 2), the entropy baseline (Eq. 3), the gain
+//! cache and its stamps, with every rule about them. Both
 //! [`ProbabilisticNetwork`](crate::ProbabilisticNetwork) and the
 //! `smn-dist` coordinator hold a [`Ledger`] and hand it only shard-local
 //! results (probabilities, post-assertion shard entropies), computed on
@@ -27,17 +27,18 @@
 
 use crate::entropy::{binary_entropy, entropy_of};
 use crate::feedback::{Assertion, Feedback};
-use crate::gains::{next_epoch, GainCache};
+use crate::gains::GainCache;
 use crate::probability::AssertError;
 use crate::shard::ShardHost;
+use smn_constraints::ConflictIndex;
 use smn_schema::CandidateId;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-/// Feedback, posterior, entropy baseline and cache stamps of one network.
-/// `Clone` is a fork: everything is copied except the entropy terms,
-/// which a fork rebuilds on its first write, and the gain cache, which
-/// stays shared (epoch uniqueness makes stale hits impossible).
+/// Feedback, posterior, entropy baseline, gain cache and its stamps of
+/// one network. `Clone` is a fork: everything is copied except the
+/// entropy terms, which a fork rebuilds on its first write, and the gain
+/// cache, which a fork starts empty.
 #[derive(Debug)]
 pub struct Ledger {
     feedback: Feedback,
@@ -55,15 +56,15 @@ pub struct Ledger {
     /// rejected assertions. Not serialized — a restored network restarts
     /// at 0.
     generation: u64,
-    /// Per-shard mutation epochs for the gain cache: globally unique
-    /// values from [`next_epoch`], re-stamped whenever the shard's state
+    /// Per-shard mutation epochs for the gain cache: the generation at
+    /// the shard's last change, re-stamped whenever the shard's state
     /// actually changes. Indexed by shard id.
     shard_epochs: Vec<u64>,
-    /// The structural epoch: refreshed wholesale by extend / retire,
+    /// The structural epoch: the generation of the last extend / retire,
     /// which renumber shards. See [`crate::gains`].
     structure_epoch: u64,
-    /// The shared Eq. 5 gain cache, never serialized.
-    gain_cache: Arc<Mutex<GainCache>>,
+    /// This network's Eq. 5 gain cache, never serialized.
+    gain_cache: Mutex<GainCache>,
 }
 
 impl Clone for Ledger {
@@ -77,7 +78,7 @@ impl Clone for Ledger {
             generation: self.generation,
             shard_epochs: self.shard_epochs.clone(),
             structure_epoch: self.structure_epoch,
-            gain_cache: Arc::clone(&self.gain_cache),
+            gain_cache: Mutex::default(),
         }
     }
 }
@@ -87,7 +88,6 @@ impl Ledger {
     /// all-zero posterior: [`scatter`](Self::scatter) every shard, then
     /// [`set_baseline`](Self::set_baseline).
     pub fn new(feedback: Feedback, shards: usize) -> Self {
-        let epoch = next_epoch();
         let n = feedback.approved().capacity();
         Self {
             probs: vec![0.0; n],
@@ -96,9 +96,9 @@ impl Ledger {
             feedback,
             initial_entropy: 0.0,
             generation: 0,
-            shard_epochs: vec![epoch; shards],
-            structure_epoch: epoch,
-            gain_cache: Arc::new(Mutex::new(GainCache::default())),
+            shard_epochs: vec![0; shards],
+            structure_epoch: 0,
+            gain_cache: Mutex::default(),
         }
     }
 
@@ -133,7 +133,7 @@ impl Ledger {
         self.generation
     }
 
-    /// The shared gain cache.
+    /// This network's gain cache.
     pub fn gain_cache(&self) -> &Mutex<GainCache> {
         &self.gain_cache
     }
@@ -208,19 +208,7 @@ impl Ledger {
         if candidate.index() >= self.probs.len() {
             return Err(AssertError::UnknownCandidate(candidate));
         }
-        if self.feedback.is_asserted(candidate) {
-            let previously_approved = self.feedback.approved().contains(candidate);
-            return if previously_approved == approved {
-                Ok(false)
-            } else {
-                Err(AssertError::Contradictory { candidate, previously_approved })
-            };
-        }
-        if approved && !host.network().index().can_add(self.feedback.approved(), candidate) {
-            // the approved set must stay consistent or Ω becomes empty
-            return Err(AssertError::InconsistentApproval(candidate));
-        }
-        Ok(true)
+        check_verdict(&self.feedback, host.network().index(), candidate, approved, candidate)
     }
 
     /// Batched what-if: the network uncertainty each hypothetical
@@ -291,7 +279,7 @@ impl Ledger {
     pub fn record(&mut self, k: usize, assertion: Assertion) {
         self.feedback.assert(assertion);
         self.generation += 1;
-        self.shard_epochs[k] = next_epoch();
+        self.shard_epochs[k] = self.generation;
     }
 
     /// Opens the slot of an arriving candidate (unasserted, `p = 0` until
@@ -320,13 +308,43 @@ impl Ledger {
     /// current uncertainty.
     pub fn evolved(&mut self, host: &ShardHost) {
         self.generation += 1;
-        let epoch = next_epoch();
-        self.structure_epoch = epoch;
-        self.shard_epochs = vec![epoch; host.component_count()];
+        self.structure_epoch = self.generation;
+        self.shard_epochs = vec![self.generation; host.component_count()];
         if self.initial_entropy == 0.0 {
             self.initial_entropy = self.entropy();
         }
     }
+}
+
+/// The rule every write path checks an assertion `(c, approved)` by,
+/// against `feedback` and the approval constraints of `index`, in which
+/// `c` is an id (global in the ledger, shard-local in a shard): `Ok(true)`
+/// means integrating it would mutate, `Ok(false)` that it is a same-way
+/// re-assertion (a successful no-op). A flip of a standing verdict is
+/// [`Contradictory`](AssertError::Contradictory), and an approval that
+/// conflicts with earlier approvals is
+/// [`InconsistentApproval`](AssertError::InconsistentApproval); errors
+/// name the global `candidate`.
+pub(crate) fn check_verdict(
+    feedback: &Feedback,
+    index: &ConflictIndex,
+    c: CandidateId,
+    approved: bool,
+    candidate: CandidateId,
+) -> Result<bool, AssertError> {
+    if feedback.is_asserted(c) {
+        let previously_approved = feedback.approved().contains(c);
+        return if previously_approved == approved {
+            Ok(false)
+        } else {
+            Err(AssertError::Contradictory { candidate, previously_approved })
+        };
+    }
+    if approved && !index.can_add(feedback.approved(), c) {
+        // the approved set must stay consistent or Ω becomes empty
+        return Err(AssertError::InconsistentApproval(candidate));
+    }
+    Ok(true)
 }
 
 /// `h(p_c)` per candidate: the terms of [`entropy_of`], which a fork

@@ -107,11 +107,6 @@ impl MatchingNetwork {
         self.index.count_violations(&BitSet::full(self.candidates.len()))
     }
 
-    /// An empty instance sized for this network.
-    pub fn empty_instance(&self) -> BitSet {
-        BitSet::new(self.candidates.len())
-    }
-
     /// Admits a new candidate correspondence online: validates and appends
     /// it to the candidate set (it gets the next dense id) and patches the
     /// conflict index incrementally
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(net.index().candidate_count(), 5);
         assert_eq!(net.catalog().schema_count(), 3);
         assert_eq!(net.graph().edge_count(), 3);
-        assert_eq!(net.empty_instance().capacity(), 5);
     }
 
     #[test]

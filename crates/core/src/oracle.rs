@@ -124,11 +124,6 @@ impl CrowdOracle {
                 .collect(),
         }
     }
-
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
 }
 
 impl Oracle for CrowdOracle {
@@ -201,7 +196,6 @@ mod tests {
         let truth: Vec<Correspondence> = (0..300).map(|i| corr(2 * i, 2 * i + 1)).collect();
         let mut single = NoisyOracle::new(truth.iter().copied(), 0.25, 11);
         let mut crowd = CrowdOracle::new(truth.iter().copied(), 5, 0.25, 11);
-        assert_eq!(crowd.worker_count(), 5);
         let single_errors = truth.iter().filter(|&&c| !single.assert(c)).count();
         let crowd_errors = truth.iter().filter(|&&c| !crowd.assert(c)).count();
         assert!(

@@ -131,7 +131,7 @@ impl SelectionStrategy for RandomSelection {
 
 /// Maximal information gain (the paper's heuristic, §IV-D).
 ///
-/// Selection runs through the network's shared gain cache by default
+/// Selection runs through the network's own gain cache by default
 /// ([`crate::gains::GainSource`]): only shards dirtied since the last
 /// pick are re-priced and the argmax runs over the cached tie window —
 /// `O(|C_dirty| + window)` instead of a full `O(|C|)` gain scan — with

@@ -44,6 +44,7 @@
 use crate::entropy::binary_entropy;
 use crate::exact;
 use crate::feedback::{Assertion, Feedback};
+use crate::ledger::check_verdict;
 use crate::network::MatchingNetwork;
 use crate::persist::NetworkEvent;
 use crate::pool;
@@ -122,29 +123,17 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// Checks `(lc, approved)` against this shard's feedback and approval
-    /// constraints — the shard-local counterpart of
-    /// [`Ledger::validate`](crate::Ledger::validate), for working copies
-    /// that carry no global feedback (commit lanes, session echoes):
-    /// `Ok(true)` would mutate, `Ok(false)` is a same-way re-assertion,
-    /// and errors name the global `candidate`.
+    /// constraints by the rule of [`Ledger::validate`](crate::Ledger::validate),
+    /// for working copies that carry no global feedback (commit lanes,
+    /// session echoes): `Ok(true)` would mutate, `Ok(false)` is a same-way
+    /// re-assertion, and errors name the global `candidate`.
     pub(crate) fn validate(
         &self,
         candidate: CandidateId,
         lc: CandidateId,
         approved: bool,
     ) -> Result<bool, AssertError> {
-        if self.feedback.is_asserted(lc) {
-            let previously_approved = self.feedback.approved().contains(lc);
-            return if previously_approved == approved {
-                Ok(false)
-            } else {
-                Err(AssertError::Contradictory { candidate, previously_approved })
-            };
-        }
-        if approved && !self.index.can_add(self.feedback.approved(), lc) {
-            return Err(AssertError::InconsistentApproval(candidate));
-        }
-        Ok(true)
+        check_verdict(&self.feedback, &self.index, lc, approved, candidate)
     }
 
     /// The assertion kernel every write path shares: records the

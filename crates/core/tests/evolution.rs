@@ -376,17 +376,15 @@ proptest! {
         prop_assert_eq!(session.network().probabilities(), fresh.pn.probabilities());
     }
 
-    /// Forks share one gain cache on purpose (a serving snapshot and its
-    /// session views reuse each other's clean shards), so the cache must
-    /// never serve one fork an entry computed on another. Two forks of one
-    /// network diverge under answers, arrivals, retirements and further
-    /// forks; cached picks hop between the parked forks — returning to
-    /// older ones whose shard epochs predate entries the others cached —
-    /// and every pick must equal a fresh scan of its own fork, by
-    /// candidate and by score bits. The globally unique epochs are what
-    /// make each hit an entry computed from exactly the reader's state.
+    /// Each fork picks like its own fresh scan. A fork carries its
+    /// parent's shard epochs but starts with an empty gain cache, and
+    /// parent and fork then stamp from their own generations, which can
+    /// coincide. Two forks of one network diverge under answers,
+    /// arrivals, retirements and further forks; cached picks hop between
+    /// the parked forks, returning to older ones, and every pick must
+    /// equal a fresh scan of its own fork, by candidate and by score bits.
     #[test]
-    fn forks_sharing_a_gain_cache_each_pick_their_own_fresh_scan(
+    fn each_fork_picks_like_its_own_fresh_scan(
         sizes in prop::array::uniform3(1usize..4),
         seed in any::<u64>(),
         ops in prop::collection::vec(any::<u32>(), 1..32),

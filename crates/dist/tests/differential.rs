@@ -245,7 +245,6 @@ fn the_service_report_is_byte_identical_over_a_cluster() {
     let config = ServiceConfig {
         sampler: fast_sampler(11),
         redundancy: 2,
-        threads: 1,
         seed: 0xD15C0,
         ..ServiceConfig::default()
     };

@@ -114,29 +114,9 @@ impl Catalog {
         self.attributes[id.index()].schema
     }
 
-    /// Fallible lookup of a schema.
-    pub fn try_schema(&self, id: SchemaId) -> Result<&Schema, SchemaError> {
-        self.schemas.get(id.index()).ok_or(SchemaError::UnknownSchema(id))
-    }
-
     /// Fallible lookup of an attribute.
     pub fn try_attribute(&self, id: AttributeId) -> Result<&Attribute, SchemaError> {
         self.attributes.get(id.index()).ok_or(SchemaError::UnknownAttribute(id))
-    }
-
-    /// Finds a schema by name (linear scan; intended for tests and examples).
-    pub fn schema_by_name(&self, name: &str) -> Option<&Schema> {
-        self.schemas.iter().find(|s| s.name == name)
-    }
-
-    /// Finds an attribute by `(schema, name)` (linear scan over the schema).
-    pub fn attribute_by_name(&self, schema: SchemaId, name: &str) -> Option<&Attribute> {
-        self.schemas
-            .get(schema.index())?
-            .attributes
-            .iter()
-            .map(|&a| self.attribute(a))
-            .find(|a| a.name == name)
     }
 
     /// Smallest and largest schema sizes, as reported in Table II of the
@@ -286,17 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_by_name() {
-        let c = three_schema_catalog();
-        let bbc = c.schema_by_name("BBC").unwrap();
-        assert_eq!(bbc.name, "BBC");
-        let date = c.attribute_by_name(bbc.id, "date").unwrap();
-        assert_eq!(date.name, "date");
-        assert!(c.attribute_by_name(bbc.id, "releaseDate").is_none());
-        assert!(c.schema_by_name("nope").is_none());
-    }
-
-    #[test]
     fn min_max_statistics() {
         let c = three_schema_catalog();
         assert_eq!(c.attribute_min_max(), Some((2, 2)));
@@ -310,8 +279,6 @@ mod tests {
     #[test]
     fn try_lookups_report_errors() {
         let c = three_schema_catalog();
-        assert!(c.try_schema(SchemaId(0)).is_ok());
-        assert!(c.try_schema(SchemaId(99)).is_err());
         assert!(c.try_attribute(AttributeId(0)).is_ok());
         assert!(c.try_attribute(AttributeId(99)).is_err());
     }

@@ -18,8 +18,7 @@
 //! * **Commits** flush in batches through
 //!   [`ProbabilisticNetwork::commit_batch`]: pending assertions are
 //!   ordered by `(shard, decision clock)` and applied through
-//!   per-shard commit lanes, one worker-pool batch per flush
-//!   (`threads: 1` runs them under [`smn_core::pool::sequential`]).
+//!   per-shard commit lanes, one worker-pool batch per flush.
 //!   When durability is attached, each committed assertion is appended
 //!   to the write-ahead log in that commit order, with one fsync per
 //!   flush.
@@ -48,9 +47,7 @@
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::event::{IngressError, IngressQueue, ServiceEvent, StampedEvent};
-use crate::service::{
-    crowd_seed, majority_quality, outcome_label, truth_mask, with_threads, Scheduler,
-};
+use crate::service::{crowd_seed, majority_quality, outcome_label, truth_mask, Scheduler};
 use crate::session::SessionManager;
 use crate::worker::{WorkerPool, WorkerStats};
 use serde::Serialize;
@@ -161,10 +158,9 @@ pub struct ServeConfig {
     pub redundancy: usize,
     /// How votes reduce to one assertion.
     pub aggregation: Aggregation,
-    /// `1` runs each flush's commit lanes on the calling thread (under
-    /// [`smn_core::pool::sequential`]); any other value leaves them to the
-    /// worker pool, whose size bounds the parallelism. Never affects
-    /// results, only wall-clock.
+    /// Ignored; kept for configuration compatibility like `scheduler`. The
+    /// worker pool's size and [`smn_core::pool::sequential`] decide where
+    /// a flush's commit lanes run.
     pub threads: usize,
     /// Kept for configuration compatibility; see [`Scheduler`].
     pub scheduler: Scheduler,
@@ -725,7 +721,7 @@ impl ServingCore {
             .iter()
             .map(|d| Assertion { candidate: d.candidate, approved: d.approved })
             .collect();
-        let outcomes = with_threads(self.config.threads, || self.base.commit_batch(&requests));
+        let outcomes = self.base.commit_batch(&requests);
         let (entropy_after, effort_after) = (self.base.entropy(), self.base.effort());
         for (d, o) in decided.iter().zip(&outcomes) {
             self.pending_set.remove(&d.candidate);
@@ -847,7 +843,7 @@ mod tests {
     use smn_testkit::{fig1_network, fig1_truth, tiny_sampler};
 
     fn core(rates: Vec<f64>) -> Result<ServingCore, ServeConfigError> {
-        let config = ServeConfig { sampler: tiny_sampler(5), threads: 1, ..ServeConfig::default() };
+        let config = ServeConfig { sampler: tiny_sampler(5), ..ServeConfig::default() };
         ServingCore::new(fig1_network(), fig1_truth(), rates, config)
     }
 

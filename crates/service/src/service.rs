@@ -23,11 +23,11 @@
 //!
 //! Because every worker answer is a pure function, every branch entropy
 //! is a pure function of the same base snapshot and its query, and
-//! commits happen in lease order, the pool size and `threads: 1` (which
-//! runs the what-if batch under [`smn_core::pool::sequential`]) only
-//! change *who computes what* — never the result. Two runs with the same
-//! config are byte-identical at any thread count, which the
-//! `determinism` integration suite asserts at 1, 4 and 8 threads.
+//! commits happen in lease order, the pool size and a
+//! [`smn_core::pool::sequential`] scope only change *who computes what* —
+//! never the result. Two runs with the same config are byte-identical at
+//! any pool size, which the `determinism` integration suite asserts for a
+//! pooled run against the same run in a sequential scope.
 
 use crate::aggregate::{aggregate, Aggregation, Verdict, Vote};
 use crate::dispatch::{Dispatcher, Lease};
@@ -67,10 +67,9 @@ pub struct ServiceConfig {
     pub redundancy: usize,
     /// How votes reduce to one assertion.
     pub aggregation: Aggregation,
-    /// `1` evaluates each round's what-if batch on the calling thread
-    /// (under [`smn_core::pool::sequential`]); any other value leaves it
-    /// to the worker pool, whose size bounds the parallelism. Never
-    /// affects results, only wall-clock.
+    /// Ignored; kept for configuration compatibility like `scheduler`. The
+    /// worker pool's size and [`smn_core::pool::sequential`] decide where
+    /// a round's what-if batch runs.
     pub threads: usize,
     /// Kept for configuration compatibility; see [`Scheduler`].
     pub scheduler: Scheduler,
@@ -285,9 +284,7 @@ impl<M: ServeModel> ReconciliationService<M> {
             if leases.is_empty() {
                 break; // every candidate validated
             }
-            let ballots = with_threads(self.config.threads, || {
-                collect_votes(&self.base, &self.pool, &leases)
-            });
+            let ballots = collect_votes(&self.base, &self.pool, &leases);
             let committed = self.commit_round(round, &leases, &ballots);
             let quality = majority_quality(&self.base, &self.pool, &self.truth_mask);
             self.rounds.push(RoundStats {
@@ -383,16 +380,6 @@ pub(crate) fn outcome_label(outcome: StepOutcome) -> String {
         StepOutcome::Skipped => "skipped",
     }
     .into()
-}
-
-/// Runs `f` under [`smn_core::pool::sequential`] when `threads` is `1`,
-/// directly otherwise — what the loops' `threads` setting means.
-pub(crate) fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    if threads == 1 {
-        smn_core::pool::sequential(f)
-    } else {
-        f()
-    }
 }
 
 /// Per candidate of `network`, whether `crowd`'s verified matching

@@ -1,12 +1,13 @@
 //! Concurrency-determinism and differential certification of the
 //! reconciliation service.
 //!
-//! * **Thread invariance** — a seeded run is byte-identical (report JSON,
-//!   commit history, final posteriors) at 1, 4 and 8 OS threads: the
-//!   thread count only changes who computes what, never the result.
-//! * **Scheduler invariance** — `threads: 1` (each round's what-if batch
-//!   under [`smn_core::pool::sequential`]) and `threads: 4` (the worker
-//!   pool) produce byte-identical runs on the fig1, perturbed and
+//! * **Thread invariance** — a seeded run on the worker pool is
+//!   byte-identical (report JSON, commit history, final posteriors) to
+//!   the same run inside [`smn_core::pool::sequential`], where every
+//!   batch runs inline on one thread: the pool only changes who computes
+//!   what, never the result. CI runs the suite at pool sizes 1 and 8 as
+//!   well as the default.
+//! * **Scheduler invariance** — the same, on the fig1, perturbed and
 //!   federation presets: scheduling is pure wall-clock.
 //! * **Sequential replay** — a 1-worker, redundancy-1 service with a
 //!   perfect worker replays a sequential [`Session::run`] trace point for
@@ -42,16 +43,14 @@ fn federation_case(seed: u64) -> (MatchingNetwork, Vec<Correspondence>) {
     (net, truth)
 }
 
-fn service_config(threads: usize, goal: ReconciliationGoal) -> ServiceConfig {
+fn service_config(goal: ReconciliationGoal) -> ServiceConfig {
     ServiceConfig {
         sampler: tiny_sampler(5),
-        sharding: ShardingConfig::default(),
         redundancy: 2,
         aggregation: Aggregation::QualityWeighted,
-        threads,
-        scheduler: Scheduler::Pool,
         seed: 17,
         goal,
+        ..ServiceConfig::default()
     }
 }
 
@@ -59,39 +58,29 @@ fn service_config(threads: usize, goal: ReconciliationGoal) -> ServiceConfig {
 fn runs_are_byte_identical_across_thread_counts() {
     let (net, truth) = federation_case(3);
     let crowd = vec![0.05, 0.15, 0.25, 0.1, 0.3, 0.2];
-    let mut outcomes: Vec<(String, Vec<f64>, usize)> = Vec::new();
-    for threads in [1usize, 4, 8] {
+    let run = || {
         let mut svc = ReconciliationService::new(
             net.clone(),
             truth.clone(),
             crowd.clone(),
-            service_config(threads, ReconciliationGoal::Budget(30)),
+            service_config(ReconciliationGoal::Budget(30)),
         );
         let report = svc.run();
         assert_eq!(svc.history().len(), 30);
         let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        outcomes.push((json, svc.base().probabilities().to_vec(), svc.history().len()));
-    }
-    let (ref_json, ref_probs, ref_len) = outcomes[0].clone();
-    for (json, probs, len) in &outcomes[1..] {
-        assert_eq!(*json, ref_json, "report JSON must not depend on the thread count");
-        assert_eq!(*probs, ref_probs, "posteriors must not depend on the thread count");
-        assert_eq!(*len, ref_len);
-    }
+        (json, svc.base().probabilities().to_vec())
+    };
+    let (pooled_json, pooled_probs) = run();
+    let (inline_json, inline_probs) = smn_core::pool::sequential(run);
+    assert_eq!(pooled_json, inline_json, "report JSON must not depend on the thread count");
+    assert_eq!(pooled_probs, inline_probs, "posteriors must not depend on the thread count");
     // and the same config run twice is reproducible outright
-    let rerun = ReconciliationService::new(
-        net,
-        truth,
-        crowd,
-        service_config(8, ReconciliationGoal::Budget(30)),
-    )
-    .run();
-    assert_eq!(serde_json::to_string_pretty(&rerun).unwrap(), ref_json);
+    assert_eq!(run().0, pooled_json);
 }
 
 #[test]
 fn schedulers_produce_byte_identical_reports() {
-    // `threads: 1` vs `threads: 4` on all three presets: scheduling is
+    // the pool vs a sequential scope on all three presets: scheduling is
     // pure wall-clock, so reports and posteriors must match byte for byte
     let cases: Vec<(MatchingNetwork, Vec<Correspondence>)> = vec![
         (fig1_network(), fig1_truth()),
@@ -100,12 +89,12 @@ fn schedulers_produce_byte_identical_reports() {
     ];
     let crowd = vec![0.05, 0.15, 0.25, 0.1, 0.3, 0.2];
     for (case, (net, truth)) in cases.into_iter().enumerate() {
-        let run = |threads: usize| {
+        let run = || {
             let mut svc = ReconciliationService::new(
                 net.clone(),
                 truth.clone(),
                 crowd.clone(),
-                service_config(threads, ReconciliationGoal::Budget(12)),
+                service_config(ReconciliationGoal::Budget(12)),
             );
             let report = svc.run();
             (
@@ -113,7 +102,11 @@ fn schedulers_produce_byte_identical_reports() {
                 svc.base().probabilities().to_vec(),
             )
         };
-        assert_eq!(run(4), run(1), "pool vs sequential diverged on case {case}");
+        assert_eq!(
+            run(),
+            smn_core::pool::sequential(run),
+            "pool vs sequential diverged on case {case}"
+        );
     }
 }
 
@@ -166,7 +159,7 @@ fn rounds_spread_leases_across_distinct_shards() {
         net,
         truth,
         vec![0.0; 6],
-        ServiceConfig { redundancy: 1, ..service_config(4, ReconciliationGoal::Budget(36)) },
+        ServiceConfig { redundancy: 1, ..service_config(ReconciliationGoal::Budget(36)) },
     );
     let report = svc.run();
     // round 0 has plenty of uncertain components, so its 6 concurrent

@@ -2,9 +2,11 @@
 //! request-driven serving core.
 //!
 //! * **Thread invariance** — a seeded serving run over the open-loop
-//!   workload is byte-identical (report JSON, commit stream, final
-//!   posteriors) at 1, 4 and 8 commit threads, and when the whole run
-//!   executes under [`smn_core::pool::sequential`].
+//!   workload on the worker pool is byte-identical (report JSON, commit
+//!   stream, final posteriors) to the same run executed under
+//!   [`smn_core::pool::sequential`], on the federation and on the fig1
+//!   network. CI runs the suite at pool sizes 1 and 8 as well as the
+//!   default.
 //! * **Replay** — feeding the accepted-event log of a live run through
 //!   [`ServingCore::replay`] reproduces the run byte for byte, including
 //!   runs that hit ingress backpressure (proptest over random streams).
@@ -16,8 +18,9 @@
 //!   leave the core consistent, replayable and durably recoverable.
 
 use proptest::prelude::*;
+use smn_core::MatchingNetwork;
 use smn_datasets::SessionAction;
-use smn_schema::{AttributeId, CandidateId};
+use smn_schema::{AttributeId, CandidateId, Correspondence};
 use smn_service::{
     Aggregation, IngressError, ReplayError, ServeConfig, ServeConfigError, ServeReport,
     ServiceEvent, ServingCore, StampedEvent,
@@ -34,12 +37,11 @@ fn to_event(action: SessionAction) -> ServiceEvent {
     }
 }
 
-fn serve_config(threads: usize) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
         sampler: tiny_sampler(5),
         redundancy: 2,
         aggregation: Aggregation::QualityWeighted,
-        threads,
         seed: 17,
         capacity: 1024,
         flush_every: 8,
@@ -49,10 +51,19 @@ fn serve_config(threads: usize) -> ServeConfig {
 
 /// A multi-shard serving run over the federation network and the standard
 /// open-loop workload.
-fn federation_run(threads: usize) -> (ServeReport, Vec<f64>) {
+fn federation_run() -> (ServeReport, Vec<f64>) {
     let (net, truth) = webform_federation(4, 11);
+    serving_run(net, truth, 4)
+}
+
+/// A serving run of `crowd` workers over the standard open-loop workload.
+fn serving_run(
+    net: MatchingNetwork,
+    truth: Vec<Correspondence>,
+    crowd: usize,
+) -> (ServeReport, Vec<f64>) {
     let mut core =
-        ServingCore::new(net, truth, vec![0.1; 4], serve_config(threads)).expect("serving config");
+        ServingCore::new(net, truth, vec![0.1; crowd], serve_config()).expect("serving config");
     core.run_events(serve_workload(32, 160, 7).into_iter().map(|a| to_event(a.action)));
     let report = core.finish();
     (report, core.base().probabilities().to_vec())
@@ -66,35 +77,36 @@ fn scratch(name: &str) -> PathBuf {
 
 #[test]
 fn serving_runs_are_byte_identical_across_thread_counts() {
-    let (r1, p1) = federation_run(1);
-    let (r4, p4) = federation_run(4);
-    let (r8, p8) = federation_run(8);
-    assert!(r1.questions_asked > 0 && !r1.commits.is_empty(), "the workload must exercise commits");
+    let (pooled, pp) = federation_run();
+    let (inline, pi) = smn_core::pool::sequential(federation_run);
+    assert!(
+        pooled.questions_asked > 0 && !pooled.commits.is_empty(),
+        "the workload must exercise commits"
+    );
     let json = |r: &ServeReport| serde_json::to_string(r).unwrap();
-    assert_eq!(json(&r1), json(&r4), "1 vs 4 threads");
-    assert_eq!(json(&r1), json(&r8), "1 vs 8 threads");
-    assert_eq!(p1, p4, "posteriors at 4 threads");
-    assert_eq!(p1, p8, "posteriors at 8 threads");
+    assert_eq!(json(&pooled), json(&inline), "pool vs one thread");
+    assert_eq!(pp, pi, "posteriors on one thread");
+    // and the same run twice is reproducible outright
+    assert_eq!(json(&federation_run().0), json(&pooled));
 }
 
 #[test]
 fn serving_runs_are_byte_identical_across_schedulers() {
-    // `threads: 1` commits under `pool::sequential`; running the whole
-    // core in a sequential scope also inlines every fill and gain scan
-    let (pool, pp) = federation_run(4);
-    let (one, p1) = federation_run(1);
-    let (inline, pi) = smn_core::pool::sequential(|| federation_run(4));
+    // a sequential scope inlines every commit lane, fill and gain scan;
+    // on the one-component fig1 network every flush is a single lane
+    let fig1 = || serving_run(fig1_network(), fig1_truth(), 2);
+    let (pooled, pp) = fig1();
+    let (inline, pi) = smn_core::pool::sequential(fig1);
     let json = |r: &ServeReport| serde_json::to_string(r).unwrap();
-    assert_eq!(json(&pool), json(&one), "threads 4 vs threads 1");
-    assert_eq!(json(&pool), json(&inline), "pool vs sequential scope");
-    assert_eq!(pp, p1);
+    assert!(!pooled.commits.is_empty(), "the workload must exercise commits");
+    assert_eq!(json(&pooled), json(&inline), "pool vs sequential scope");
     assert_eq!(pp, pi);
 }
 
 #[test]
 fn replaying_the_accepted_log_reproduces_the_live_run() {
     let (net, truth) = webform_federation(4, 11);
-    let config = serve_config(4);
+    let config = serve_config();
     let mut live =
         ServingCore::new(net.clone(), truth.clone(), vec![0.1; 4], config).expect("serving config");
     live.run_events(serve_workload(32, 160, 7).into_iter().map(|a| to_event(a.action)));
@@ -119,7 +131,7 @@ fn a_full_ingress_returns_the_typed_error_and_preserves_accepted_events() {
         net,
         truth,
         vec![0.0; 2],
-        ServeConfig { capacity: 2, redundancy: 1, ..serve_config(1) },
+        ServeConfig { capacity: 2, redundancy: 1, ..serve_config() },
     )
     .expect("serving config");
     assert_eq!(core.submit(ServiceEvent::Question { session: 0 }), Ok(0));
@@ -147,7 +159,7 @@ fn a_perfect_crowd_reconciles_fig1_completely() {
         net,
         truth,
         vec![0.0; 2],
-        ServeConfig { redundancy: 1, flush_every: 2, ..serve_config(2) },
+        ServeConfig { redundancy: 1, flush_every: 2, ..serve_config() },
     )
     .expect("serving config");
     core.run_events(serve_workload(2, 24, 3).into_iter().map(|a| to_event(a.action)));
@@ -162,7 +174,7 @@ fn a_perfect_crowd_reconciles_fig1_completely() {
 #[test]
 fn evolution_takes_an_epoch_and_stays_replayable() {
     let (net, truth) = (fig1_network(), fig1_truth());
-    let config = ServeConfig { redundancy: 1, flush_every: 3, ..serve_config(2) };
+    let config = ServeConfig { redundancy: 1, flush_every: 3, ..serve_config() };
     let mut live =
         ServingCore::new(net.clone(), truth.clone(), vec![0.0; 2], config).expect("serving config");
     let mut events: Vec<ServiceEvent> =
@@ -190,7 +202,7 @@ fn evolution_takes_an_epoch_and_stays_replayable() {
 fn serving_durability_recovers_the_live_base_exactly() {
     let dir = scratch("serve-durable").join("store");
     let (net, truth) = webform_federation(4, 11);
-    let config = serve_config(4);
+    let config = serve_config();
 
     let mut plain =
         ServingCore::new(net.clone(), truth.clone(), vec![0.1; 4], config).expect("serving config");
@@ -220,13 +232,9 @@ fn serving_durability_recovers_the_live_base_exactly() {
 fn serving_storage_faults_latch_and_surface_in_the_report() {
     let dir = scratch("serve-latched").join("store");
     let (net, truth) = (fig1_network(), fig1_truth());
-    let mut core = ServingCore::new(
-        net,
-        truth,
-        vec![0.0; 2],
-        ServeConfig { redundancy: 1, ..serve_config(2) },
-    )
-    .expect("serving config");
+    let mut core =
+        ServingCore::new(net, truth, vec![0.0; 2], ServeConfig { redundancy: 1, ..serve_config() })
+            .expect("serving config");
     core.attach_durability(&dir).expect("attach");
     // yank the store directory: the final snapshot publication fails, the
     // fault latches, and the report carries it verbatim
@@ -241,7 +249,7 @@ fn serving_storage_faults_latch_and_surface_in_the_report() {
 fn an_empty_crowd_is_a_typed_construction_error() {
     // regression: this used to build fine and then panic on the first
     // answer event (`session % crowd.len()` and `redundancy.clamp(1, 0)`)
-    let err = ServingCore::new(fig1_network(), fig1_truth(), Vec::<f64>::new(), serve_config(1))
+    let err = ServingCore::new(fig1_network(), fig1_truth(), Vec::<f64>::new(), serve_config())
         .err()
         .expect("an empty crowd must be rejected at construction");
     assert_eq!(err, ServeConfigError::EmptyCrowd);
@@ -252,7 +260,7 @@ fn an_empty_crowd_is_a_typed_construction_error() {
 fn finishing_a_zero_commit_run_reports_zeroed_latency() {
     // regression: the percentile helper used to `expect("nonempty")` on
     // runs that never flushed a commit
-    let mut core = ServingCore::new(fig1_network(), fig1_truth(), vec![0.0; 2], serve_config(1))
+    let mut core = ServingCore::new(fig1_network(), fig1_truth(), vec![0.0; 2], serve_config())
         .expect("serving config");
     // questions only — nothing ever decides, so nothing ever commits
     for s in 0..4 {
@@ -274,7 +282,7 @@ fn replay_clamps_zero_capacity_and_rejects_drifted_logs() {
     // A zero-capacity replay config is clamped to 1 at the config level
     // and succeeds (replay pumps after every submit)...
     let (net, truth) = (fig1_network(), fig1_truth());
-    let config = ServeConfig { redundancy: 1, ..serve_config(1) };
+    let config = ServeConfig { redundancy: 1, ..serve_config() };
     let mut live =
         ServingCore::new(net.clone(), truth.clone(), vec![0.0; 2], config).expect("serving config");
     live.run_events(serve_workload(2, 12, 3).into_iter().map(|a| to_event(a.action)));
@@ -348,7 +356,7 @@ proptest! {
             fig1_network(),
             fig1_truth(),
             vec![0.0; 2],
-            ServeConfig { capacity, redundancy: 1, ..serve_config(1) },
+            ServeConfig { capacity, redundancy: 1, ..serve_config() },
         )
         .expect("serving config");
         let mut rejections = 0u32;
@@ -384,7 +392,7 @@ proptest! {
             capacity,
             redundancy: 2,
             flush_every: 4,
-            ..serve_config(2)
+            ..serve_config()
         };
         let mut live = ServingCore::new(fig1_network(), fig1_truth(), vec![0.05; 3], config)
             .expect("serving config");

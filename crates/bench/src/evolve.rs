@@ -55,24 +55,32 @@ pub fn candidate_pool(evo: &EvolvingFederation, seed: u64) -> Vec<(Correspondenc
     net.candidates().candidates().iter().map(|c| (c.corr, c.confidence)).collect()
 }
 
-/// Builds the sharded network over `candidates` from scratch: re-index
-/// plus a full fill, with the bench sampler.
-pub fn rebuild(
+/// Indexes the network over `candidates` from scratch.
+pub fn matching_network(
     evo: &EvolvingFederation,
     candidates: impl IntoIterator<Item = (Correspondence, f64)>,
-) -> ProbabilisticNetwork {
+) -> MatchingNetwork {
     let cat = &evo.federation.dataset.catalog;
     let graph = &evo.federation.graph;
     let mut cs = CandidateSet::new(cat);
     for (corr, conf) in candidates {
         cs.add(cat, Some(graph), corr.a(), corr.b(), conf).unwrap();
     }
-    let net = MatchingNetwork::new(
+    MatchingNetwork::new(
         cat.clone(),
         graph.clone(),
         cs,
         smn_constraints::ConstraintConfig::default(),
-    );
+    )
+}
+
+/// Builds the sharded network over `candidates` from scratch: re-index
+/// plus a full fill, with the bench sampler.
+pub fn rebuild(
+    evo: &EvolvingFederation,
+    candidates: impl IntoIterator<Item = (Correspondence, f64)>,
+) -> ProbabilisticNetwork {
+    let net = matching_network(evo, candidates);
     ProbabilisticNetwork::new_sharded(net, bench_sampler(3), ShardingConfig::default())
 }
 

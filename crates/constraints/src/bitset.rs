@@ -22,8 +22,8 @@ const WORD_BITS: usize = 64;
 /// Iterates the set bits of the virtual word sequence
 /// `word_at(0) .. word_at(n_words - 1)` in ascending order, skipping
 /// all-zero [`kernels::LANES`]-word blocks with one OR + compare — the
-/// wide form of masked iteration shared by `iter`, `iter_and`, `iter_xor`
-/// and `iter_unset`.
+/// wide form of masked iteration shared by `iter`, `iter_xor` and
+/// `iter_unset`.
 fn iter_words(n_words: usize, word_at: impl Fn(usize) -> u64) -> impl Iterator<Item = CandidateId> {
     let mut wi = 0usize;
     let mut cur = 0u64;
@@ -160,8 +160,7 @@ impl BitSet {
     }
 
     /// Whether the two sets share at least one element — an early-exit
-    /// [`intersection_count`](BitSet::intersection_count)` > 0`, the
-    /// word-parallel kernel behind the conflict-mask `can_add`.
+    /// [`intersection_count`](BitSet::intersection_count)` > 0`.
     #[inline]
     pub fn intersects(&self, other: &BitSet) -> bool {
         debug_assert_eq!(self.len, other.len);
@@ -183,13 +182,6 @@ impl BitSet {
     pub fn copy_from(&mut self, other: &BitSet) {
         debug_assert_eq!(self.len, other.len);
         kernels::copy(&mut self.words, &other.words);
-    }
-
-    /// Iterates over the ids in `self ∩ mask` without materializing the
-    /// intersection (masked word iteration).
-    pub fn iter_and<'a>(&'a self, mask: &'a BitSet) -> impl Iterator<Item = CandidateId> + 'a {
-        debug_assert_eq!(self.len, mask.len);
-        iter_words(self.words.len(), move |wi| self.words[wi] & mask.words[wi])
     }
 
     /// Iterates over the ids in `self Δ other` (symmetric difference) —
@@ -393,13 +385,6 @@ mod tests {
         let mut b = BitSet::from_ids(100, ids(&[5]));
         b.copy_from(&a);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn iter_and_is_masked_iteration() {
-        let a = BitSet::from_ids(200, ids(&[0, 5, 64, 70, 199]));
-        let m = BitSet::from_ids(200, ids(&[5, 64, 128, 199]));
-        assert_eq!(a.iter_and(&m).collect::<Vec<_>>(), ids(&[5, 64, 199]));
     }
 
     #[test]

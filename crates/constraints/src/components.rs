@@ -6,8 +6,8 @@
 //! components, so the set of matching instances factorizes exactly: `I` is
 //! a matching instance of the network iff its restriction to every
 //! component is a matching instance of that component. [`Components`]
-//! extracts this partition once per network (union-find over the dense
-//! pair-conflict masks plus the triple table) and provides the
+//! extracts this partition once per network (union-find over the
+//! pair-conflict posting lists plus the triple table) and provides the
 //! global ↔ shard-local candidate remapping the sharded probabilistic
 //! model in `smn-core` is built on.
 
@@ -46,14 +46,14 @@ pub struct Components {
 
 impl Components {
     /// Extracts the conflict components of `index`: union-find over every
-    /// pair-conflict mask and every cycle triple (both members of a
+    /// pair-conflict posting list and every cycle triple (both members of a
     /// violation always land in one component).
     pub fn of_index(index: &ConflictIndex) -> Self {
         let n = index.candidate_count();
         let mut uf = UnionFind::new(n);
         for i in 0..n {
             let c = CandidateId::from_index(i);
-            for other in index.pair_mask(c).iter() {
+            for &other in index.pair_conflicts(c) {
                 uf.union(i, other.index());
             }
             for &[a, b] in index.other_pairs(c) {
@@ -237,9 +237,9 @@ impl Components {
         }
         // the components the arrival couples (sorted, deduplicated)
         let mut coupled: Vec<usize> = index
-            .pair_mask(c)
+            .pair_conflicts(c)
             .iter()
-            .map(|p| self.component_of(p))
+            .map(|&p| self.component_of(p))
             .chain(index.other_pairs(c).iter().flatten().map(|&p| self.component_of(p)))
             .collect();
         coupled.sort_unstable();
@@ -296,7 +296,7 @@ impl Components {
             self.members[k_old].iter().filter(|&&m| m != retired).map(|&m| shift(m)).collect();
         let mut uf = UnionFind::new(n);
         for &m in &survivors {
-            for p in index.pair_mask(m).iter() {
+            for &p in index.pair_conflicts(m) {
                 uf.union(m.index(), p.index());
             }
             for &[a, b] in index.other_pairs(m) {
@@ -442,7 +442,7 @@ mod tests {
         let comps = Components::of_index(&idx);
         for i in 0..n {
             let c = CandidateId::from_index(i);
-            for other in idx.pair_mask(c).iter() {
+            for &other in idx.pair_conflicts(c) {
                 assert_eq!(comps.component_of(c), comps.component_of(other));
             }
             for &[a, b] in idx.other_pairs(c) {

@@ -3,9 +3,10 @@
 //! [`ConflictIndex::build`] enumerates, once per network, every *potential*
 //! violation among the candidate set `C`:
 //!
-//! * pair conflicts (one-to-one): stored as adjacency lists, and
+//! * pair conflicts (one-to-one): stored as ascending adjacency lists, and
 //! * triple conflicts (cycle, per interaction-graph triangle): stored as a
-//!   flat table of `[CandidateId; 3]` with a per-candidate posting list.
+//!   flat table of `[CandidateId; 3]` with a per-candidate table of the
+//!   other two members of each triple.
 //!
 //! Whether an actual violation exists in a concrete instance `I ⊆ C` is then
 //! a matter of checking which pre-computed conflicts are fully contained in
@@ -45,13 +46,12 @@ impl ConstraintConfig {
 
 /// Pre-computed conflict structure of one candidate set.
 ///
-/// Conflicts are stored twice: as sparse posting lists (the enumeration
-/// form) and as dense per-candidate [`BitSet`] masks plus a flattened
-/// other-two table (the query form). The masks turn `can_add`,
-/// `violations_introduced` and `conflicts_of_in` into a handful of
-/// AND+popcount word operations instead of per-element `contains` probes —
-/// the difference that keeps Algorithm 3's walk interactive at `|C|` in
-/// the thousands.
+/// Both constraints couple a candidate only with the few candidates that
+/// share one of its attributes or close a triangle with it, so every
+/// query reads sparse per-candidate lists: the ascending pair posting
+/// list and the flattened other-two table of the candidate's triples.
+/// `can_add`, `violations_introduced` and `conflicts_of_in` cost one
+/// membership probe per pair partner plus two per triple, whatever `|C|`.
 ///
 /// The index is *canonical*: posting lists ascend, and the triple table is
 /// kept in lexicographic order regardless of how the triples were
@@ -65,16 +65,13 @@ impl ConstraintConfig {
 pub struct ConflictIndex {
     config: ConstraintConfig,
     candidate_count: usize,
-    /// `pair_conflicts[c]` = candidates forming a one-to-one violation with `c`.
+    /// `pair_conflicts[c]` = candidates forming a one-to-one violation
+    /// with `c`, ascending.
     pair_conflicts: Vec<Vec<CandidateId>>,
     /// All potential cycle violations, each a sorted triple.
     triples: Vec<[CandidateId; 3]>,
-    /// `triples_of[c]` = indices into `triples` that involve `c`.
-    triples_of: Vec<Vec<u32>>,
-    /// `pair_masks[c]` = `pair_conflicts[c]` as a dense bitset.
-    pair_masks: Vec<BitSet>,
-    /// Flattened other-two table: for the `i`-th triple posting of `c`
-    /// (aligned with `triples_of[c]`), the two members besides `c`.
+    /// Flattened other-two table: for every triple involving `c`, in
+    /// table order, the two members besides `c`.
     triple_other: Vec<[CandidateId; 2]>,
     /// `triple_other[triple_other_start[c] .. triple_other_start[c + 1]]`
     /// are the other-two pairs of candidate `c`.
@@ -95,8 +92,6 @@ impl ConflictIndex {
             candidate_count: n,
             pair_conflicts: vec![Vec::new(); n],
             triples: Vec::new(),
-            triples_of: vec![Vec::new(); n],
-            pair_masks: Vec::new(),
             triple_other: Vec::new(),
             triple_other_start: Vec::new(),
         };
@@ -106,57 +101,55 @@ impl ConflictIndex {
         if config.cycle {
             index.build_triples(catalog, graph, candidates);
         }
-        index.build_dense();
+        index.canonicalize();
         index
     }
 
-    /// Derives the dense query structures (conflict masks, per-candidate
-    /// triple postings, flattened other-two table) from the primary data:
-    /// the pair posting lists and the triple table.
-    ///
-    /// The triple table is canonicalized (sorted lexicographically) first,
-    /// so the derived structures — and the index as a whole — are a pure
-    /// function of the conflict *sets*, independent of discovery order.
-    /// This is what lets the incremental `add_candidate`/`retire_candidate`
-    /// patches compare `==` against a from-scratch [`build`](Self::build).
-    fn build_dense(&mut self) {
-        let n = self.candidate_count;
+    /// Sorts the triple table lexicographically and derives the other-two
+    /// table from it, so the index is a pure function of the conflict
+    /// *sets*, independent of discovery order. This is what lets the
+    /// incremental `add_candidate`/`retire_candidate` patches compare `==`
+    /// against a from-scratch [`build`](Self::build).
+    fn canonicalize(&mut self) {
         self.triples.sort_unstable();
-        self.triples_of = vec![Vec::new(); n];
-        for (i, t) in self.triples.iter().enumerate() {
-            let idx = u32::try_from(i).expect("triple index overflow");
-            for &m in t {
-                self.triples_of[m.index()].push(idx);
-            }
-        }
-        self.pair_masks =
-            self.pair_conflicts.iter().map(|l| BitSet::from_ids(n, l.iter().copied())).collect();
-        self.rebuild_other_table();
+        self.derive_other_table();
     }
 
-    /// Re-derives the flattened other-two table from `triples` and
-    /// `triples_of`, reusing the existing buffers — the only full pass the
-    /// incremental patches keep (it is `O(n + T)` sequential writes with
-    /// no per-candidate allocation).
-    fn rebuild_other_table(&mut self) {
+    /// Rebuilds the other-two table from the (sorted) triple table, in
+    /// O(n + T): a counting sort of the triple memberships by candidate;
+    /// filling back to front from each candidate's end leaves every
+    /// candidate's pairs in table order. Both tables keep their buffers.
+    fn derive_other_table(&mut self) {
         let n = self.candidate_count;
-        self.triple_other.clear();
-        self.triple_other_start.clear();
-        for c in 0..n {
-            self.triple_other_start
-                .push(u32::try_from(self.triple_other.len()).expect("table overflow"));
-            for &t in &self.triples_of[c] {
-                let [x, y, z] = self.triples[t as usize];
-                self.triple_other.push(other_two(x, y, z, CandidateId::from_index(c)));
+        let total = u32::try_from(3 * self.triples.len()).expect("table overflow");
+        let (start, table) = (&mut self.triple_other_start, &mut self.triple_other);
+        start.clear();
+        start.resize(n + 1, 0);
+        for t in &self.triples {
+            for &m in t {
+                start[m.index()] += 1;
             }
         }
-        self.triple_other_start
-            .push(u32::try_from(self.triple_other.len()).expect("table overflow"));
+        // inclusive prefix sums: `start[c]` is the end of `c`'s run
+        let mut end = 0;
+        for s in &mut start[..n] {
+            end += *s;
+            *s = end;
+        }
+        start[n] = total;
+        table.clear();
+        table.resize(total as usize, [CandidateId(0); 2]);
+        for &[x, y, z] in self.triples.iter().rev() {
+            for (m, others) in [(x, [y, z]), (y, [x, z]), (z, [x, y])] {
+                start[m.index()] -= 1;
+                table[start[m.index()] as usize] = others;
+            }
+        }
     }
 
-    /// The other-two members of every triple posting of `c` (aligned with
-    /// `triples_of[c]`, each pair sorted ascending) — the flattened table
-    /// behind the triple checks of `can_add` and the incremental frontier.
+    /// The other-two members of every triple involving `c`, in triple
+    /// table order, each pair ascending — the flattened table behind the
+    /// triple checks of `can_add` and the incremental frontier.
     #[inline]
     pub fn other_pairs(&self, c: CandidateId) -> &[[CandidateId; 2]] {
         let lo = self.triple_other_start[c.index()] as usize;
@@ -275,10 +268,9 @@ impl ConflictIndex {
         }
     }
 
-    /// Records one potential cycle triple (members sorted). The posting
-    /// lists (`triples_of`) are derived later by
-    /// [`build_dense`](Self::build_dense), which also canonicalizes the
-    /// table order.
+    /// Records one potential cycle triple (members sorted). The other-two
+    /// table is derived later by [`canonicalize`](Self::canonicalize),
+    /// which also sorts the table.
     fn push_triple(&mut self, x: CandidateId, y: CandidateId, z: CandidateId) {
         let mut t = [x, y, z];
         t.sort_unstable();
@@ -312,9 +304,8 @@ impl ConflictIndex {
     }
 
     /// Reassembles an index from its primary data — the pair posting lists
-    /// and the triple table — re-deriving every dense query structure
-    /// (masks, postings, other-two table) exactly as
-    /// [`build`](Self::build) would. Because the dense rebuild
+    /// and the triple table — re-deriving the other-two table exactly as
+    /// [`build`](Self::build) would. Because the derivation
     /// canonicalizes, the result is `==`
     /// to the index the parts were read from: the round trip is lossless.
     ///
@@ -339,8 +330,6 @@ impl ConflictIndex {
             candidate_count,
             pair_conflicts,
             triples,
-            triples_of: Vec::new(),
-            pair_masks: Vec::new(),
             triple_other: Vec::new(),
             triple_other_start: Vec::new(),
         };
@@ -348,7 +337,7 @@ impl ConflictIndex {
             list.sort_unstable();
             list.dedup();
         }
-        index.build_dense();
+        index.canonicalize();
         index
     }
 
@@ -362,41 +351,31 @@ impl ConflictIndex {
         self.triples.len()
     }
 
-    /// The dense one-to-one conflict mask of `c`.
-    #[inline]
-    pub fn pair_mask(&self, c: CandidateId) -> &BitSet {
-        &self.pair_masks[c.index()]
-    }
-
     /// Whether adding `c` to the consistent instance `set` introduces no
-    /// violation — one AND-intersection over the pair mask plus two probes
-    /// per triple posting.
+    /// violation — one probe per pair partner plus two per triple.
     #[inline]
     pub fn can_add(&self, set: &BitSet, c: CandidateId) -> bool {
-        if self.pair_masks[c.index()].intersects(set) {
-            return false;
-        }
-        // a triple fires only if the other two members are present
-        self.other_pairs(c).iter().all(|&[a, b]| !(set.contains(a) && set.contains(b)))
+        !self.pair_conflicts[c.index()].iter().any(|&x| set.contains(x))
+            // a triple fires only if the other two members are present
+            && self.other_pairs(c).iter().all(|&[a, b]| !(set.contains(a) && set.contains(b)))
     }
 
     /// Number of violations that adding `c` to `set` would introduce
     /// (`c ∉ set` expected; members of `set` only).
     pub fn violations_introduced(&self, set: &BitSet, c: CandidateId) -> usize {
-        let pairs = self.pair_masks[c.index()].intersection_count(set);
-        let triples = self
-            .other_pairs(c)
-            .iter()
-            .filter(|&&[a, b]| set.contains(a) && set.contains(b))
-            .count();
-        pairs + triples
+        self.conflicts_with(set, c)
     }
 
     /// Number of violations *within* `set` that `c ∈ set` participates in —
     /// the `I.getConflict(c_i, Γ)` primitive of Algorithm 4.
     pub fn conflicts_of_in(&self, set: &BitSet, c: CandidateId) -> usize {
         debug_assert!(set.contains(c));
-        let pairs = self.pair_masks[c.index()].intersection_count(set);
+        self.conflicts_with(set, c)
+    }
+
+    /// Number of conflicts of `c` whose other members all lie in `set`.
+    fn conflicts_with(&self, set: &BitSet, c: CandidateId) -> usize {
+        let pairs = self.pair_conflicts[c.index()].iter().filter(|&&x| set.contains(x)).count();
         let triples = self
             .other_pairs(c)
             .iter()
@@ -405,31 +384,24 @@ impl ConflictIndex {
         pairs + triples
     }
 
-    /// Scalar (posting-list) reference implementation of
+    /// Scalar reference implementation of
     /// [`can_add`](ConflictIndex::can_add), retained as the oracle for the
-    /// differential property tests.
+    /// differential property tests: it finds `c`'s pair partners through
+    /// their own posting lists and its triples by scanning the table.
     #[cfg(test)]
     pub fn scalar_can_add(&self, set: &BitSet, c: CandidateId) -> bool {
-        if self.pair_conflicts[c.index()].iter().any(|&x| set.contains(x)) {
-            return false;
-        }
-        self.triples_of[c.index()].iter().all(|&t| {
-            let [x, y, z] = self.triples[t as usize];
-            !(other_two(x, y, z, c).into_iter().all(|m| set.contains(m)))
-        })
+        self.scalar_violations_introduced(set, c) == 0
     }
 
     /// Scalar reference implementation of
     /// [`violations_introduced`](ConflictIndex::violations_introduced).
     #[cfg(test)]
     pub fn scalar_violations_introduced(&self, set: &BitSet, c: CandidateId) -> usize {
-        let pairs = self.pair_conflicts[c.index()].iter().filter(|&&x| set.contains(x)).count();
-        let triples = self.triples_of[c.index()]
+        let pairs = set.iter().filter(|x| self.pair_conflicts[x.index()].contains(&c)).count();
+        let triples = self
+            .triples
             .iter()
-            .filter(|&&t| {
-                let [x, y, z] = self.triples[t as usize];
-                other_two(x, y, z, c).into_iter().all(|m| set.contains(m))
-            })
+            .filter(|t| t.contains(&c) && t.iter().all(|&m| m == c || set.contains(m)))
             .count();
         pairs + triples
     }
@@ -481,12 +453,14 @@ impl ConflictIndex {
         c: CandidateId,
         mut f: impl FnMut(&[CandidateId]),
     ) {
-        for x in self.pair_masks[c.index()].iter_and(set) {
-            f(&[c, x]);
+        for &x in &self.pair_conflicts[c.index()] {
+            if set.contains(x) {
+                f(&[c, x]);
+            }
         }
-        for (&t, &[a, b]) in self.triples_of[c.index()].iter().zip(self.other_pairs(c)) {
+        for &[a, b] in self.other_pairs(c) {
             if set.contains(a) && set.contains(b) {
-                f(&self.triples[t as usize]);
+                f(&with_member(c, [a, b]));
             }
         }
     }
@@ -505,8 +479,8 @@ impl ConflictIndex {
     }
 
     /// Writes into `blocked` the set of candidates that cannot join `set`
-    /// without a violation: the union of the pair masks of `set`'s members
-    /// plus every third member of a triple whose other two lie in `set`.
+    /// without a violation: every pair partner of a member of `set`, plus
+    /// every third member of a triple whose other two lie in `set`.
     ///
     /// For a consistent `set` this is exactly `{c ∉ set | ¬can_add(set, c)}`
     /// (members of `set` may also appear; callers exclude them anyway), so
@@ -516,7 +490,9 @@ impl ConflictIndex {
         debug_assert_eq!(blocked.capacity(), self.candidate_count);
         blocked.clear();
         for c in set.iter() {
-            blocked.union_with(&self.pair_masks[c.index()]);
+            for &x in &self.pair_conflicts[c.index()] {
+                blocked.insert(x);
+            }
             for &[a, b] in self.other_pairs(c) {
                 if set.contains(a) {
                     blocked.insert(b);
@@ -598,8 +574,6 @@ impl ConflictIndex {
             candidate_count: m,
             pair_conflicts: vec![Vec::new(); m],
             triples: Vec::new(),
-            triples_of: Vec::new(),
-            pair_masks: Vec::new(),
             triple_other: Vec::new(),
             triple_other_start: Vec::new(),
         };
@@ -607,15 +581,14 @@ impl ConflictIndex {
         for (j, &g) in members.iter().enumerate() {
             sub.pair_conflicts[j] =
                 self.pair_conflicts[g.index()].iter().map(|&x| local(x)).collect();
-            for &t in &self.triples_of[g.index()] {
-                let tr = self.triples[t as usize];
+            for &[a, b] in self.other_pairs(g) {
                 // emit each triple once: when visiting its smallest member
-                if tr[0] == g {
-                    sub.triples.push([local(tr[0]), local(tr[1]), local(tr[2])]);
+                if g < a {
+                    sub.triples.push([local(g), local(a), local(b)]);
                 }
             }
         }
-        sub.build_dense();
+        sub.canonicalize();
         Arc::new(sub)
     }
 
@@ -624,7 +597,7 @@ impl ConflictIndex {
     /// indexed count): computes the new candidate's pair conflicts and
     /// cycle triples from its local neighbourhood — attribute-incident
     /// candidates and the interaction-graph triangles through its schema
-    /// edge — and patches the posting lists and dense query structures.
+    /// edge — and patches the posting lists and the triple tables.
     /// New conflicts always involve the new candidate, so nothing else is
     /// re-enumerated; the result is `==` to a from-scratch
     /// [`build`](ConflictIndex::build) over the grown candidate set.
@@ -695,65 +668,29 @@ impl ConflictIndex {
                 }
             }
         }
-        self.patch_dense_add(c, added);
+        added.sort_unstable();
+        self.insert_triples(&added);
         c
     }
 
-    /// Dense patch for an arrival: grow every pair mask by one slot and
-    /// set the partner bits; merge the (few) new triples into the
-    /// canonical table, remapping the existing postings in place; then
-    /// re-derive the flattened other-two table. `O(n + P + T)` sequential
-    /// work with no per-candidate allocation — versus
-    /// [`build`](ConflictIndex::build)'s full conflict enumeration over
-    /// the catalog plus `n` fresh mask and posting vectors.
-    fn patch_dense_add(&mut self, c: CandidateId, mut added: Vec<[CandidateId; 3]>) {
-        let n = self.candidate_count;
-        for mask in &mut self.pair_masks {
-            mask.grow(n);
-        }
-        for &y in &self.pair_conflicts[c.index()] {
-            self.pair_masks[y.index()].insert(c);
-        }
-        self.pair_masks.push(BitSet::from_ids(n, self.pair_conflicts[c.index()].iter().copied()));
-        self.triples_of.push(Vec::new());
-        if !added.is_empty() {
-            // one merge pass keeps the table canonical (new triples contain
-            // `c` but need not sort after the old ones) and yields the
-            // old → new position remap for the existing postings
-            added.sort_unstable();
-            let old = std::mem::take(&mut self.triples);
-            let mut merged = Vec::with_capacity(old.len() + added.len());
-            let mut old_pos = Vec::with_capacity(old.len());
-            let mut added_pos = Vec::with_capacity(added.len());
-            let (mut ai, mut oi) = (0usize, 0usize);
-            while oi < old.len() || ai < added.len() {
-                let take_added = ai < added.len() && (oi >= old.len() || added[ai] < old[oi]);
-                let pos = u32::try_from(merged.len()).expect("triple index overflow");
-                if take_added {
-                    added_pos.push(pos);
-                    merged.push(added[ai]);
-                    ai += 1;
-                } else {
-                    old_pos.push(pos);
-                    merged.push(old[oi]);
-                    oi += 1;
-                }
+    /// Merges the sorted `added` triples, each holding the newest
+    /// candidate, into the canonical table (a backward merge of two sorted
+    /// runs: nothing before the first insertion point moves), then derives
+    /// the other-two table afresh.
+    fn insert_triples(&mut self, added: &[[CandidateId; 3]]) {
+        let old_len = self.triples.len();
+        self.triples.extend_from_slice(added);
+        let (mut r, mut w) = (old_len, self.triples.len());
+        for &t in added.iter().rev() {
+            while r > 0 && self.triples[r - 1] > t {
+                w -= 1;
+                r -= 1;
+                self.triples[w] = self.triples[r];
             }
-            self.triples = merged;
-            for list in &mut self.triples_of {
-                for t in list.iter_mut() {
-                    *t = old_pos[*t as usize];
-                }
-            }
-            for (&p, t) in added_pos.iter().zip(&added) {
-                for &m in t {
-                    let list = &mut self.triples_of[m.index()];
-                    let at = list.partition_point(|&x| x < p);
-                    list.insert(at, p);
-                }
-            }
+            w -= 1;
+            self.triples[w] = t;
         }
-        self.rebuild_other_table();
+        self.derive_other_table();
     }
 
     /// Incrementally removes candidate `c` from the index, compacting the
@@ -772,41 +709,32 @@ impl ConflictIndex {
                 *x = shift(*x);
             }
         }
-        // dense pair patch: drop c's mask, collapse its bit position in
-        // every other (the monotone renumbering keeps the words exact)
-        self.pair_masks.remove(c.index());
-        for mask in &mut self.pair_masks {
-            mask.collapse(c);
-        }
-        // compact the triple table in place (the retiree's triples die),
-        // tracking the old → new position remap for the postings; the
-        // order-preserving compaction plus the monotone id shift keep the
-        // table canonical without a re-sort
-        let mut alive_pos = vec![u32::MAX; self.triples.len()];
-        let mut write = 0usize;
-        for (read, pos) in alive_pos.iter_mut().enumerate() {
-            if !self.triples[read].contains(&c) {
-                *pos = u32::try_from(write).expect("triple index overflow");
-                self.triples[write] = self.triples[read];
-                write += 1;
+        // the retiree's triples die; the order-preserving compaction plus
+        // the monotone id shift keep the table canonical without a re-sort
+        self.triples.retain_mut(|t| {
+            if t.contains(&c) {
+                return false;
             }
-        }
-        self.triples.truncate(write);
-        for t in &mut self.triples {
             for m in t.iter_mut() {
                 *m = shift(*m);
             }
-        }
-        self.triples_of.remove(c.index());
-        for list in &mut self.triples_of {
-            list.retain_mut(|t| {
-                let p = alive_pos[*t as usize];
-                *t = p;
-                p != u32::MAX
-            });
-        }
+            true
+        });
         self.candidate_count -= 1;
-        self.rebuild_other_table();
+        self.derive_other_table();
+    }
+}
+
+/// The sorted triple of `c` and the ascending pair `[a, b]` — a triple as
+/// the table stores it, rebuilt from one of `c`'s other-two entries.
+#[inline]
+fn with_member(c: CandidateId, [a, b]: [CandidateId; 2]) -> [CandidateId; 3] {
+    if c < a {
+        [c, a, b]
+    } else if c < b {
+        [a, c, b]
+    } else {
+        [a, b, c]
     }
 }
 
@@ -824,18 +752,6 @@ fn end_of(
     } else {
         debug_assert_eq!(catalog.schema_of(y), s);
         y
-    }
-}
-
-#[inline]
-fn other_two(x: CandidateId, y: CandidateId, z: CandidateId, c: CandidateId) -> [CandidateId; 2] {
-    if x == c {
-        [y, z]
-    } else if y == c {
-        [x, z]
-    } else {
-        debug_assert_eq!(z, c);
-        [x, y]
     }
 }
 
@@ -1014,69 +930,139 @@ mod tests {
         (cat, g, cs)
     }
 
+    /// The subset whose `w`-th word of ids is `mask` for `w = 0` and a
+    /// SplitMix64 hash of `(mask, w)` after that, so a subset of more than
+    /// 64 candidates does not repeat one word.
     fn mask_subset(n: usize, mask: u64) -> BitSet {
+        let word = |w: u64| {
+            if w == 0 {
+                return mask;
+            }
+            let mut z = (mask ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
         BitSet::from_ids(
             n,
-            (0..n).filter(|i| mask & (1 << (i % 64)) != 0).map(CandidateId::from_index),
+            (0..n)
+                .filter(|&i| word((i / 64) as u64) & (1 << (i % 64)) != 0)
+                .map(CandidateId::from_index),
         )
+    }
+
+    /// A federation of small webform clusters: many independent conflict
+    /// components, candidate ids spanning several words.
+    fn federation(groups: usize, seed: u64) -> ConflictIndex {
+        use smn_datasets::{FederationSpec, SharingModel, Vocabulary};
+        use smn_matchers::matcher::match_network;
+        use smn_matchers::PerturbationMatcher;
+        let fed = FederationSpec {
+            name: format!("Fed{groups}"),
+            vocabulary: Vocabulary::web_form(),
+            groups,
+            schemas_per_group: 3,
+            attrs_min: 8,
+            attrs_max: 14,
+            sharing: SharingModel::RankBiased { alpha: 1.3 },
+        }
+        .generate(seed);
+        let truth = fed.dataset.selective_matching(&fed.graph);
+        let matcher = PerturbationMatcher::new(truth, 0.65, 0.85, seed);
+        let cs = match_network(&matcher, &fed.dataset.catalog, &fed.graph).unwrap();
+        ConflictIndex::build(&fed.dataset.catalog, &fed.graph, &cs, ConstraintConfig::default())
+    }
+
+    /// The 4-group federation of the local-maximality fixtures and a
+    /// 16-group one whose ids span several words, built once per test
+    /// binary.
+    fn federations() -> &'static [ConflictIndex; 2] {
+        static INDICES: std::sync::OnceLock<[ConflictIndex; 2]> = std::sync::OnceLock::new();
+        INDICES.get_or_init(|| [federation(4, 3), federation(16, 5)])
+    }
+
+    /// The greedy consistent completion of `wanted`, in id order.
+    fn greedy_instance(idx: &ConflictIndex, wanted: &BitSet) -> BitSet {
+        let mut inst = BitSet::new(idx.candidate_count());
+        for c in wanted.iter() {
+            if idx.can_add(&inst, c) {
+                inst.insert(c);
+            }
+        }
+        inst
+    }
+
+    #[test]
+    fn federations_have_many_components_over_several_words() {
+        let [small, large] = federations();
+        assert!(large.candidate_count() > 128, "{}", large.candidate_count());
+        for idx in [small, large] {
+            let comps = crate::Components::of_index(idx);
+            assert!(comps.count() > 1 && comps.largest() > 2);
+        }
     }
 
     mod differential {
         use super::*;
         use proptest::prelude::*;
 
+        /// Each property runs on a random 3-schema network and on both
+        /// federations, under the same masks.
+        fn inputs(sizes: [usize; 3], cand_mask: u64) -> [ConflictIndex; 3] {
+            let (cat, g, cs) = random_network(sizes, cand_mask);
+            let idx = ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default());
+            let [small, large] = federations().clone();
+            [idx, small, large]
+        }
+
         proptest! {
-            /// The mask-based `can_add` / `violations_introduced` /
-            /// `conflicts_of_in` agree with the scalar posting-list oracles
-            /// on arbitrary (not necessarily consistent) subsets.
+            /// The posting-list `can_add` / `violations_introduced` /
+            /// `conflicts_of_in` agree with the scalar oracles, which scan
+            /// the partners' lists and the triple table, on arbitrary (not
+            /// necessarily consistent) subsets.
             #[test]
-            fn masked_primitives_match_scalar_oracles(
+            fn posting_primitives_match_scalar_oracles(
                 cand_mask in any::<u64>(),
                 inst_mask in any::<u64>(),
                 sizes in prop::array::uniform3(1usize..4),
             ) {
-                let (cat, g, cs) = random_network(sizes, cand_mask);
-                let idx = ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default());
-                let set = mask_subset(cs.len(), inst_mask);
-                for i in 0..cs.len() {
-                    let c = CandidateId::from_index(i);
-                    prop_assert_eq!(idx.can_add(&set, c), idx.scalar_can_add(&set, c));
-                    prop_assert_eq!(
-                        idx.violations_introduced(&set, c),
-                        idx.scalar_violations_introduced(&set, c)
-                    );
+                for idx in inputs(sizes, cand_mask) {
+                    let set = mask_subset(idx.candidate_count(), inst_mask);
+                    for i in 0..idx.candidate_count() {
+                        let c = CandidateId::from_index(i);
+                        let introduced = idx.scalar_violations_introduced(&set, c);
+                        prop_assert_eq!(idx.can_add(&set, c), idx.scalar_can_add(&set, c));
+                        prop_assert_eq!(idx.violations_introduced(&set, c), introduced);
+                        if set.contains(c) {
+                            prop_assert_eq!(idx.conflicts_of_in(&set, c), introduced);
+                        }
+                    }
                 }
             }
 
-            /// Word-parallel maximality agrees with the scalar all-candidates
-            /// scan, on both greedily-completed and raw random sets, with and
-            /// without a random forbidden set.
+            /// Blocked-set maximality agrees with the scalar all-candidates
+            /// scan on greedily-completed sets, with and without a random
+            /// forbidden set.
             #[test]
-            fn masked_maximality_matches_scalar_oracle(
+            fn maximality_matches_scalar_oracle(
                 cand_mask in any::<u64>(),
                 inst_mask in any::<u64>(),
                 forb_mask in any::<u64>(),
                 sizes in prop::array::uniform3(1usize..4),
             ) {
-                let (cat, g, cs) = random_network(sizes, cand_mask);
-                let idx = ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default());
-                let forbidden = mask_subset(cs.len(), forb_mask);
-                // greedy consistent completion of the mask
-                let mut inst = BitSet::new(cs.len());
-                for i in 0..cs.len() {
-                    let c = CandidateId::from_index(i);
-                    if inst_mask & (1 << (i % 64)) != 0 && idx.can_add(&inst, c) {
-                        inst.insert(c);
-                    }
+                for idx in inputs(sizes, cand_mask) {
+                    let n = idx.candidate_count();
+                    let forbidden = mask_subset(n, forb_mask);
+                    let inst = greedy_instance(&idx, &mask_subset(n, inst_mask));
+                    prop_assert_eq!(
+                        idx.is_maximal(&inst, &forbidden),
+                        idx.scalar_is_maximal(&inst, &forbidden)
+                    );
+                    prop_assert_eq!(
+                        idx.is_maximal(&inst, &BitSet::new(n)),
+                        idx.scalar_is_maximal(&inst, &BitSet::new(n))
+                    );
                 }
-                prop_assert_eq!(
-                    idx.is_maximal(&inst, &forbidden),
-                    idx.scalar_is_maximal(&inst, &forbidden)
-                );
-                prop_assert_eq!(
-                    idx.is_maximal(&inst, &BitSet::new(cs.len())),
-                    idx.scalar_is_maximal(&inst, &BitSet::new(cs.len()))
-                );
             }
 
             /// `blocked_into` is exactly the complement characterization of
@@ -1088,23 +1074,18 @@ mod tests {
                 inst_mask in any::<u64>(),
                 sizes in prop::array::uniform3(1usize..4),
             ) {
-                let (cat, g, cs) = random_network(sizes, cand_mask);
-                let idx = ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default());
-                let mut inst = BitSet::new(cs.len());
-                for i in 0..cs.len() {
-                    let c = CandidateId::from_index(i);
-                    if inst_mask & (1 << (i % 64)) != 0 && idx.can_add(&inst, c) {
-                        inst.insert(c);
+                for idx in inputs(sizes, cand_mask) {
+                    let n = idx.candidate_count();
+                    let inst = greedy_instance(&idx, &mask_subset(n, inst_mask));
+                    let mut blocked = BitSet::new(n);
+                    idx.blocked_into(&inst, &mut blocked);
+                    for i in 0..n {
+                        let c = CandidateId::from_index(i);
+                        if inst.contains(c) {
+                            continue;
+                        }
+                        prop_assert_eq!(blocked.contains(c), !idx.can_add(&inst, c));
                     }
-                }
-                let mut blocked = BitSet::new(cs.len());
-                idx.blocked_into(&inst, &mut blocked);
-                for i in 0..cs.len() {
-                    let c = CandidateId::from_index(i);
-                    if inst.contains(c) {
-                        continue;
-                    }
-                    prop_assert_eq!(blocked.contains(c), !idx.can_add(&inst, c));
                 }
             }
         }
@@ -1118,7 +1099,6 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::seq::SliceRandom;
         use rand::SeedableRng;
-        use smn_datasets::{FederationSpec, SharingModel, Vocabulary};
         use smn_matchers::matcher::match_network;
         use smn_matchers::PerturbationMatcher;
         use std::sync::OnceLock;
@@ -1148,29 +1128,10 @@ mod tests {
             ConflictIndex::build(&cat, &g, &cs, ConstraintConfig::default())
         }
 
-        /// A federation of small webform clusters: many independent
-        /// conflict components.
-        fn federation(groups: usize, seed: u64) -> ConflictIndex {
-            let fed = FederationSpec {
-                name: format!("Fed{groups}"),
-                vocabulary: Vocabulary::web_form(),
-                groups,
-                schemas_per_group: 3,
-                attrs_min: 8,
-                attrs_max: 14,
-                sharing: SharingModel::RankBiased { alpha: 1.3 },
-            }
-            .generate(seed);
-            let truth = fed.dataset.selective_matching(&fed.graph);
-            let matcher = PerturbationMatcher::new(truth, 0.65, 0.85, seed);
-            let cs = match_network(&matcher, &fed.dataset.catalog, &fed.graph).unwrap();
-            ConflictIndex::build(&fed.dataset.catalog, &fed.graph, &cs, ConstraintConfig::default())
-        }
-
         fn indices() -> &'static [ConflictIndex] {
             static INDICES: OnceLock<Vec<ConflictIndex>> = OnceLock::new();
             INDICES.get_or_init(|| {
-                vec![fig1().3, perturbed(4, 8, 1), perturbed(5, 12, 2), federation(4, 3)]
+                vec![fig1().3, perturbed(4, 8, 1), perturbed(5, 12, 2), federations()[0].clone()]
             })
         }
 

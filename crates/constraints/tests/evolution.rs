@@ -2,8 +2,8 @@
 //! any random interleaving of candidate arrivals and retirements, the
 //! incrementally patched [`ConflictIndex`] and [`Components`] must equal —
 //! structurally, with `==` — a from-scratch rebuild over the surviving
-//! candidate set. Posting lists, pair masks, the (canonicalized) triple
-//! table and the component partition are all covered, as is the
+//! candidate set. Posting lists, the (canonicalized) triple table, its
+//! other-two table and the component partition are all covered, as is the
 //! [`ComponentEvolution`] contract the sharded sample stores rely on: a
 //! remapped component carries exactly its old members (shifted on
 //! retirement), and rebuilt components are exactly the rest.

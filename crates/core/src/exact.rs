@@ -63,7 +63,7 @@ pub fn enumerate_with_index(
         future: &BitSet,
         c: CandidateId,
     ) -> bool {
-        if index.pair_mask(c).intersects(future) {
+        if index.pair_conflicts(c).iter().any(|&x| future.contains(x)) {
             return true;
         }
         index.other_pairs(c).iter().any(|&[a, b]| {

@@ -160,7 +160,7 @@ impl ProbabilisticNetwork {
     /// [`crate::persist`]. Only primary data is captured: the conflict
     /// index contributes its posting lists and triple table, shards their
     /// member lists, local feedback and sample state; every derived
-    /// structure (dense masks, sub-indices, matrices, probabilities) is
+    /// structure (other-two tables, sub-indices, matrices, probabilities) is
     /// rebuilt by [`from_state`](Self::from_state).
     pub fn to_state(&self) -> crate::persist::NetworkState {
         let host = &self.host;

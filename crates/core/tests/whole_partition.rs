@@ -30,7 +30,7 @@ fn assert_samples_are_instances(pn: &ProbabilisticNetwork) {
 /// Whether candidate `c` shares no violation with any other candidate.
 fn is_isolated(pn: &ProbabilisticNetwork, c: CandidateId) -> bool {
     let index = pn.network().index();
-    index.pair_mask(c).is_empty() && index.other_pairs(c).is_empty()
+    index.pair_conflicts(c).is_empty() && index.other_pairs(c).is_empty()
 }
 
 proptest! {

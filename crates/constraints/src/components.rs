@@ -102,32 +102,6 @@ impl Components {
         self.whole
     }
 
-    /// Reassembles a partition from its canonical member lists (ascending
-    /// global ids within each component, components ordered by smallest
-    /// member) — the form a snapshot serializes. The inverse maps
-    /// (`component_of`, `local_of`) are re-derived, so the round trip
-    /// through [`members`](Self::members) is lossless.
-    ///
-    /// # Panics
-    /// Panics if the lists are not a partition of `0..candidate_count` —
-    /// callers deserializing untrusted bytes must validate coverage first
-    /// (the storage crate does).
-    pub fn from_members(candidate_count: usize, members: Vec<Vec<CandidateId>>) -> Self {
-        let mut component_of = vec![u32::MAX; candidate_count];
-        let mut local_of = vec![0u32; candidate_count];
-        for (k, list) in members.iter().enumerate() {
-            let k32 = u32::try_from(k).expect("component id fits u32");
-            for (j, &c) in list.iter().enumerate() {
-                assert!(c.index() < candidate_count, "member id out of range");
-                assert_eq!(component_of[c.index()], u32::MAX, "candidate in two components");
-                component_of[c.index()] = k32;
-                local_of[c.index()] = u32::try_from(j).expect("local id fits u32");
-            }
-        }
-        assert!(component_of.iter().all(|&k| k != u32::MAX), "partition must cover all candidates");
-        Self { component_of, local_of, members, whole: false }
-    }
-
     /// Number of components (shards).
     pub fn count(&self) -> usize {
         self.members.len()

@@ -294,51 +294,12 @@ impl ConflictIndex {
     }
 
     /// The full canonical (lexicographically sorted) triple table — the
-    /// primary cycle-conflict data a snapshot serializes. Together with
-    /// [`pair_conflicts`](Self::pair_conflicts) per candidate, the
-    /// [`config`](Self::config) and the candidate count, it determines the
-    /// whole index (see [`from_parts`](Self::from_parts)).
+    /// cycle-conflict data a snapshot stores beside
+    /// [`pair_conflicts`](Self::pair_conflicts) per candidate, and which
+    /// the loader checks against the index it builds.
     #[inline]
     pub fn triples(&self) -> &[[CandidateId; 3]] {
         &self.triples
-    }
-
-    /// Reassembles an index from its primary data — the pair posting lists
-    /// and the triple table — re-deriving the other-two table exactly as
-    /// [`build`](Self::build) would. Because the derivation
-    /// canonicalizes, the result is `==`
-    /// to the index the parts were read from: the round trip is lossless.
-    ///
-    /// # Panics
-    /// Panics if `pair_conflicts.len() != candidate_count` or any stored id
-    /// is out of range — callers deserializing untrusted bytes must
-    /// validate both before reassembling (the storage crate does).
-    pub fn from_parts(
-        config: ConstraintConfig,
-        candidate_count: usize,
-        pair_conflicts: Vec<Vec<CandidateId>>,
-        triples: Vec<[CandidateId; 3]>,
-    ) -> Self {
-        assert_eq!(pair_conflicts.len(), candidate_count, "posting list per candidate");
-        assert!(
-            pair_conflicts.iter().flatten().all(|&x| x.index() < candidate_count)
-                && triples.iter().flatten().all(|&x| x.index() < candidate_count),
-            "conflict member id out of range"
-        );
-        let mut index = Self {
-            config,
-            candidate_count,
-            pair_conflicts,
-            triples,
-            triple_other: Vec::new(),
-            triple_other_start: Vec::new(),
-        };
-        for list in &mut index.pair_conflicts {
-            list.sort_unstable();
-            list.dedup();
-        }
-        index.canonicalize();
-        index
     }
 
     /// Total number of potential pair conflicts (each counted once).

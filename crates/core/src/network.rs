@@ -45,26 +45,6 @@ impl MatchingNetwork {
         }
     }
 
-    /// Reassembles a network from already-validated parts, including a
-    /// pre-built conflict index — the snapshot-load path of `smn-storage`,
-    /// which reconstructs the index from its serialized primary data
-    /// ([`ConflictIndex::from_parts`]) instead of re-enumerating conflicts
-    /// over the catalog.
-    pub fn from_parts(
-        catalog: Catalog,
-        graph: InteractionGraph,
-        candidates: CandidateSet,
-        index: ConflictIndex,
-    ) -> Self {
-        debug_assert_eq!(index.candidate_count(), candidates.len());
-        Self {
-            catalog: Arc::new(catalog),
-            graph: Arc::new(graph),
-            candidates: Arc::new(candidates),
-            index: Arc::new(index),
-        }
-    }
-
     /// The schemas.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog

@@ -8,12 +8,14 @@
 //!
 //! * **State** — [`NetworkState`] is a plain-data image of a
 //!   probabilistic network: catalog/graph/candidate construction data,
-//!   the conflict index's *primary* data (posting lists + triple table;
-//!   every dense query structure is re-derived on load), the feedback
-//!   sets, and the per-store sample state
-//!   ([`StoreState`]). Extraction and reconstruction are
+//!   the feedback sets and the per-store sample state ([`StoreState`]),
+//!   plus stored copies of derived data — the conflict index's posting
+//!   lists and triple table, the component member lists and each shard's
+//!   local feedback. Extraction and reconstruction are
 //!   [`ProbabilisticNetwork::to_state`](crate::ProbabilisticNetwork::to_state)
-//!   / [`from_state`](crate::ProbabilisticNetwork::from_state); the round
+//!   / [`from_state`](crate::ProbabilisticNetwork::from_state). The load
+//!   derives the index and partition with the live constructors and
+//!   refuses an image whose stored copies disagree with them. The round
 //!   trip is lossless (probabilities are *recomputed* from the restored
 //!   samples through the same kernels, hence bit-identical).
 //! * **Events** — [`NetworkEvent`] is the write-ahead-log alphabet:
@@ -127,10 +129,12 @@ pub struct StoreState {
     pub counts: Vec<u64>,
 }
 
-/// One serialized shard: its local feedback and store. The shard's
-/// restricted sub-index is *not* serialized — it is a pure function of
-/// the global index and the component partition and is re-derived on
-/// load (`ConflictIndex::shard_component`).
+/// One serialized shard: its local feedback and store. The local
+/// feedback is derived data — the global feedback localized to the
+/// component — and a snapshot load refuses a copy that disagrees. The
+/// shard's restricted sub-index is *not* serialized: it is a pure
+/// function of the global index and the component partition and is
+/// derived on load (`ConflictIndex::shard_component`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardState {
     /// Shard-local feedback (ids in shard-local numbering).
@@ -153,9 +157,11 @@ pub struct NetworkState {
     pub candidates: Vec<CandidateState>,
     /// Which constraints the conflict index enforces.
     pub constraints: ConstraintConfig,
-    /// Primary conflict data: `pair_conflicts[c]` = one-to-one partners.
+    /// Conflict index copy: `pair_conflicts[c]` = one-to-one partners,
+    /// ascending; a load refuses lists that differ from the built index.
     pub pair_conflicts: Vec<Vec<u32>>,
-    /// Primary conflict data: the canonical cycle-triple table.
+    /// Conflict index copy: the canonical cycle-triple table; a load
+    /// refuses a table that differs from the built index.
     pub triples: Vec<[u32; 3]>,
     /// Global feedback.
     pub feedback: FeedbackState,
@@ -166,7 +172,8 @@ pub struct NetworkState {
     /// The construction-time entropy baseline.
     pub initial_entropy: f64,
     /// Component member lists (global ids, canonical order) — the single
-    /// list `0..n` for the whole partition.
+    /// list `0..n` for the whole partition. A load refuses lists that
+    /// differ from the partition it derives.
     pub members: Vec<Vec<u32>>,
     /// Per-component shard states, aligned with `members`.
     pub shards: Vec<ShardState>,

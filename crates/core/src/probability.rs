@@ -29,7 +29,7 @@ use crate::reconcile::StepOutcome;
 use crate::sampling::{row_and_count, SampleMatrix, SamplerConfig};
 use crate::shard::{Dissolved, ShardHost, ShardSnapshot, ShardingConfig};
 use smn_constraints::components::ComponentEvolution;
-use smn_constraints::{BitSet, Components};
+use smn_constraints::BitSet;
 use smn_schema::{AttributeId, CandidateId, SchemaError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -157,11 +157,12 @@ impl ProbabilisticNetwork {
     }
 
     /// Extracts the full serializable image of this network — see
-    /// [`crate::persist`]. Only primary data is captured: the conflict
-    /// index contributes its posting lists and triple table, shards their
-    /// member lists, local feedback and sample state; every derived
-    /// structure (other-two tables, sub-indices, matrices, probabilities) is
-    /// rebuilt by [`from_state`](Self::from_state).
+    /// [`crate::persist`]. Besides the primary data (catalog, graph,
+    /// candidates, feedback, sample state) the image carries copies of
+    /// derived data: the conflict index's posting lists and triple table,
+    /// the component member lists and each shard's local feedback.
+    /// [`from_state`](Self::from_state) derives all of these again and
+    /// refuses an image whose copies disagree.
     pub fn to_state(&self) -> crate::persist::NetworkState {
         let host = &self.host;
         let mut state = network_to_structure(host.network(), host.sampler, host.sharding);
@@ -178,54 +179,52 @@ impl ProbabilisticNetwork {
     }
 
     /// Rebuilds a network from [`to_state`](Self::to_state) output without
-    /// re-sampling: catalog, graph and candidates are reconstructed in id
-    /// order, the conflict index reassembled from its primary data
-    /// ([`smn_constraints::ConflictIndex::from_parts`]), shard sub-indices
-    /// re-derived from the partition, and the stored samples re-recorded —
-    /// after which probabilities are *recomputed* through the same kernels
-    /// the live path uses, making them bit-identical to the saved run.
+    /// re-sampling. The structure comes from the one loader every load
+    /// shares, [`ShardHost::from_structure`]: catalog, graph and candidates
+    /// are re-added in id order, the conflict index is built by
+    /// [`MatchingNetwork::new`] and the partition derived from it. Each
+    /// stored copy of derived data must then equal its derivation: the
+    /// index (checked by the loader), the component member lists and every
+    /// shard's local feedback, which must be the global feedback localized
+    /// to its component. The global approvals must be consistent. Only then
+    /// are the stored samples re-recorded, and the probabilities
+    /// *recomputed* through the same kernels the live path uses, making
+    /// them bit-identical to the saved run.
     ///
-    /// Every structural inconsistency in the input is a typed error;
+    /// Every disagreement or inconsistency in the input is a typed error;
     /// this never panics on untrusted (length/id-validated) state.
     pub fn from_state(state: &crate::persist::NetworkState) -> Result<Self, String> {
-        let network = network_from_state(state)?;
-        let n = network.candidate_count();
-        let feedback = state.feedback.build(n)?;
-        let members = &state.members;
-        if members.len() != state.shards.len() {
-            return Err(format!(
-                "{} component lists for {} shards",
-                members.len(),
-                state.shards.len()
-            ));
+        let mut host = ShardHost::from_structure(state, &[])?;
+        let components = host.components();
+        let count = components.count();
+        let derived = |k: usize| components.members(k).iter().map(|c| c.0);
+        if state.members.len() != count
+            || (0..count).any(|k| !state.members[k].iter().copied().eq(derived(k)))
+        {
+            return Err("the stored partition disagrees with the derived one".into());
         }
-        let components = if state.sharding.enabled {
-            let mut covered = vec![false; n];
-            for list in members {
-                for &c in list {
-                    if c as usize >= n || covered[c as usize] {
-                        return Err("component partition does not partition".into());
-                    }
-                    covered[c as usize] = true;
-                }
+        if state.shards.len() != count {
+            return Err(format!("{} shard states for {count} components", state.shards.len()));
+        }
+        let feedback = state.feedback.build(host.network().candidate_count())?;
+        if !host.network().index().is_consistent(feedback.approved()) {
+            return Err("the approved candidates conflict".into());
+        }
+        for (k, shard) in state.shards.iter().enumerate() {
+            let members = components.members(k);
+            // whether `stored` lists the local ids of `global`'s members
+            let localized = |global: &BitSet, stored: &[u32]| {
+                let ids = members.iter().enumerate().filter(|&(_, &c)| global.contains(c));
+                ids.map(|(j, _)| j as u32).eq(stored.iter().copied())
+            };
+            let stored = &shard.feedback;
+            if stored.len != members.len()
+                || !localized(feedback.approved(), &stored.approved)
+                || !localized(feedback.disapproved(), &stored.disapproved)
+            {
+                return Err(format!("shard {k}'s feedback disagrees with the global feedback"));
             }
-            if !covered.iter().all(|&c| c) {
-                return Err("component partition does not cover all candidates".into());
-            }
-            Components::from_members(
-                n,
-                members.iter().map(|l| l.iter().map(|&c| CandidateId(c)).collect()).collect(),
-            )
-        } else {
-            let whole = members.len() == 1
-                && members[0].len() == n
-                && members[0].iter().enumerate().all(|(i, &c)| c as usize == i);
-            if !whole {
-                return Err("the whole partition must list every candidate in id order".into());
-            }
-            Components::whole(n)
-        };
-        let mut host = ShardHost::build(network, components, state.sampler, state.sharding, &[]);
+        }
         for (k, shard) in state.shards.iter().enumerate() {
             host.import_shard(k, shard)?;
         }
@@ -724,11 +723,11 @@ pub(crate) fn network_to_structure(
     }
 }
 
-/// The structural half of [`ProbabilisticNetwork::from_state`]: rebuilds
-/// the [`MatchingNetwork`] (catalog, graph, candidates, conflict index)
-/// from a state image, validating every id and length. Shared with the
-/// remote shard host, which reconstructs structure from a bootstrap frame
-/// and then builds its owned shards itself.
+/// Rebuilds the [`MatchingNetwork`] of a state image: catalog, graph and
+/// candidates are re-added in id order (each validated on the way in),
+/// and the conflict index is built from them by [`MatchingNetwork::new`].
+/// The image's stored posting lists and triple table must equal that
+/// index. [`ShardHost::from_structure`], the one loader, calls this.
 pub(crate) fn network_from_state(
     state: &crate::persist::NetworkState,
 ) -> Result<MatchingNetwork, String> {
@@ -764,26 +763,20 @@ pub(crate) fn network_from_state(
             .add(&catalog, Some(&graph), AttributeId(c.a), AttributeId(c.b), c.confidence)
             .map_err(|e| format!("candidate: {e}"))?;
     }
-    let n = candidates.len();
-    if state.pair_conflicts.len() != n {
-        return Err(format!("{} posting lists for {n} candidates", state.pair_conflicts.len()));
+    let network = MatchingNetwork::new(catalog, graph, candidates, state.constraints);
+    let index = network.index();
+    let pairs_agree = state.pair_conflicts.len() == index.candidate_count()
+        && state.pair_conflicts.iter().enumerate().all(|(i, stored)| {
+            let built = index.pair_conflicts(CandidateId::from_index(i));
+            stored.iter().copied().eq(built.iter().map(|c| c.0))
+        });
+    if !pairs_agree {
+        return Err("the stored pair conflicts disagree with the built index".into());
     }
-    if state.pair_conflicts.iter().flatten().any(|&x| x as usize >= n)
-        || state.triples.iter().flatten().any(|&x| x as usize >= n)
-    {
-        return Err("conflict member id out of range".into());
+    if !state.triples.iter().map(|t| t.map(CandidateId)).eq(index.triples().iter().copied()) {
+        return Err("the stored cycle triples disagree with the built index".into());
     }
-    let index = smn_constraints::ConflictIndex::from_parts(
-        state.constraints,
-        n,
-        state.pair_conflicts.iter().map(|l| l.iter().map(|&x| CandidateId(x)).collect()).collect(),
-        state
-            .triples
-            .iter()
-            .map(|t| [CandidateId(t[0]), CandidateId(t[1]), CandidateId(t[2])])
-            .collect(),
-    );
-    Ok(MatchingNetwork::from_parts(catalog, graph, candidates, index))
+    Ok(network)
 }
 
 thread_local! {

@@ -27,11 +27,16 @@ use smn_constraints::{BitSet, ConflictIndex};
 use smn_schema::CandidateId;
 
 impl ShardHost {
-    /// Reconstructs a host from a structure-only [`NetworkState`] (the
+    /// Reconstructs a host from the structure of a [`NetworkState`] (the
     /// bootstrap image a coordinator ships) and the owned-component list.
-    /// Structure is validated like the snapshot loader validates it; the
-    /// owned shards are then *built* here — samples never travel at
-    /// bootstrap, so server fill cost scales with the owned slice.
+    /// This is the one loader: the snapshot loader
+    /// ([`ProbabilisticNetwork::from_state`](crate::ProbabilisticNetwork::from_state))
+    /// starts here too. It re-adds catalog, graph and candidates, builds
+    /// the conflict index with [`MatchingNetwork::new`](crate::MatchingNetwork::new)
+    /// and refuses an image whose stored posting lists or triple table
+    /// disagree with it, then derives the partition from that index. The
+    /// owned shards are *built* here — samples never travel at bootstrap,
+    /// so server fill cost scales with the owned slice.
     pub fn from_structure(state: &NetworkState, owned: &[usize]) -> Result<Self, String> {
         let network = network_from_state(state)?;
         let components = partition(network.index(), &state.sharding);

@@ -2,7 +2,9 @@
 //! every process untouched — an unknown candidate id included — and
 //! hostile requests sent straight to a shard server are refused without
 //! changing it: a malformed evolution or export, and an assertion or
-//! what-if query that would flip a verdict or conflict with an approval.
+//! what-if query that would flip a verdict or conflict with an approval,
+//! and a bootstrap image whose conflict index disagrees with its
+//! candidates.
 
 use smn_core::feedback::Assertion;
 use smn_core::persist::NetworkEvent;
@@ -246,6 +248,45 @@ fn hostile_export_requests_are_refused_and_the_server_keeps_answering() {
         assert_eq!(link.recv().unwrap().kind, RESP_ERR, "{what}: accepted");
         assert_eq!(ok(link, REQ_EXPORT, &valid), before, "{what}: the server changed");
     }
+
+    ok(link, REQ_SHUTDOWN, &[]);
+    for h in handles {
+        h.join().expect("no server panic").expect("clean server exit");
+    }
+}
+
+#[test]
+fn hostile_bootstrap_images_are_refused_and_leave_the_server_unbootstrapped() {
+    let net = webform_federation(3, 42).0;
+    let (sampler, sharding) = (tiny_sampler(3), ShardingConfig::default());
+    let mirror = ShardHost::new(net.clone(), sampler, sharding, &[]);
+    let image = mirror.structure();
+    assert!(!image.triples.is_empty(), "the federation has cycle triples");
+    let c = image.pair_conflicts.iter().position(|l| !l.is_empty()).expect("a pair conflict");
+    let mut no_triple = image.clone();
+    no_triple.triples.remove(0);
+    let mut no_pair = image.clone();
+    no_pair.pair_conflicts[c].remove(0);
+    let (mut links, handles) = spawn_local_cluster(1);
+    let link = &mut links[0];
+    let mut gains = Vec::new();
+    put_ids(&mut gains, &(0..net.candidate_count() as u32).collect::<Vec<_>>());
+
+    for (what, state) in [("a triple dropped", no_triple), ("a pair conflict dropped", no_pair)] {
+        let mut bootstrap = Vec::new();
+        put_ids(&mut bootstrap, &(0..mirror.component_count() as u32).collect::<Vec<_>>());
+        bootstrap.extend_from_slice(&encode_snapshot(&state, &[], 0));
+        link.send(REQ_BOOTSTRAP, &bootstrap).unwrap();
+        assert_eq!(link.recv().unwrap().kind, RESP_ERR, "{what}: accepted");
+        link.send(REQ_GAINS, &gains).unwrap();
+        let reply = link.recv().unwrap();
+        assert_eq!(reply.kind, RESP_ERR, "{what}: the server answered");
+        let reply = String::from_utf8_lossy(&reply.payload);
+        assert!(reply.contains("not bootstrapped"), "{what}: {reply}");
+    }
+    // the untouched image still bootstraps the same server
+    bootstrap_all(link, &mirror);
+    ok(link, REQ_GAINS, &gains);
 
     ok(link, REQ_SHUTDOWN, &[]);
     for h in handles {

@@ -158,10 +158,10 @@ impl CandidateSet {
 
     /// Removes a candidate, compacting the dense id space: every candidate
     /// with a higher id shifts down by one (order-preserving renumbering),
-    /// and the derived indexes are rebuilt in the new id order — so the
-    /// result is indistinguishable from a set built by re-adding the
-    /// survivors in order. Returns the removed candidate (with its
-    /// original id).
+    /// and the derived indexes are patched in place — the retiree dropped,
+    /// higher ids shifted, an emptied schema-pair group removed — so the
+    /// result is `==` a set built by re-adding the survivors in order.
+    /// Returns the removed candidate (with its original id).
     ///
     /// This is the candidate-retirement primitive of the evolving-network
     /// stack; `catalog` must be the catalog the set was built against.
@@ -170,20 +170,29 @@ impl CandidateSet {
             return Err(SchemaError::UnknownCandidate(id));
         }
         let removed = self.candidates.remove(id.index());
-        self.by_pair.clear();
-        self.by_edge.clear();
-        for inc in &mut self.incident {
-            inc.clear();
+        let shift = |c: &mut CandidateId| {
+            if *c > id {
+                c.0 -= 1;
+            }
+        };
+        for cand in &mut self.candidates[id.index()..] {
+            shift(&mut cand.id);
         }
-        for (i, cand) in self.candidates.iter_mut().enumerate() {
-            cand.id = CandidateId::from_index(i);
-            self.by_pair.insert(cand.corr, cand.id);
-            self.incident[cand.corr.a().index()].push(cand.id);
-            self.incident[cand.corr.b().index()].push(cand.id);
-            let (sx, sy) = (catalog.schema_of(cand.corr.a()), catalog.schema_of(cand.corr.b()));
-            let edge = if sx.0 <= sy.0 { (sx, sy) } else { (sy, sx) };
-            self.by_edge.entry(edge).or_default().push(cand.id);
+        self.by_pair.remove(&removed.corr);
+        self.by_pair.values_mut().for_each(shift);
+        for attr in removed.corr.endpoints() {
+            self.incident[attr.index()].retain(|&c| c != id);
         }
+        self.incident.iter_mut().flatten().for_each(shift);
+        let (sx, sy) = (catalog.schema_of(removed.corr.a()), catalog.schema_of(removed.corr.b()));
+        let edge = if sx.0 <= sy.0 { (sx, sy) } else { (sy, sx) };
+        if let Some(group) = self.by_edge.get_mut(&edge) {
+            group.retain(|&c| c != id);
+            if group.is_empty() {
+                self.by_edge.remove(&edge);
+            }
+        }
+        self.by_edge.values_mut().flatten().for_each(shift);
         Ok(removed)
     }
 

@@ -32,11 +32,11 @@
 //! | 1  | catalog    | `u64 schema_count`, then per schema `str name`, `u64 attr_count`, per attribute `str name` — re-adding in order through `CatalogBuilder` reassigns identical dense ids |
 //! | 2  | graph      | `u64 vertex_count`, `u64 edge_count`, per edge `u32 a, u32 b` in stored order |
 //! | 3  | candidates | `u64 count`, per candidate `u32 a, u32 b, f64 confidence` in id order |
-//! | 4  | index      | `u8 one_to_one, u8 cycle`, `u64 candidate_count`, per candidate `ids pair_conflicts`, `u64 triple_count`, per triple `3 × u32` — the conflict index's *primary* data only; the derived other-two table of the triples is re-derived on load by `ConflictIndex::from_parts` |
+//! | 4  | index      | `u8 one_to_one, u8 cycle`, `u64 candidate_count`, per candidate `ids pair_conflicts`, `u64 triple_count`, per triple `3 × u32` — a copy of the conflict index's posting lists and triple table, checked against the loader's derivation (the index `MatchingNetwork::new` builds from sections 1–3); the other-two table is not stored |
 //! | 5  | feedback   | `u64 len`, `ids approved`, `ids disapproved` (global feedback) |
 //! | 6  | config     | sampler `u64 n_samples, u64 walk_steps, u64 n_min, u64 seed, u8 anneal, u64 chains` (`chains` round-trips but the sampler ignores it); `u8 has_sharding` (0 = `ShardingConfig::disabled()`), if set `u8 enabled, u64 exact_threshold, u64 exact_cap, u8 reserved` (written `1`, ignored on read); `f64 initial_entropy` |
-//! | 7  | partition  | `u8 repr_tag` (0 = the whole partition, iff `enabled` is false; 1 = conflict components); if 1 `u64 component_count`, per component `ids members` (global ids, canonical order) — the whole partition's single list `0..n` is implied |
-//! | 8  | stores     | `u64 store_count` (one per component; a structure-only image carries none), per store: *(tag 1 only)* shard feedback `u64 len, ids approved, ids disapproved` — the whole partition's shard feedback is the global feedback of section 5 — then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 reserved` (written `0`, any other value refused), `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix and dedup map are re-derived on load by re-recording in order, bit-identically |
+//! | 7  | partition  | `u8 repr_tag` (0 = the whole partition, iff `enabled` is false; 1 = conflict components); if 1 `u64 component_count`, per component `ids members` (global ids, canonical order), checked against the loader's derivation (the partition of the built index) — the whole partition's single list `0..n` is implied |
+//! | 8  | stores     | `u64 store_count` (one per component; a structure-only image carries none), per store: *(tag 1 only)* shard feedback `u64 len, ids approved, ids disapproved`, checked against the loader's derivation (the section-5 feedback localized to the component) — the whole partition's shard feedback is the global feedback of section 5 — then the store state: sampler config (as in section 6), `u64 candidate_count, u8 exhausted, u64 reserved` (written `0`, any other value refused), `u64 instance_count`, per instance `ids members` (ascending), `u64 count_len`, per instance `u64 visits` — the distinct-sample multiset Ω\*; the transposed matrix and dedup map are re-derived on load by re-recording in order, bit-identically |
 //! | 9  | history    | `u64 count`, per assertion `u32 candidate, u8 approved` in integration order |
 //!
 //! `str` = `u64 byte_len` + UTF-8 bytes; `ids` = `u64 count` + `count ×

@@ -11,7 +11,10 @@
 //! touching a file, and [`DurableStore::fault`] reports it. Engines
 //! journal through it without a latch of their own.
 //!
-//! The load path rebuilds along the same `Arc` boundaries the live
+//! The load path builds the conflict index and component partition with
+//! the constructors a live network uses, and refuses
+//! ([`StorageError::Invalid`]) an image whose stored copies of them
+//! disagree. It rebuilds along the same `Arc` boundaries the live
 //! network uses — shared [`SampleData`]/[`ShardSnapshot`] behind
 //! copy-on-write pointers — without re-sampling: the recorded instance
 //! multiset Ω\* is re-recorded in discovery order, which reconstructs the

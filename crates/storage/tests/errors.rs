@@ -1,10 +1,12 @@
 //! Typed-error regressions: one test per [`StorageError`] variant proving
 //! the decoder reports that variant (and *returns* — never panics) on the
 //! corruption shape it names, plus a fuzz property that no byte string
-//! whatsoever can panic any decoder.
+//! whatsoever can panic any decoder, and one that no image whose derived
+//! sections disagree with the loader's derivation loads.
 
 use proptest::prelude::*;
-use smn_core::persist::{NetworkEvent, StoreState};
+use smn_core::feedback::Assertion;
+use smn_core::persist::{NetworkEvent, NetworkState, StoreState};
 use smn_core::{ProbabilisticNetwork, ShardingConfig};
 use smn_schema::CandidateId;
 use smn_storage::format::{
@@ -13,7 +15,8 @@ use smn_storage::format::{
 use smn_storage::wal::{decode_prefix, decode_records, WalBuffer};
 use smn_storage::{load_with_history, save_with_history, StorageError};
 use smn_testkit::faults::{corrupt_range, flip_bit, truncate_at, FaultRng};
-use smn_testkit::{fig1_network, tiny_sampler};
+use smn_testkit::{fig1_network, tiny_sampler, webform_federation};
+use std::sync::OnceLock;
 
 fn snapshot_bytes() -> Vec<u8> {
     let mut pn = ProbabilisticNetwork::new_sharded(
@@ -136,6 +139,120 @@ fn semantically_impossible_content_is_invalid_not_a_panic() {
     state.feedback.len = 3;
     let bytes = smn_storage::format::encode_snapshot(&state, &[], 0);
     assert!(matches!(load_with_history(&bytes), Err(StorageError::Invalid(_))));
+
+    // a sharded federation image whose derived sections each lose one
+    // entry: every copy must equal what the loader derives
+    let fed = federation_state();
+    assert!(load_state(fed).is_ok(), "the untouched image loads");
+    assert!(!fed.triples.is_empty(), "the federation has cycle triples");
+    for i in 0..fed.triples.len() {
+        let mut state = fed.clone();
+        state.triples.remove(i);
+        assert_refused(&state, "cycle triples disagree", &format!("triple {i} dropped"));
+    }
+    for c in 0..fed.pair_conflicts.len() {
+        for j in 0..fed.pair_conflicts[c].len() {
+            let mut state = fed.clone();
+            let partner = state.pair_conflicts[c].remove(j);
+            let what = format!("pair conflict {c} -> {partner} dropped");
+            assert_refused(&state, "pair conflicts disagree", &what);
+        }
+    }
+
+    // one member swapped between two components of equal size and equal
+    // feedback, so the lists still partition the candidates and fit
+    // their stores: between two conflicting pairs, and between two
+    // singletons (which only breaks the canonical order)
+    for size in [2, 1] {
+        let (k1, k2) = (0..fed.members.len())
+            .flat_map(|k1| (k1 + 1..fed.members.len()).map(move |k2| (k1, k2)))
+            .find(|&(k1, k2)| {
+                fed.members[k1].len() == size
+                    && fed.members[k2].len() == size
+                    && fed.shards[k1].feedback == fed.shards[k2].feedback
+            })
+            .expect("two components of equal size");
+        let mut state = fed.clone();
+        let (x, y) = (state.members[k1].pop().unwrap(), state.members[k2].pop().unwrap());
+        state.members[k1].push(y);
+        state.members[k2].push(x);
+        state.members[k1].sort_unstable();
+        state.members[k2].sort_unstable();
+        let what = format!("a member swapped between components of {size}");
+        assert_refused(&state, "partition disagrees", &what);
+    }
+
+    // a shard's local feedback erased while the global feedback keeps it
+    let k = fed.shards.iter().position(|s| !s.feedback.approved.is_empty()).expect("an approval");
+    let mut state = fed.clone();
+    state.shards[k].feedback.approved.clear();
+    state.shards[k].feedback.disapproved.clear();
+    assert_refused(&state, "feedback disagrees", "a shard's feedback emptied");
+
+    // two conflicting approvals over an empty, exhausted store: every
+    // other section agrees with them
+    let (k, a) = (0..fed.members.len())
+        .filter(|&k| {
+            let f = &fed.shards[k].feedback;
+            f.approved.is_empty() && f.disapproved.is_empty()
+        })
+        .find_map(|k| {
+            let a = fed.members[k].iter().find(|&&c| !fed.pair_conflicts[c as usize].is_empty());
+            Some((k, *a?))
+        })
+        .expect("an unasserted component with a pair conflict");
+    let b = fed.pair_conflicts[a as usize][0];
+    let local = |c: u32| fed.members[k].iter().position(|&m| m == c).unwrap() as u32;
+    let mut state = fed.clone();
+    state.feedback.approved.extend([a, b]);
+    state.feedback.approved.sort_unstable();
+    let shard = &mut state.shards[k];
+    shard.feedback.approved = vec![local(a), local(b)];
+    shard.feedback.approved.sort_unstable();
+    shard.store.samples.clear();
+    shard.store.counts.clear();
+    shard.store.exhausted = true;
+    assert_refused(&state, "approved candidates conflict", "conflicting approvals");
+}
+
+/// A sharded federation with one approval and one disapproval, each in
+/// its own component, as a [`NetworkState`]. Built once; the derived-section
+/// cases mutate copies.
+fn federation_state() -> &'static NetworkState {
+    static STATE: OnceLock<NetworkState> = OnceLock::new();
+    STATE.get_or_init(|| {
+        let net = webform_federation(4, 42).0;
+        let mut pn = ProbabilisticNetwork::new_sharded(
+            net.clone(),
+            tiny_sampler(5),
+            ShardingConfig::default(),
+        );
+        let members = pn.to_state().members;
+        let component = |c: CandidateId| members.iter().position(|m| m.contains(&c.0));
+        let mut conflicted =
+            net.candidates().ids().filter(|&c| !net.index().pair_conflicts(c).is_empty());
+        let a = conflicted.next().expect("a conflicted candidate");
+        let d = conflicted
+            .find(|&d| component(d) != component(a))
+            .expect("a conflicted candidate in another component");
+        pn.assert_candidate(Assertion { candidate: a, approved: true }).unwrap();
+        pn.assert_candidate(Assertion { candidate: d, approved: false }).unwrap();
+        pn.to_state()
+    })
+}
+
+/// Re-encodes `state` with valid checksums and loads it.
+fn load_state(state: &NetworkState) -> Result<ProbabilisticNetwork, StorageError> {
+    load_with_history(&encode_snapshot(state, &[], 0)).map(|(pn, _, _)| pn)
+}
+
+/// Asserts that `state` is refused as [`StorageError::Invalid`] with a
+/// message containing `why`.
+fn assert_refused(state: &NetworkState, why: &str, what: &str) {
+    match load_state(state) {
+        Err(StorageError::Invalid(e)) => assert!(e.contains(why), "{what}: {e}"),
+        other => panic!("{what}: expected Invalid, got {:?}", other.map(|_| ())),
+    }
 }
 
 /// Offset of the store's reserved `u64` slot (written 0) inside one
@@ -236,6 +353,67 @@ proptest! {
                 prop_assert!(load_with_history(&m).is_err(), "damaged bytes must not load");
             }
         }
+    }
+
+    /// One random mutation of a derived section — the index's posting
+    /// lists or triple table, the member lists, or a shard's feedback —
+    /// re-encoded with valid checksums, never loads and never panics:
+    /// each copy must equal the loader's derivation.
+    #[test]
+    fn a_mutated_derived_section_never_loads(seed in any::<u64>()) {
+        let mut state = federation_state().clone();
+        let mut rng = FaultRng::new(seed);
+        let n = state.candidates.len();
+        let id = |rng: &mut FaultRng| rng.below(n) as u32;
+        match rng.below(4) {
+            0 => {
+                let list = &mut state.pair_conflicts[rng.below(n)];
+                if list.is_empty() || rng.below(2) == 0 {
+                    let c = id(&mut rng);
+                    list.insert(rng.below(list.len() + 1), c);
+                } else {
+                    list.remove(rng.below(list.len()));
+                }
+            }
+            1 => {
+                let triples = &mut state.triples;
+                match rng.below(3) {
+                    0 => {
+                        let t = [id(&mut rng), id(&mut rng), id(&mut rng)];
+                        triples.insert(rng.below(triples.len() + 1), t);
+                    }
+                    1 => {
+                        triples.remove(rng.below(triples.len()));
+                    }
+                    _ => {
+                        let (i, m) = (rng.below(triples.len()), rng.below(3));
+                        let t = &mut triples[i][m];
+                        *t = ((*t as usize + 1 + rng.below(n - 1)) % n) as u32;
+                    }
+                }
+            }
+            2 => {
+                let count = state.members.len();
+                let k1 = rng.below(count);
+                let k2 = (k1 + 1 + rng.below(count - 1)) % count;
+                let (j1, j2) = (rng.below(state.members[k1].len()), rng.below(state.members[k2].len()));
+                let x = state.members[k1][j1];
+                state.members[k1][j1] = std::mem::replace(&mut state.members[k2][j2], x);
+            }
+            _ => {
+                let k = rng.below(state.shards.len());
+                let j = rng.below(state.members[k].len()) as u32;
+                let feedback = &mut state.shards[k].feedback;
+                let list = if rng.below(2) == 0 { &mut feedback.approved } else { &mut feedback.disapproved };
+                match list.binary_search(&j) {
+                    Ok(at) => {
+                        list.remove(at);
+                    }
+                    Err(at) => list.insert(at, j),
+                }
+            }
+        }
+        prop_assert!(matches!(load_state(&state), Err(StorageError::Invalid(_))));
     }
 
     /// Arbitrary byte strings never panic any decoder — snapshot or WAL,
